@@ -159,7 +159,8 @@ def cmd_jung(ns: argparse.Namespace) -> int:
     delta = diam(points)
     if delta <= 0.0:
         raise ValueError("need at least two distinct points")
-    tau = min(max(diam3(points), 1e-6), delta)
+    d3 = diam3(points)
+    tau = min(max(d3, 1e-6), delta)
     rho = gen_jung_radius(delta, tau)
     mec = min_enclosing_circle(points)
     ab_rows = []
@@ -177,7 +178,7 @@ def cmd_jung(ns: argparse.Namespace) -> int:
         "ab": ab_rows,
         "covered": mec.radius <= rho + 1e-9,
         "diam": delta,
-        "diam3": diam3(points),
+        "diam3": d3,
         "mec": {"center": [mec.center.x, mec.center.y], "radius": mec.radius},
         "n": len(points),
         "rho": rho,

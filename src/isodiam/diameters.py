@@ -109,25 +109,77 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
 
     Zero for fewer than three points. Computed by inserting pairs in order
     of decreasing distance until the first triangle closes; that edge is
-    the smallest edge of the best triple, so its length is the answer.
-    Exact, no tolerance.
+    the smallest edge of the best triple, so its length is the answer. The
+    closing length is max over triples of the min side whatever the order
+    among tied pairs, so the result is exact, with no tolerance, and does
+    not depend on how ties are broken.
+
+    Two shortcuts keep it exact. Above _PREFILTER_MIN points, diam3 of a
+    stride sub-sample of about _SUBSAMPLE points is a lower bound L: its
+    best triple is a triple of the full set. The best triple of the full
+    set has every side >= L, so only pairs at squared distance >= L^2 are
+    sorted; squared distances are computed the same way for the sample
+    and the full set, so the bound holds bit for bit. The pairs are then
+    inserted _BLOCK at a time into bit-packed adjacency rows: if no edge of
+    a block has a common neighbour afterwards, no triangle has closed yet
+    (a triangle closed in the block would show on its last edge), and only
+    the block where one first closes is replayed pair by pair.
     """
     coords = _coords(s)
     n = len(coords)
     if n < 3:
         return 0.0
-    iu, ju = np.triu_indices(n, k=1)
-    d2 = np.sum((coords[iu] - coords[ju]) ** 2, axis=1)
-    order = np.argsort(-d2, kind="stable")
-    adj = [0] * n
-    for idx in order:
-        i = int(iu[idx])
-        j = int(ju[idx])
-        if adj[i] & adj[j]:
-            return float(np.sqrt(d2[idx]))
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return 0.0  # not reachable for n >= 3, kept for safety
+    floor2 = 0.0
+    if n > _PREFILTER_MIN:
+        floor2 = _first_triangle_d2(coords[:: n // _SUBSAMPLE], 0.0)
+    return float(np.sqrt(_first_triangle_d2(coords, floor2)))
+
+
+# See diam3: sub-sample size and threshold of the prefilter, and the
+# number of pairs inserted per vectorized triangle test.
+_PREFILTER_MIN = 400
+_SUBSAMPLE = 200
+_BLOCK = 512
+
+
+def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:
+    """Flip the bits of edges (iu[k], ju[k]) in both adjacency rows."""
+    for a, b in ((iu, ju), (ju, iu)):
+        bits = np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
+        np.bitwise_xor.at(adj, (a, b >> 6), bits)
+
+
+def _first_triangle_d2(coords: np.ndarray, floor2: float) -> float:
+    """Squared length of the first pair that closes a triangle when pairs
+    at squared distance >= floor2 are inserted longest first."""
+    iu, ju = np.triu_indices(len(coords), k=1)
+    x, y = coords[:, 0], coords[:, 1]
+    d2 = x[iu] - x[ju]
+    d2 *= d2
+    dy = y[iu] - y[ju]
+    dy *= dy
+    d2 += dy
+    keep = np.flatnonzero(d2 >= floor2)
+    order = keep[np.argsort(-d2[keep])]
+    iu, ju, d2 = iu[order], ju[order], d2[order]
+    # little-endian words, so a row's bytes read as one Python int below
+    adj = np.zeros((len(coords), (len(coords) + 63) >> 6), dtype="<u8")
+    for lo in range(0, len(d2), _BLOCK):
+        bi, bj = iu[lo : lo + _BLOCK], ju[lo : lo + _BLOCK]
+        if lo + _BLOCK < len(d2):
+            _toggle_edges(adj, bi, bj)
+            if not (adj[bi] & adj[bj]).any():
+                continue
+            _toggle_edges(adj, bi, bj)
+        # a triangle closes in this block (the last block always closes
+        # one): replay it pair by pair on Python-int copies of its rows
+        rows = {r: int.from_bytes(adj[r].tobytes(), "little") for r in {*bi.tolist(), *bj.tolist()}}
+        for i, j, dd in zip(bi.tolist(), bj.tolist(), d2[lo : lo + _BLOCK].tolist()):
+            if rows[i] & rows[j]:
+                return dd
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    raise AssertionError("no triangle among the pairs above the floor")
 
 
 def _distance_matrix(coords: np.ndarray) -> np.ndarray:

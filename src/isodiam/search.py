@@ -216,6 +216,24 @@ def _center_diam(region: PixelRegion) -> float:
     return math.sqrt(best)
 
 
+def _row_extremes(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The min-j and max-j cell of each row i of an integer cell set.
+
+    Every convex hull vertex of the set is one of them (a cell with cells
+    on both sides in its row lies inside their segment), and the diameter
+    is attained at hull vertices, so the largest pairwise distance of
+    these at most 2 * rows cells equals that of the whole set.
+    """
+    base = ci.min()
+    row = ci - base
+    lo = np.full(int(row.max()) + 1, np.iinfo(np.int64).max)
+    hi = np.full_like(lo, np.iinfo(np.int64).min)
+    np.minimum.at(lo, row, cj)
+    np.maximum.at(hi, row, cj)
+    rows = np.flatnonzero(hi >= lo)
+    return np.concatenate([rows, rows]) + base, np.concatenate([lo[rows], hi[rows]])
+
+
 def anneal(config: SearchConfig) -> SearchResult:
     """Measure-maximizing annealing over single boundary-cell flips.
 
@@ -231,6 +249,14 @@ def anneal(config: SearchConfig) -> SearchResult:
     centers, so the region itself stays within 2 + 2*h*sqrt(2); the
     returned region is still re-validated post hoc with a fresh sample
     seed and the result carries the report.
+
+    Two shortcuts leave the trajectory unchanged. Whether an addition is
+    feasible is monotone in the region: more cells only add far pairs and
+    far triples. So a rejected cell stays rejected until a removal is
+    accepted, and is not re-evaluated before then; the check draws no
+    random numbers. The far cells' largest pairwise distance is taken over
+    each row's two extreme cells (see _row_extremes), in integer index
+    units, so the comparison with the cap is the same.
 
     Deterministic for a given config: the proposal stream is a single
     seeded generator, so a longer run extends a shorter one's trajectory.
@@ -298,6 +324,8 @@ def anneal(config: SearchConfig) -> SearchResult:
     best_cells = frozenset(cells)
     accepted = 0
     temperature = config.t0
+    # additions found infeasible since the last accepted removal
+    rejected: set[tuple[int, int]] = set()
 
     def add_is_feasible(cell: tuple[int, int]) -> bool:
         ci, cj = cell
@@ -316,6 +344,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         span = float(fi.max() - fi.min()) ** 2 + float(fj.max() - fj.min()) ** 2
         if span <= cap_units2:
             return True
+        fi, fj = _row_extremes(fi, fj)
         pair2 = (fi[:, None] - fi[None, :]) ** 2 + (fj[:, None] - fj[None, :]) ** 2
         return float(pair2.max()) <= cap_units2
 
@@ -350,7 +379,9 @@ def anneal(config: SearchConfig) -> SearchResult:
             adding = can_add
         if adding:
             cell = add_frontier.choose(move_rng)
-            if add_is_feasible(cell):
+            if cell in rejected or not add_is_feasible(cell):
+                rejected.add(cell)
+            else:
                 apply_flip(cell, adding=True)
                 accepted += 1
                 measure = count * h * h
@@ -362,6 +393,7 @@ def anneal(config: SearchConfig) -> SearchResult:
             u = float(move_rng.random())
             if u < math.exp(-(h * h) / temperature):
                 apply_flip(cell, adding=False)
+                rejected.clear()
                 accepted += 1
                 measure = count * h * h
         temperature *= config.cooling

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import isodiam.diameters as diameters_mod
 from isodiam.diameters import (
     BudgetExceededError,
     diam,
@@ -15,6 +18,7 @@ from isodiam.diameters import (
     triameter,
 )
 from isodiam.geometry import PointSet
+from isodiam.regions import _sampled_support, rasterize, u_delta_shape
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 small_sets = st.lists(st.tuples(coord, coord), min_size=3, max_size=8).map(PointSet.from_xy)
@@ -32,6 +36,27 @@ def brute_diam3(s: PointSet) -> float:
         )
         best = max(best, m)
     return best
+
+
+def sorted_pair_diam3(s: PointSet) -> float:
+    """diam3 by the plain scan: insert every pair longest first, one at a
+    time, with Python-int bitsets, until a triangle closes."""
+    coords = s.to_array()
+    n = len(coords)
+    if n < 3:
+        return 0.0
+    iu, ju = np.triu_indices(n, k=1)
+    d2 = np.sum((coords[iu] - coords[ju]) ** 2, axis=1)
+    order = np.argsort(-d2, kind="stable")
+    adj = [0] * n
+    for idx in order:
+        i = int(iu[idx])
+        j = int(ju[idx])
+        if adj[i] & adj[j]:
+            return float(np.sqrt(d2[idx]))
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    raise AssertionError("no triangle closed")
 
 
 def brute_diam_ab(s: PointSet, a: int, b: int) -> float:
@@ -72,6 +97,46 @@ def test_diam3_matches_bruteforce_seeded():
         n = int(rng.integers(3, 10))
         s = PointSet.from_xy([tuple(r) for r in rng.uniform(-4, 4, size=(n, 2))])
         assert diam3(s) == pytest.approx(brute_diam3(s), abs=1e-9)
+
+
+@functools.cache
+def _diam3_equivalence_inputs() -> dict[str, PointSet]:
+    """Inputs above the sub-sample threshold, for the exact comparison."""
+    rng = np.random.default_rng(5)
+    cases = {f"uniform-{n}": rng.uniform(-3, 3, size=(n, 2)) for n in (401, 1200, 2500)}
+    gi, gj = np.meshgrid(np.arange(40), np.arange(36), indexing="ij")
+    cases["lattice-centers"] = (np.stack([gi.ravel(), gj.ravel()], axis=1) + 0.5) * 0.05
+    for delta in (3.0, 3.6):
+        region = rasterize(u_delta_shape(delta), 0.05)
+        cases[f"support-u{delta}"] = _sampled_support(region, k=2000, seed=1)
+    base = rng.uniform(-1, 1, size=(150, 2))
+    cases["duplicates"] = np.concatenate([base, base, base[::-1]], axis=0)
+    t = np.sort(rng.uniform(0, 1, size=450))
+    cases["collinear"] = np.stack([1.0 - 3.0 * t, 2.0 + 1.5 * t], axis=1)
+    return {name: PointSet.from_xy(map(tuple, pts)) for name, pts in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_diam3_equivalence_inputs()))
+def test_diam3_equals_sorted_pair_scan(name):
+    s = _diam3_equivalence_inputs()[name]
+    assert len(s) > diameters_mod._PREFILTER_MIN
+    assert diam3(s) == sorted_pair_diam3(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(coord, coord), min_size=3, max_size=30), st.integers(1, 8))
+def test_diam3_prefilter_and_blocks_on_small_sets(pairs, block):
+    """Forcing the sub-sample and tiny blocks onto small sets exercises
+    the prefilter, block boundaries and the replay against both oracles."""
+    s = PointSet.from_xy(pairs)
+    with (
+        mock.patch.object(diameters_mod, "_PREFILTER_MIN", 2),
+        mock.patch.object(diameters_mod, "_SUBSAMPLE", 3),
+        mock.patch.object(diameters_mod, "_BLOCK", block),
+    ):
+        fast = diam3(s)
+    assert fast == sorted_pair_diam3(s)
+    assert fast == pytest.approx(brute_diam3(s), abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

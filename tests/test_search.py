@@ -1,12 +1,16 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
 from isodiam.regions import u_delta_measure
 from isodiam.search import (
     InfeasibleStartError,
     SearchConfig,
+    _row_extremes,
     anneal,
     anneal_chains,
     convex_candidate_measure,
@@ -123,3 +127,39 @@ def test_chains_pick_best_and_ignore_threads():
 
 def test_window_constant():
     assert DISK_REGIME_MAX == pytest.approx(4 / math.sqrt(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=60))
+def test_row_extremes_keep_the_diameter(cells):
+    ci = np.array([c[0] for c in cells], dtype=np.int64)
+    cj = np.array([c[1] for c in cells], dtype=np.int64)
+    ri, rj = _row_extremes(ci, cj)
+    assert len(ri) <= 2 * len(set(ci.tolist()))
+    assert set(zip(ri.tolist(), rj.tolist())) <= set(cells)
+    full = (ci[:, None] - ci[None, :]) ** 2 + (cj[:, None] - cj[None, :]) ** 2
+    reduced = (ri[:, None] - ri[None, :]) ** 2 + (rj[:, None] - rj[None, :]) ** 2
+    assert reduced.max() == full.max()
+
+
+# (delta, temperature_init) -> accepted_moves, best_measure and the sha256
+# of the sorted best cells, recorded before rejected additions were
+# memoized and the far set was cut to its row extremes. At temperature
+# h^2 removals are accepted, which runs the memo's clear-on-removal path.
+PINNED_TRAJECTORIES = {
+    (2.5, None): (89, 5.010000000000001, "1e95828ab87557536ad8ba5d83097d36fdec2658533ba0f4abb8285d55001064"),
+    (3.0, None): (58, 5.66, "e3e8237ec7f9e60ad2c50191c6420138b670e5897981f714243b3c21af9ff298"),
+    (3.6, 0.01): (495, 6.65, "a75f7adcc21096712be878e366f95aaa5ed4327e43c36a058eaa38404b76df40"),
+}
+
+
+@pytest.mark.parametrize("delta,t0", sorted(PINNED_TRAJECTORIES, key=str))
+def test_anneal_trajectory_is_pinned(delta, t0):
+    h = 0.1
+    out = anneal(SearchConfig(delta=delta, h=h, iterations=2000, seed=3, temperature_init=t0))
+    cells = sorted((int(i), int(j)) for i, j in out.best_region.cells)
+    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    assert (out.accepted_moves, out.best_measure, digest) == PINNED_TRAJECTORIES[(delta, t0)]
+    if t0 is not None:
+        # with additions only, the best region would hold every accepted cell
+        assert len(cells) < round(out.baseline_measure / h**2) + out.accepted_moves
