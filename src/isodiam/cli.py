@@ -314,7 +314,7 @@ def cmd_conjecture(ns: argparse.Namespace) -> int:
         }
         marks = []
         for row in evaluate_candidates((ns.delta_min + ns.delta_max) / 2.0):
-            if row.feasible and row.measure is not None:
+            if row.feasible:
                 marks.append(((ns.delta_min + ns.delta_max) / 2.0, row.measure, row.name))
         with open(ns.svg, "w", encoding="utf-8") as fh:
             fh.write(svgplot.curves_svg(xs, series, title="candidate area against upper bounds", marks=marks))

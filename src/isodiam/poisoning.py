@@ -5,8 +5,11 @@ The bite center is uniform in the concentric disk of radius R - 1 (the
 bite always stays inside the pie), the bite is the closed unit disk around
 that center, and lethality is the closed inequality dose >= lethal_dose.
 Strategies mix point masses with an optional uniform density patch over a
-pixel region; the density dose inside a bite is integrated by pixel
-summation at the patch's own grid pitch.
+pixel region; the density dose inside a bite is the patch's grams per cell
+times the number of cell centers within distance 1 of the bite center.
+Those cells are counted row by row, not tested one by one: in a row they
+are the cells whose column lies in one range, and the ends of that range
+follow from the bite's half-width at the row (see _PatchRows).
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -154,26 +157,135 @@ def validate_strategy(strategy: PoisonStrategy, config: PoisonConfig) -> None:
         )
 
 
-def _dose_at(strategy: PoisonStrategy, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Poison dose inside the closed unit bite around each (x, y)."""
+# Margin in squared distance, per unit of coordinate size, that keeps the
+# inner and outer cell ranges of _PatchRows.counts clear of rounding.
+_EPS = 1e-9
+
+
+class _PatchRows:
+    """A density patch's cells grouped by row, for counting the cells
+    inside unit bites.
+
+    Per occupied row i: its center x, and its cells as runs of consecutive
+    columns j. Center y of every cell, sorted by (i, j). All sizes are
+    O(cells), none follows the patch's bounding box, and the floats are
+    those cell_centers() gives. Read-only once built, so one table serves
+    every batch and thread of a call. A point costs O(rows + runs) work
+    near the patch, against O(cells) for testing every cell.
+    """
+
+    def __init__(self, patch: DensityPatch) -> None:
+        region = patch.region
+        idx = region.cell_index_array()
+        centers = region.cell_centers()
+        new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
+        self.starts = np.concatenate([[0], new_row, [len(idx)]])
+        self.runs: list[list[tuple[int, int]]] = []
+        for lo, hi in zip(self.starts[:-1], self.starts[1:]):
+            cols = idx[lo:hi, 1]
+            breaks = np.flatnonzero(np.diff(cols) != 1) + 1
+            firsts = cols[np.concatenate([[0], breaks])]
+            lengths = np.diff(np.concatenate([[0], breaks, [len(cols)]]))
+            self.runs.append(list(zip(firsts.tolist(), lengths.tolist())))
+        self.cx = centers[self.starts[:-1], 0]
+        self.cy = centers[:, 1]
+        self.h = region.h
+        self.y0 = region.origin.y + 0.5 * region.h
+        self.per_cell = patch.grams / len(idx)
+        scale = 2.0 + float(np.abs(centers).max()) + abs(region.origin.x) + abs(region.origin.y)
+        self.eps = _EPS * scale
+
+    def _rank(self, r: int, j: np.ndarray) -> np.ndarray:
+        """Number of cells of row r whose column is below j, for integral
+        float j (infinities included)."""
+        out = np.zeros(j.shape)
+        for first, length in self.runs[r]:
+            out += np.clip(j - first, 0.0, length)
+        return out
+
+    def counts(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Number of cell centers (cx, cy) with (x - cx)^2 + (y - cy)^2 <= 1
+        for each point of the flat arrays xs, ys.
+
+        The count is that of testing every cell with this expression. In a
+        row at x offset dx = x - cx the test holds where dy^2 <= rest =
+        1 - dx^2. Cells with |y - cy| <= sqrt(rest - eps) pass it with room
+        to spare, and cells with |y - cy| > sqrt(rest + eps) fail it: eps
+        grows with the coordinates' size and exceeds the rounding of the
+        test and of the column bounds by a factor of about a million. The
+        columns of a range run from ceil to floor of (y - oy -+ half-width)
+        / h - 1/2, and the row's runs turn them into positions among the
+        row's cells. The inner range is
+        counted without testing. The few cells between the inner and outer
+        ranges are tested with the expression itself, on the same floats.
+        Where rest < eps the inner range is not trusted, and the whole
+        outer range is tested once. Points are sorted by x, so each row
+        reads the one slice of points within reach of it.
+        """
+        order = np.argsort(xs, kind="stable")
+        xs, ys = xs[order], ys[order]
+        yc = ys - self.y0
+        counts = np.zeros(xs.size)
+        h, eps = self.h, self.eps
+        reach = 1.0 + eps  # points farther in x than this miss the whole row
+        for r, cx in enumerate(self.cx.tolist()):
+            s0 = int(np.searchsorted(xs, cx - reach, "left"))
+            s1 = int(np.searchsorted(xs, cx + reach, "right"))
+            if s0 == s1:
+                continue
+            dx = xs[s0:s1] - cx
+            rest = 1.0 - dx * dx
+            w_in = np.sqrt(np.maximum(rest - eps, 0.0))
+            w_out = np.sqrt(np.maximum(rest + eps, 0.0))
+            yr = yc[s0:s1]
+            a_out = self._rank(r, np.ceil((yr - w_out) / h))
+            b_out = self._rank(r, np.floor((yr + w_out) / h) + 1.0)
+            a_in = self._rank(r, np.ceil((yr - w_in) / h))
+            b_in = self._rank(r, np.floor((yr + w_in) / h) + 1.0)
+            thin = np.flatnonzero(rest < eps)
+            a_in[thin] = b_in[thin] = a_out[thin]
+            row = b_in - a_in
+            y = ys[s0:s1]
+            for lo, hi in ((a_out, a_in), (b_in, b_out)):
+                who = np.flatnonzero(lo < hi)
+                pos = lo[who].astype(np.int64) + self.starts[r]
+                end = hi[who].astype(np.int64) + self.starts[r]
+                while who.size:
+                    ddx = dx[who]
+                    ddy = y[who] - self.cy[pos]
+                    row[who] += ddx * ddx + ddy * ddy <= 1.0
+                    pos += 1
+                    keep = pos < end
+                    who, pos, end = who[keep], pos[keep], end[keep]
+            counts[s0:s1] += row
+        out = np.empty(xs.size, dtype=np.int64)
+        out[order] = counts
+        return out
+
+
+def _patch_rows(strategy: PoisonStrategy) -> _PatchRows | None:
+    return None if strategy.density is None else _PatchRows(strategy.density)
+
+
+def _dose_at(
+    strategy: PoisonStrategy, patch: _PatchRows | None, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Poison dose inside the closed unit bite around each (x, y).
+
+    patch is _patch_rows(strategy), built once by the caller. The density
+    part counts, per patch row, the cells certainly inside the bite (half-
+    width sqrt(1 - dx^2 - eps)) without testing them, and tests the cells
+    between that range and the outer one (half-width sqrt(1 - dx^2 + eps))
+    with the original dx*dx + dy*dy <= 1.0 on the floats of cell_centers().
+    eps, 1e-9 times the coordinates' size, dwarfs every rounding, so the
+    count is exactly that of testing every cell (_PatchRows.counts).
+    """
     dose = np.zeros(xs.shape, dtype=np.float64)
     for m in strategy.point_masses:
         hit = (xs - m.position.x) ** 2 + (ys - m.position.y) ** 2 <= 1.0
         dose += m.grams * hit
-    if strategy.density is not None:
-        centers = strategy.density.region.cell_centers()
-        per_cell = strategy.density.grams / len(centers)
-        counts = np.zeros(xs.shape, dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(1, len(centers)))
-        flat_x = xs.ravel()
-        flat_y = ys.ravel()
-        flat_counts = counts.ravel()
-        for lo in range(0, flat_x.size, chunk):
-            hi = lo + chunk
-            dx = flat_x[lo:hi, None] - centers[None, :, 0]
-            dy = flat_y[lo:hi, None] - centers[None, :, 1]
-            flat_counts[lo:hi] = np.sum(dx * dx + dy * dy <= 1.0, axis=1)
-        dose += per_cell * flat_counts.reshape(xs.shape)
+    if patch is not None:
+        dose += patch.per_cell * patch.counts(xs.ravel(), ys.ravel()).reshape(xs.shape)
     return dose
 
 
@@ -184,7 +296,7 @@ def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
     """
     if math.hypot(p.x, p.y) > config.R - 1.0 + 1e-9:
         raise ValueError(f"bite center ({p.x}, {p.y}) outside the disk of radius {config.R - 1}")
-    dose = _dose_at(strategy, np.array([p.x]), np.array([p.y]))
+    dose = _dose_at(strategy, _patch_rows(strategy), np.array([p.x]), np.array([p.y]))
     return bool(dose[0] >= config.lethal_dose)
 
 
@@ -196,7 +308,9 @@ class KillReport:
     hits: int
 
 
-def _batch_hits(strategy: PoisonStrategy, config: PoisonConfig, batch_index: int, quota: int) -> int:
+def _batch_hits(
+    strategy: PoisonStrategy, patch: _PatchRows | None, config: PoisonConfig, batch_index: int, quota: int
+) -> int:
     """Accepted-sample hits for one seeded batch.
 
     Bite centers are drawn by rejection from the bounding square of the
@@ -214,7 +328,7 @@ def _batch_hits(strategy: PoisonStrategy, config: PoisonConfig, batch_index: int
         accepted = pts[keep][:remaining]
         if len(accepted) == 0:
             continue
-        dose = _dose_at(strategy, accepted[:, 0], accepted[:, 1])
+        dose = _dose_at(strategy, patch, accepted[:, 0], accepted[:, 1])
         hits += int(np.sum(dose >= config.lethal_dose))
         remaining -= len(accepted)
     return hits
@@ -232,14 +346,15 @@ def kill_probability(
     """
     validate_strategy(strategy, config)
     n = config.samples
+    patch = _patch_rows(strategy)
     quotas = [(_BATCH if (k + 1) * _BATCH <= n else n - k * _BATCH) for k in range((n + _BATCH - 1) // _BATCH)]
     if threads > 1 and len(quotas) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hit_list = list(
-                pool.map(lambda kq: _batch_hits(strategy, config, kq[0], kq[1]), enumerate(quotas))
+                pool.map(lambda kq: _batch_hits(strategy, patch, config, kq[0], kq[1]), enumerate(quotas))
             )
     else:
-        hit_list = [_batch_hits(strategy, config, k, q) for k, q in enumerate(quotas)]
+        hit_list = [_batch_hits(strategy, patch, config, k, q) for k, q in enumerate(quotas)]
     hits = int(sum(hit_list))
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -263,7 +378,7 @@ def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float)
     cx = (ii + 0.5) * h_grid
     gx, gy = np.meshgrid(cx, cx, indexing="ij")
     inside = gx * gx + gy * gy <= radius * radius
-    dose = _dose_at(strategy, gx, gy)
+    dose = _dose_at(strategy, _patch_rows(strategy), gx, gy)
     mask = inside & (dose >= config.lethal_dose)
     si, sj = np.nonzero(mask)
     cells = frozenset(zip(ii[si].tolist(), ii[sj].tolist()))

@@ -35,7 +35,6 @@ __all__ = [
     "lens_area",
     "u_delta_shape",
     "u_delta_measure",
-    "region_measure",
     "region_diam",
     "region_diam3_sampled",
     "region_tab_check_sampled",
@@ -278,8 +277,24 @@ def u_delta_measure(delta: float) -> float:
     return u_delta_shape(delta).area
 
 
-def region_measure(r: PixelRegion) -> float:
-    return r.measure
+def _row_extreme_corners(r: PixelRegion) -> np.ndarray:
+    """Outer corners of each row's min-j and max-j cells, as floats
+    computed the way corner_points() computes them.
+
+    Every hull vertex of the corner set is among these at most 4 * rows
+    points: it is the lowest or highest corner on its vertical grid line,
+    and those belong to the extreme cells of the rows on either side.
+    """
+    idx = np.array(list(r.cells), dtype=np.int64)
+    idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
+    new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
+    first = idx[np.concatenate([[0], new_row])]
+    last = idx[np.concatenate([new_row - 1, [len(idx) - 1]])]
+    corners = np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]])
+    corners = corners.astype(np.float64) * r.h
+    corners[:, 0] += r.origin.x
+    corners[:, 1] += r.origin.y
+    return corners
 
 
 def region_diam(r: PixelRegion) -> float:
@@ -287,11 +302,12 @@ def region_diam(r: PixelRegion) -> float:
 
     The diameter of a union of axis-aligned squares is attained at cell
     corners, so it is the largest pairwise distance among hull vertices of
-    the corner set. Raises ValueError on an empty region.
+    the corner set, which the rows' extreme corners hold. Raises
+    ValueError on an empty region.
     """
     if r.is_empty():
         raise ValueError("diameter of an empty region")
-    corners = r.corner_points()
+    corners = _row_extreme_corners(r)
     hull = convex_hull_indices(corners)
     pts = corners[hull]
     if len(pts) == 1:

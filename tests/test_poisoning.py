@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isodiam.geometry import Point
 from isodiam.poisoning import (
     DensityPatch,
+    _dose_at,
+    _PatchRows,
     PointMass,
     PoisonConfig,
     PoisonStrategy,
@@ -14,7 +17,7 @@ from isodiam.poisoning import (
     lethal_region,
     validate_strategy,
 )
-from isodiam.regions import Disk, rasterize, region_diam
+from isodiam.regions import Disk, PixelRegion, rasterize, region_diam
 
 
 def central(grams: float) -> PoisonStrategy:
@@ -177,3 +180,109 @@ def test_lethal_region_diameter_cap_when_supply_is_short():
         region = lethal_region(strat, cfg, h)
         if not region.is_empty():
             assert region_diam(region) <= 2.0 + 2 * h * math.sqrt(2)
+
+
+# ---------------------------------------------------------- density kernel
+
+
+def brute_cell_counts(region: PixelRegion, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The density loop that _PatchRows replaced: test every (point, cell)
+    pair with dx*dx + dy*dy <= 1.0, in chunks."""
+    centers = region.cell_centers()
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(1, len(centers)))
+    flat_x = xs.ravel()
+    flat_y = ys.ravel()
+    flat_counts = counts.ravel()
+    for lo in range(0, flat_x.size, chunk):
+        hi = lo + chunk
+        dx = flat_x[lo:hi, None] - centers[None, :, 0]
+        dy = flat_y[lo:hi, None] - centers[None, :, 1]
+        flat_counts[lo:hi] = np.sum(dx * dx + dy * dy <= 1.0, axis=1)
+    return counts
+
+
+def probe_points(region: PixelRegion, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points at distance 1 from cell centers along the axes, one ulp
+    either side of that, on the diagonal, plus uniform points."""
+    c = region.cell_centers()
+    x, y = c[:, 0], c[:, 1]
+    up, down = np.inf, -np.inf
+    xs = [x + 1.0, x - 1.0, x, x, np.nextafter(x + 1.0, up), np.nextafter(x - 1.0, down),
+          np.nextafter(x + 1.0, down), x, x, x + math.sqrt(0.5), x + 0.3]
+    ys = [y, y, y + 1.0, y - 1.0, y, y, y, np.nextafter(y + 1.0, up), np.nextafter(y - 1.0, up),
+          y - math.sqrt(0.5), y + 0.2]
+    rng = np.random.default_rng(seed)
+    lo, hi = c.min(axis=0) - 1.5, c.max(axis=0) + 1.5
+    pts = rng.uniform(lo, hi, size=(300, 2))
+    return np.concatenate(xs + [pts[:, 0]]), np.concatenate(ys + [pts[:, 1]])
+
+
+cell_sets = st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=50)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    cell_sets,
+    st.floats(0.01, 2.0),
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_counts_equal_the_pairwise_loop(cells, h, ox, oy, seed):
+    region = PixelRegion(origin=Point(ox, oy), h=h, cells=frozenset(cells))
+    xs, ys = probe_points(region, seed)
+    got = _PatchRows(DensityPatch(region=region, grams=1.0)).counts(xs, ys)
+    assert np.array_equal(got, brute_cell_counts(region, xs, ys))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(0, 0)],  # one row, one cell
+        [(0, 0), (0, 1), (0, 5), (0, 9), (0, 10), (3, -4)],  # gaps and a lone cell
+        [(i, j) for i in range(-6, 7) for j in range(-6, 7) if (i + j) % 2 == 0],  # all gaps
+    ],
+)
+@pytest.mark.parametrize("h", [0.013, 0.05, 0.35, 1.0, 2.0])
+def test_row_counts_on_rows_with_gaps_and_single_cells(cells, h):
+    region = PixelRegion(origin=Point(0.37, -1.21), h=h, cells=frozenset(cells))
+    xs, ys = probe_points(region, 5)
+    got = _PatchRows(DensityPatch(region=region, grams=1.0)).counts(xs, ys)
+    assert np.array_equal(got, brute_cell_counts(region, xs, ys))
+
+
+def test_dose_on_the_lethal_region_grid():
+    """lethal_region hands _dose_at 2-D meshgrid arrays."""
+    region = rasterize(Disk(center=Point(0.3, -0.2), radius=0.6), 0.05)
+    strat = PoisonStrategy(
+        point_masses=(PointMass(Point(0.5, 0.5), 0.4),),
+        density=DensityPatch(region=region, grams=0.6),
+    )
+    cx = (np.arange(-50, 51) + 0.5) * 0.04
+    gx, gy = np.meshgrid(cx, cx, indexing="ij")
+    dose = _dose_at(strat, _PatchRows(strat.density), gx, gy)
+    mass = 0.4 * ((gx - 0.5) ** 2 + (gy - 0.5) ** 2 <= 1.0)
+    assert dose.shape == gx.shape
+    assert np.array_equal(dose, mass + (0.6 / len(region.cells)) * brute_cell_counts(region, gx, gy))
+
+
+def test_density_patch_bite_boundary_is_closed():
+    """A one-cell patch centered exactly at the origin: the bite at
+    distance exactly 1 takes the cell, one ulp farther does not."""
+    cfg = PoisonConfig(R=3.0, h_available=1.0)
+    cell = PixelRegion(origin=Point(-0.5, -0.5), h=1.0, cells=frozenset({(0, 0)}))
+    assert cell.cell_centers().tolist() == [[0.0, 0.0]]
+    strat = PoisonStrategy(density=DensityPatch(region=cell, grams=1.0))
+    beyond = float(np.nextafter(1.0, 2.0))
+    assert is_lethal(strat, Point(1.0, 0.0), cfg)
+    assert is_lethal(strat, Point(0.0, -1.0), cfg)
+    assert not is_lethal(strat, Point(beyond, 0.0), cfg)
+    assert not is_lethal(strat, Point(0.0, -beyond), cfg)
+
+
+def test_density_kill_probability_is_thread_invariant():
+    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=4)
+    patch = DensityPatch(region=rasterize(Disk(center=Point(0.1, 0.0), radius=0.5), 0.05), grams=1.0)
+    strat = PoisonStrategy(density=patch)
+    assert kill_probability(strat, cfg).hits == kill_probability(strat, cfg, threads=3).hits

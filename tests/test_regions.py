@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isodiam.geometry import Point
+from isodiam.geometry import Point, convex_hull_indices
 from isodiam.regions import (
     ArcSet,
     Disk,
@@ -19,7 +19,6 @@ from isodiam.regions import (
     rasterize,
     region_diam,
     region_diam3_sampled,
-    region_measure,
     region_tab_check_sampled,
     u_delta_measure,
     u_delta_shape,
@@ -90,7 +89,6 @@ def test_rasterize_disk_measure_converges():
 def test_rasterize_u_delta_measure():
     r = rasterize(u_delta_shape(3.0), 0.05)
     assert abs(r.measure - U3_MEASURE) <= 10.0 * 0.05
-    assert region_measure(r) == pytest.approx(r.measure)
 
 
 def test_rasterize_respects_origin():
@@ -112,6 +110,38 @@ def test_region_diam_single_cell():
     r = PixelRegion(origin=Point(0, 0), h=0.5, cells=frozenset({(0, 0)}))
     assert region_diam(r) == pytest.approx(0.5 * math.sqrt(2))
     assert r.measure == pytest.approx(0.25)
+
+
+def all_corners_region_diam(r: PixelRegion) -> float:
+    """region_diam over the hull of every cell corner, as it was before
+    the hull was fed only the rows' extreme corners."""
+    corners = r.corner_points()
+    pts = corners[convex_hull_indices(corners)]
+    best = 0.0
+    for i in range(len(pts) - 1):
+        best = max(best, float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max()))
+    return math.sqrt(best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-25, 25), st.integers(-25, 25)), min_size=1, max_size=80),
+    st.floats(0.001, 3.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+)
+def test_region_diam_equals_the_all_corners_hull(cells, h, ox, oy):
+    r = PixelRegion(origin=Point(ox, oy), h=h, cells=frozenset(cells))
+    assert region_diam(r) == all_corners_region_diam(r)
+
+
+def test_region_diam_equals_the_all_corners_hull_on_rasters():
+    for r in (
+        rasterize(u_delta_shape(3.0), 0.02),
+        rasterize(Disk(center=Point(0.3, -0.1), radius=1.0), 0.013, origin=Point(0.004, -0.007)),
+        rasterize(DisjointDisks(count=2, spacing=4.5), 0.05),
+    ):
+        assert region_diam(r) == all_corners_region_diam(r)
 
 
 def test_region_diam3_sampled_u3():
