@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
-from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, tab_check, triameter
+from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, diameter_report, tab_check
 from .geometry import Point, PointSet, load_points_csv, min_enclosing_circle
 from .poisoning import (
     PointMass,
@@ -122,15 +122,13 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 def cmd_diameters(ns: argparse.Namespace) -> int:
     points = _load_points(ns.points)
-    ab_rows = []
-    for a, b in ns.ab:
-        ab_rows.append({"a": a, "b": b, "value": diam_ab(points, a, b, budget=ns.budget)})
+    rep = diameter_report(points, ns.ab, budget=ns.budget)
     report = {
-        "ab": ab_rows,
-        "diam": diam(points),
-        "diam3": diam3(points),
+        "ab": [{"a": a, "b": b, "value": value} for a, b, value in rep.ab_entries],
+        "diam": rep.diam,
+        "diam3": rep.diam3,
         "n": len(points),
-        "triameter": triameter(points),
+        "triameter": rep.triameter,
     }
     _emit(ns, report, inputs=[ns.points])
     return 0

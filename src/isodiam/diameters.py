@@ -11,9 +11,11 @@ diam_ab  sup over a-subsets of the min over b-subsets of the largest
 tab_check  decision form: among any a points, some b of them are pairwise
          within the threshold.
 
-All routines are pure and operate on immutable PointSet values. Subset
-scans guard up front on C(n, a) against a configurable budget and raise
-BudgetExceededError naming the budget a call would need.
+All routines are pure and operate on immutable PointSet values. diam_ab
+and tab_check share one exact subset search over Python-int bitmasks of
+the "within the threshold" graph. Both still guard up front on C(n, a)
+against a configurable budget and raise BudgetExceededError naming the
+budget a call would need.
 """
 
 from __future__ import annotations
@@ -205,11 +207,15 @@ def diam_ab(
 ) -> float:
     """Generalized (a, b) diameter by guarded subset scan.
 
-    Returns 0 when the set has fewer than a points. The scan is a
-    depth-first enumeration of a-subsets in lexicographic order; a branch
-    is cut when the running min over b-subsets of the partial selection
-    can no longer beat the best value found, which never changes the
-    result because adding points only shrinks that min.
+    Returns 0 when the set has fewer than a points. The value is the max
+    over a-subsets W of v(W), the min over b-subsets of W of the largest
+    pair distance, and T(a, b) holds at threshold t exactly when the value
+    is <= t. Starting at t = 0, while the subset search finds a violating
+    W at t, t moves up to v(W): v(W) > t because W violates, and v(W) is at
+    most the value. When the search finds no violating subset, t is the
+    value. Every t is an entry of the distance matrix, so the result is the
+    pair distance itself, bit for bit. Each step is one search that stops
+    at its first witness; only the last one explores a whole tree.
     """
     _validate_ab(a, b)
     coords = _coords(s)
@@ -218,36 +224,10 @@ def diam_ab(
         return 0.0
     _check_budget(n, a, budget)
     D = _distance_matrix(coords)
-
-    inner_pairs = list(combinations(range(b), 2))
-    best = 0.0
-    chosen: list[int] = []
-
-    def sub_max(sigma: tuple[int, ...]) -> float:
-        return max(D[sigma[u], sigma[v]] for u, v in inner_pairs)
-
-    def extend(start: int, running_min: float) -> None:
-        nonlocal best
-        depth = len(chosen)
-        if depth == a:
-            if running_min > best:
-                best = running_min
-            return
-        for j in range(start, n - (a - depth) + 1):
-            new_min = running_min
-            if depth >= b - 1:
-                for rest in combinations(chosen, b - 1):
-                    val = sub_max(rest + (j,))
-                    if val < new_min:
-                        new_min = val
-            if new_min <= best and best > 0.0:
-                continue
-            chosen.append(j)
-            extend(j + 1, new_min)
-            chosen.pop()
-
-    extend(0, float("inf"))
-    return float(best)
+    value = 0.0
+    while (w := _first_violating(_close_masks(D, value), n, a, b)) is not None:
+        value = min(max(D[u, v] for u, v in combinations(sub, 2)) for sub in combinations(w, b))
+    return float(value)
 
 
 def tab_check(
@@ -260,11 +240,8 @@ def tab_check(
     """Does every a-subset contain b points pairwise within the threshold?
 
     The inequality is closed: a pair at exactly the threshold counts as
-    within it. Violations are searched depth first over index-ascending
-    partial subsets, skipping any partial that already contains a
-    satisfied b-subset (every completion of such a partial is satisfied
-    too), so the first full a-subset reached is the lexicographically
-    first violating one. Fewer than a points hold vacuously.
+    within it. The lexicographically first violating a-subset is the
+    witness (see _first_violating). Fewer than a points hold vacuously.
     """
     _validate_ab(a, b)
     if not np.isfinite(threshold) or threshold < 0:
@@ -274,76 +251,69 @@ def tab_check(
     if n < a:
         return TabCheckResult(holds=True)
     _check_budget(n, a, budget)
-    D = _distance_matrix(coords)
-
-    if b == 2:
-        witness = _first_far_clique(D, n, a, threshold)
-    else:
-        witness = _first_violating_generic(D, n, a, b, threshold)
+    witness = _first_violating(_close_masks(_distance_matrix(coords), threshold), n, a, b)
     if witness is None:
         return TabCheckResult(holds=True)
     return TabCheckResult(holds=False, witness=witness)
 
 
-def _first_far_clique(D: np.ndarray, n: int, a: int, t: float) -> tuple[int, ...] | None:
-    """Lexicographically first a-subset with all pairs strictly beyond t.
+def _close_masks(D: np.ndarray, t: float) -> list[int]:
+    """Bit j of entry i is set when j > i and D[i, j] <= t. The subset
+    search only ever looks at points above the last one chosen."""
+    packed = np.packbits(np.triu(D <= t, k=1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    For b = 2 a violating subset is exactly a clique of the "farther than
-    t" graph, so the scan carries candidate sets as integer bitmasks.
+
+def _first_violating(close: list[int], n: int, a: int, b: int) -> tuple[int, ...] | None:
+    """Lexicographically first a-subset with no b points pairwise close.
+
+    A b-subset is pairwise within the threshold exactly when it is a
+    b-clique of the close graph. Index-ascending partial subsets are
+    extended depth first in increasing index order, so the first full
+    a-subset reached is the lexicographically first violating one. A point
+    may join only if it completes no b-clique: it must lie outside the
+    common close neighbourhood of every (b - 1)-clique already chosen.
+    Those neighbourhoods are ORed into the forbid mask. The cliques of 1 to
+    b - 2 chosen points are kept level by level, as the masks of their
+    common neighbourhoods, so that the (b - 1)-cliques can be grown as
+    points join. A partial whose remaining candidates are too few for the
+    points it still needs is not extended; that cuts only subtrees with no
+    full subset in them, so the witness is unchanged.
     """
-    far = D > t
-    adj = [int.from_bytes(np.packbits(far[i], bitorder="little").tobytes(), "little") for i in range(n)]
     above = [((1 << n) - 1) ^ ((1 << (i + 1)) - 1) for i in range(n)]
     chosen: list[int] = []
 
-    def extend(cand: int) -> tuple[int, ...] | None:
-        if len(chosen) == a:
-            return tuple(chosen)
+    def extend(cand: int, forbid: int, levels: list[list[int]]) -> tuple[int, ...] | None:
         need = a - len(chosen)
-        c = cand
-        while c:
-            j = (c & -c).bit_length() - 1
-            c &= c - 1
+        while cand:
+            low = cand & -cand
+            j = low.bit_length() - 1
+            cand ^= low
             if n - j < need:
                 return None
-            chosen.append(j)
-            got = extend(cand & adj[j] & above[j])
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    return extend((1 << n) - 1)
-
-
-def _first_violating_generic(
-    D: np.ndarray, n: int, a: int, b: int, t: float
-) -> tuple[int, ...] | None:
-    chosen: list[int] = []
-
-    def extend(start: int) -> tuple[int, ...] | None:
-        if len(chosen) == a:
-            return tuple(chosen)
-        need = a - len(chosen)
-        for j in range(start, n - need + 1):
-            # adding j must not complete a b-subset that sits within t
-            satisfied = False
-            if len(chosen) >= b - 1:
-                for rest in combinations(chosen, b - 1):
-                    sigma = rest + (j,)
-                    if all(D[u, v] <= t for u, v in combinations(sigma, 2)):
-                        satisfied = True
-                        break
-            if satisfied:
+            if need == 1:
+                return (*chosen, j)
+            cj = close[j]
+            grown = []
+            prev = [-1]  # the empty clique: every point is its neighbour
+            for level in levels:
+                grown.append(level + [m & cj for m in prev if m & low])
+                prev = level
+            grown_forbid = forbid
+            for m in prev:
+                if m & low:
+                    grown_forbid |= m & cj
+            nxt = above[j] & ~grown_forbid
+            if nxt.bit_count() < need - 1:
                 continue
             chosen.append(j)
-            got = extend(j + 1)
+            got = extend(nxt, grown_forbid, grown)
             if got is not None:
                 return got
             chosen.pop()
         return None
 
-    return extend(0)
+    return extend((1 << n) - 1, 0, [[] for _ in range(b - 2)])
 
 
 def triameter(s: PointSet | Sequence[Point]) -> float:

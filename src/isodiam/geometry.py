@@ -26,7 +26,6 @@ __all__ = [
     "circumcircle",
     "triangle_classify",
     "min_enclosing_circle",
-    "min_enclosing_circle_bruteforce",
     "convex_hull_indices",
     "load_points_csv",
     "save_points_csv",
@@ -275,36 +274,6 @@ def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
     if right is None:
         return left
     return left if left.radius <= right.radius else right
-
-
-def min_enclosing_circle_bruteforce(s: PointSet | Sequence[Point]) -> Disk:
-    """Reference O(n^4) construction used to cross-check the fast path.
-
-    Considers every circle spanned by a pair (as a diameter) or a triple
-    (circumcircle) and returns the smallest one containing all points.
-    """
-    pts = list(s.points if isinstance(s, PointSet) else s)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("min_enclosing_circle_bruteforce of an empty point set")
-    if n == 1:
-        return Disk(pts[0], 0.0)
-
-    best: Disk | None = None
-    candidates: list[Disk] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(_circle_two(pts[i], pts[j]))
-            for k in range(j + 1, n):
-                c = _circle_three(pts[i], pts[j], pts[k])
-                if c is not None:
-                    candidates.append(c)
-    for cand in candidates:
-        if all(cand.contains(p) for p in pts):
-            if best is None or cand.radius < best.radius:
-                best = cand
-    assert best is not None, "some candidate always covers the set"
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,15 @@ def test_exit_code_budget(capsys, pts_csv):
     assert cli.run(["diameters", pts_csv, "--ab", "3,2", "--budget", "1"]) == 3
 
 
+def test_check_exit_code_budget(capsys, pts_csv, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["check", pts_csv, "--a", "3", "--b", "2", "--threshold", "2", "--budget", "1"]
+    assert cli.run(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert cli.run([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     assert cli.run(["--version"]) == 0
     assert "isodiam" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import isodiam.diameters as diameters_mod
 from isodiam.diameters import (
     BudgetExceededError,
+    TabCheckResult,
     diam,
     diam3,
     diam_ab,
@@ -71,6 +72,85 @@ def brute_diam_ab(s: PointSet, a: int, b: int) -> float:
         )
         best = max(best, inner)
     return best
+
+
+def distance_matrix(coords: np.ndarray) -> np.ndarray:
+    """Pairwise distances, computed as the library computes them."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def dfs_diam_ab(s: PointSet, a: int, b: int) -> float:
+    """diam_ab by the plain depth-first scan of a-subsets in lexicographic
+    order, cutting a branch once the running min over b-subsets of the
+    partial selection can no longer beat the best value found."""
+    coords = s.to_array()
+    n = len(coords)
+    if n < a:
+        return 0.0
+    D = distance_matrix(coords)
+    inner_pairs = list(itertools.combinations(range(b), 2))
+    best = 0.0
+    chosen: list[int] = []
+
+    def sub_max(sigma: tuple[int, ...]) -> float:
+        return max(D[sigma[u], sigma[v]] for u, v in inner_pairs)
+
+    def extend(start: int, running_min: float) -> None:
+        nonlocal best
+        depth = len(chosen)
+        if depth == a:
+            if running_min > best:
+                best = running_min
+            return
+        for j in range(start, n - (a - depth) + 1):
+            new_min = running_min
+            if depth >= b - 1:
+                for rest in itertools.combinations(chosen, b - 1):
+                    val = sub_max(rest + (j,))
+                    if val < new_min:
+                        new_min = val
+            if new_min <= best and best > 0.0:
+                continue
+            chosen.append(j)
+            extend(j + 1, new_min)
+            chosen.pop()
+
+    extend(0, float("inf"))
+    return float(best)
+
+
+def generic_first_violating(s: PointSet, a: int, b: int, t: float) -> tuple[int, ...] | None:
+    """Lexicographically first a-subset in which every b-subset has a pair
+    beyond t, by a depth-first walk over index-ascending partial subsets
+    that skips any partial already holding a b-subset within t."""
+    coords = s.to_array()
+    n = len(coords)
+    D = distance_matrix(coords)
+    chosen: list[int] = []
+
+    def extend(start: int) -> tuple[int, ...] | None:
+        if len(chosen) == a:
+            return tuple(chosen)
+        need = a - len(chosen)
+        for j in range(start, n - need + 1):
+            satisfied = False
+            if len(chosen) >= b - 1:
+                for rest in itertools.combinations(chosen, b - 1):
+                    sigma = rest + (j,)
+                    if all(D[u, v] <= t for u, v in itertools.combinations(sigma, 2)):
+                        satisfied = True
+                        break
+            if satisfied:
+                continue
+            chosen.append(j)
+            got = extend(j + 1)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    return extend(0)
 
 
 def test_diam_basics():
@@ -220,23 +300,84 @@ def test_tab_check_vacuous_when_short():
 
 
 def test_tab_check_fast_path_matches_generic():
-    """b=2 runs a dedicated clique scan; its verdict and witness must agree
-    with the generic subset walk."""
-    from isodiam.diameters import _first_violating_generic, _distance_matrix
-
+    """The bitset search's verdict and witness agree with the generic
+    subset walk."""
     rng = np.random.default_rng(41)
     for _ in range(40):
         n = int(rng.integers(4, 10))
-        coords = rng.uniform(0, 4, size=(n, 2))
-        s = PointSet.from_xy([tuple(r) for r in coords])
+        s = PointSet.from_xy([tuple(r) for r in rng.uniform(0, 4, size=(n, 2))])
         t = float(rng.uniform(0.5, 4.0))
         a = int(rng.integers(3, 5))
         res = tab_check(s, a, 2, t)
-        D = _distance_matrix(coords)
-        generic = _first_violating_generic(D, n, a, 2, t)
+        generic = generic_first_violating(s, a, 2, t)
         assert res.holds == (generic is None)
-        if generic is not None:
-            assert res.witness == generic
+        assert res.witness == generic
+
+
+@st.composite
+def scan_cases(draw):
+    """Point sets of 3 to 14 points: uniform, half-grid lattices with many
+    tied distances, collinear, and any of those with repeated points."""
+    n = draw(st.integers(3, 14))
+    kind = draw(st.sampled_from(["uniform", "lattice", "collinear"]))
+    if kind == "uniform":
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    elif kind == "lattice":
+        half = st.integers(0, 6).map(lambda k: 0.5 * k)
+        pts = draw(st.lists(st.tuples(half, half), min_size=n, max_size=n))
+    else:
+        ts = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        pts = [(1.0 + 2.0 * u, -0.5 + 0.75 * u) for u in ts]
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        pts = pts + [pts[i] for i in picks]
+    return PointSet.from_xy(pts), draw(st.integers(3, 6))
+
+
+@settings(max_examples=250, deadline=None)
+@given(scan_cases(), st.randoms(use_true_random=False))
+def test_subset_scans_equal_dfs_oracles(case, rnd):
+    """diam_ab values, tab_check verdicts and witnesses equal the old
+    depth-first scans exactly, at thresholds on a pair distance and one
+    ulp to either side of it (pinning the closed <= convention)."""
+    s, a = case
+    D = distance_matrix(s.to_array())
+    pair_distances = sorted(set(D[np.triu_indices(len(s), k=1)].tolist()))
+    for b in range(2, a):
+        value = diam_ab(s, a, b)
+        assert value == dfs_diam_ab(s, a, b)
+        for d in {value, rnd.choice(pair_distances)}:
+            for t in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)):
+                if t < 0:
+                    continue
+                res = tab_check(s, a, b, float(t))
+                want = generic_first_violating(s, a, b, float(t)) if len(s) >= a else None
+                assert res.witness == want
+                assert res.holds == (want is None) == (value <= t)
+
+
+@functools.cache
+def _u3_points() -> PointSet:
+    """50 points of U_3 (unit disks centred at (-0.5, 0) and (0.5, 0)), the
+    size and shape of the benchmark's subset-scan input."""
+    rng = np.random.default_rng(7)
+    pts = rng.uniform([-1.5, -1.0], [1.5, 1.0], size=(400, 2))
+    inside = np.minimum(np.hypot(pts[:, 0] + 0.5, pts[:, 1]), np.hypot(pts[:, 0] - 0.5, pts[:, 1])) <= 1.0
+    return PointSet.from_xy(map(tuple, pts[inside][:50]))
+
+
+@pytest.mark.parametrize("a,b", [(4, 2), (5, 3)])
+def test_diam_ab_equals_dfs_on_50_points(a, b):
+    s = _u3_points()
+    assert len(s) == 50
+    assert diam_ab(s, a, b) == dfs_diam_ab(s, a, b)
+
+
+def test_tab_check_holds_on_50_points():
+    # any 5 points of U_3 put 3 in one unit disk, so T(5, 3) holds at 2
+    s = _u3_points()
+    assert generic_first_violating(s, 5, 3, 2.0) is None
+    assert tab_check(s, 5, 3, 2.0) == TabCheckResult(holds=True)
 
 
 def test_tab_check_threshold_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,17 +11,32 @@ from isodiam.geometry import (
     PointSet,
     Triangle,
     TriangleKind,
+    _circle_three,
+    _circle_two,
     circumcircle,
     convex_hull_indices,
     distance,
     load_points_csv,
     min_enclosing_circle,
-    min_enclosing_circle_bruteforce,
     save_points_csv,
     triangle_classify,
 )
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
+
+
+def min_enclosing_circle_bruteforce(s: PointSet) -> Disk:
+    """Reference O(n^4) construction used to cross-check the fast path.
+
+    Considers every circle spanned by a pair (as a diameter) or a triple
+    (circumcircle) and returns the smallest one containing all points.
+    """
+    pts = list(s)
+    if len(pts) == 1:
+        return Disk(pts[0], 0.0)
+    candidates = [_circle_two(p, q) for p, q in itertools.combinations(pts, 2)]
+    candidates += [c for p, q, r in itertools.combinations(pts, 3) if (c := _circle_three(p, q, r)) is not None]
+    return min((c for c in candidates if all(c.contains(p) for p in pts)), key=lambda c: c.radius)
 
 
 def test_distance():
