@@ -25,7 +25,7 @@ from dataclasses import asdict
 from . import __version__
 from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
 from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, diameter_report, tab_check
-from .geometry import Point, PointSet, load_points_csv, min_enclosing_circle
+from .geometry import Disk, Point, PointSet, load_points_csv, min_enclosing_circle
 from .poisoning import (
     PointMass,
     PoisonConfig,
@@ -34,7 +34,7 @@ from .poisoning import (
     lethal_region,
     validate_strategy,
 )
-from .regions import ArcSet, Disk, arc_measure, arc_tab_check, region_diam, u_delta_measure, u_delta_shape
+from .regions import ArcSet, arc_measure, arc_tab_check, region_diam, u_delta_measure, u_delta_shape
 from .search import InfeasibleStartError, SearchConfig, anneal_chains, evaluate_candidates
 from . import svgplot
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, PointSet, convex_hull_indices
+from .geometry import Point, PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -91,19 +91,9 @@ def _coords(s: PointSet | Sequence[Point]) -> np.ndarray:
 def diam(s: PointSet | Sequence[Point]) -> float:
     """Largest pairwise distance. Raises ValueError on an empty set."""
     coords = _coords(s)
-    n = len(coords)
-    if n == 0:
+    if len(coords) == 0:
         raise ValueError("diam of an empty point set")
-    if n == 1:
-        return 0.0
-    hull = convex_hull_indices(coords)
-    pts = coords[hull]
-    best = 0.0
-    for i in range(len(pts) - 1):
-        d2 = np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max()
-        if d2 > best:
-            best = float(d2)
-    return float(np.sqrt(best))
+    return hull_diameter(coords)
 
 
 def diam3(s: PointSet | Sequence[Point]) -> float:

@@ -27,6 +27,7 @@ __all__ = [
     "triangle_classify",
     "min_enclosing_circle",
     "convex_hull_indices",
+    "hull_diameter",
     "load_points_csv",
     "save_points_csv",
 ]
@@ -58,7 +59,8 @@ class Point:
 
 @dataclass(frozen=True)
 class Disk:
-    """A closed disk with center and nonnegative radius."""
+    """A closed disk with center and nonnegative radius, also the disk
+    shape that regions rasterizes."""
 
     center: Point
     radius: float
@@ -70,6 +72,22 @@ class Disk:
     def contains(self, p: Point) -> bool:
         """Closed containment with multiplicative slack on the radius."""
         return distance(self.center, p) <= self.radius * _CONTAINS_EPS
+
+    @property
+    def area(self) -> float:
+        return math.pi * self.radius**2
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        c, r = self.center, self.radius
+        return (c.x - r, c.y - r, c.x + r, c.y + r)
+
+    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact closed containment of coordinate arrays, no slack."""
+        return (x - self.center.x) ** 2 + (y - self.center.y) ** 2 <= self.radius**2
 
 
 @dataclass(frozen=True)
@@ -321,6 +339,23 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
         # all points collinear: keep the two extremes
         return [uniq[0], uniq[-1]]
     return hull
+
+
+def hull_diameter(coords: np.ndarray) -> float:
+    """Largest pairwise distance of an (n, 2) float64 array; 0.0 for fewer
+    than two distinct points.
+
+    The largest distance is attained at convex hull vertices, so only those
+    pairs are compared, on squared distances, with one square root at the
+    end.
+    """
+    pts = coords[convex_hull_indices(coords)]
+    best = 0.0
+    for i in range(len(pts) - 1):
+        d2 = float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max())
+        if d2 > best:
+            best = d2
+    return math.sqrt(best)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import diameters
-from .geometry import Point, PointSet, convex_hull_indices
+from .geometry import Disk, Point, PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
     "PixelRegion",
@@ -36,6 +35,7 @@ __all__ = [
     "u_delta_shape",
     "u_delta_measure",
     "region_diam",
+    "region_center_diam",
     "region_diam3_sampled",
     "region_tab_check_sampled",
     "minkowski_difference",
@@ -51,33 +51,6 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # Analytic shapes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk, as an analytic shape for rasterization."""
-
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"shape disk radius must be > 0, got {self.radius}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius**2
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        c, r = self.center, self.radius
-        return (c.x - r, c.y - r, c.x + r, c.y + r)
-
-    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (x - self.center.x) ** 2 + (y - self.center.y) ** 2 <= self.radius**2
 
 
 @dataclass(frozen=True)
@@ -277,6 +250,24 @@ def u_delta_measure(delta: float) -> float:
     return u_delta_shape(delta).area
 
 
+def _row_extreme_cells(r: PixelRegion) -> tuple[np.ndarray, np.ndarray]:
+    """The min-j and the max-j cell of each row i, as two (rows, 2) int64
+    index arrays in row order. Raises ValueError on an empty region.
+
+    A cell with cells on both sides in its row lies inside their segment,
+    so every convex hull vertex of the cell centers is one of these cells.
+    Unlike search._row_extremes, its cost does not grow with the row span.
+    """
+    if r.is_empty():
+        raise ValueError("diameter of an empty region")
+    idx = np.array(list(r.cells), dtype=np.int64)
+    idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
+    new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
+    first = idx[np.concatenate([[0], new_row])]
+    last = idx[np.concatenate([new_row - 1, [len(idx) - 1]])]
+    return first, last
+
+
 def _row_extreme_corners(r: PixelRegion) -> np.ndarray:
     """Outer corners of each row's min-j and max-j cells, as floats
     computed the way corner_points() computes them.
@@ -285,16 +276,9 @@ def _row_extreme_corners(r: PixelRegion) -> np.ndarray:
     points: it is the lowest or highest corner on its vertical grid line,
     and those belong to the extreme cells of the rows on either side.
     """
-    idx = np.array(list(r.cells), dtype=np.int64)
-    idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
-    new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
-    first = idx[np.concatenate([[0], new_row])]
-    last = idx[np.concatenate([new_row - 1, [len(idx) - 1]])]
+    first, last = _row_extreme_cells(r)
     corners = np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]])
-    corners = corners.astype(np.float64) * r.h
-    corners[:, 0] += r.origin.x
-    corners[:, 1] += r.origin.y
-    return corners
+    return corners.astype(np.float64) * r.h + [r.origin.x, r.origin.y]
 
 
 def region_diam(r: PixelRegion) -> float:
@@ -305,30 +289,35 @@ def region_diam(r: PixelRegion) -> float:
     the corner set, which the rows' extreme corners hold. Raises
     ValueError on an empty region.
     """
-    if r.is_empty():
-        raise ValueError("diameter of an empty region")
+    return hull_diameter(_row_extreme_corners(r))
+
+
+def region_center_diam(r: PixelRegion) -> float:
+    """Largest distance between two cell centers, the diameter the
+    annealer caps.
+
+    Taken over the centers of the rows' extreme cells, which hold every
+    hull vertex, in the floats cell_centers() makes. Raises ValueError on
+    an empty region.
+    """
+    centers = (np.concatenate(_row_extreme_cells(r)).astype(np.float64) + 0.5) * r.h
+    return hull_diameter(centers + [r.origin.x, r.origin.y])
+
+
+def _corner_hull(r: PixelRegion) -> np.ndarray:
+    """Hull vertices of the cell corners, in convex_hull_indices order,
+    found among the rows' extreme corners."""
     corners = _row_extreme_corners(r)
-    hull = convex_hull_indices(corners)
-    pts = corners[hull]
-    if len(pts) == 1:
-        return 0.0
-    best = 0.0
-    for i in range(len(pts) - 1):
-        d2 = float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max())
-        if d2 > best:
-            best = d2
-    return math.sqrt(best)
+    return corners[convex_hull_indices(corners)]
 
 
 def _sampled_support(r: PixelRegion, k: int, seed: int) -> np.ndarray:
-    """k seeded cell-center samples (with replacement) plus all hull
-    vertices of the corner set."""
+    """k seeded cell-center samples (with replacement) followed by all
+    hull vertices of the corner set."""
     centers = r.cell_centers()
     rng = np.random.default_rng(seed)
     take = rng.integers(0, len(centers), size=k)
-    corners = r.corner_points()
-    hull = corners[convex_hull_indices(corners)]
-    return np.concatenate([centers[take], hull], axis=0)
+    return np.concatenate([centers[take], _corner_hull(r)], axis=0)
 
 
 def region_diam3_sampled(r: PixelRegion, k: int = 2000, seed: int = 0) -> float:
@@ -363,15 +352,9 @@ def region_tab_check_sampled(
     """
     if r.is_empty():
         return diameters.TabCheckResult(holds=True)
-    centers = r.cell_centers()
-    rng = np.random.default_rng(seed)
-    take = rng.integers(0, len(centers), size=k)
-    corners = r.corner_points()
-    hull = corners[convex_hull_indices(corners)]
-    if len(hull) > max_hull:
-        stride = math.ceil(len(hull) / max_hull)
-        hull = hull[::stride]
-    pts = np.concatenate([centers[take], hull], axis=0)
+    pts = _sampled_support(r, k, seed)
+    stride = math.ceil((len(pts) - k) / max_hull)
+    pts = np.concatenate([pts[:k], pts[k::stride]], axis=0)
     return diameters.tab_check(PointSet.from_xy(map(tuple, pts)), a, b, threshold, budget=budget)
 
 
@@ -381,7 +364,9 @@ def minkowski_difference(r: PixelRegion) -> PixelRegion:
     This is the grid-level stand-in for the pointwise difference body
     S - S: its measure |diff| * h^2 tracks lambda_2(S - S) to within a
     boundary term. The support is found by correlating the indicator grid
-    with itself; counts are integers, so thresholding at one half is exact.
+    with itself, by numpy's real FFT at the full (2w - 1, 2v - 1) size, so
+    nothing wraps around; counts are integers and the rounding error is far
+    below one half, so thresholding at one half is exact.
     Symmetric under index negation by construction. The difference of an
     empty region is empty.
     """
@@ -394,7 +379,9 @@ def minkowski_difference(r: PixelRegion) -> PixelRegion:
     v = int(j_max - j_min) + 1
     grid = np.zeros((w, v), dtype=np.float64)
     grid[idx[:, 0] - i_min, idx[:, 1] - j_min] = 1.0
-    corr = fftconvolve(grid, grid[::-1, ::-1])
+    shape = (2 * w - 1, 2 * v - 1)
+    spectrum = np.fft.rfft2(grid, shape) * np.fft.rfft2(grid[::-1, ::-1], shape)
+    corr = np.fft.irfft2(spectrum, shape)
     di, dj = np.nonzero(corr > 0.5)
     cells = frozenset(zip((di - (w - 1)).tolist(), (dj - (v - 1)).tolist()))
     return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=cells)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .geometry import convex_hull_indices
 from .regions import (
     PixelRegion,
     rasterize,
+    region_center_diam,
     region_diam,
     region_diam3_sampled,
     u_delta_measure,
@@ -203,19 +203,6 @@ class _IndexedSet:
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _center_diam(region: PixelRegion) -> float:
-    centers = region.cell_centers()
-    if len(centers) < 2:
-        return 0.0
-    hull = centers[convex_hull_indices(centers)]
-    best = 0.0
-    for i in range(len(hull) - 1):
-        d2 = float(np.sum((hull[i + 1 :] - hull[i]) ** 2, axis=1).max())
-        if d2 > best:
-            best = d2
-    return math.sqrt(best)
-
-
 def _row_extremes(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The min-j and max-j cell of each row i of an integer cell set.
 
@@ -273,7 +260,7 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     diam3_cap = 2.0 + 2.0 * h * _SQRT2
     # initial state must satisfy its own feasibility predicate
-    if _center_diam(seed_region) > delta + 1e-9:
+    if region_center_diam(seed_region) > delta + 1e-9:
         raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: seed diameter overshoot")
     seed_diam3 = region_diam3_sampled(seed_region, k=config.triple_samples, seed=config.seed)
     if seed_diam3 > diam3_cap:
@@ -400,7 +387,7 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     best_region = PixelRegion(origin=seed_region.origin, h=h, cells=best_cells)
     tol = config.diam_tol
-    diam_centers = _center_diam(best_region)
+    diam_centers = region_center_diam(best_region)
     diam_corners = region_diam(best_region)
     posthoc_seed = config.seed + 1_000_003  # fresh stream for re-validation
     diam3_val = region_diam3_sampled(best_region, k=config.triple_samples, seed=posthoc_seed)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +255,13 @@ def test_seed_env_must_be_integer(capsys, monkeypatch):
 def test_timestamp_flag_beats_env(capsys, pts_csv):
     payload = run_json(capsys, ["diameters", pts_csv, "--timestamp", "1999-12-31T23:59:59Z"])
     assert payload["manifest"]["timestamp"] == "1999-12-31T23:59:59Z"
+
+
+def test_cli_import_loads_no_scipy():
+    """The CLI's cold start stays free of scipy, whose import alone took
+    longer than most subcommands."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import isodiam.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -56,6 +56,16 @@ def test_disk_rejects_negative_radius():
         Disk(Point(0, 0), -0.1)
 
 
+def test_one_disk_class_serves_as_shape():
+    from isodiam import regions
+
+    assert regions.Disk is Disk
+    d = Disk(Point(1.0, -2.0), 0.5)
+    assert (d.area, d.diameter, d.bbox()) == (math.pi * 0.25, 1.0, (0.5, -2.5, 1.5, -1.5))
+    assert d.contains_xy(np.array([1.5, 1.6]), np.array([-2.0, -2.0])).tolist() == [True, False]
+    assert Disk(Point(0, 0), 0.0).contains_xy(np.array([0.0]), np.array([0.0])).tolist() == [True]
+
+
 def test_disk_contains_boundary():
     d = Disk(Point(0, 0), 1.0)
     assert d.contains(Point(1.0, 0.0))

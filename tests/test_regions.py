@@ -12,17 +12,20 @@ from isodiam.regions import (
     DisjointDisks,
     PixelRegion,
     TwoDisksUnion,
+    _corner_hull,
     arc_measure,
     arc_tab_check,
     lens_area,
     minkowski_difference,
     rasterize,
+    region_center_diam,
     region_diam,
     region_diam3_sampled,
     region_tab_check_sampled,
     u_delta_measure,
     u_delta_shape,
 )
+from test_search import all_centers_diam
 
 LENS_AT_ONE = 1.2283696986087567  # 2*acos(1/2) - (1/2)*sqrt(3)
 U3_MEASURE = 5.054815608570829  # 2*pi - lens_area(1)
@@ -112,11 +115,17 @@ def test_region_diam_single_cell():
     assert r.measure == pytest.approx(0.25)
 
 
+def all_corners_hull(r: PixelRegion) -> np.ndarray:
+    """Hull vertices of every cell corner, as the sampled region checks
+    took them before the hull was fed only the rows' extreme corners."""
+    corners = r.corner_points()
+    return corners[convex_hull_indices(corners)]
+
+
 def all_corners_region_diam(r: PixelRegion) -> float:
     """region_diam over the hull of every cell corner, as it was before
     the hull was fed only the rows' extreme corners."""
-    corners = r.corner_points()
-    pts = corners[convex_hull_indices(corners)]
+    pts = all_corners_hull(r)
     best = 0.0
     for i in range(len(pts) - 1):
         best = max(best, float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max()))
@@ -133,6 +142,8 @@ def all_corners_region_diam(r: PixelRegion) -> float:
 def test_region_diam_equals_the_all_corners_hull(cells, h, ox, oy):
     r = PixelRegion(origin=Point(ox, oy), h=h, cells=frozenset(cells))
     assert region_diam(r) == all_corners_region_diam(r)
+    assert region_center_diam(r) == all_centers_diam(r)
+    assert np.array_equal(_corner_hull(r), all_corners_hull(r))
 
 
 def test_region_diam_equals_the_all_corners_hull_on_rasters():
@@ -142,6 +153,14 @@ def test_region_diam_equals_the_all_corners_hull_on_rasters():
         rasterize(DisjointDisks(count=2, spacing=4.5), 0.05),
     ):
         assert region_diam(r) == all_corners_region_diam(r)
+        assert region_center_diam(r) == all_centers_diam(r)
+        assert np.array_equal(_corner_hull(r), all_corners_hull(r))
+
+
+def test_region_center_diam_empty_and_single_cell():
+    with pytest.raises(ValueError):
+        region_center_diam(PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset()))
+    assert region_center_diam(PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset({(2, 3)}))) == 0.0
 
 
 def test_region_diam3_sampled_u3():
@@ -222,6 +241,19 @@ def test_minkowski_difference_is_symmetric():
     d = minkowski_difference(PixelRegion(origin=Point(0, 0), h=0.1, cells=cells))
     assert all((-i, -j) in d.cells for i, j in d.cells)
     assert (0, 0) in d.cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=40),
+    st.floats(0.01, 2.0),
+)
+def test_minkowski_difference_equals_brute_force(cells, h):
+    r = PixelRegion(origin=Point(0.3, -0.7), h=h, cells=frozenset(cells))
+    brute = frozenset((i1 - i2, j1 - j2) for i1, j1 in r.cells for i2, j2 in r.cells)
+    d = minkowski_difference(r)
+    assert d.cells == brute
+    assert (d.origin, d.h) == (Point(0.0, 0.0), h)
 
 
 def test_minkowski_difference_disk_quadruples():

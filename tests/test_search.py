@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
-from isodiam.regions import u_delta_measure
+from isodiam.geometry import convex_hull_indices
+from isodiam.regions import PixelRegion, u_delta_measure
 from isodiam.search import (
     InfeasibleStartError,
     SearchConfig,
@@ -18,6 +19,21 @@ from isodiam.search import (
 )
 
 CONVEX_CANDIDATE_AT_3 = 3.695523289953722  # pi + 2*(sqrt(5)/2 - acos(2/3))
+
+
+def all_centers_diam(region: PixelRegion) -> float:
+    """The annealer's center diameter as it was computed before it moved
+    to regions.region_center_diam: the hull of every cell center."""
+    centers = region.cell_centers()
+    if len(centers) < 2:
+        return 0.0
+    hull = centers[convex_hull_indices(centers)]
+    best = 0.0
+    for i in range(len(hull) - 1):
+        d2 = float(np.sum((hull[i + 1 :] - hull[i]) ** 2, axis=1).max())
+        if d2 > best:
+            best = d2
+    return math.sqrt(best)
 
 
 def test_config_defaults():
@@ -160,6 +176,7 @@ def test_anneal_trajectory_is_pinned(delta, t0):
     cells = sorted((int(i), int(j)) for i, j in out.best_region.cells)
     digest = hashlib.sha256(repr(cells).encode()).hexdigest()
     assert (out.accepted_moves, out.best_measure, digest) == PINNED_TRAJECTORIES[(delta, t0)]
+    assert out.feasibility.diam_centers == all_centers_diam(out.best_region)
     if t0 is not None:
         # with additions only, the best region would hold every accepted cell
         assert len(cells) < round(out.baseline_measure / h**2) + out.accepted_moves
