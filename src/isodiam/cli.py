@@ -251,7 +251,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
         iterations=ns.iterations,
         seed=seed if seed is not None else 0,
         cooling=ns.cooling,
-        triple_samples=ns.triple_samples,
     )
     result = anneal_chains(config, chains=ns.chains, threads=ns.threads)
     if ns.region_out:
@@ -285,24 +284,20 @@ def cmd_search(ns: argparse.Namespace) -> int:
 
 def cmd_conjecture(ns: argparse.Namespace) -> int:
     rows = []
-    all_below = True
-    for k in range(ns.steps):
-        delta = ns.delta_min + (ns.delta_max - ns.delta_min) * k / (ns.steps - 1 if ns.steps > 1 else 1)
-        profile = bound_profile(delta)
+    for profile in _bounds_rows(ns.delta_min, ns.delta_max, ns.steps):
+        delta = profile["delta"]
         u = u_delta_measure(delta) if 2.0 < delta < 4.0 else None
-        below = None
-        if u is not None and profile.stmt3 is not None and profile.stmt3_applicable:
-            below = u < profile.stmt3
-            all_below = all_below and below
+        # stmt3 applies inside the window 4/sqrt(3) < delta < 4, where u is defined
         rows.append(
             {
                 "delta": delta,
-                "stmt3": profile.stmt3,
-                "symmetric": profile.symmetric,
+                "stmt3": profile["stmt3"],
+                "symmetric": profile["symmetric"],
                 "u_delta": u,
-                "u_delta_below_stmt3": below,
+                "u_delta_below_stmt3": u < profile["stmt3"] if profile["stmt3_applicable"] else None,
             }
         )
+    all_below = all(row["u_delta_below_stmt3"] is not False for row in rows)
     if ns.svg:
         xs = [row["delta"] for row in rows]
         series = {
@@ -310,10 +305,8 @@ def cmd_conjecture(ns: argparse.Namespace) -> int:
             "symmetric": [row["symmetric"] for row in rows],
             "u_delta": [row["u_delta"] for row in rows],
         }
-        marks = []
-        for row in evaluate_candidates((ns.delta_min + ns.delta_max) / 2.0):
-            if row.feasible:
-                marks.append(((ns.delta_min + ns.delta_max) / 2.0, row.measure, row.name))
+        mid = (ns.delta_min + ns.delta_max) / 2.0
+        marks = [(mid, row.measure, row.name) for row in evaluate_candidates(mid) if row.feasible]
         with open(ns.svg, "w", encoding="utf-8") as fh:
             fh.write(svgplot.curves_svg(xs, series, title="candidate area against upper bounds", marks=marks))
     _emit(ns, {"all_below_stmt3": all_below, "rows": rows})
@@ -458,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--iterations", type=int, default=10_000)
     p.add_argument("--cooling", type=float, default=0.9995)
-    p.add_argument("--triple-samples", type=int, default=2000)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--region-out", help="save the best region as JSON")
@@ -504,10 +496,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(code) if code else 0
     try:
         return ns.func(ns)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleStartError as exc:
+    except (BudgetExceededError, InfeasibleStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -342,9 +342,12 @@ def kill_probability(
     Samples are split into fixed batches with independent per-batch seed
     streams; the merge is a plain hit count, so the estimate is identical
     for identical seeds no matter how many workers run the batches. The
-    interval is the normal-approximation 95% band.
+    interval is the normal-approximation 95% band. Raises ValueError when
+    threads < 1.
     """
     validate_strategy(strategy, config)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = config.samples
     patch = _patch_rows(strategy)
     quotas = [(_BATCH if (k + 1) * _BATCH <= n else n - k * _BATCH) for k in range((n + _BATCH - 1) // _BATCH)]

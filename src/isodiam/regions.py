@@ -36,6 +36,7 @@ __all__ = [
     "u_delta_measure",
     "region_diam",
     "region_center_diam",
+    "region_diam3",
     "region_diam3_sampled",
     "region_tab_check_sampled",
     "minkowski_difference",
@@ -159,25 +160,36 @@ class PixelRegion:
         arr = np.array(sorted(self.cells), dtype=np.int64)
         return arr
 
+    def _xy(self, grid: np.ndarray) -> np.ndarray:
+        """(n, 2) float64 coordinates of points given in cell units: grid
+        corner (i, j), or center (i + 0.5, j + 0.5) of cell (i, j). Every
+        corner and center is placed by this one expression, so a point is
+        the same float wherever it is computed."""
+        return grid.astype(np.float64) * self.h + [self.origin.x, self.origin.y]
+
     def cell_centers(self) -> np.ndarray:
-        idx = self.cell_index_array().astype(np.float64)
-        out = (idx + 0.5) * self.h
-        out[:, 0] += self.origin.x
-        out[:, 1] += self.origin.y
-        return out
+        return self._xy(self.cell_index_array() + 0.5)
 
     def corner_points(self) -> np.ndarray:
         """Unique cell corners as an (m, 2) float64 array."""
         idx = self.cell_index_array()
-        if len(idx) == 0:
-            return np.empty((0, 2), dtype=np.float64)
-        corners = np.concatenate(
-            [idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]], axis=0
+        return self._xy(np.unique(np.concatenate([idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]]), axis=0))
+
+    def boundary_corners(self) -> np.ndarray:
+        """Unique corners of the cell sides whose neighbouring cell is
+        absent, as an (m, 2) float64 array in corner_points() order.
+
+        Side (0, i, j) runs from corner (i, j) to (i, j + 1) and side
+        (1, i, j) from (i, j) to (i + 1, j). Two cells that share a side
+        both list it, so the boundary sides are those listed once.
+        """
+        idx = self.cell_index_array()
+        sides = np.concatenate(
+            [np.insert(idx + d, 0, k, axis=1) for k, d in ((0, [0, 0]), (0, [1, 0]), (1, [0, 0]), (1, [0, 1]))]
         )
-        corners = np.unique(corners, axis=0).astype(np.float64) * self.h
-        corners[:, 0] += self.origin.x
-        corners[:, 1] += self.origin.y
-        return corners
+        sides, counts = np.unique(sides, axis=0, return_counts=True)
+        kind, start = sides[counts == 1, :1], sides[counts == 1, 1:]
+        return self._xy(np.unique(np.concatenate([start, start + np.hstack([kind, 1 - kind])]), axis=0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,16 +281,14 @@ def _row_extreme_cells(r: PixelRegion) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_extreme_corners(r: PixelRegion) -> np.ndarray:
-    """Outer corners of each row's min-j and max-j cells, as floats
-    computed the way corner_points() computes them.
+    """Outer corners of each row's min-j and max-j cells.
 
     Every hull vertex of the corner set is among these at most 4 * rows
     points: it is the lowest or highest corner on its vertical grid line,
     and those belong to the extreme cells of the rows on either side.
     """
     first, last = _row_extreme_cells(r)
-    corners = np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]])
-    return corners.astype(np.float64) * r.h + [r.origin.x, r.origin.y]
+    return r._xy(np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]]))
 
 
 def region_diam(r: PixelRegion) -> float:
@@ -297,11 +307,9 @@ def region_center_diam(r: PixelRegion) -> float:
     annealer caps.
 
     Taken over the centers of the rows' extreme cells, which hold every
-    hull vertex, in the floats cell_centers() makes. Raises ValueError on
-    an empty region.
+    hull vertex. Raises ValueError on an empty region.
     """
-    centers = (np.concatenate(_row_extreme_cells(r)).astype(np.float64) + 0.5) * r.h
-    return hull_diameter(centers + [r.origin.x, r.origin.y])
+    return hull_diameter(r._xy(np.concatenate(_row_extreme_cells(r)) + 0.5))
 
 
 def _corner_hull(r: PixelRegion) -> np.ndarray:
@@ -309,6 +317,22 @@ def _corner_hull(r: PixelRegion) -> np.ndarray:
     found among the rows' extreme corners."""
     corners = _row_extreme_corners(r)
     return corners[convex_hull_indices(corners)]
+
+
+def region_diam3(r: PixelRegion) -> tuple[float, float]:
+    """Bracket (lower, upper = lower + h) on the diam3 of the union of
+    closed cells, lower being diam3 of its boundary corners.
+
+    For compact S, diam3(S) = diam3(boundary of S): an interior point of a
+    triple can move away from both others until it meets the boundary,
+    and no side shrinks on the way. Every boundary point lies within h/2
+    of a boundary corner, so each side of the best triple exceeds that of
+    a corner triple by at most h. Raises ValueError on an empty region.
+    """
+    if r.is_empty():
+        raise ValueError("diam3 of an empty region")
+    lower = diameters.diam3(PointSet.from_xy(map(tuple, r.boundary_corners())))
+    return lower, lower + r.h
 
 
 def _sampled_support(r: PixelRegion, k: int, seed: int) -> np.ndarray:

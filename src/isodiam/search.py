@@ -4,9 +4,11 @@ For diameters strictly between 4/sqrt(3) and 4 no extremal T(3,2)-set is
 known; the conjectured one is U_delta, two unit disks with centers
 delta - 2 apart. The anneal below starts from the rasterized U_delta and
 flips single boundary cells, rejecting flips that break the diameter cap
-or a sampled diam3 cap, trying to find anything measurably larger. Nothing
-here proves extremality; beating the baseline beyond discretization slack
-is flagged loudly, never claimed as a counterexample.
+or the diam3 cap on cell centers, both checked exactly, trying to find
+anything measurably larger. The returned region's diam3 is bracketed
+deterministically from its boundary corners. Nothing here proves
+extremality; beating the baseline beyond discretization slack is flagged
+loudly, never claimed as a counterexample.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .regions import (
     rasterize,
     region_center_diam,
     region_diam,
-    region_diam3_sampled,
+    region_diam3,
     u_delta_measure,
     u_delta_shape,
 )
@@ -48,8 +50,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class InfeasibleStartError(RuntimeError):
-    """The rasterized seed violates its own feasibility predicate; the
-    pitch h is too coarse for this delta."""
+    """The rasterized seed is empty: the pitch h is too coarse for delta."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,6 @@ class SearchConfig:
     seed: int = 0
     temperature_init: float | None = None
     cooling: float = 0.9995
-    diam_tolerance: float | None = None
-    triple_samples: int = 2000
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
@@ -78,8 +77,6 @@ class SearchConfig:
             raise ValueError(f"cooling must be in (0, 1], got {self.cooling}")
         if self.temperature_init is not None and self.temperature_init <= 0.0:
             raise ValueError("temperature_init must be > 0 when given")
-        if self.triple_samples < 1:
-            raise ValueError("triple_samples must be >= 1")
 
     @property
     def t0(self) -> float:
@@ -87,7 +84,7 @@ class SearchConfig:
 
     @property
     def diam_tol(self) -> float:
-        return self.diam_tolerance if self.diam_tolerance is not None else 2.0 * self.h * _SQRT2
+        return 2.0 * self.h * _SQRT2
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,17 @@ class FeasibilityReport:
 
     diam_centers is the enforced metric (largest center-to-center
     distance); diam_corners is the exact diameter of the union of closed
-    cells, which exceeds it by at most h*sqrt(2). diam3_sampled is a fresh
-    sampled lower bound, checked against 2 + tolerance.
+    cells, which exceeds it by at most h*sqrt(2). diam3_lower and
+    diam3_upper bracket the region's diam3 (regions.region_diam3);
+    diam3_ok checks the lower end against 2 + tolerance, the cap the
+    center invariant guarantees.
     """
 
     diam_centers: float
     diam_corners: float
     diam_ok: bool
-    diam3_sampled: float
+    diam3_lower: float
+    diam3_upper: float
     diam3_ok: bool
     tolerance: float
 
@@ -179,9 +179,6 @@ class _IndexedSet:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, item: tuple[int, int]) -> bool:
-        return item in self._pos
-
     def add(self, item: tuple[int, int]) -> None:
         if item not in self._pos:
             self._pos[item] = len(self._items)
@@ -233,9 +230,10 @@ def anneal(config: SearchConfig) -> SearchResult:
     an addition only creates triples through the new cell, so checking
     those against every current cell keeps the center invariant exact.
     Corner points of closed cells sit at most h/sqrt(2) from their
-    centers, so the region itself stays within 2 + 2*h*sqrt(2); the
-    returned region is still re-validated post hoc with a fresh sample
-    seed and the result carries the report.
+    centers, so the region itself stays within 2 + 2*h*sqrt(2). The seed
+    needs no check: its centers lie in U_delta, whose diameter is delta
+    and whose diam3 is at most 2. The result carries a post-hoc report
+    with the exact diameters and the region_diam3 bracket.
 
     Two shortcuts leave the trajectory unchanged. Whether an addition is
     feasible is monotone in the region: more cells only add far pairs and
@@ -258,52 +256,38 @@ def anneal(config: SearchConfig) -> SearchResult:
     if seed_region.is_empty():
         raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: empty raster")
 
-    diam3_cap = 2.0 + 2.0 * h * _SQRT2
-    # initial state must satisfy its own feasibility predicate
-    if region_center_diam(seed_region) > delta + 1e-9:
-        raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: seed diameter overshoot")
-    seed_diam3 = region_diam3_sampled(seed_region, k=config.triple_samples, seed=config.seed)
-    if seed_diam3 > diam3_cap:
-        raise InfeasibleStartError(
-            f"h={h} too coarse for delta={delta}: seed diam3 {seed_diam3:.4f} > {diam3_cap:.4f}"
-        )
-
     cells = set(seed_region.cells)
-    n0 = len(cells)
-    capacity = n0 + config.iterations + 1
-    I = np.empty(capacity, dtype=np.int64)
-    J = np.empty(capacity, dtype=np.int64)
-    slot_of: dict[tuple[int, int], int] = {}
-    for slot, (ci, cj) in enumerate(sorted(cells)):
-        I[slot], J[slot] = ci, cj
-        slot_of[(ci, cj)] = slot
-    count = n0
+    count = len(cells)
+    I = np.empty(count + config.iterations + 1, dtype=np.int64)
+    J = np.empty_like(I)
+    I[:count], J[:count] = seed_region.cell_index_array().T
+    slot_of = {cell: slot for slot, cell in enumerate(sorted(cells))}
 
     add_frontier = _IndexedSet()
     remove_frontier = _IndexedSet()
 
-    def refresh_frontier(cell: tuple[int, int]) -> None:
-        ci, cj = cell
-        inside = cell in cells
-        has_out = any((ci + di, cj + dj) not in cells for di, dj in _NEIGHBORS)
-        has_in = any((ci + di, cj + dj) in cells for di, dj in _NEIGHBORS)
-        if inside and has_out:
-            remove_frontier.add(cell)
-        else:
-            remove_frontier.discard(cell)
-        if not inside and has_in:
-            add_frontier.add(cell)
-        else:
-            add_frontier.discard(cell)
+    def refresh_frontier(center: tuple[int, int]) -> None:
+        """Re-file the cell and its four neighbours in the frontiers."""
+        for ci, cj in [center] + [(center[0] + di, center[1] + dj) for di, dj in _NEIGHBORS]:
+            cell = (ci, cj)
+            inside = cell in cells
+            has_out = any((ci + di, cj + dj) not in cells for di, dj in _NEIGHBORS)
+            has_in = any((ci + di, cj + dj) in cells for di, dj in _NEIGHBORS)
+            if inside and has_out:
+                remove_frontier.add(cell)
+            else:
+                remove_frontier.discard(cell)
+            if not inside and has_in:
+                add_frontier.add(cell)
+            else:
+                add_frontier.discard(cell)
 
     for cell in sorted(cells):
         refresh_frontier(cell)
-        for di, dj in _NEIGHBORS:
-            refresh_frontier((cell[0] + di, cell[1] + dj))
 
     max_diam_units2 = (delta / h) ** 2
     # center cap in index units; corners inflate distances by at most
-    # h*sqrt(2), so regions built under this cap stay within diam3_cap
+    # h*sqrt(2), so regions built under this cap stay within 2 + 2*h*sqrt(2)
     cap_units2 = (2.0 / h + _SQRT2) ** 2
     move_rng = np.random.default_rng(config.seed)
     measure = count * h * h
@@ -337,9 +321,8 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     def apply_flip(cell: tuple[int, int], adding: bool) -> None:
         nonlocal count
-        ci, cj = cell
         if adding:
-            I[count], J[count] = ci, cj
+            I[count], J[count] = cell
             slot_of[cell] = count
             count += 1
             cells.add(cell)
@@ -352,8 +335,6 @@ def anneal(config: SearchConfig) -> SearchResult:
                 slot_of[last] = slot
             cells.remove(cell)
         refresh_frontier(cell)
-        for di, dj in _NEIGHBORS:
-            refresh_frontier((ci + di, cj + dj))
 
     for _ in range(config.iterations):
         can_add = len(add_frontier) > 0
@@ -388,15 +369,14 @@ def anneal(config: SearchConfig) -> SearchResult:
     best_region = PixelRegion(origin=seed_region.origin, h=h, cells=best_cells)
     tol = config.diam_tol
     diam_centers = region_center_diam(best_region)
-    diam_corners = region_diam(best_region)
-    posthoc_seed = config.seed + 1_000_003  # fresh stream for re-validation
-    diam3_val = region_diam3_sampled(best_region, k=config.triple_samples, seed=posthoc_seed)
+    diam3_lower, diam3_upper = region_diam3(best_region)
     report = FeasibilityReport(
         diam_centers=diam_centers,
-        diam_corners=diam_corners,
+        diam_corners=region_diam(best_region),
         diam_ok=(delta - tol <= diam_centers <= delta + 1e-9),
-        diam3_sampled=diam3_val,
-        diam3_ok=(diam3_val <= 2.0 + tol),
+        diam3_lower=diam3_lower,
+        diam3_upper=diam3_upper,
+        diam3_ok=(diam3_lower <= 2.0 + tol),
         tolerance=tol,
     )
     bound_value = min(bounds.stmt3_interior(delta), bounds.TWO_PI)

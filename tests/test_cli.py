@@ -124,6 +124,13 @@ def test_search_report_and_region(capsys, tmp_path):
     saved = json.loads(region_path.read_text())
     assert saved["cells"] == rep["region"]["cells"]
     assert payload["manifest"]["seed"] == 2
+    feas = rep["feasibility"]
+    assert feas["diam3_upper"] == feas["diam3_lower"] + 0.1
+    assert "triple_samples" not in rep["config"] and "triple_samples" not in payload["manifest"]["args"]
+
+
+def test_search_rejects_the_removed_sampling_flag(capsys):
+    assert cli.run(["search", "--delta", "3.0", "--iterations", "5", "--triple-samples", "10"]) == 2
 
 
 def test_search_infeasible_exit_code(capsys):
@@ -137,6 +144,15 @@ def test_conjecture_report(capsys):
     assert len(rep["rows"]) == 9
     mid = rep["rows"][4]
     assert mid["u_delta"] < mid["stmt3"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--steps", "0"], ["--steps", "-3"], ["--steps", "1"], ["--delta-min", "3.5", "--delta-max", "2.5"]],
+)
+def test_conjecture_rejects_bad_grids(capsys, extra):
+    assert cli.run(["conjecture", *extra]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_poison_default_strategy(capsys):
@@ -167,6 +183,13 @@ def test_poison_strategy_file(capsys, tmp_path):
     lo, hi = payload["report"]["kill"]["ci95"]
     assert lo <= 2 / 9 <= hi
     assert str(strat_path) in payload["manifest"]["input_digests"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_poison_rejects_threads_below_one(capsys, threads):
+    argv = ["poison", "--R", "3", "--h-available", "1", "--samples", "1000", "--threads", threads]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_poison_rejects_mismatched_supply(capsys, tmp_path):

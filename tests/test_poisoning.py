@@ -120,6 +120,9 @@ def test_kill_probability_deterministic_and_thread_invariant():
         central(1.0), PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=12)
     )
     assert other.hits != a.hits
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            kill_probability(central(1.0), cfg, threads=threads)
 
 
 def test_kill_probability_ci_shrinks():

@@ -36,6 +36,19 @@ def all_centers_diam(region: PixelRegion) -> float:
     return math.sqrt(best)
 
 
+def all_centers_diam3(region: PixelRegion) -> float:
+    """diam3 of every cell center by enumerating all triples i < j < k,
+    one smallest index i at a time."""
+    c = region.cell_centers()
+    d = np.sqrt(np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2))
+    best = 0.0
+    for i in range(len(c) - 2):
+        row, rest = d[i, i + 1 :], d[i + 1 :, i + 1 :]
+        sides = np.minimum(np.minimum.outer(row, row), rest)
+        best = max(best, float(sides[np.triu_indices(len(row), k=1)].max()))
+    return best
+
+
 def test_config_defaults():
     cfg = SearchConfig(delta=3.0, h=0.05)
     assert cfg.t0 == pytest.approx(0.1 * 0.05**2)
@@ -102,7 +115,8 @@ def test_anneal_improves_and_stays_feasible():
     assert out.feasibility.diam_ok
     assert out.feasibility.diam3_ok
     assert out.feasibility.diam_centers <= 3.0 + 1e-9
-    assert out.feasibility.diam3_sampled <= 2.0 + out.feasibility.tolerance
+    assert out.feasibility.diam3_lower <= 2.0 + out.feasibility.tolerance
+    assert out.feasibility.diam3_upper == out.feasibility.diam3_lower + 0.1
     assert out.accepted_moves <= out.iterations
     assert out.bound_value == pytest.approx(min(stmt3_interior(3.0), 2 * math.pi))
     # the relaxed grid constraints cannot certify more than the bound allows
@@ -151,8 +165,11 @@ def test_row_extremes_keep_the_diameter(cells):
     ci = np.array([c[0] for c in cells], dtype=np.int64)
     cj = np.array([c[1] for c in cells], dtype=np.int64)
     ri, rj = _row_extremes(ci, cj)
-    assert len(ri) <= 2 * len(set(ci.tolist()))
-    assert set(zip(ri.tolist(), rj.tolist())) <= set(cells)
+    rows = sorted(set(ci.tolist()))
+    lo = [min(j for i, j in cells if i == row) for row in rows]
+    hi = [max(j for i, j in cells if i == row) for row in rows]
+    assert ri.tolist() == rows + rows
+    assert rj.tolist() == lo + hi
     full = (ci[:, None] - ci[None, :]) ** 2 + (cj[:, None] - cj[None, :]) ** 2
     reduced = (ri[:, None] - ri[None, :]) ** 2 + (rj[:, None] - rj[None, :]) ** 2
     assert reduced.max() == full.max()
@@ -177,6 +194,8 @@ def test_anneal_trajectory_is_pinned(delta, t0):
     digest = hashlib.sha256(repr(cells).encode()).hexdigest()
     assert (out.accepted_moves, out.best_measure, digest) == PINNED_TRAJECTORIES[(delta, t0)]
     assert out.feasibility.diam_centers == all_centers_diam(out.best_region)
+    # the exact center invariant the move check keeps
+    assert all_centers_diam3(out.best_region) <= 2.0 + h * math.sqrt(2) + 1e-9
     if t0 is not None:
         # with additions only, the best region would hold every accepted cell
         assert len(cells) < round(out.baseline_measure / h**2) + out.accepted_moves
