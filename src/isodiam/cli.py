@@ -8,7 +8,8 @@ from the clock unless pinned via ``--timestamp`` or the
 ``--seed`` wherever a seed is accepted.
 
 Exit codes: 0 on success, 2 on bad input, 3 when a computation refuses
-to start (subset budget exceeded, infeasible search seed).
+to start (subset budget exceeded, infeasible search seed) or runs out of
+memory.
 """
 
 from __future__ import annotations
@@ -210,14 +211,10 @@ _BOUND_COLUMNS = (
     "gen_jung_radius_tau2",
 )
 
-# columns gated by an *_applicable flag in the profile
-_GATED = ("stmt2", "stmt3", "convex_blaschke", "convex_improved", "symmetric", "gen_jung_radius_tau2")
-
-
 def _applicable_value(row: dict, name: str):
-    if name in _GATED and not row[f"{name}_applicable"]:
-        return None
-    return row[name]
+    """The column's value, or None where its *_applicable flag in the
+    profile row is false; columns without a flag always apply."""
+    return row[name] if row.get(f"{name}_applicable", True) else None
 
 
 def cmd_bounds(ns: argparse.Namespace) -> int:
@@ -375,7 +372,7 @@ def cmd_circle(ns: argparse.Namespace) -> int:
     measure = arc_measure(arcs)
     if arcs.r > CIRCLE_LEMMA_MIN_RADIUS:
         bound = circle_bound(arcs.r)
-        result = arc_tab_check(arcs, n=ns.samples_per_arc)
+        result = arc_tab_check(arcs)
         holds = result.holds
         witness = list(result.witness) if result.witness is not None else None
         exceeds = measure > bound
@@ -480,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("circle", help="measure an arc set and test the circular three-point condition")
     p.add_argument("arcs", help="JSON arc-set file")
-    p.add_argument("--samples-per-arc", type=int, default=64)
     _add_common(p)
     p.set_defaults(func=cmd_circle)
 
@@ -496,7 +492,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(code) if code else 0
     try:
         return ns.func(ns)
-    except (BudgetExceededError, InfeasibleStartError) as exc:
+    except (BudgetExceededError, InfeasibleStartError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -22,6 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import diameters
+from .bounds import CIRCLE_LEMMA_MIN_RADIUS
 from .geometry import Disk, Point, PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
@@ -513,44 +514,92 @@ class ArcCheckResult:
     witness: tuple[float, float, float] | None = None
 
 
-def arc_tab_check(arcs: ArcSet, n: int = 64) -> ArcCheckResult:
-    """Sampled T(3,2) check on an arc set.
+def arc_tab_check(arcs: ArcSet) -> ArcCheckResult:
+    """Exact T(3,2) check on an arc set: are three of its points pairwise
+    at chord distance beyond 2?
 
-    Samples n evenly spaced angles per arc (left endpoints of n equal
-    subdivisions, all inside the half-open arc) and searches for three
-    sampled points pairwise at chord distance beyond 2. Chord distance
-    exceeds 2 exactly when the circular angular gap exceeds
-    2*asin(1/r), so the search reduces to finding three samples whose
-    three circular gaps all clear that threshold; a greedy sweep over
-    sorted samples settles existence. Needs r > 2/sqrt(3) (below that no
-    triple can violate) and n >= 3. "holds" is sampled evidence; a witness
-    is a genuine violating triple of angles.
+    A chord exceeds 2 exactly when the circular gap exceeds
+    theta* = 2*asin(1/r). The gaps are strict, so three angles of the
+    half-open arcs with all three gaps > theta* exist iff the largest
+    smallest gap over the closed arcs exceeds theta*. With the first angle
+    x0 fixed, the best others are greedy infima: the first arc point beyond
+    x0 + theta*, then beyond that plus theta*. As x0 rises inside its arc
+    the third gap shrinks only where x0, or a greedy angle moving with it,
+    passes an arc end e, so it suffices to let x0 rise to each e,
+    e - theta* and e - 2*theta* (left limits) on the arcs unrolled over
+    three turns: O(m log m) in m arcs.
+
+    Each candidate names three arcs, and t is the largest margin by which
+    every gap can exceed theta* with every angle that far inside its arc
+    (a closed form over the ten cycles of the constraint graph). The
+    witness, from the candidate with the largest t, is the least solution
+    at margin t/2. A violation is reported only with a witness that lies
+    in the half-open arcs and passes the gap and chord tests in floating
+    point, so one that exists only within rounding (t near 1e-15, as when
+    the largest smallest gap ties theta*) reports holds. Needs
+    r > 2/sqrt(3): below that no triple can violate.
     """
-    if arcs.r <= 2.0 / math.sqrt(3.0):
+    if arcs.r <= CIRCLE_LEMMA_MIN_RADIUS:
         raise ValueError(f"arc check needs r > 2/sqrt(3), got r={arcs.r}")
-    if n < 3:
-        raise ValueError(f"need at least 3 samples per arc, got {n}")
     if not arcs.arcs:
         return ArcCheckResult(holds=True)
-    theta_star = 2.0 * math.asin(1.0 / arcs.r)
-    samples: list[float] = []
-    for t1, t2 in arcs.arcs:
-        width = t2 - t1
-        for k in range(n):
-            samples.append(t1 + width * k / n)
-    samples.sort()
-    m = len(samples)
-    arr = samples
-    for i in range(m):
-        a0 = arr[i]
-        j = bisect.bisect_right(arr, a0 + theta_star)
-        if j >= m:
-            break
-        a1 = arr[j]
-        k = bisect.bisect_right(arr, a1 + theta_star)
-        if k >= m:
-            continue
-        a2 = arr[k]
-        if TWO_PI - (a2 - a0) > theta_star:
-            return ArcCheckResult(holds=False, witness=(a0, a1, a2))
-    return ArcCheckResult(holds=True)
+    theta = 2.0 * math.asin(1.0 / arcs.r)
+    base = np.array(arcs.arcs, dtype=np.float64)
+    m = len(base)
+    # three turns: x1 lies at most one turn past x0's arc end e0 and x2
+    # below e0 + 2*pi + theta, so every index below stays in range
+    starts = np.concatenate([base[:, 0] + TWO_PI * c for c in range(3)])
+    ends = np.concatenate([base[:, 1] + TWO_PI * c for c in range(3)])
+
+    # x0 rises to p in (0, 2*pi] inside a closed arc [s, e] with s < p
+    p = np.concatenate([base[:, 1], base[:, 1] - theta, base[:, 1] - 2.0 * theta])
+    p = np.where(p <= 0.0, p + TWO_PI, p)
+    k0 = np.searchsorted(ends[:m], p, side="left")
+    inside = (k0 < m) & (starts[np.minimum(k0, m - 1)] < p)
+    p, k0 = p[inside], k0[inside]
+    # x1 tends to x0 + theta from below inside its arc (sliding), or sits
+    # at the start of the first arc beyond it
+    a1 = p + theta
+    k1 = np.searchsorted(ends, a1, side="left")
+    sliding = starts[k1] < a1
+    # a sliding x1 drags x2 along; a fixed x1 leaves x2 the first arc
+    # point strictly beyond x1 + theta
+    a2 = np.maximum(a1, starts[k1]) + theta
+    k2 = np.where(sliding, np.searchsorted(ends, a2, side="left"), np.searchsorted(ends, a2, side="right"))
+
+    k = (k0, k1, k2)
+    lo = [starts[ki] for ki in k]
+    hi = [ends[ki] for ki in k]
+    t = np.full(len(p), (TWO_PI - 3.0 * theta) / 3.0)
+    for i in range(3):
+        t = np.minimum(t, (hi[i] - lo[i]) / 2.0)
+        for steps in (1, 2):
+            j = (i + steps) % 3
+            turn = TWO_PI if i + steps >= 3 else 0.0
+            t = np.minimum(t, (hi[j] + turn - lo[i] - steps * theta) / (steps + 2))
+    best = int(np.argmax(t))
+    if t[best] <= 0.0:
+        return ArcCheckResult(holds=True)
+
+    u = float(t[best]) / 2.0
+    x = [float(bound[best]) + u for bound in lo]
+    for j in (1, 2, 0, 1):
+        turn = TWO_PI if j == 0 else 0.0
+        x[j] = max(x[j], x[j - 1] + theta + u - turn)
+    a, b, c = sorted(x[i] - TWO_PI * (int(k[i][best]) // m) for i in range(3))
+    if not _is_witness(arcs, (a, b, c), theta):
+        return ArcCheckResult(holds=True)
+    return ArcCheckResult(holds=False, witness=(a, b, c))
+
+
+def _is_witness(arcs: ArcSet, angles: tuple[float, float, float], theta: float) -> bool:
+    """Whether sorted angles lie in the half-open arcs with all three
+    circular gaps above theta and every chord beyond 2."""
+    a, b, c = angles
+    for angle in angles:
+        slot = bisect.bisect_right(arcs.arcs, angle, key=lambda arc: arc[0]) - 1
+        if slot < 0 or angle >= arcs.arcs[slot][1]:
+            return False
+    if min(b - a, c - b, TWO_PI - (c - a)) <= theta:
+        return False
+    return all(2.0 * arcs.r * abs(math.sin((s - t) / 2.0)) > 2.0 for s, t in ((a, b), (b, c), (a, c)))

@@ -235,13 +235,16 @@ def anneal(config: SearchConfig) -> SearchResult:
     and whose diam3 is at most 2. The result carries a post-hoc report
     with the exact diameters and the region_diam3 bracket.
 
-    Two shortcuts leave the trajectory unchanged. Whether an addition is
+    Three shortcuts leave the result unchanged. Whether an addition is
     feasible is monotone in the region: more cells only add far pairs and
     far triples. So a rejected cell stays rejected until a removal is
     accepted, and is not re-evaluated before then; the check draws no
     random numbers. The far cells' largest pairwise distance is taken over
     each row's two extreme cells (see _row_extremes), in integer index
-    units, so the comparison with the cap is the same.
+    units, so the comparison with the cap is the same. And the loop stops
+    once nothing can change: the removal probability is 0.0 (the
+    temperature has underflowed it) and every frontier cell is
+    memo-rejected. The report still gives the requested iterations.
 
     Deterministic for a given config: the proposal stream is a single
     seeded generator, so a longer run extends a shorter one's trajectory.
@@ -258,7 +261,8 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     cells = set(seed_region.cells)
     count = len(cells)
-    I = np.empty(count + config.iterations + 1, dtype=np.int64)
+    # cell indices in slots [0, count); the arrays double when full
+    I = np.empty(2 * count, dtype=np.int64)
     J = np.empty_like(I)
     I[:count], J[:count] = seed_region.cell_index_array().T
     slot_of = {cell: slot for slot, cell in enumerate(sorted(cells))}
@@ -320,8 +324,11 @@ def anneal(config: SearchConfig) -> SearchResult:
         return float(pair2.max()) <= cap_units2
 
     def apply_flip(cell: tuple[int, int], adding: bool) -> None:
-        nonlocal count
+        nonlocal count, I, J
         if adding:
+            if count == len(I):
+                I = np.concatenate([I, np.empty_like(I)])
+                J = np.concatenate([J, np.empty_like(J)])
             I[count], J[count] = cell
             slot_of[cell] = count
             count += 1
@@ -337,6 +344,14 @@ def anneal(config: SearchConfig) -> SearchResult:
         refresh_frontier(cell)
 
     for _ in range(config.iterations):
+        remove_probability = math.exp(-(h * h) / temperature) if temperature > 0.0 else 0.0
+        # Between accepted removals every rejected cell stays outside the
+        # region next to it, so rejected is a subset of add_frontier; equal
+        # sizes mean every add is memo-rejected. With removals refused too,
+        # no later move changes anything, and the rest of the proposal
+        # stream is never used.
+        if remove_probability == 0.0 and len(rejected) == len(add_frontier):
+            break
         can_add = len(add_frontier) > 0
         can_remove = len(remove_frontier) > 0 and count > 1
         if not (can_add or can_remove):
@@ -359,7 +374,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         else:
             cell = remove_frontier.choose(move_rng)
             u = float(move_rng.random())
-            if u < math.exp(-(h * h) / temperature):
+            if u < remove_probability:
                 apply_flip(cell, adding=False)
                 rejected.clear()
                 accepted += 1

@@ -173,7 +173,7 @@ def test_07_heavy_arc_sets_always_violate_chord_check():
         for _ in range(250):
             arcs = _arcset_above_two_thirds(rng, r)
             assert arc_measure(arcs) > (4.0 / 3.0) * math.pi * r
-            result = arc_tab_check(arcs, n=256)
+            result = arc_tab_check(arcs)
             assert result.holds is False
             assert result.witness is not None
 

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +209,13 @@ def test_circle_report(capsys, tmp_path):
     assert rep["bound"] == pytest.approx(8 * math.pi / 3)
     assert rep["holds"] is False
     assert len(rep["witness"]) == 3
+    assert payload["manifest"]["args"] == {"arcs": str(arcs_path), "out": None, "timestamp": None}
+
+
+def test_circle_rejects_the_removed_sampling_flag(capsys, tmp_path):
+    arcs_path = tmp_path / "arcs.json"
+    ArcSet.from_intervals(2.0, [(0.0, 1.4)]).save(arcs_path)
+    assert cli.run(["circle", str(arcs_path), "--samples-per-arc", "64"]) == 2
 
 
 def test_circle_small_radius_skips_check(capsys, tmp_path):
@@ -288,3 +297,60 @@ def test_cli_import_loads_no_scipy():
     code = "import isodiam.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_out_of_memory_exits_3(tmp_path):
+    """A lethal-region grid of pitch 1e-5 asks numpy for about 1.16 TiB.
+    The child caps its own address space, so the allocation fails the same
+    way whatever the host's overcommit policy."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    argv = ["poison", "--R", "3", "--h-available", "1", "--samples", "10", "--grid", "0.00001"]
+    code = "import sys; from isodiam.cli import run; sys.exit(run(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+# every subcommand's option strings (positionals by name); adding or
+# removing a knob changes this table
+PARSER_OPTIONS = {
+    "diameters": ["-h", "--help", "points", "--ab", "--budget", "--out", "--timestamp"],
+    "check": ["-h", "--help", "points", "--a", "--b", "--threshold", "--budget", "--out", "--timestamp"],
+    "jung": ["-h", "--help", "points", "--ab", "--budget", "--out", "--timestamp"],
+    "bounds": ["-h", "--help", "--delta-min", "--delta-max", "--steps", "--csv", "--svg", "--out", "--timestamp"],
+    "search": [
+        "-h", "--help", "--delta", "--h", "--iterations", "--cooling", "--chains", "--threads",
+        "--region-out", "--svg", "--out", "--timestamp", "--seed",
+    ],
+    "conjecture": ["-h", "--help", "--delta-min", "--delta-max", "--steps", "--svg", "--out", "--timestamp"],
+    "poison": [
+        "-h", "--help", "--R", "--h-available", "--dose", "--samples", "--strategy", "--grid", "--threads",
+        "--svg", "--out", "--timestamp", "--seed",
+    ],
+    "circle": ["-h", "--help", "arcs", "--out", "--timestamp"],
+}
+
+
+def test_parser_options_are_pinned():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [opt for action in sub._actions for opt in (action.option_strings or [action.dest])]
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == PARSER_OPTIONS
+    top = [opt for action in parser._actions for opt in action.option_strings]
+    assert top == ["-h", "--help", "--version"]

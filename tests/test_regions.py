@@ -1,9 +1,10 @@
+import bisect
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isodiam.geometry import Point, PointSet, convex_hull_indices
 from isodiam.regions import (
@@ -406,7 +407,7 @@ def test_arc_tab_check_narrow_arc_holds():
 def test_arc_tab_check_three_spread_arcs():
     # three short arcs near the vertices of an inscribed equilateral triangle
     a = ArcSet.from_intervals(1.5, [(0.0, 0.1), (2.0, 2.2), (4.2, 4.4)])
-    res = arc_tab_check(a, n=8)
+    res = arc_tab_check(a)
     assert not res.holds
 
 
@@ -414,14 +415,103 @@ def test_arc_tab_check_domain():
     a = ArcSet.from_intervals(1.0, [(0.0, 1.0)])
     with pytest.raises(ValueError):
         arc_tab_check(a)  # r at or below 2/sqrt(3)
-    b = ArcSet.from_intervals(2.0, [(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        arc_tab_check(b, n=2)
 
 
 def test_arc_tab_check_witness_lies_in_arcs():
     a = ArcSet.from_intervals(2.0, [(0.0, 1.4), (2.2, 3.6), (4.4, 5.8)])
-    res = arc_tab_check(a, n=64)
+    res = arc_tab_check(a)
     assert not res.holds
-    for angle in res.witness:
-        assert any(t1 - 1e-12 <= angle < t2 for t1, t2 in a.arcs)
+    assert_genuine_witness(a, res.witness)
+
+
+def assert_genuine_witness(arcs: ArcSet, witness) -> None:
+    """Sorted angles of the half-open arcs, every circular gap above
+    2*asin(1/r) and every chord beyond 2, as the benchmark oracle checks."""
+    theta = 2.0 * math.asin(1.0 / arcs.r)
+    a, b, c = witness
+    assert 0.0 <= a < b < c < 2 * math.pi
+    for angle in witness:
+        assert any(t1 <= angle < t2 for t1, t2 in arcs.arcs)
+    assert min(b - a, c - b, 2 * math.pi - (c - a)) > theta
+    for s, t in ((a, b), (b, c), (a, c)):
+        assert 2.0 * arcs.r * abs(math.sin((s - t) / 2.0)) > 2.0
+
+
+def grid_max_min_gap(units, n):
+    """Largest smallest circular gap of three points of the closed arcs
+    [s, s + w] (in units of 2*pi/n), over every triple on the grid of pitch
+    2*pi/(6n), in those grid units. The optimum's linear-program vertices
+    have denominators dividing 6, so the grid attains it."""
+    g = 6 * n
+    pts = np.array(sorted({k % g for s, w in units for k in range(6 * s, 6 * (s + w) + 1)}))
+    if len(pts) < 3:
+        return None
+    i, j, k = np.meshgrid(pts, pts, pts, indexing="ij", sparse=True)
+    smallest = np.minimum(np.minimum(j - i, k - j), g - (k - i))
+    return int(np.where((i < j) & (j < k), smallest, -1).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([6, 9, 12, 15, 18]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=1, max_size=5),
+        )
+    ),
+    st.floats(1.16, 6.0),
+)
+def test_arc_tab_check_matches_the_grid_oracle(grid_arcs, r):
+    n, units = grid_arcs
+    arcs = ArcSet.from_intervals(r, [(s * 2 * math.pi / n, (s + w) * 2 * math.pi / n) for s, w in units])
+    theta = 2.0 * math.asin(1.0 / r)
+    best = grid_max_min_gap(units, n)
+    gap = -1.0 if best is None else best * 2 * math.pi / (6 * n)
+    assume(abs(gap - theta) >= 1e-9)
+    res = arc_tab_check(arcs)
+    assert res.holds == (gap < theta)
+    if not res.holds:
+        assert_genuine_witness(arcs, res.witness)
+
+
+def sampled_arc_witness(arcs: ArcSet, n: int):
+    """The sampled check arc_tab_check replaced: n evenly spaced angles per
+    arc (left ends of n equal subdivisions) and a greedy sweep for three
+    samples whose circular gaps all exceed 2*asin(1/r). A witness is
+    genuine; finding none proves nothing."""
+    theta = 2.0 * math.asin(1.0 / arcs.r)
+    samples = sorted(t1 + (t2 - t1) * k / n for t1, t2 in arcs.arcs for k in range(n))
+    for a0 in samples:
+        j = bisect.bisect_right(samples, a0 + theta)
+        if j >= len(samples):
+            break
+        k = bisect.bisect_right(samples, samples[j] + theta)
+        if k < len(samples) and 2 * math.pi - (samples[k] - a0) > theta:
+            return a0, samples[j], samples[k]
+    return None
+
+
+def test_arc_tab_check_finds_every_sampled_violation():
+    rng = np.random.default_rng(20260101)
+    found = 0
+    for _ in range(1200):
+        count = int(rng.integers(1, 9))
+        starts = rng.uniform(0.0, 2 * math.pi, count)
+        widths = rng.uniform(0.01, 2.0, count)
+        arcs = ArcSet.from_intervals(float(rng.uniform(1.16, 6.0)), list(zip(starts, starts + widths)))
+        if sampled_arc_witness(arcs, 64) is not None:
+            found += 1
+            res = arc_tab_check(arcs)
+            assert not res.holds
+            assert_genuine_witness(arcs, res.witness)
+    assert found > 300
+
+
+def test_arc_tab_check_finds_what_sampling_misses():
+    # one arc just wider than 2*theta* = 1.01072...: the violating triples
+    # need both ends of the arc, and the last of 64 samples stops 1/64 short
+    arcs = ArcSet.from_intervals(4.0, [(0.0, 1.0115)])
+    assert sampled_arc_witness(arcs, 64) is None
+    res = arc_tab_check(arcs)
+    assert not res.holds
+    assert_genuine_witness(arcs, res.witness)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -199,3 +200,34 @@ def test_anneal_trajectory_is_pinned(delta, t0):
     if t0 is not None:
         # with additions only, the best region would hold every accepted cell
         assert len(cells) < round(out.baseline_measure / h**2) + out.accepted_moves
+
+
+def test_anneal_survives_zero_temperature():
+    """Cooling 0.5 underflows the temperature to 0.0 within the run; the
+    removal probability is then 0, not a division by zero."""
+    cfg = SearchConfig(delta=3.0, h=0.5, iterations=3000, cooling=0.5)
+    assert cfg.t0 * cfg.cooling**3000 == 0.0
+    out = anneal(cfg)
+    assert out.iterations == 3000
+    assert out.best_measure >= out.baseline_measure
+
+
+def test_anneal_grows_its_cell_arrays():
+    """A 4-cell seed that ends with 9 cells doubles the index arrays twice;
+    the result is the one recorded with arrays sized for every iteration."""
+    out = anneal(SearchConfig(delta=2.4, h=0.8, iterations=300, seed=0))
+    assert out.accepted_moves == 5
+    assert out.best_measure == 5.760000000000001
+    assert sorted(out.best_region.cells) == [(i, j) for i in (-2, -1, 0) for j in (-2, -1, 0)]
+    assert all_centers_diam(out.best_region) <= 2.4 + 1e-9
+
+
+def test_anneal_stops_once_frozen():
+    """Once removals have probability 0.0 and every frontier cell is
+    memo-rejected nothing changes, so a run of 10**13 iterations returns
+    at once, without allocating per iteration, and equals a shorter one
+    apart from the requested count it reports."""
+    short = anneal(SearchConfig(delta=3.0, h=0.5, iterations=20_000, seed=1))
+    huge = anneal(SearchConfig(delta=3.0, h=0.5, iterations=10**13, seed=1))
+    assert huge.iterations == 10**13
+    assert dataclasses.replace(huge, iterations=short.iterations) == short
