@@ -13,12 +13,10 @@ from .geometry import Disk, Point, PointSet, Triangle, TriangleKind
 from .geometry import circumcircle, distance, min_enclosing_circle, triangle_classify
 from .diameters import (
     BudgetExceededError,
-    DiameterReport,
     TabCheckResult,
     diam,
     diam3,
     diam_ab,
-    diameter_report,
     tab_check,
     triameter,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "ArcSet",
     "BoundProfile",
     "BudgetExceededError",
-    "DiameterReport",
     "Disk",
     "InfeasibleStartError",
     "PixelRegion",
@@ -56,7 +53,6 @@ __all__ = [
     "diam",
     "diam3",
     "diam_ab",
-    "diameter_report",
     "distance",
     "gen_jung_radius",
     "jung_radius",

@@ -47,7 +47,6 @@ __all__ = [
     "ta2_bound",
     "nb_of",
     "max_triangle_area_in_disk",
-    "INTERIOR_BOUNDS",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -123,15 +122,6 @@ def symmetric_interior(delta: float) -> float:
     return math.pi * delta * delta / 6.0 + 4.0 * math.pi / 9.0
 
 
-INTERIOR_BOUNDS: dict[str, Callable[[float], float]] = {
-    "stmt1": stmt1_value,
-    "stmt3": stmt3_interior,
-    "convex_blaschke": convex_blaschke_interior,
-    "convex_improved": convex_improved_interior,
-    "symmetric": symmetric_interior,
-}
-
-
 @dataclass(frozen=True)
 class BoundProfile:
     """Every applicable bound at a single delta.
@@ -184,7 +174,7 @@ def bound_profile(delta: float) -> BoundProfile:
 
 
 def crossover(
-    bound: str | Callable[[float], float],
+    bound: Callable[[float], float],
     reference: float,
     lo: float,
     hi: float,
@@ -192,16 +182,14 @@ def crossover(
 ) -> float:
     """Bisect bound(delta) - reference to a root within tol.
 
-    bound may be one of the INTERIOR_BOUNDS names or any callable. The
-    bracket must produce a sign change; otherwise ValueError. Use the
-    interior expressions when hunting the 2*pi crossings, since the capped
-    forms are flat at the reference beyond the crossing.
+    The bracket must produce a sign change; otherwise ValueError. Use the
+    *_interior expressions when hunting the 2*pi crossings, since the
+    capped forms are flat at the reference beyond the crossing.
     """
-    f = INTERIOR_BOUNDS[bound] if isinstance(bound, str) else bound
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo = f(lo) - reference
-    fhi = f(hi) - reference
+    flo = bound(lo) - reference
+    fhi = bound(hi) - reference
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -212,7 +200,7 @@ def crossover(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fmid = f(mid) - reference
+        fmid = bound(mid) - reference
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):

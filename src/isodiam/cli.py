@@ -8,8 +8,8 @@ from the clock unless pinned via ``--timestamp`` or the
 ``--seed`` wherever a seed is accepted.
 
 Exit codes: 0 on success, 2 on bad input, 3 when a computation refuses
-to start (subset budget exceeded, infeasible search seed) or runs out of
-memory.
+to start (subset budget exceeded, raster over its cell cap, infeasible
+search seed) or runs out of memory.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
-from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
-from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, diameter_report, tab_check
+from .bounds import CIRCLE_LEMMA_MIN_RADIUS, BoundProfile, bound_profile, circle_bound, gen_jung_radius
+from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, tab_check, triameter
 from .geometry import Disk, Point, PointSet, load_points_csv, min_enclosing_circle
 from .poisoning import (
     PointMass,
@@ -123,13 +123,13 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 def cmd_diameters(ns: argparse.Namespace) -> int:
     points = _load_points(ns.points)
-    rep = diameter_report(points, ns.ab, budget=ns.budget)
+    # the subset scans run first, so an over-budget --ab refuses before any other work
     report = {
-        "ab": [{"a": a, "b": b, "value": value} for a, b, value in rep.ab_entries],
-        "diam": rep.diam,
-        "diam3": rep.diam3,
+        "ab": [{"a": a, "b": b, "value": diam_ab(points, a, b, budget=ns.budget)} for a, b in ns.ab],
+        "diam": diam(points),
+        "diam3": diam3(points),
         "n": len(points),
-        "triameter": rep.triameter,
+        "triameter": triameter(points),
     }
     _emit(ns, report, inputs=[ns.points])
     return 0
@@ -199,17 +199,8 @@ def _bounds_rows(delta_min: float, delta_max: float, steps: int) -> list[dict]:
     return rows
 
 
-_BOUND_COLUMNS = (
-    "delta",
-    "stmt1",
-    "stmt2",
-    "stmt3",
-    "convex_blaschke",
-    "convex_improved",
-    "symmetric",
-    "jung_radius",
-    "gen_jung_radius_tau2",
-)
+_BOUND_COLUMNS = tuple(f.name for f in fields(BoundProfile) if not f.name.endswith("_applicable"))
+
 
 def _applicable_value(row: dict, name: str):
     """The column's value, or None where its *_applicable flag in the
@@ -347,19 +338,8 @@ def cmd_poison(ns: argparse.Namespace) -> int:
                     )
                 )
     report = {
-        "config": {
-            "R": config.R,
-            "h_available": config.h_available,
-            "lethal_dose": config.lethal_dose,
-            "samples": config.samples,
-            "seed": config.seed,
-        },
-        "kill": {
-            "ci95": list(kill.ci95),
-            "estimate": kill.estimate,
-            "hits": kill.hits,
-            "samples": kill.samples,
-        },
+        "config": asdict(config),
+        "kill": asdict(kill),
         "lethal": lethal,
         "strategy": strategy.to_json_dict(),
     }

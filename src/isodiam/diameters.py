@@ -33,13 +33,11 @@ __all__ = [
     "DEFAULT_SUBSET_BUDGET",
     "BudgetExceededError",
     "TabCheckResult",
-    "DiameterReport",
     "diam",
     "diam3",
     "diam_ab",
     "triameter",
     "tab_check",
-    "diameter_report",
 ]
 
 # Default cap on the number of a-subsets a scan may enumerate. Chosen so a
@@ -72,14 +70,6 @@ class TabCheckResult:
         if self.witness is None:
             return None
         return tuple(s[i] for i in self.witness)
-
-
-@dataclass(frozen=True)
-class DiameterReport:
-    diam: float
-    diam3: float
-    triameter: float
-    ab_entries: tuple[tuple[int, int, float], ...] = ()
 
 
 def _coords(s: PointSet | Sequence[Point]) -> np.ndarray:
@@ -332,17 +322,3 @@ def triameter(s: PointSet | Sequence[Point]) -> float:
                 best = peak
     return best / 2.0
 
-
-def diameter_report(
-    s: PointSet | Sequence[Point],
-    ab_pairs: Sequence[tuple[int, int]] = (),
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> DiameterReport:
-    """Bundle diam, diam3, triameter and any requested (a, b) entries."""
-    entries = tuple((a, b, diam_ab(s, a, b, budget=budget)) for a, b in ab_pairs)
-    return DiameterReport(
-        diam=diam(s),
-        diam3=diam3(s),
-        triameter=triameter(s),
-        ab_entries=entries,
-    )

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Point
-from .regions import PixelRegion
+from .regions import PixelRegion, rasterize
 
 __all__ = [
     "PointMass",
@@ -365,24 +365,31 @@ def kill_probability(
     return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits)
 
 
+@dataclass(frozen=True)
+class _LethalSet:
+    """The lethal bite centers inside the sampling disk, as a shape for
+    rasterize."""
+
+    strategy: PoisonStrategy
+    patch: _PatchRows | None
+    config: PoisonConfig
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        radius = self.config.R - 1.0
+        return (-radius, -radius, radius, radius)
+
+    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        radius = self.config.R - 1.0
+        dose = _dose_at(self.strategy, self.patch, x, y)
+        return (x * x + y * y <= radius * radius) & (dose >= self.config.lethal_dose)
+
+
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:
     """Center-sampled raster of the lethal bite-center set.
 
     A cell belongs to the region when its center lies in the sampling disk
-    of radius R - 1 and the bite at the center is lethal.
+    of radius R - 1 and the bite at the center is lethal. The grid is
+    rasterize's, with its cap on the cell count.
     """
     validate_strategy(strategy, config)
-    if not (math.isfinite(h_grid) and h_grid > 0.0):
-        raise ValueError(f"grid pitch must be > 0, got {h_grid}")
-    radius = config.R - 1.0
-    lo = math.floor(-radius / h_grid) - 1
-    hi = math.ceil(radius / h_grid) + 1
-    ii = np.arange(lo, hi + 1, dtype=np.int64)
-    cx = (ii + 0.5) * h_grid
-    gx, gy = np.meshgrid(cx, cx, indexing="ij")
-    inside = gx * gx + gy * gy <= radius * radius
-    dose = _dose_at(strategy, _patch_rows(strategy), gx, gy)
-    mask = inside & (dose >= config.lethal_dose)
-    si, sj = np.nonzero(mask)
-    cells = frozenset(zip(ii[si].tolist(), ii[sj].tolist()))
-    return PixelRegion(origin=Point(0.0, 0.0), h=h_grid, cells=cells)
+    return rasterize(_LethalSet(strategy, _patch_rows(strategy), config), h_grid)

@@ -217,10 +217,18 @@ class PixelRegion:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+# Cap on the grid rasterize lays over a shape's bounding box: 5,000 x 5,000
+# cells, 200 MB per float64 coordinate array.
+_MAX_RASTER_CELLS = 25_000_000
+
+
 def rasterize(shape: AnalyticShape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
     """Center-sampled raster of an analytic shape on the grid of pitch h.
 
     A cell is included exactly when its center lies in the (closed) shape.
+    Any object with bbox() and contains_xy(x, y) serves as the shape. A
+    grid of more than _MAX_RASTER_CELLS cells raises MemoryError before
+    anything is allocated.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"pitch h must be finite and > 0, got {h}")
@@ -229,6 +237,9 @@ def rasterize(shape: AnalyticShape, h: float, origin: Point = Point(0.0, 0.0)) -
     i_hi = math.ceil((xmax - origin.x) / h) + 1
     j_lo = math.floor((ymin - origin.y) / h) - 1
     j_hi = math.ceil((ymax - origin.y) / h) + 1
+    size = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
+    if size > _MAX_RASTER_CELLS:
+        raise MemoryError(f"a raster of pitch {h} needs {size} cells, more than the cap of {_MAX_RASTER_CELLS}")
     ii = np.arange(i_lo, i_hi + 1, dtype=np.int64)
     jj = np.arange(j_lo, j_hi + 1, dtype=np.int64)
     cx = origin.x + (ii + 0.5) * h
@@ -358,29 +369,21 @@ def region_diam3_sampled(r: PixelRegion, k: int = 2000, seed: int = 0) -> float:
     return diameters.diam3(PointSet.from_xy(map(tuple, pts)))
 
 
-def region_tab_check_sampled(
-    r: PixelRegion,
-    a: int,
-    b: int,
-    threshold: float,
-    k: int = 60,
-    seed: int = 0,
-    max_hull: int = 24,
-    budget: int = diameters.DEFAULT_SUBSET_BUDGET,
-) -> diameters.TabCheckResult:
+def region_tab_check_sampled(r: PixelRegion, a: int, b: int, threshold: float) -> diameters.TabCheckResult:
     """Sampled T(a,b) check on a region.
 
-    Runs tab_check on k seeded cell centers plus at most max_hull hull
+    Runs tab_check on 60 cell centers (seed 0) plus at most 24 hull
     vertices (evenly strided). Sampled, so "holds" is evidence rather than
     proof; a reported violation is genuine for the sampled points, which
     all lie in the region.
     """
     if r.is_empty():
         return diameters.TabCheckResult(holds=True)
-    pts = _sampled_support(r, k, seed)
+    k, max_hull = 60, 24
+    pts = _sampled_support(r, k, 0)
     stride = math.ceil((len(pts) - k) / max_hull)
     pts = np.concatenate([pts[:k], pts[k::stride]], axis=0)
-    return diameters.tab_check(PointSet.from_xy(map(tuple, pts)), a, b, threshold, budget=budget)
+    return diameters.tab_check(PointSet.from_xy(map(tuple, pts)), a, b, threshold)
 
 
 def minkowski_difference(r: PixelRegion) -> PixelRegion:

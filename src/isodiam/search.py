@@ -259,13 +259,13 @@ def anneal(config: SearchConfig) -> SearchResult:
     if seed_region.is_empty():
         raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: empty raster")
 
-    cells = set(seed_region.cells)
-    count = len(cells)
+    # the region's cells, each mapped to its slot in the index arrays
+    slot_of = {cell: slot for slot, cell in enumerate(sorted(seed_region.cells))}
+    count = len(slot_of)
     # cell indices in slots [0, count); the arrays double when full
     I = np.empty(2 * count, dtype=np.int64)
     J = np.empty_like(I)
     I[:count], J[:count] = seed_region.cell_index_array().T
-    slot_of = {cell: slot for slot, cell in enumerate(sorted(cells))}
 
     add_frontier = _IndexedSet()
     remove_frontier = _IndexedSet()
@@ -274,9 +274,9 @@ def anneal(config: SearchConfig) -> SearchResult:
         """Re-file the cell and its four neighbours in the frontiers."""
         for ci, cj in [center] + [(center[0] + di, center[1] + dj) for di, dj in _NEIGHBORS]:
             cell = (ci, cj)
-            inside = cell in cells
-            has_out = any((ci + di, cj + dj) not in cells for di, dj in _NEIGHBORS)
-            has_in = any((ci + di, cj + dj) in cells for di, dj in _NEIGHBORS)
+            inside = cell in slot_of
+            has_out = any((ci + di, cj + dj) not in slot_of for di, dj in _NEIGHBORS)
+            has_in = any((ci + di, cj + dj) in slot_of for di, dj in _NEIGHBORS)
             if inside and has_out:
                 remove_frontier.add(cell)
             else:
@@ -286,7 +286,7 @@ def anneal(config: SearchConfig) -> SearchResult:
             else:
                 add_frontier.discard(cell)
 
-    for cell in sorted(cells):
+    for cell in slot_of:
         refresh_frontier(cell)
 
     max_diam_units2 = (delta / h) ** 2
@@ -296,7 +296,7 @@ def anneal(config: SearchConfig) -> SearchResult:
     move_rng = np.random.default_rng(config.seed)
     measure = count * h * h
     best_measure = measure
-    best_cells = frozenset(cells)
+    best_cells = frozenset(slot_of)
     accepted = 0
     temperature = config.t0
     # additions found infeasible since the last accepted removal
@@ -332,7 +332,6 @@ def anneal(config: SearchConfig) -> SearchResult:
             I[count], J[count] = cell
             slot_of[cell] = count
             count += 1
-            cells.add(cell)
         else:
             slot = slot_of.pop(cell)
             count -= 1
@@ -340,7 +339,6 @@ def anneal(config: SearchConfig) -> SearchResult:
                 last = (int(I[count]), int(J[count]))
                 I[slot], J[slot] = I[count], J[count]
                 slot_of[last] = slot
-            cells.remove(cell)
         refresh_frontier(cell)
 
     for _ in range(config.iterations):
@@ -370,7 +368,7 @@ def anneal(config: SearchConfig) -> SearchResult:
                 measure = count * h * h
                 if measure > best_measure:
                     best_measure = measure
-                    best_cells = frozenset(cells)
+                    best_cells = frozenset(slot_of)
         else:
             cell = remove_frontier.choose(move_rng)
             u = float(move_rng.random())

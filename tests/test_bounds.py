@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from isodiam.bounds import (
     CIRCLE_LEMMA_MIN_RADIUS,
     DISK_REGIME_MAX,
-    INTERIOR_BOUNDS,
     TWO_PI,
     bound_profile,
     circle_bound,
@@ -86,16 +85,6 @@ def test_interior_bound_values_at_three():
     assert convex_improved_interior(3.0) == pytest.approx(7.9521564043991635, abs=1e-12)
 
 
-def test_interior_bounds_registry():
-    assert set(INTERIOR_BOUNDS) == {
-        "stmt1",
-        "stmt3",
-        "convex_blaschke",
-        "convex_improved",
-        "symmetric",
-    }
-
-
 def test_interior_domain_guard():
     for fn in (stmt3_interior, convex_improved_interior):
         with pytest.raises(ValueError):
@@ -105,22 +94,23 @@ def test_interior_domain_guard():
 
 
 @pytest.mark.parametrize(
-    "name,root",
+    "bound,root",
     [
-        ("stmt3", STMT3_ROOT),
-        ("convex_improved", IMPROVED_ROOT),
-        ("convex_blaschke", BLASCHKE_ROOT),
-        ("symmetric", SYMMETRIC_ROOT),
+        (stmt3_interior, STMT3_ROOT),
+        (convex_improved_interior, IMPROVED_ROOT),
+        (convex_blaschke_interior, BLASCHKE_ROOT),
+        (symmetric_interior, SYMMETRIC_ROOT),
     ],
+    ids=lambda v: v.__name__.removesuffix("_interior") if callable(v) else None,
 )
-def test_crossover_roots(name, root):
-    found = crossover(name, TWO_PI, 2.4, 3.5)
+def test_crossover_roots(bound, root):
+    found = crossover(bound, TWO_PI, 2.4, 3.5)
     assert found == pytest.approx(root, abs=1e-7)
 
 
 def test_crossover_rejects_no_sign_change():
     with pytest.raises(ValueError):
-        crossover("stmt3", TWO_PI, 3.0, 3.5)  # both ends above 2*pi
+        crossover(stmt3_interior, TWO_PI, 3.0, 3.5)  # both ends above 2*pi
 
 
 def test_crossover_accepts_callable():

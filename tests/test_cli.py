@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isodiam import cli
@@ -269,6 +271,51 @@ def test_reruns_are_byte_identical(pts_csv, tmp_path):
     assert out.read_bytes() == first
 
 
+PINNED_POINTS = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.8), (0.5, 0.2), (1.7, 1.1), (-0.4, 0.9), (0.9, -0.6), (1.3, 0.4)]
+PINNED_STRATEGY = {
+    "masses": [[0.8, 0.0, 0.6], [-0.5, 0.3, 0.4]],
+    "density": {
+        "grams": 0.5,
+        "region": {"origin": [0.0, 0.0], "h": 0.1, "cells": [[i, j] for i in range(-3, 3) for j in range(-2, 2)]},
+    },
+}
+
+# sha256 of json.dumps(report, sort_keys=True) for each subcommand, and of
+# the CSV it writes, if any: a change to the code behind a report that moves
+# one of its bytes fails here
+PINNED_DIGESTS = {
+    "diameters": ("a64e63cb59eb7a8364759018469bed3ba440a948dcff691bce092f0f3050dce0", None),
+    "jung": ("5e06fa83ad8ce1718b298d2fd9b66f3b8117e8ce833990e55c2ed403fca38147", None),
+    "bounds": (
+        "3dd25597209fc407101d6a20f91e6a6f5470074c486026365cd777a41d5b5fee",
+        "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
+    ),
+    "poison": ("138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e", None),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diameters", "pts.csv", "--ab", "4,2", "--ab", "5,3"],
+        ["jung", "pts.csv", "--ab", "4,3"],
+        ["bounds", "--delta-min", "1", "--delta-max", "4.5", "--steps", "9", "--csv", "out.csv"],
+        ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "strategy.json", "--samples", "20000",
+         "--grid", "0.1", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_bytes_are_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_points_csv(PointSet.from_xy(PINNED_POINTS), "pts.csv")
+    Path("strategy.json").write_text(json.dumps(PINNED_STRATEGY))
+    assert cli.run([*argv, "--out", "report.json"]) == 0
+    report = json.loads(Path("report.json").read_text())["report"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    csv_digest = hashlib.sha256(Path("out.csv").read_bytes()).hexdigest() if "--csv" in argv else None
+    assert (digest, csv_digest) == PINNED_DIGESTS[argv[0]]
+
+
 def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ISODIAM_SEED", "99")
     payload = run_json(
@@ -299,29 +346,45 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_out_of_memory_exits_3(tmp_path):
-    """A lethal-region grid of pitch 1e-5 asks numpy for about 1.16 TiB.
-    The child caps its own address space, so the allocation fails the same
-    way whatever the host's overcommit policy."""
+def run_capped(argv, cwd):
+    """Run the CLI in a child that caps its own address space at 2 GiB, so
+    a large allocation fails the same way whatever the host's overcommit
+    policy."""
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    argv = ["poison", "--R", "3", "--h-available", "1", "--samples", "10", "--grid", "0.00001"]
     code = "import sys; from isodiam.cli import run; sys.exit(run(sys.argv[1:]))"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *argv],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         preexec_fn=cap_address_space,
     )
+
+
+def test_out_of_memory_exits_3(tmp_path):
+    """diam3 of 100,000 points builds pair arrays of about 80 GB."""
+    rng = np.random.default_rng(0)
+    save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (100_000, 2)))), tmp_path / "big.csv")
+    out = run_capped(["diameters", "big.csv"], tmp_path)
     assert out.returncode == 3, out.stderr
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+
+
+def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
+    """A lethal-region grid of pitch 1e-4 on the radius-2 sampling disk has
+    1.6e9 cells, 12.8 GB per coordinate array."""
+    argv = ["poison", "--R", "3", "--h-available", "1", "--samples", "10", "--grid", "0.0001"]
+    out = run_capped(argv, tmp_path)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "error: a raster of pitch 0.0001 needs 1600240009 cells, more than the cap of 25000000\n"
 
 
 # every subcommand's option strings (positionals by name); adding or

@@ -14,7 +14,6 @@ from isodiam.diameters import (
     diam,
     diam3,
     diam_ab,
-    diameter_report,
     tab_check,
     triameter,
 )
@@ -417,12 +416,3 @@ def test_triameter_bounded_by_diam(s):
     d = diam(s)
     assert triameter(s) <= math.sqrt(3) / 4 * d * d + 1e-9
 
-
-def test_diameter_report_bundles():
-    s = PointSet.from_xy([(0, 0), (2, 0), (1, math.sqrt(3)), (1, 0.5)])
-    rep = diameter_report(s, ab_pairs=[(3, 2), (4, 3)])
-    assert rep.diam == pytest.approx(diam(s))
-    assert rep.diam3 == pytest.approx(diam3(s))
-    assert rep.triameter == pytest.approx(triameter(s))
-    assert rep.ab_entries[0] == (3, 2, pytest.approx(diam3(s)))
-    assert rep.ab_entries[1][:2] == (4, 3)
