@@ -106,11 +106,17 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
     a block has a common neighbour afterwards, no triangle has closed yet
     (a triangle closed in the block would show on its last edge), and only
     the block where one first closes is replayed pair by pair.
+
+    The pair arrays grow as n^2: a set of more than _MAX_PAIRS pairs
+    raises MemoryError before anything is allocated.
     """
     coords = _coords(s)
     n = len(coords)
     if n < 3:
         return 0.0
+    pairs = n * (n - 1) // 2
+    if pairs > _MAX_PAIRS:
+        raise MemoryError(f"diam3 of {n} points needs {pairs} pairs, more than the cap of {_MAX_PAIRS}")
     floor2 = 0.0
     if n > _PREFILTER_MIN:
         floor2 = _first_triangle_d2(coords[:: n // _SUBSAMPLE], 0.0)
@@ -122,6 +128,10 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
 _PREFILTER_MIN = 400
 _SUBSAMPLE = 200
 _BLOCK = 512
+
+# Cap on the pairs diam3 lays out, the raster cap of regions: up to 7,071
+# points, 200 MB per float64 or int64 pair array.
+_MAX_PAIRS = 25_000_000
 
 
 def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _BATCH = 1 << 17
+_CHUNK = 8192  # pairs per sub-draw of a rejection round (see _batch_hits)
 
 
 @dataclass(frozen=True)
@@ -314,8 +316,19 @@ def _batch_hits(
     """Accepted-sample hits for one seeded batch.
 
     Bite centers are drawn by rejection from the bounding square of the
-    radius R - 1 disk; the loop tops up until the quota is met, so the
+    radius R - 1 disk; each round draws enough pairs to meet the rest of
+    the quota most of the time, and rounds repeat until it is met, so the
     accepted stream is a deterministic function of (seed, batch_index).
+
+    A round is drawn and scored in sub-draws of _CHUNK pairs. PCG64 gives
+    one double per 64-bit output and buffers none, so the sub-draws of a
+    round yield the round's doubles in the same order, and the accepted
+    points are the same prefix in the same order. Draws left in a round
+    once the quota is met are discarded, as is the generator. _CHUNK pairs
+    keep every temporary at 128 KiB at most, glibc's default mmap
+    threshold: it stays in cache, and malloc reuses heap memory for it,
+    where the 1-3 MB arrays of a whole round get fresh pages mapped and
+    unmapped on every batch.
     """
     rng = np.random.default_rng([config.seed, batch_index])
     radius = config.R - 1.0
@@ -323,14 +336,14 @@ def _batch_hits(
     remaining = quota
     while remaining > 0:
         draw = int(remaining * 4.0 / math.pi * 1.05) + 16
-        pts = rng.uniform(-radius, radius, size=(draw, 2))
-        keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius * radius
-        accepted = pts[keep][:remaining]
-        if len(accepted) == 0:
-            continue
-        dose = _dose_at(strategy, patch, accepted[:, 0], accepted[:, 1])
-        hits += int(np.sum(dose >= config.lethal_dose))
-        remaining -= len(accepted)
+        for lo in range(0, draw, _CHUNK):
+            x, y = rng.uniform(-radius, radius, size=(min(_CHUNK, draw - lo), 2)).T
+            idx = np.flatnonzero(x * x + y * y <= radius * radius)[:remaining]
+            dose = _dose_at(strategy, patch, x[idx], y[idx])
+            hits += int(np.count_nonzero(dose >= config.lethal_dose))
+            remaining -= idx.size
+            if remaining == 0:
+                break
     return hits
 
 
@@ -343,7 +356,8 @@ def kill_probability(
     streams; the merge is a plain hit count, so the estimate is identical
     for identical seeds no matter how many workers run the batches. The
     interval is the normal-approximation 95% band. Raises ValueError when
-    threads < 1.
+    threads < 1. At most one worker runs per batch and per CPU, whatever
+    threads asks for.
     """
     validate_strategy(strategy, config)
     if threads < 1:
@@ -351,8 +365,9 @@ def kill_probability(
     n = config.samples
     patch = _patch_rows(strategy)
     quotas = [(_BATCH if (k + 1) * _BATCH <= n else n - k * _BATCH) for k in range((n + _BATCH - 1) // _BATCH)]
-    if threads > 1 and len(quotas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(quotas), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hit_list = list(
                 pool.map(lambda kq: _batch_hits(strategy, patch, config, kq[0], kq[1]), enumerate(quotas))
             )

@@ -378,6 +378,16 @@ def test_out_of_memory_exits_3(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_oversized_diam3_is_refused_before_allocating(tmp_path):
+    """diam3 of 20,000 points lays out 2e8 pairs, about 6 GB of pair
+    arrays, which an overcommitting host might grant."""
+    rng = np.random.default_rng(1)
+    save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (20_000, 2)))), tmp_path / "big.csv")
+    out = run_capped(["diameters", "big.csv"], tmp_path)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "error: diam3 of 20000 points needs 199990000 pairs, more than the cap of 25000000\n"
+
+
 def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
     """A lethal-region grid of pitch 1e-4 on the radius-2 sampling disk has
     1.6e9 cells, 12.8 GB per coordinate array."""

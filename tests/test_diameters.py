@@ -164,6 +164,13 @@ def test_diam3_unit_square():
     assert diam3(s) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_diam3_pair_cap_is_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(diameters_mod, "_MAX_PAIRS", 10)
+    assert diam3(PointSet.from_xy([(k, k * k) for k in range(5)])) > 0.0  # 10 pairs
+    with pytest.raises(MemoryError, match="diam3 of 6 points needs 15 pairs"):
+        diam3(PointSet.from_xy([(k, k * k) for k in range(6)]))
+
+
 def test_diam3_small_sets():
     assert diam3(PointSet.from_xy([(0, 0), (5, 5)])) == 0.0
     s = PointSet.from_xy([(0, 0), (2, 0), (1, math.sqrt(3))])  # equilateral side 2

@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isodiam import poisoning
 from isodiam.geometry import Point
 from isodiam.poisoning import (
+    _BATCH,
+    _CHUNK,
     DensityPatch,
+    _batch_hits,
     _dose_at,
+    _patch_rows,
     _PatchRows,
     PointMass,
     PoisonConfig,
@@ -289,3 +295,174 @@ def test_density_kill_probability_is_thread_invariant():
     patch = DensityPatch(region=rasterize(Disk(center=Point(0.1, 0.0), radius=0.5), 0.05), grams=1.0)
     strat = PoisonStrategy(density=patch)
     assert kill_probability(strat, cfg).hits == kill_probability(strat, cfg, threads=3).hits
+
+
+# ------------------------------------------------------ point-mass stream
+
+
+def whole_round_dose_at(strategy, patch, xs, ys):
+    """The mass-by-mass dose expression, frozen here as the oracle for
+    _dose_at and for whole_round_batch_hits."""
+    dose = np.zeros(xs.shape, dtype=np.float64)
+    for m in strategy.point_masses:
+        hit = (xs - m.position.x) ** 2 + (ys - m.position.y) ** 2 <= 1.0
+        dose += m.grams * hit
+    if patch is not None:
+        dose += patch.per_cell * patch.counts(xs.ravel(), ys.ravel()).reshape(xs.shape)
+    return dose
+
+
+def whole_round_batch_hits(strategy, patch, config, batch_index, quota):
+    """The batch loop that _batch_hits replaced: each rejection round is
+    one (draw, 2) array, filtered by a boolean mask."""
+    rng = np.random.default_rng([config.seed, batch_index])
+    radius = config.R - 1.0
+    hits = 0
+    remaining = quota
+    while remaining > 0:
+        draw = int(remaining * 4.0 / math.pi * 1.05) + 16
+        pts = rng.uniform(-radius, radius, size=(draw, 2))
+        keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius * radius
+        accepted = pts[keep][:remaining]
+        if len(accepted) == 0:
+            continue
+        dose = whole_round_dose_at(strategy, patch, accepted[:, 0], accepted[:, 1])
+        hits += int(np.sum(dose >= config.lethal_dose))
+        remaining -= len(accepted)
+    return hits
+
+
+@st.composite
+def mass_lists(draw, reach):
+    """1-12 masses on at most four distinct spots, so some coincide."""
+    coord = st.floats(-reach, reach, allow_nan=False)
+    spots = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(spots) - 1), st.sampled_from([0.125, 0.25, 0.5, 1.0])),
+        min_size=1, max_size=12,
+    ))
+    return tuple(PointMass(Point(*spots[i]), grams) for i, grams in picks)
+
+
+@st.composite
+def stream_cases(draw):
+    R = draw(st.sampled_from([2.5, 3.0, 7.3]))
+    kind = draw(st.sampled_from(["masses", "density", "mixed"]))
+    masses = draw(mass_lists(R - 1.0)) if kind != "density" else ()
+    density = None
+    if kind != "masses":
+        region = PixelRegion(
+            origin=Point(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
+            h=draw(st.sampled_from([0.05, 0.1, 0.3])),
+            cells=frozenset(draw(cell_sets)),
+        )
+        density = DensityPatch(region=region, grams=draw(st.sampled_from([0.5, 1.0])))
+    config = PoisonConfig(
+        R=R, h_available=1.0, samples=1, seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return PoisonStrategy(point_masses=masses, density=density), config
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stream_cases(),
+    st.sampled_from([1, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, _BATCH]),
+    st.integers(0, 40),
+)
+def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
+    strategy, config = case
+    patch = _patch_rows(strategy)
+    got = _batch_hits(strategy, patch, config, batch_index, quota)
+    assert got == whole_round_batch_hits(strategy, patch, config, batch_index, quota)
+
+
+def ulp_ring(cx: float, cy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points at distance 1 from (cx, cy) along the axes, one ulp either
+    side of that, and on the diagonal."""
+    up, down = np.inf, -np.inf
+    xs = [cx + 1.0, cx - 1.0, cx, cx, np.nextafter(cx + 1.0, up), np.nextafter(cx + 1.0, down),
+          np.nextafter(cx - 1.0, down), np.nextafter(cx - 1.0, up), cx, cx, cx + math.sqrt(0.5)]
+    ys = [cy, cy, cy + 1.0, cy - 1.0, cy, cy, cy, cy, np.nextafter(cy + 1.0, up),
+          np.nextafter(cy - 1.0, up), cy - math.sqrt(0.5)]
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+
+
+@pytest.mark.parametrize("with_patch", [False, True])
+def test_dose_equals_the_whole_round_expression(with_patch):
+    masses = (
+        PointMass(Point(0.5, -0.25), 0.25),  # dyadic: the ring points sit at distance exactly 1
+        PointMass(Point(0.5, -0.25), 0.5),
+        PointMass(Point(-0.3, 0.7), 0.25),
+        PointMass(Point(0.1, 0.1), 0.125),
+    )
+    density = None
+    if with_patch:
+        density = DensityPatch(region=rasterize(Disk(center=Point(-0.2, 0.1), radius=0.4), 0.05), grams=0.5)
+    strat = PoisonStrategy(point_masses=masses, density=density)
+    patch = _patch_rows(strat)
+    rings = [ulp_ring(m.position.x, m.position.y) for m in masses]
+    xs = np.concatenate([r[0] for r in rings])
+    ys = np.concatenate([r[1] for r in rings])
+    assert _dose_at(strat, patch, np.array([1.5]), np.array([-0.25]))[0] >= 0.75
+    assert np.array_equal(_dose_at(strat, patch, xs, ys), whole_round_dose_at(strat, patch, xs, ys))
+    cx = (np.arange(-60, 61) + 0.5) * 0.025  # a lethal_region grid
+    gx, gy = np.meshgrid(cx, cx, indexing="ij")
+    dose = _dose_at(strat, patch, gx, gy)
+    assert dose.shape == gx.shape
+    assert np.array_equal(dose, whole_round_dose_at(strat, patch, gx, gy))
+
+
+def tour_hexagon() -> PoisonStrategy:
+    """Six 0.25 g masses on a hexagon of radius 0.6: a bite kills when it
+    holds four of them."""
+    return PoisonStrategy(point_masses=tuple(
+        PointMass(Point(0.6 * math.cos(math.pi * k / 3.0), 0.6 * math.sin(math.pi * k / 3.0)), 0.25)
+        for k in range(6)
+    ))
+
+
+def test_hexagon_hits_are_pinned():
+    """300,000 samples are three batches, the last one partial. The count
+    was recorded from the whole-round kernel."""
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=300_000, seed=7)
+    assert kill_probability(tour_hexagon(), cfg).hits == 33441
+
+
+def test_point_mass_batches_stay_cache_sized():
+    """The whole-round kernel peaked at about 8 MiB of temporaries here."""
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=3 * _BATCH + 5, seed=1)
+    tracemalloc.start()
+    try:
+        kill_probability(tour_hexagon(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, [3]), (2, [2]), (None, [])])
+def test_threads_are_bounded_by_batches_and_cpus(monkeypatch, cpus, workers):
+    sizes = []
+
+    class RecordingExecutor:
+        """Stands in for ThreadPoolExecutor: records max_workers and runs
+        the batches in the calling thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(poisoning, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(poisoning.os, "cpu_count", lambda: cpus)
+    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=3 * _BATCH, seed=2)
+    many = kill_probability(central(1.0), cfg, threads=10**6)
+    assert sizes == workers
+    assert many.hits == kill_probability(central(1.0), cfg).hits
