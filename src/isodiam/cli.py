@@ -1,11 +1,10 @@
 """Command line front end.
 
 Every subcommand emits a JSON report with a ``schema`` tag and a run
-manifest (tool version, arguments, resolved seed, sha256 of input files,
+manifest (tool version, arguments, seed, sha256 of input files,
 timestamp), so a run can be reproduced byte for byte. Timestamps come
 from the clock unless pinned via ``--timestamp`` or the
-``ISODIAM_TIMESTAMP`` environment variable; ``ISODIAM_SEED`` overrides
-``--seed`` wherever a seed is accepted.
+``ISODIAM_TIMESTAMP`` environment variable.
 
 Exit codes: 0 on success, 2 on bad input, 3 when a computation refuses
 to start (subset budget exceeded, raster over its cell cap, infeasible
@@ -33,7 +32,6 @@ from .poisoning import (
     PoisonStrategy,
     kill_probability,
     lethal_region,
-    validate_strategy,
 )
 from .regions import ArcSet, arc_measure, arc_tab_check, region_diam, u_delta_measure, u_delta_shape
 from .search import InfeasibleStartError, SearchConfig, anneal_chains, evaluate_candidates
@@ -49,16 +47,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _resolve_seed(ns: argparse.Namespace) -> int | None:
-    env = os.environ.get("ISODIAM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"ISODIAM_SEED must be an integer, got {env!r}")
-    return getattr(ns, "seed", None)
 
 
 def _resolve_timestamp(ns: argparse.Namespace) -> str:
@@ -232,12 +220,11 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
-    seed = _resolve_seed(ns)
     config = SearchConfig(
         delta=ns.delta,
         h=ns.h,
         iterations=ns.iterations,
-        seed=seed if seed is not None else 0,
+        seed=ns.seed,
         cooling=ns.cooling,
     )
     result = anneal_chains(config, chains=ns.chains, threads=ns.threads)
@@ -302,13 +289,12 @@ def cmd_conjecture(ns: argparse.Namespace) -> int:
 
 
 def cmd_poison(ns: argparse.Namespace) -> int:
-    seed = _resolve_seed(ns)
     config = PoisonConfig(
         R=ns.R,
         h_available=ns.h_available,
         lethal_dose=ns.dose,
         samples=ns.samples,
-        seed=seed if seed is not None else 0,
+        seed=ns.seed,
     )
     inputs = []
     if ns.strategy:
@@ -316,7 +302,6 @@ def cmd_poison(ns: argparse.Namespace) -> int:
         inputs.append(ns.strategy)
     else:
         strategy = PoisonStrategy(point_masses=(PointMass(Point(0.0, 0.0), ns.h_available),))
-    validate_strategy(strategy, config)
     kill = kill_probability(strategy, config, threads=ns.threads)
     lethal = None
     if ns.grid or ns.svg:
@@ -380,7 +365,7 @@ def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
     sub.add_argument("--timestamp", help="pin the manifest timestamp (for reproducible bytes)")
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed (ISODIAM_SEED overrides)")
+        sub.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,8 @@ someone eats a random unit-disk bite, one gram in the bite kills.
 
 The bite center is uniform in the concentric disk of radius R - 1 (the
 bite always stays inside the pie), the bite is the closed unit disk around
-that center, and lethality is the closed inequality dose >= lethal_dose.
+that center, and lethality is the closed inequality dose >= lethal_dose,
+up to the tolerance _TOL that also governs validate_strategy.
 Strategies mix point masses with an optional uniform density patch over a
 pixel region; the density dose inside a bite is the patch's grams per cell
 times the number of cell centers within distance 1 of the bite center.
@@ -44,6 +45,11 @@ __all__ = [
 
 _BATCH = 1 << 17
 _CHUNK = 8192  # pairs per sub-draw of a rejection round (see _batch_hits)
+# Grams and lengths within _TOL of a limit count as at it: the strategy's
+# total and placement in validate_strategy, the bite center in is_lethal,
+# and the dose in _is_lethal_dose, so that k masses of 1/k g, which sum to
+# 1 - 1e-16 for k = 6, kill like the 1 g they were validated as.
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,17 +148,17 @@ class PoisonConfig:
 
 def validate_strategy(strategy: PoisonStrategy, config: PoisonConfig) -> None:
     """All poison inside the closed pie, all of it placed: total grams must
-    equal h_available to within 1e-9."""
+    equal h_available to within _TOL."""
     for m in strategy.point_masses:
-        if math.hypot(m.position.x, m.position.y) > config.R + 1e-9:
+        if math.hypot(m.position.x, m.position.y) > config.R + _TOL:
             raise ValueError(
                 f"mass at ({m.position.x}, {m.position.y}) lies outside the pie of radius {config.R}"
             )
     if strategy.density is not None:
         centers = strategy.density.region.cell_centers()
-        if np.any(np.hypot(centers[:, 0], centers[:, 1]) > config.R + 1e-9):
+        if np.any(np.hypot(centers[:, 0], centers[:, 1]) > config.R + _TOL):
             raise ValueError("density patch extends outside the pie")
-    if abs(strategy.total_grams - config.h_available) > 1e-9:
+    if abs(strategy.total_grams - config.h_available) > _TOL:
         raise ValueError(
             f"strategy places {strategy.total_grams} grams, but h_available "
             f"is {config.h_available}; place all of it"
@@ -291,15 +297,20 @@ def _dose_at(
     return dose
 
 
+def _is_lethal_dose(dose: np.ndarray, config: PoisonConfig) -> np.ndarray:
+    """Which doses kill: at least the lethal dose, up to _TOL."""
+    return dose >= config.lethal_dose - _TOL
+
+
 def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
     """Does the bite centered at p ingest at least the lethal dose?
 
     p must lie in the closed sampling disk of radius R - 1.
     """
-    if math.hypot(p.x, p.y) > config.R - 1.0 + 1e-9:
+    if math.hypot(p.x, p.y) > config.R - 1.0 + _TOL:
         raise ValueError(f"bite center ({p.x}, {p.y}) outside the disk of radius {config.R - 1}")
     dose = _dose_at(strategy, _patch_rows(strategy), np.array([p.x]), np.array([p.y]))
-    return bool(dose[0] >= config.lethal_dose)
+    return bool(_is_lethal_dose(dose, config)[0])
 
 
 @dataclass(frozen=True)
@@ -340,7 +351,7 @@ def _batch_hits(
             x, y = rng.uniform(-radius, radius, size=(min(_CHUNK, draw - lo), 2)).T
             idx = np.flatnonzero(x * x + y * y <= radius * radius)[:remaining]
             dose = _dose_at(strategy, patch, x[idx], y[idx])
-            hits += int(np.count_nonzero(dose >= config.lethal_dose))
+            hits += int(np.count_nonzero(_is_lethal_dose(dose, config)))
             remaining -= idx.size
             if remaining == 0:
                 break
@@ -396,7 +407,7 @@ class _LethalSet:
     def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         radius = self.config.R - 1.0
         dose = _dose_at(self.strategy, self.patch, x, y)
-        return (x * x + y * y <= radius * radius) & (dose >= self.config.lethal_dose)
+        return (x * x + y * y <= radius * radius) & _is_lethal_dose(dose, self.config)
 
 
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:

@@ -36,8 +36,6 @@ __all__ = [
     "u_delta_shape",
     "u_delta_measure",
     "region_diam",
-    "region_center_diam",
-    "region_diam3",
     "region_diam3_sampled",
     "region_tab_check_sampled",
     "minkowski_difference",
@@ -61,8 +59,8 @@ class TwoDisksUnion:
 
     For 0 <= d < 2 the disks overlap and the area is 2*pi minus the lens;
     for d >= 2 they are disjoint (tangent at d = 2) with area 2*pi. The
-    diameter is d + 2. With d = delta - 2 this is the conjectured extremal
-    U_delta for the window 4/sqrt(3) < delta < 4.
+    diameter is d + 2. With d = delta - 2 this is the candidate U_delta
+    for the window 4/sqrt(3) < delta < 4.
     """
 
     d: float
@@ -176,22 +174,6 @@ class PixelRegion:
         idx = self.cell_index_array()
         return self._xy(np.unique(np.concatenate([idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]]), axis=0))
 
-    def boundary_corners(self) -> np.ndarray:
-        """Unique corners of the cell sides whose neighbouring cell is
-        absent, as an (m, 2) float64 array in corner_points() order.
-
-        Side (0, i, j) runs from corner (i, j) to (i, j + 1) and side
-        (1, i, j) from (i, j) to (i + 1, j). Two cells that share a side
-        both list it, so the boundary sides are those listed once.
-        """
-        idx = self.cell_index_array()
-        sides = np.concatenate(
-            [np.insert(idx + d, 0, k, axis=1) for k, d in ((0, [0, 0]), (0, [1, 0]), (1, [0, 0]), (1, [0, 1]))]
-        )
-        sides, counts = np.unique(sides, axis=0, return_counts=True)
-        kind, start = sides[counts == 1, :1], sides[counts == 1, 1:]
-        return self._xy(np.unique(np.concatenate([start, start + np.hstack([kind, 1 - kind])]), axis=0))
-
     def to_json_dict(self) -> dict:
         return {
             "origin": [self.origin.x, self.origin.y],
@@ -270,7 +252,7 @@ def u_delta_shape(delta: float) -> TwoDisksUnion:
 
 
 def u_delta_measure(delta: float) -> float:
-    """Measure 2*pi - lens_area(delta - 2) of the conjectured extremal."""
+    """Measure 2*pi - lens_area(delta - 2) of the candidate U_delta."""
     return u_delta_shape(delta).area
 
 
@@ -279,8 +261,9 @@ def _row_extreme_cells(r: PixelRegion) -> tuple[np.ndarray, np.ndarray]:
     index arrays in row order. Raises ValueError on an empty region.
 
     A cell with cells on both sides in its row lies inside their segment,
-    so every convex hull vertex of the cell centers is one of these cells.
-    Unlike search._row_extremes, its cost does not grow with the row span.
+    so these cells hold every convex hull vertex of the cells' corners
+    (see _row_extreme_corners). Unlike search._row_extremes, its cost does
+    not grow with the row span.
     """
     if r.is_empty():
         raise ValueError("diameter of an empty region")
@@ -314,37 +297,11 @@ def region_diam(r: PixelRegion) -> float:
     return hull_diameter(_row_extreme_corners(r))
 
 
-def region_center_diam(r: PixelRegion) -> float:
-    """Largest distance between two cell centers, the diameter the
-    annealer caps.
-
-    Taken over the centers of the rows' extreme cells, which hold every
-    hull vertex. Raises ValueError on an empty region.
-    """
-    return hull_diameter(r._xy(np.concatenate(_row_extreme_cells(r)) + 0.5))
-
-
 def _corner_hull(r: PixelRegion) -> np.ndarray:
     """Hull vertices of the cell corners, in convex_hull_indices order,
     found among the rows' extreme corners."""
     corners = _row_extreme_corners(r)
     return corners[convex_hull_indices(corners)]
-
-
-def region_diam3(r: PixelRegion) -> tuple[float, float]:
-    """Bracket (lower, upper = lower + h) on the diam3 of the union of
-    closed cells, lower being diam3 of its boundary corners.
-
-    For compact S, diam3(S) = diam3(boundary of S): an interior point of a
-    triple can move away from both others until it meets the boundary,
-    and no side shrinks on the way. Every boundary point lies within h/2
-    of a boundary corner, so each side of the best triple exceeds that of
-    a corner triple by at most h. Raises ValueError on an empty region.
-    """
-    if r.is_empty():
-        raise ValueError("diam3 of an empty region")
-    lower = diameters.diam3(PointSet.from_xy(map(tuple, r.boundary_corners())))
-    return lower, lower + r.h
 
 
 def _sampled_support(r: PixelRegion, k: int, seed: int) -> np.ndarray:

@@ -1,36 +1,29 @@
 """Candidate evaluation and annealing search in the conjectural window.
 
 For diameters strictly between 4/sqrt(3) and 4 no extremal T(3,2)-set is
-known; the conjectured one is U_delta, two unit disks with centers
-delta - 2 apart. The anneal below starts from the rasterized U_delta and
-flips single boundary cells, rejecting flips that break the diameter cap
-or the diam3 cap on cell centers, both checked exactly, trying to find
-anything measurably larger. The returned region's diam3 is bracketed
-deterministically from its boundary corners. Nothing here proves
-extremality; beating the baseline beyond discretization slack is flagged
-loudly, never claimed as a counterexample.
+known. The anneal below starts from the cells of U_delta (two unit disks
+with centers delta - 2 apart) that fit in one of its disks, and flips
+single boundary cells to grow the measure. Its regions are unions of
+closed cells, and every one it keeps is a T(3,2)-set of diameter at most
+delta: the move check and the final verification compare one integer
+corner metric with caps taken exactly from h and delta. So the measure
+it returns is a certified lower bound on the extremal measure, and
+beating the best known candidate is a genuine improvement on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import bounds
-from .regions import (
-    PixelRegion,
-    rasterize,
-    region_center_diam,
-    region_diam,
-    region_diam3,
-    u_delta_measure,
-    u_delta_shape,
-)
+from . import bounds, diameters
+from .geometry import Point
+from .regions import _MAX_RASTER_CELLS, PixelRegion, region_diam, u_delta_measure
 
 __all__ = [
     "SearchConfig",
@@ -44,13 +37,9 @@ __all__ = [
     "convex_candidate_measure",
 ]
 
-logger = logging.getLogger(__name__)
-
-_SQRT2 = math.sqrt(2.0)
-
 
 class InfeasibleStartError(RuntimeError):
-    """The rasterized seed is empty: the pitch h is too coarse for delta."""
+    """The seed is empty: the pitch h is too coarse for delta."""
 
 
 @dataclass(frozen=True)
@@ -82,30 +71,20 @@ class SearchConfig:
     def t0(self) -> float:
         return self.temperature_init if self.temperature_init is not None else 0.1 * self.h**2
 
-    @property
-    def diam_tol(self) -> float:
-        return 2.0 * self.h * _SQRT2
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Post-hoc feasibility of the returned region.
+    """Exact feasibility of the returned region, a union of closed cells.
 
-    diam_centers is the enforced metric (largest center-to-center
-    distance); diam_corners is the exact diameter of the union of closed
-    cells, which exceeds it by at most h*sqrt(2). diam3_lower and
-    diam3_upper bracket the region's diam3 (regions.region_diam3);
-    diam3_ok checks the lower end against 2 + tolerance, the cap the
-    center invariant guarantees.
+    diam_corners is its diameter (regions.region_diam). diam_ok holds when
+    no two cells have corners more than delta apart, and diam3_ok when no
+    three boundary cells (cells with an absent 4-neighbour) are pairwise
+    far, both decided in integers (see _feasibility).
     """
 
-    diam_centers: float
     diam_corners: float
     diam_ok: bool
-    diam3_lower: float
-    diam3_upper: float
     diam3_ok: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -130,18 +109,19 @@ class SearchResult:
 def evaluate_candidates(delta: float) -> tuple[CandidateRow, ...]:
     """Known candidate shapes at this diameter, with analytic measures.
 
-    The disk is feasible as a T(3,2)-set exactly up to 4/sqrt(3) (its
-    inscribed equilateral triangle has side delta*sqrt(3)/2); the two-disk
-    shapes are T(3,2) for any delta since two of any three points share a
-    unit disk.
+    The disk of diameter min(delta, 4/sqrt(3)) is a T(3,2)-set at every
+    delta: three points pairwise farther than 2 would need a disk of
+    diameter above 4/sqrt(3), the circumdiameter of the equilateral
+    triangle of side 2. The two-disk shapes are T(3,2) for any delta
+    since two of any three points share a unit disk.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     rows = [
         CandidateRow(
             name="disk",
-            measure=bounds.stmt1_value(delta),
-            feasible=delta <= bounds.DISK_REGIME_MAX,
+            measure=bounds.stmt1_value(min(delta, bounds.DISK_REGIME_MAX)),
+            feasible=True,
         )
     ]
     if 2.0 < delta < 4.0:
@@ -200,13 +180,60 @@ class _IndexedSet:
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+def _corner_k(di, dj):
+    """The corner metric k = (|di| + 1)^2 + (|dj| + 1)^2 of two cells whose
+    indices differ by (di, dj): their farthest corners lie sqrt(k) * h
+    apart. Takes ints or integer arrays."""
+    return (abs(di) + 1) ** 2 + (abs(dj) + 1) ** 2
+
+
+def _caps(delta: float, h: float) -> tuple[int, int]:
+    """The integer caps (diam_cap, far_cap) on the corner metric.
+
+    Two cells hold points more than 2 apart, are far, iff k * h^2 > 4,
+    that is k > far_cap = floor(4 / h^2); a region's corners lie within
+    delta of each other iff every k <= diam_cap = floor(delta^2 / h^2).
+    Both are taken in Fraction from the exact values of the floats.
+    """
+    h2 = Fraction(h) ** 2
+    return math.floor(Fraction(delta) ** 2 / h2), math.floor(4 / h2)
+
+
+def _seed_cells(delta: float, h: float) -> list[tuple[int, int]]:
+    """The sorted cells, on the grid of pitch h anchored at the origin,
+    whose four corners lie in one closed unit disk of U_delta, decided in
+    exact arithmetic.
+
+    Against the disk centered at (c, 0), the cells of row i span x in
+    [i*h, (i+1)*h], and their farthest corners take the end farther from
+    c, at x offset X. Cell j spans y in [j*h, (j+1)*h], so it fits iff
+    max(|j|, |j + 1|)^2 <= r = (1 - X^2) / h^2, that is -m <= j < m with
+    m = floor(sqrt(r)) = isqrt(floor(r)). Like rasterize, it raises
+    MemoryError when the bounding box of U_delta spans more than
+    _MAX_RASTER_CELLS cells.
+    """
+    size = (math.ceil(delta / h) + 2) * (math.ceil(2.0 / h) + 2)
+    if size > _MAX_RASTER_CELLS:
+        raise MemoryError(f"a seed of pitch {h} spans {size} cells, more than the cap of {_MAX_RASTER_CELLS}")
+    h = Fraction(h)
+    cells: set[tuple[int, int]] = set()
+    for c in (Fraction(delta) / 2 - 1, 1 - Fraction(delta) / 2):
+        for i in range(math.floor((c - 1) / h), math.ceil((c + 1) / h)):
+            x = max(abs(i * h - c), abs((i + 1) * h - c))
+            if x <= 1:
+                m = math.isqrt(math.floor((1 - x * x) / (h * h)))
+                cells.update((i, j) for j in range(-m, m))
+    return sorted(cells)
+
+
 def _row_extremes(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The min-j and max-j cell of each row i of an integer cell set.
 
-    Every convex hull vertex of the set is one of them (a cell with cells
-    on both sides in its row lies inside their segment), and the diameter
-    is attained at hull vertices, so the largest pairwise distance of
-    these at most 2 * rows cells equals that of the whole set.
+    The largest corner metric of a cell set is its corner diameter^2 / h^2,
+    attained at two hull vertices of its corners. Each hull vertex is the
+    lowest or highest corner on its vertical grid line, a corner of an
+    extreme cell of a row beside that line, so the largest corner metric
+    over these at most 2 * rows cells equals that of the whole set.
     """
     base = ci.min()
     row = ci - base
@@ -218,32 +245,77 @@ def _row_extremes(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate([rows, rows]) + base, np.concatenate([lo[rows], hi[rows]])
 
 
+def _largest_k(ci: np.ndarray, cj: np.ndarray) -> int:
+    """Largest corner metric over pairs of the cells, self-pairs (k = 2)
+    included."""
+    ci, cj = _row_extremes(ci, cj)
+    return int(_corner_k(ci[:, None] - ci, cj[:, None] - cj).max())
+
+
+def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
+    """Verify a nonempty region against the exact caps of _caps.
+
+    diam_ok compares the largest corner metric, over the rows' extreme
+    cells, with diam_cap. diam3_ok holds when the subset search of
+    diameters finds no triple of boundary cells pairwise far. That makes
+    the region a T(3,2)-set: three of its points pairwise farther than 2
+    can each move away from the other two until they meet the boundary
+    (diam3(S) = diam3(boundary of S)), where they lie in three boundary
+    cells that are then pairwise far; three, because two points of one
+    cell are at most h*sqrt(2) <= 2 apart whenever a cell fits in a unit
+    disk. The boundary k matrix grows as n^2: more than
+    diameters._MAX_PAIRS boundary-cell pairs raises MemoryError before it
+    is built.
+    """
+    diam_cap, far_cap = _caps(delta, region.h)
+    idx = region.cell_index_array()
+    cells = region.cells
+    boundary = np.array(
+        [(i, j) for i, j in idx.tolist() if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)],
+        dtype=np.int64,
+    )
+    n = len(boundary)
+    pairs = n * (n - 1) // 2
+    if pairs > diameters._MAX_PAIRS:
+        raise MemoryError(
+            f"verifying {n} boundary cells needs {pairs} pairs, more than the cap of {diameters._MAX_PAIRS}"
+        )
+    bi, bj = boundary.T
+    far_triple = diameters._first_violating(
+        diameters._close_masks(_corner_k(bi[:, None] - bi, bj[:, None] - bj), far_cap), n, 3, 2
+    )
+    return FeasibilityReport(
+        diam_corners=region_diam(region),
+        diam_ok=_largest_k(idx[:, 0], idx[:, 1]) <= diam_cap,
+        diam3_ok=far_triple is None,
+    )
+
+
 def anneal(config: SearchConfig) -> SearchResult:
     """Measure-maximizing annealing over single boundary-cell flips.
 
-    Seeded at the rasterized U_delta. A flip that would push the
-    center-to-center diameter beyond delta, or create a triple of cell
-    centers pairwise farther than 2 + h*sqrt(2), is rejected outright;
-    feasible additions are always taken and removals are taken with
-    probability exp(delta_measure / T) under geometric cooling. Removals
-    cannot create new far triples (diam3 is monotone under subsets), and
-    an addition only creates triples through the new cell, so checking
-    those against every current cell keeps the center invariant exact.
-    Corner points of closed cells sit at most h/sqrt(2) from their
-    centers, so the region itself stays within 2 + 2*h*sqrt(2). The seed
-    needs no check: its centers lie in U_delta, whose diameter is delta
-    and whose diam3 is at most 2. The result carries a post-hoc report
-    with the exact diameters and the region_diam3 bracket.
+    Seeded at the cells whose corners lie in one unit disk of U_delta
+    (_seed_cells). Of any three seed cells two share a disk, so no two of
+    their points are more than 2 apart, and every corner lies in U_delta,
+    whose diameter is delta. A flip that would give two cells a corner
+    metric above diam_cap, or make three cells pairwise far (_caps), is
+    rejected outright; feasible additions are always taken and removals
+    are taken with probability exp(delta_measure / T) under geometric
+    cooling. Removals cannot create far pairs or triples, and an addition
+    only creates them through the new cell, so checking those against
+    every current cell keeps both invariants exact. The result carries
+    the post-hoc verification of _feasibility.
 
     Three shortcuts leave the result unchanged. Whether an addition is
     feasible is monotone in the region: more cells only add far pairs and
     far triples. So a rejected cell stays rejected until a removal is
     accepted, and is not re-evaluated before then; the check draws no
-    random numbers. The far cells' largest pairwise distance is taken over
-    each row's two extreme cells (see _row_extremes), in integer index
-    units, so the comparison with the cap is the same. And the loop stops
-    once nothing can change: the removal probability is 0.0 (the
-    temperature has underflowed it) and every frontier cell is
+    random numbers. Two cells far from the new one are far from each other
+    only if the corner metric of the far cells' bounding box exceeds
+    far_cap, and otherwise the largest corner metric among the far cells
+    is taken over each row's two extreme cells (see _row_extremes). And
+    the loop stops once nothing can change: the removal probability is 0.0
+    (the temperature has underflowed it) and every frontier cell is
     memo-rejected. The report still gives the requested iterations.
 
     Deterministic for a given config: the proposal stream is a single
@@ -255,17 +327,17 @@ def anneal(config: SearchConfig) -> SearchResult:
             f"anneal explores the window 4/sqrt(3) < delta < 4, got delta={delta}"
         )
 
-    seed_region = rasterize(u_delta_shape(delta), h)
-    if seed_region.is_empty():
-        raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: empty raster")
+    seed_cells = _seed_cells(delta, h)
+    if not seed_cells:
+        raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: no cell fits in a unit disk")
 
     # the region's cells, each mapped to its slot in the index arrays
-    slot_of = {cell: slot for slot, cell in enumerate(sorted(seed_region.cells))}
+    slot_of = {cell: slot for slot, cell in enumerate(seed_cells)}
     count = len(slot_of)
     # cell indices in slots [0, count); the arrays double when full
     I = np.empty(2 * count, dtype=np.int64)
     J = np.empty_like(I)
-    I[:count], J[:count] = seed_region.cell_index_array().T
+    I[:count], J[:count] = np.array(seed_cells, dtype=np.int64).T
 
     add_frontier = _IndexedSet()
     remove_frontier = _IndexedSet()
@@ -289,13 +361,10 @@ def anneal(config: SearchConfig) -> SearchResult:
     for cell in slot_of:
         refresh_frontier(cell)
 
-    max_diam_units2 = (delta / h) ** 2
-    # center cap in index units; corners inflate distances by at most
-    # h*sqrt(2), so regions built under this cap stay within 2 + 2*h*sqrt(2)
-    cap_units2 = (2.0 / h + _SQRT2) ** 2
+    diam_cap, far_cap = _caps(delta, h)
     move_rng = np.random.default_rng(config.seed)
     measure = count * h * h
-    best_measure = measure
+    baseline_measure = best_measure = measure
     best_cells = frozenset(slot_of)
     accepted = 0
     temperature = config.t0
@@ -304,24 +373,19 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     def add_is_feasible(cell: tuple[int, int]) -> bool:
         ci, cj = cell
-        di = I[:count] - ci
-        dj = J[:count] - cj
-        d2 = di * di + dj * dj
-        if count and float(d2.max()) > max_diam_units2:
+        k = _corner_k(I[:count] - ci, J[:count] - cj)
+        if int(k.max()) > diam_cap:
             return False
         # a new far triple must pass through the new cell: reject iff two
         # cells far from it are also far from each other
-        far = d2 > cap_units2
-        if int(far.sum()) < 2:
+        far = k > far_cap
+        if np.count_nonzero(far) < 2:
             return True
         fi = I[:count][far]
         fj = J[:count][far]
-        span = float(fi.max() - fi.min()) ** 2 + float(fj.max() - fj.min()) ** 2
-        if span <= cap_units2:
+        if _corner_k(fi.max() - fi.min(), fj.max() - fj.min()) <= far_cap:
             return True
-        fi, fj = _row_extremes(fi, fj)
-        pair2 = (fi[:, None] - fi[None, :]) ** 2 + (fj[:, None] - fj[None, :]) ** 2
-        return float(pair2.max()) <= cap_units2
+        return _largest_k(fi, fj) <= far_cap
 
     def apply_flip(cell: tuple[int, int], adding: bool) -> None:
         nonlocal count, I, J
@@ -379,43 +443,17 @@ def anneal(config: SearchConfig) -> SearchResult:
                 measure = count * h * h
         temperature *= config.cooling
 
-    best_region = PixelRegion(origin=seed_region.origin, h=h, cells=best_cells)
-    tol = config.diam_tol
-    diam_centers = region_center_diam(best_region)
-    diam3_lower, diam3_upper = region_diam3(best_region)
-    report = FeasibilityReport(
-        diam_centers=diam_centers,
-        diam_corners=region_diam(best_region),
-        diam_ok=(delta - tol <= diam_centers <= delta + 1e-9),
-        diam3_lower=diam3_lower,
-        diam3_upper=diam3_upper,
-        diam3_ok=(diam3_lower <= 2.0 + tol),
-        tolerance=tol,
-    )
-    bound_value = min(bounds.stmt3_interior(delta), bounds.TWO_PI)
-    # rasterization can move the measure by about err <= 2 * perimeter * h;
-    # U_delta's perimeter is below 4*pi
-    slack = 8.0 * math.pi * h
-    exceeded = best_measure > u_delta_measure(delta) + slack
-    if exceeded:
-        logger.warning(
-            "anneal found measure %.6f above the conjectured extremal %.6f "
-            "plus discretization slack %.6f at delta=%.6f; inspect before "
-            "believing it",
-            best_measure,
-            u_delta_measure(delta),
-            slack,
-            delta,
-        )
+    best_region = PixelRegion(origin=Point(0.0, 0.0), h=h, cells=best_cells)
+    known = max(row.measure for row in evaluate_candidates(delta) if row.feasible)
     return SearchResult(
         best_region=best_region,
         best_measure=best_measure,
-        baseline_measure=seed_region.measure,
-        bound_value=bound_value,
-        feasibility=report,
+        baseline_measure=baseline_measure,
+        bound_value=min(bounds.stmt3_interior(delta), bounds.TWO_PI),
+        feasibility=_feasibility(best_region, delta),
         accepted_moves=accepted,
         iterations=config.iterations,
-        conjecture_exceeded=exceeded,
+        conjecture_exceeded=best_measure > known,
     )
 
 

@@ -252,7 +252,6 @@ def test_09_poison_kill_rates_and_lethal_region_size():
 
 
 def test_10_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("ISODIAM_SEED", raising=False)
     monkeypatch.delenv("ISODIAM_TIMESTAMP", raising=False)
 
     pts = tmp_path / "pts.csv"

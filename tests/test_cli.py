@@ -18,8 +18,7 @@ from isodiam.regions import ArcSet
 
 @pytest.fixture(autouse=True)
 def _pin_env(monkeypatch):
-    """Keep ambient seed/timestamp variables from leaking into CLI runs."""
-    monkeypatch.delenv("ISODIAM_SEED", raising=False)
+    """Pin the manifest timestamp of every CLI run."""
     monkeypatch.setenv("ISODIAM_TIMESTAMP", "2026-01-01T00:00:00Z")
 
 
@@ -128,8 +127,7 @@ def test_search_report_and_region(capsys, tmp_path):
     saved = json.loads(region_path.read_text())
     assert saved["cells"] == rep["region"]["cells"]
     assert payload["manifest"]["seed"] == 2
-    feas = rep["feasibility"]
-    assert feas["diam3_upper"] == feas["diam3_lower"] + 0.1
+    assert sorted(rep["feasibility"]) == ["diam3_ok", "diam_corners", "diam_ok"]
     assert "triple_samples" not in rep["config"] and "triple_samples" not in payload["manifest"]["args"]
 
 
@@ -139,6 +137,12 @@ def test_search_rejects_the_removed_sampling_flag(capsys):
 
 def test_search_infeasible_exit_code(capsys):
     assert cli.run(["search", "--delta", "3.0", "--h", "3.0", "--iterations", "5"]) == 3
+
+
+def test_search_refuses_an_oversized_seed(capsys):
+    """U_3 at pitch 1e-4 spans 30,002 x 20,002 cells."""
+    assert cli.run(["search", "--delta", "3.0", "--h", "0.0001", "--iterations", "5"]) == 3
+    assert capsys.readouterr().err == "error: a seed of pitch 0.0001 spans 600100004 cells, more than the cap of 25000000\n"
 
 
 def test_conjecture_report(capsys):
@@ -314,21 +318,6 @@ def test_report_bytes_are_pinned(argv, tmp_path, monkeypatch):
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     csv_digest = hashlib.sha256(Path("out.csv").read_bytes()).hexdigest() if "--csv" in argv else None
     assert (digest, csv_digest) == PINNED_DIGESTS[argv[0]]
-
-
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ISODIAM_SEED", "99")
-    payload = run_json(
-        capsys,
-        ["poison", "--R", "3", "--h-available", "1", "--samples", "1000", "--seed", "5"],
-    )
-    assert payload["manifest"]["seed"] == 99
-    assert payload["report"]["config"]["seed"] == 99
-
-
-def test_seed_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("ISODIAM_SEED", "not-a-number")
-    assert cli.run(["poison", "--R", "3", "--h-available", "1", "--samples", "1000"]) == 2
 
 
 def test_timestamp_flag_beats_env(capsys, pts_csv):

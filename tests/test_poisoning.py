@@ -97,6 +97,34 @@ def test_is_lethal_requires_full_dose():
     assert is_lethal(strat, Point(0.9, 0.0), cfg)  # collects both masses
 
 
+@pytest.mark.parametrize("k", range(3, 11))
+def test_equal_masses_summing_to_the_dose_kill(k):
+    """k masses of 1/k g on a circle of radius 0.5 all lie in the bite at
+    the origin; their float sum falls short of 1 g for k = 6, 7 and 10."""
+    masses = tuple(
+        PointMass(Point(0.5 * math.cos(2 * math.pi * t / k), 0.5 * math.sin(2 * math.pi * t / k)), 1.0 / k)
+        for t in range(k)
+    )
+    strat = PoisonStrategy(point_masses=masses)
+    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=2000, seed=1)
+    validate_strategy(strat, cfg)
+    assert is_lethal(strat, Point(0.0, 0.0), cfg)
+    assert kill_probability(strat, cfg).hits > 0
+    # the cell's center (0.25, 0.25) lies within 0.86 of every mass
+    assert (0, 0) in lethal_region(strat, cfg, 0.5).cells
+
+
+def test_patch_summing_to_the_dose_kills():
+    """1 g over 49 cells inside one bite: 49 * (1/49) is 1 - 1e-16."""
+    region = PixelRegion(origin=Point(-0.35, -0.35), h=0.1, cells=frozenset((i, j) for i in range(7) for j in range(7)))
+    strat = PoisonStrategy(density=DensityPatch(region=region, grams=1.0))
+    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=2000, seed=1)
+    assert 49 * (1.0 / 49) < 1.0
+    assert is_lethal(strat, Point(0.0, 0.0), cfg)
+    assert kill_probability(strat, cfg).hits > 0
+    assert not lethal_region(strat, cfg, 0.1).is_empty()
+
+
 def test_kill_probability_central_quarter():
     cfg = PoisonConfig(R=3.0, h_available=1.0, samples=200_000, seed=0)
     rep = kill_probability(central(1.0), cfg)
@@ -327,7 +355,7 @@ def whole_round_batch_hits(strategy, patch, config, batch_index, quota):
         if len(accepted) == 0:
             continue
         dose = whole_round_dose_at(strategy, patch, accepted[:, 0], accepted[:, 1])
-        hits += int(np.sum(dose >= config.lethal_dose))
+        hits += int(np.sum(dose >= config.lethal_dose - poisoning._TOL))
         remaining -= len(accepted)
     return hits
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from isodiam.geometry import Point, PointSet, convex_hull_indices
+from isodiam.geometry import Point, convex_hull_indices
 from isodiam.regions import (
     ArcSet,
     Disk,
@@ -19,16 +19,12 @@ from isodiam.regions import (
     lens_area,
     minkowski_difference,
     rasterize,
-    region_center_diam,
     region_diam,
-    region_diam3,
     region_diam3_sampled,
     region_tab_check_sampled,
     u_delta_measure,
     u_delta_shape,
 )
-from test_diameters import brute_diam3
-from test_search import all_centers_diam
 
 LENS_AT_ONE = 1.2283696986087567  # 2*acos(1/2) - (1/2)*sqrt(3)
 U3_MEASURE = 5.054815608570829  # 2*pi - lens_area(1)
@@ -145,7 +141,6 @@ def all_corners_region_diam(r: PixelRegion) -> float:
 def test_region_diam_equals_the_all_corners_hull(cells, h, ox, oy):
     r = PixelRegion(origin=Point(ox, oy), h=h, cells=frozenset(cells))
     assert region_diam(r) == all_corners_region_diam(r)
-    assert region_center_diam(r) == all_centers_diam(r)
     assert np.array_equal(_corner_hull(r), all_corners_hull(r))
 
 
@@ -156,14 +151,7 @@ def test_region_diam_equals_the_all_corners_hull_on_rasters():
         rasterize(DisjointDisks(count=2, spacing=4.5), 0.05),
     ):
         assert region_diam(r) == all_corners_region_diam(r)
-        assert region_center_diam(r) == all_centers_diam(r)
         assert np.array_equal(_corner_hull(r), all_corners_hull(r))
-
-
-def test_region_center_diam_empty_and_single_cell():
-    with pytest.raises(ValueError):
-        region_center_diam(PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset()))
-    assert region_center_diam(PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset({(2, 3)}))) == 0.0
 
 
 def test_region_diam3_sampled_u3():
@@ -173,85 +161,6 @@ def test_region_diam3_sampled_u3():
     # the true diam3 is 2: a vertical diametral pair in one disk plus the
     # far pole of the other; sampling plus hull corners should get close
     assert 2.0 - 4 * h <= val <= 2.0 + h * math.sqrt(2) + 1e-9
-
-
-def boundary_sides(r: PixelRegion) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The two corner indices of every cell side whose neighbouring cell
-    is absent, one cell and one side at a time."""
-    sides = []
-    for i, j in r.cells:
-        for (di, dj), side in (
-            ((-1, 0), ((i, j), (i, j + 1))),
-            ((1, 0), ((i + 1, j), (i + 1, j + 1))),
-            ((0, -1), ((i, j), (i + 1, j))),
-            ((0, 1), ((i, j + 1), (i + 1, j + 1))),
-        ):
-            if (i + di, j + dj) not in r.cells:
-                sides.append(side)
-    return sides
-
-
-def _at(r: PixelRegion, corners) -> np.ndarray:
-    """Index points as floats, computed the way corner_points() does."""
-    return np.array(corners, dtype=np.float64).reshape(-1, 2) * r.h + [r.origin.x, r.origin.y]
-
-
-cell_sets = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(cell_sets, st.floats(0.001, 3.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
-def test_boundary_corners_equal_brute_force(cells, h, ox, oy):
-    r = PixelRegion(origin=Point(ox, oy), h=h, cells=frozenset(cells))
-    expected = sorted({corner for side in boundary_sides(r) for corner in side})
-    got = r.boundary_corners()
-    assert np.array_equal(got, _at(r, expected))
-    corners = r.corner_points()
-    hull = corners[convex_hull_indices(corners)]
-    assert set(map(tuple, hull.tolist())) <= set(map(tuple, got.tolist()))
-
-
-def dense_boundary_sample(r: PixelRegion, steps: int = 8) -> np.ndarray:
-    """Points every h/steps along every boundary side, ends included."""
-    pts = {
-        (a[0] + (b[0] - a[0]) * k / steps, a[1] + (b[1] - a[1]) * k / steps)
-        for a, b in boundary_sides(r)
-        for k in range(steps + 1)
-    }
-    return _at(r, sorted(pts))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4),
-    st.floats(0.05, 2.0),
-    st.floats(-5.0, 5.0),
-    st.floats(-5.0, 5.0),
-)
-def test_region_diam3_brackets_a_dense_sample(cells, h, ox, oy):
-    r = PixelRegion(origin=Point(ox, oy), h=h, cells=frozenset(cells))
-    lower, upper = region_diam3(r)
-    assert upper == lower + h
-    dense = np.concatenate([dense_boundary_sample(r), r.cell_centers()])
-    value = brute_diam3(PointSet.from_xy(map(tuple, dense)))
-    # the sample holds the boundary corners; brute_diam3 takes math.dist,
-    # which may differ from numpy's distances in the last bit
-    assert lower <= value + 1e-12
-    assert value <= upper + 1e-12
-
-
-def test_region_diam3_on_rasters():
-    h = 0.05
-    r = rasterize(u_delta_shape(3.0), h)
-    lower, upper = region_diam3(r)
-    assert len(r.boundary_corners()) == 208
-    assert (lower, upper) == pytest.approx((2.0615528128088303, 2.11155281280883))
-    # the cells' centers lie in U_3, whose diam3 is 2, and their corners
-    # within h/sqrt(2) of a center
-    assert lower <= 2.0 + h * math.sqrt(2)
-    assert region_diam3_sampled(r, k=1500, seed=1) <= upper
-    with pytest.raises(ValueError):
-        region_diam3(PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset()))
 
 
 def test_region_tab_check_sampled_thresholds():

@@ -1,18 +1,25 @@
 import dataclasses
 import hashlib
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
-from isodiam.geometry import convex_hull_indices
+from isodiam.geometry import Point
 from isodiam.regions import PixelRegion, u_delta_measure
 from isodiam.search import (
+    _NEIGHBORS,
     InfeasibleStartError,
     SearchConfig,
+    _caps,
+    _feasibility,
+    _largest_k,
     _row_extremes,
+    _seed_cells,
     anneal,
     anneal_chains,
     convex_candidate_measure,
@@ -22,38 +29,60 @@ from isodiam.search import (
 CONVEX_CANDIDATE_AT_3 = 3.695523289953722  # pi + 2*(sqrt(5)/2 - acos(2/3))
 
 
-def all_centers_diam(region: PixelRegion) -> float:
-    """The annealer's center diameter as it was computed before it moved
-    to regions.region_center_diam: the hull of every cell center."""
-    centers = region.cell_centers()
-    if len(centers) < 2:
-        return 0.0
-    hull = centers[convex_hull_indices(centers)]
-    best = 0.0
-    for i in range(len(hull) - 1):
-        d2 = float(np.sum((hull[i + 1 :] - hull[i]) ** 2, axis=1).max())
-        if d2 > best:
-            best = d2
-    return math.sqrt(best)
-
-
-def all_centers_diam3(region: PixelRegion) -> float:
-    """diam3 of every cell center by enumerating all triples i < j < k,
-    one smallest index i at a time."""
-    c = region.cell_centers()
-    d = np.sqrt(np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2))
-    best = 0.0
-    for i in range(len(c) - 2):
-        row, rest = d[i, i + 1 :], d[i + 1 :, i + 1 :]
-        sides = np.minimum(np.minimum.outer(row, row), rest)
-        best = max(best, float(sides[np.triu_indices(len(row), k=1)].max()))
+def corner_k(cells) -> np.ndarray:
+    """Farthest-corner distance^2 / h^2 of every pair of cells, by trying
+    all 16 corner pairs in integer index units."""
+    idx = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
+    best = np.zeros((len(idx), len(idx)), dtype=np.int64)
+    for a in itertools.product((0, 1), repeat=4):
+        dx = (idx[:, None, 0] + a[0]) - (idx[None, :, 0] + a[1])
+        dy = (idx[:, None, 1] + a[2]) - (idx[None, :, 1] + a[3])
+        best = np.maximum(best, dx * dx + dy * dy)
     return best
+
+
+def exact_far(k: np.ndarray, h: float) -> np.ndarray:
+    """Which corner metrics put two cells' points more than 2 apart, in
+    Fraction from the exact value of h."""
+    far = [v for v in np.unique(k).tolist() if v * Fraction(h) ** 2 > 4]
+    return np.isin(k, far)
+
+
+def oracle_diam_ok(cells, h: float, delta: float) -> bool:
+    return int(corner_k(cells).max()) * Fraction(h) ** 2 <= Fraction(delta) ** 2
+
+
+def has_far_triple(cells, h: float) -> bool:
+    """Whether three of the cells are pairwise far, over every triple."""
+    far = exact_far(corner_k(cells), h).astype(np.int64)
+    return bool(((far @ far) * far).any())
+
+
+def oracle_diam3_ok(cells, h: float) -> bool:
+    """No triple of boundary cells is pairwise far, over every triple."""
+    boundary = [(i, j) for i, j in cells if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)]
+    far = exact_far(corner_k(boundary), h)
+    return not any(far[a, b] and far[a, c] and far[b, c] for a, b, c in itertools.combinations(range(len(boundary)), 3))
+
+
+def seed_oracle(delta: float, h: float) -> list[tuple[int, int]]:
+    """Cells with all four corners in one closed unit disk of U_delta,
+    one corner at a time in Fraction."""
+    H = Fraction(h)
+    centers = (Fraction(delta) / 2 - 1, 1 - Fraction(delta) / 2)
+    reach = math.ceil(Fraction(delta) / 2 / H) + 1
+    cells = []
+    for i in range(-reach, reach + 1):
+        for j in range(-reach, reach + 1):
+            corners = [((i + a) * H, (j + b) * H) for a in (0, 1) for b in (0, 1)]
+            if any(all((x - c) ** 2 + y * y <= 1 for x, y in corners) for c in centers):
+                cells.append((i, j))
+    return cells
 
 
 def test_config_defaults():
     cfg = SearchConfig(delta=3.0, h=0.05)
     assert cfg.t0 == pytest.approx(0.1 * 0.05**2)
-    assert cfg.diam_tol == pytest.approx(2 * 0.05 * math.sqrt(2))
 
 
 def test_config_validation():
@@ -78,7 +107,9 @@ def test_candidates_disk_regime():
 
 def test_candidates_window():
     rows = {r.name: r for r in evaluate_candidates(3.0)}
-    assert not rows["disk"].feasible  # inscribed triple would stretch past 2
+    # the disk of diameter 4/sqrt(3), whose inscribed triangle has side 2
+    assert rows["disk"].feasible
+    assert rows["disk"].measure == pytest.approx(4 * math.pi / 3)
     assert rows["u_delta"].measure == pytest.approx(u_delta_measure(3.0))
     assert "two_unit_disks" not in rows
 
@@ -115,12 +146,10 @@ def test_anneal_improves_and_stays_feasible():
     assert out.best_measure >= out.baseline_measure
     assert out.feasibility.diam_ok
     assert out.feasibility.diam3_ok
-    assert out.feasibility.diam_centers <= 3.0 + 1e-9
-    assert out.feasibility.diam3_lower <= 2.0 + out.feasibility.tolerance
-    assert out.feasibility.diam3_upper == out.feasibility.diam3_lower + 0.1
+    assert out.feasibility.diam_corners <= 3.0
     assert out.accepted_moves <= out.iterations
     assert out.bound_value == pytest.approx(min(stmt3_interior(3.0), 2 * math.pi))
-    # the relaxed grid constraints cannot certify more than the bound allows
+    assert out.best_measure <= u_delta_measure(3.0)
     assert not out.conjecture_exceeded
 
 
@@ -171,19 +200,84 @@ def test_row_extremes_keep_the_diameter(cells):
     hi = [max(j for i, j in cells if i == row) for row in rows]
     assert ri.tolist() == rows + rows
     assert rj.tolist() == lo + hi
-    full = (ci[:, None] - ci[None, :]) ** 2 + (cj[:, None] - cj[None, :]) ** 2
-    reduced = (ri[:, None] - ri[None, :]) ** 2 + (rj[:, None] - rj[None, :]) ** 2
-    assert reduced.max() == full.max()
+    assert _largest_k(ci, cj) == int(corner_k(set(cells)).max())
+
+
+region_cells = st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(region_cells, st.floats(0.05, 1.4), st.floats(0.2, 12.0))
+def test_feasibility_equals_the_fraction_oracle(cells, h, delta):
+    report = _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=h, cells=frozenset(cells)), delta)
+    assert report.diam_ok == oracle_diam_ok(cells, h, delta)
+    assert report.diam3_ok == oracle_diam3_ok(cells, h)
+    # the annealer's invariant, no far triple among all cells, is enough
+    if not has_far_triple(cells, h):
+        assert report.diam3_ok
+
+
+def test_feasibility_caps_are_exact_at_ties():
+    """The float 0.1 exceeds 1/10, so a corner metric of exactly
+    (2/0.1)^2 = 400 or (3/0.1)^2 = 900, which float caps let through, puts
+    corners beyond 2 or 3."""
+    h = 0.1
+    assert corner_k({(0, 0), (11, 15)}).max() == 400  # 12^2 + 16^2
+    tie_triple = frozenset({(0, 0), (11, 15), (-20, 0)})
+    report = _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=h, cells=tie_triple), 10.0)
+    assert not report.diam3_ok and not oracle_diam3_ok(set(tie_triple), h)
+    assert corner_k({(0, 0), (17, 23)}).max() == 900  # 18^2 + 24^2
+    tie_pair = frozenset({(0, 0), (17, 23)})
+    report = _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=h, cells=tie_pair), 3.0)
+    assert not report.diam_ok and not oracle_diam_ok(set(tie_pair), h, 3.0)
+    assert _caps(3.0, h) == (899, 399)
+
+
+def test_feasibility_refuses_too_many_boundary_cells():
+    """7,072 cells in one row are all boundary cells: 25,003,056 pairs."""
+    row = frozenset((0, j) for j in range(7072))
+    with pytest.raises(MemoryError, match="7072 boundary cells"):
+        _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=0.001, cells=row), 10.0)
+
+
+@pytest.mark.parametrize(
+    "delta,h",
+    [(3.0, 0.5), (3.0, 0.25), (2.5, 0.125), (3.0, 0.1), (2.8, 0.3), (3.6, 0.3), (2.8, 0.03), (3.0, 0.02)],
+)
+def test_seed_equals_the_four_corner_test(delta, h):
+    """Dyadic pitches put corners exactly on the circles. At 0.3, 0.03 and
+    0.02 a float disk test admits cells whose farthest corner lies outside
+    by a rounding error (cell (3, 1) at delta 2.8, h 0.3, by 4e-17)."""
+    assert _seed_cells(delta, h) == seed_oracle(delta, h)
+
+
+def test_anneal_stays_below_the_proved_bound():
+    """The relaxed caps once returned 6.3475 here, above the 2*pi that
+    bounds every T(3,2)-set."""
+    out = anneal(SearchConfig(delta=3.6, h=0.05, iterations=5000, seed=1))
+    assert out.best_measure == pytest.approx(5.6925)
+    assert out.best_measure <= out.bound_value == 2 * math.pi
+    assert out.feasibility.diam_ok and out.feasibility.diam3_ok
+
+
+def test_anneal_beats_the_best_known_candidate():
+    """A certified region above U_2.6 = 4.3233, and above the disk of
+    diameter 4/sqrt(3), needs no slack to be flagged."""
+    out = anneal(SearchConfig(delta=2.6, h=0.025, iterations=40_000, seed=1))
+    assert out.feasibility.diam_ok and out.feasibility.diam3_ok
+    assert out.best_measure == pytest.approx(4.36)
+    assert out.best_measure > u_delta_measure(2.6) > 4 * math.pi / 3
+    assert out.conjecture_exceeded
 
 
 # (delta, temperature_init) -> accepted_moves, best_measure and the sha256
-# of the sorted best cells, recorded before rejected additions were
-# memoized and the far set was cut to its row extremes. At temperature
-# h^2 removals are accepted, which runs the memo's clear-on-removal path.
+# of the sorted best cells, recorded when the exact corner caps replaced
+# the relaxed center caps. At temperature h^2 removals are accepted, which
+# runs the memo's clear-on-removal path.
 PINNED_TRAJECTORIES = {
-    (2.5, None): (89, 5.010000000000001, "1e95828ab87557536ad8ba5d83097d36fdec2658533ba0f4abb8285d55001064"),
-    (3.0, None): (58, 5.66, "e3e8237ec7f9e60ad2c50191c6420138b670e5897981f714243b3c21af9ff298"),
-    (3.6, 0.01): (495, 6.65, "a75f7adcc21096712be878e366f95aaa5ed4327e43c36a058eaa38404b76df40"),
+    (2.5, None): (37, 4.010000000000001, "54024b4cbba96a41b56c506be3220aa11b321f07ccb1a5e37b0592198727447d"),
+    (3.0, None): (25, 4.69, "50987e3ab114464d397a5beb9bddc555c96566e30bc4053add6d588cb80079ce"),
+    (3.6, 0.01): (446, 5.380000000000001, "bd751ce826e761aedd6979054b68f304c6660f199cd3b2ea31c62765205129d6"),
 }
 
 
@@ -194,9 +288,10 @@ def test_anneal_trajectory_is_pinned(delta, t0):
     cells = sorted((int(i), int(j)) for i, j in out.best_region.cells)
     digest = hashlib.sha256(repr(cells).encode()).hexdigest()
     assert (out.accepted_moves, out.best_measure, digest) == PINNED_TRAJECTORIES[(delta, t0)]
-    assert out.feasibility.diam_centers == all_centers_diam(out.best_region)
-    # the exact center invariant the move check keeps
-    assert all_centers_diam3(out.best_region) <= 2.0 + h * math.sqrt(2) + 1e-9
+    assert out.feasibility.diam_ok and out.feasibility.diam3_ok
+    # the exact invariants the move check keeps, over every cell pair and triple
+    assert oracle_diam_ok(cells, h, delta)
+    assert not has_far_triple(cells, h)
     if t0 is not None:
         # with additions only, the best region would hold every accepted cell
         assert len(cells) < round(out.baseline_measure / h**2) + out.accepted_moves
@@ -213,13 +308,16 @@ def test_anneal_survives_zero_temperature():
 
 
 def test_anneal_grows_its_cell_arrays():
-    """A 4-cell seed that ends with 9 cells doubles the index arrays twice;
-    the result is the one recorded with arrays sized for every iteration."""
-    out = anneal(SearchConfig(delta=2.4, h=0.8, iterations=300, seed=0))
+    """A 4-cell seed, whose index arrays start with 8 slots, ends with 9
+    cells; the result is the one recorded with arrays sized for every
+    iteration."""
+    assert len(_seed_cells(2.8, 0.6)) == 4
+    out = anneal(SearchConfig(delta=2.8, h=0.6, iterations=300, seed=0))
     assert out.accepted_moves == 5
-    assert out.best_measure == 5.760000000000001
+    assert out.best_measure == 3.2399999999999998
     assert sorted(out.best_region.cells) == [(i, j) for i in (-2, -1, 0) for j in (-2, -1, 0)]
-    assert all_centers_diam(out.best_region) <= 2.4 + 1e-9
+    assert oracle_diam_ok(out.best_region.cells, 0.6, 2.8)
+    assert not has_far_triple(out.best_region.cells, 0.6)
 
 
 def test_anneal_stops_once_frozen():
