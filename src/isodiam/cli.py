@@ -34,7 +34,7 @@ from .poisoning import (
     lethal_region,
 )
 from .regions import ArcSet, arc_measure, arc_tab_check, region_diam, u_delta_measure, u_delta_shape
-from .search import InfeasibleStartError, SearchConfig, anneal_chains, evaluate_candidates
+from .search import InfeasibleStartError, SearchConfig, anneal_chains, best_known_measure, evaluate_candidates
 from . import svgplot
 
 SCHEMA = 1
@@ -261,25 +261,23 @@ def cmd_conjecture(ns: argparse.Namespace) -> int:
     rows = []
     for profile in _bounds_rows(ns.delta_min, ns.delta_max, ns.steps):
         delta = profile["delta"]
-        u = u_delta_measure(delta) if 2.0 < delta < 4.0 else None
-        # stmt3 applies inside the window 4/sqrt(3) < delta < 4, where u is defined
+        known = best_known_measure(delta)
+        # stmt3 applies inside the window 4/sqrt(3) < delta < 4, where the
+        # best known candidate is max(U_delta, 4*pi/3)
         rows.append(
             {
+                "best_known": known,
+                "best_known_below_stmt3": known < profile["stmt3"] if profile["stmt3_applicable"] else None,
                 "delta": delta,
                 "stmt3": profile["stmt3"],
                 "symmetric": profile["symmetric"],
-                "u_delta": u,
-                "u_delta_below_stmt3": u < profile["stmt3"] if profile["stmt3_applicable"] else None,
+                "u_delta": u_delta_measure(delta) if 2.0 < delta < 4.0 else None,
             }
         )
-    all_below = all(row["u_delta_below_stmt3"] is not False for row in rows)
+    all_below = all(row["best_known_below_stmt3"] is not False for row in rows)
     if ns.svg:
         xs = [row["delta"] for row in rows]
-        series = {
-            "stmt3": [row["stmt3"] for row in rows],
-            "symmetric": [row["symmetric"] for row in rows],
-            "u_delta": [row["u_delta"] for row in rows],
-        }
+        series = {name: [row[name] for row in rows] for name in ("stmt3", "symmetric", "best_known")}
         mid = (ns.delta_min + ns.delta_max) / 2.0
         marks = [(mid, row.measure, row.name) for row in evaluate_candidates(mid) if row.feasible]
         with open(ns.svg, "w", encoding="utf-8") as fh:
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_search)
 
-    p = subs.add_parser("conjecture", help="compare the two-disk candidate against the bounds")
+    p = subs.add_parser("conjecture", help="compare the best known candidate against the bounds")
     p.add_argument("--delta-min", type=float, default=2.4)
     p.add_argument("--delta-max", type=float, default=3.9)
     p.add_argument("--steps", type=int, default=151)

@@ -32,6 +32,7 @@ __all__ = [
     "CandidateRow",
     "InfeasibleStartError",
     "evaluate_candidates",
+    "best_known_measure",
     "anneal",
     "anneal_chains",
     "convex_candidate_measure",
@@ -131,6 +132,12 @@ def evaluate_candidates(delta: float) -> tuple[CandidateRow, ...]:
     return tuple(rows)
 
 
+def best_known_measure(delta: float) -> float:
+    """The largest measure among the feasible candidates at this diameter:
+    max(U_delta, 4*pi/3) in the window 4/sqrt(3) < delta < 4."""
+    return max(row.measure for row in evaluate_candidates(delta) if row.feasible)
+
+
 def convex_candidate_measure(delta: float) -> float:
     """Area of the convex hull of a unit disk and a concentric segment of
     length delta (the conjectured convex extremal).
@@ -152,9 +159,10 @@ class _IndexedSet:
 
     __slots__ = ("_items", "_pos")
 
-    def __init__(self) -> None:
-        self._items: list[tuple[int, int]] = []
-        self._pos: dict[tuple[int, int], int] = {}
+    def __init__(self, items: list[tuple[int, int]]) -> None:
+        """File distinct items in the given order."""
+        self._items = items
+        self._pos = {item: slot for slot, item in enumerate(items)}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -173,8 +181,56 @@ class _IndexedSet:
             self._items[slot] = last
             self._pos[last] = slot
 
-    def choose(self, rng: np.random.Generator) -> tuple[int, int]:
-        return self._items[int(rng.integers(0, len(self._items)))]
+    def choose(self, moves: _MoveStream) -> tuple[int, int]:
+        return self._items[moves.integers(len(self._items))]
+
+
+def _raw_words(bitgen: np.random.PCG64, block: int = 1024):
+    """The bit generator's 64-bit words as Python ints, drawn in blocks."""
+    while True:
+        yield from bitgen.random_raw(block).tolist()
+
+
+class _MoveStream:
+    """The draws of np.random.default_rng(seed), integers(n) and random(),
+    read from blocks of raw PCG64 words at a fraction of the cost of a
+    scalar Generator call.
+
+    default_rng(seed) is Generator(PCG64(seed)), and for 1 < n <= 2^32 its
+    integers(n) is Lemire's bounded draw on 32-bit words: the low half of
+    a 64-bit word first, with the high half kept for the next 32-bit draw.
+    A word w is taken as (w * n) >> 32 unless its low 32 bits fall below
+    2^32 mod n, in which case another is drawn. integers(1) draws nothing,
+    and random() takes a whole word, (w >> 11) * 2^-53, and leaves the kept
+    half alone. Outside 1 <= n <= 2^32 numpy takes another path, so those
+    n raise ValueError.
+    """
+
+    __slots__ = ("_words", "_half")
+
+    def __init__(self, seed: int) -> None:
+        self._words = _raw_words(np.random.PCG64(seed))
+        self._half: int | None = None
+
+    def integers(self, n: int) -> int:
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"the move stream draws integers(n) for 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        while True:
+            if self._half is None:
+                word = next(self._words)
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                m = self._half * n
+                self._half = None
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (1 << 32) % n:
+                return m >> 32
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0**-53
 
 
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -291,6 +347,47 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     )
 
 
+def _refile(center: tuple[int, int], region, add_frontier: _IndexedSet, remove_frontier: _IndexedSet) -> None:
+    """Re-file a cell and its four neighbours in the frontiers of region:
+    a cell of the region with an absent neighbour can be removed, and an
+    absent cell with a neighbour in the region can be added."""
+    for ci, cj in [center] + [(center[0] + di, center[1] + dj) for di, dj in _NEIGHBORS]:
+        cell = (ci, cj)
+        inside = cell in region
+        has_out = any((ci + di, cj + dj) not in region for di, dj in _NEIGHBORS)
+        has_in = any((ci + di, cj + dj) in region for di, dj in _NEIGHBORS)
+        if inside and has_out:
+            remove_frontier.add(cell)
+        else:
+            remove_frontier.discard(cell)
+        if not inside and has_in:
+            add_frontier.add(cell)
+        else:
+            add_frontier.discard(cell)
+
+
+def _seed_frontiers(region) -> tuple[_IndexedSet, _IndexedSet]:
+    """The (add, remove) frontiers of region, filed in the order that
+    _refile on each of its cells, in iteration order, would give.
+
+    The region does not change while it is filed, so every visit to a cell
+    gives the same verdict, the discards are no-ops, and each frontier
+    lists its cells in the order of their first visit among (cell, +i, -i,
+    +j, -j). Every visited cell outside the region neighbours the cell it
+    was visited from.
+    """
+    visits = dict.fromkeys((i + di, j + dj) for i, j in region for di, dj in ((0, 0),) + _NEIGHBORS)
+    add, remove = [], []
+    for cell in visits:
+        if cell not in region:
+            add.append(cell)
+        else:
+            i, j = cell
+            if not ((i + 1, j) in region and (i - 1, j) in region and (i, j + 1) in region and (i, j - 1) in region):
+                remove.append(cell)
+    return _IndexedSet(add), _IndexedSet(remove)
+
+
 def anneal(config: SearchConfig) -> SearchResult:
     """Measure-maximizing annealing over single boundary-cell flips.
 
@@ -318,8 +415,12 @@ def anneal(config: SearchConfig) -> SearchResult:
     (the temperature has underflowed it) and every frontier cell is
     memo-rejected. The report still gives the requested iterations.
 
-    Deterministic for a given config: the proposal stream is a single
-    seeded generator, so a longer run extends a shorter one's trajectory.
+    Deterministic for a given config: the proposal stream is the draws of
+    np.random.default_rng(seed), read from raw PCG64 words by _MoveStream.
+    A move with both frontiers open draws integers(2) to pick addition
+    (1) or removal (0); the cell is frontier item integers(len(frontier)),
+    and a removal then draws random() against its probability. A longer
+    run extends a shorter one's trajectory.
     """
     delta, h = config.delta, config.h
     if not (bounds.DISK_REGIME_MAX < delta < 4.0):
@@ -339,33 +440,14 @@ def anneal(config: SearchConfig) -> SearchResult:
     J = np.empty_like(I)
     I[:count], J[:count] = np.array(seed_cells, dtype=np.int64).T
 
-    add_frontier = _IndexedSet()
-    remove_frontier = _IndexedSet()
-
-    def refresh_frontier(center: tuple[int, int]) -> None:
-        """Re-file the cell and its four neighbours in the frontiers."""
-        for ci, cj in [center] + [(center[0] + di, center[1] + dj) for di, dj in _NEIGHBORS]:
-            cell = (ci, cj)
-            inside = cell in slot_of
-            has_out = any((ci + di, cj + dj) not in slot_of for di, dj in _NEIGHBORS)
-            has_in = any((ci + di, cj + dj) in slot_of for di, dj in _NEIGHBORS)
-            if inside and has_out:
-                remove_frontier.add(cell)
-            else:
-                remove_frontier.discard(cell)
-            if not inside and has_in:
-                add_frontier.add(cell)
-            else:
-                add_frontier.discard(cell)
-
-    for cell in slot_of:
-        refresh_frontier(cell)
-
+    add_frontier, remove_frontier = _seed_frontiers(slot_of)
     diam_cap, far_cap = _caps(delta, h)
-    move_rng = np.random.default_rng(config.seed)
+    moves = _MoveStream(config.seed)
     measure = count * h * h
     baseline_measure = best_measure = measure
-    best_cells = frozenset(slot_of)
+    # the best region is copied only when a removal leaves it, or at the end
+    at_best = True
+    best_cells: frozenset[tuple[int, int]]
     accepted = 0
     temperature = config.t0
     # additions found infeasible since the last accepted removal
@@ -403,7 +485,7 @@ def anneal(config: SearchConfig) -> SearchResult:
                 last = (int(I[count]), int(J[count]))
                 I[slot], J[slot] = I[count], J[count]
                 slot_of[last] = slot
-        refresh_frontier(cell)
+        _refile(cell, slot_of, add_frontier, remove_frontier)
 
     for _ in range(config.iterations):
         remove_probability = math.exp(-(h * h) / temperature) if temperature > 0.0 else 0.0
@@ -419,11 +501,11 @@ def anneal(config: SearchConfig) -> SearchResult:
         if not (can_add or can_remove):
             break
         if can_add and can_remove:
-            adding = bool(move_rng.integers(0, 2))
+            adding = bool(moves.integers(2))
         else:
             adding = can_add
         if adding:
-            cell = add_frontier.choose(move_rng)
+            cell = add_frontier.choose(moves)
             if cell in rejected or not add_is_feasible(cell):
                 rejected.add(cell)
             else:
@@ -432,19 +514,21 @@ def anneal(config: SearchConfig) -> SearchResult:
                 measure = count * h * h
                 if measure > best_measure:
                     best_measure = measure
-                    best_cells = frozenset(slot_of)
+                    at_best = True
         else:
-            cell = remove_frontier.choose(move_rng)
-            u = float(move_rng.random())
-            if u < remove_probability:
+            cell = remove_frontier.choose(moves)
+            if moves.random() < remove_probability:
+                if at_best:
+                    best_cells = frozenset(slot_of)
+                    at_best = False
                 apply_flip(cell, adding=False)
                 rejected.clear()
                 accepted += 1
-                measure = count * h * h
         temperature *= config.cooling
 
+    if at_best:
+        best_cells = frozenset(slot_of)
     best_region = PixelRegion(origin=Point(0.0, 0.0), h=h, cells=best_cells)
-    known = max(row.measure for row in evaluate_candidates(delta) if row.feasible)
     return SearchResult(
         best_region=best_region,
         best_measure=best_measure,
@@ -453,7 +537,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         feasibility=_feasibility(best_region, delta),
         accepted_moves=accepted,
         iterations=config.iterations,
-        conjecture_exceeded=best_measure > known,
+        conjecture_exceeded=best_measure > best_known_measure(delta),
     )
 
 

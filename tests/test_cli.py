@@ -152,6 +152,12 @@ def test_conjecture_report(capsys):
     assert len(rep["rows"]) == 9
     mid = rep["rows"][4]
     assert mid["u_delta"] < mid["stmt3"]
+    for row in rep["rows"]:
+        # the best known candidate is the envelope of U_delta and the disk
+        # of diameter 4/sqrt(3)
+        assert row["best_known"] == pytest.approx(max(row["u_delta"], 4 * math.pi / 3), rel=1e-15)
+        assert row["best_known_below_stmt3"] is (row["best_known"] < row["stmt3"])
+    assert rep["rows"][0]["best_known"] > rep["rows"][0]["u_delta"]
 
 
 @pytest.mark.parametrize(

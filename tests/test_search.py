@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,13 @@ from isodiam.search import (
     SearchConfig,
     _caps,
     _feasibility,
+    _IndexedSet,
     _largest_k,
+    _MoveStream,
+    _refile,
     _row_extremes,
     _seed_cells,
+    _seed_frontiers,
     anneal,
     anneal_chains,
     convex_candidate_measure,
@@ -260,14 +265,32 @@ def test_anneal_stays_below_the_proved_bound():
     assert out.feasibility.diam_ok and out.feasibility.diam3_ok
 
 
+def best_cells_digest(region: PixelRegion) -> str:
+    cells = sorted((int(i), int(j)) for i, j in region.cells)
+    return hashlib.sha256(repr(cells).encode()).hexdigest()
+
+
 def test_anneal_beats_the_best_known_candidate():
     """A certified region above U_2.6 = 4.3233, and above the disk of
-    diameter 4/sqrt(3), needs no slack to be flagged."""
+    diameter 4/sqrt(3), needs no slack to be flagged. The trajectory was
+    recorded when the best region was copied on every new best."""
     out = anneal(SearchConfig(delta=2.6, h=0.025, iterations=40_000, seed=1))
     assert out.feasibility.diam_ok and out.feasibility.diam3_ok
-    assert out.best_measure == pytest.approx(4.36)
+    assert (out.accepted_moves, out.best_measure) == (264, 4.36)
+    assert best_cells_digest(out.best_region) == "77a9320f517606b5c936bdac4f109c309c80b713999a9c4e86d16d708592da3f"
     assert out.best_measure > u_delta_measure(2.6) > 4 * math.pi / 3
     assert out.conjecture_exceeded
+
+
+def test_anneal_keeps_the_best_region_it_leaves():
+    """At temperature h^2, 75 accepted removals leave a best region, which
+    is copied only then; the result is the one recorded when the best
+    region was copied on every new best."""
+    out = anneal(SearchConfig(delta=2.6, h=0.025, iterations=40_000, seed=1, temperature_init=0.025**2))
+    assert (out.accepted_moves, out.best_measure) == (705, 4.3656250000000005)
+    assert best_cells_digest(out.best_region) == "ac3ceed3b24932dfcd25338fbf784fbae2a5099886cb8a759347d12e54e612a9"
+    assert len(out.best_region.cells) * 0.025 * 0.025 == out.best_measure
+    assert out.feasibility.diam_ok and out.feasibility.diam3_ok
 
 
 # (delta, temperature_init) -> accepted_moves, best_measure and the sha256
@@ -329,3 +352,57 @@ def test_anneal_stops_once_frozen():
     huge = anneal(SearchConfig(delta=3.0, h=0.5, iterations=10**13, seed=1))
     assert huge.iterations == 10**13
     assert dataclasses.replace(huge, iterations=short.iterations) == short
+
+
+SPECIAL_N = (1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(1, 3000))
+def test_move_stream_equals_numpy(seed, pattern, length):
+    """Random interleavings of integers(n) and random(), long enough to
+    cross blocks of raw words, draw what default_rng(seed) draws."""
+    order = random.Random(pattern)
+    moves = _MoveStream(seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(length):
+        kind = order.random()
+        if kind < 0.3:
+            assert moves.random() == rng.random()
+        else:
+            n = order.choice(SPECIAL_N) if kind < 0.5 else order.randint(1, 2**order.randint(1, 32))
+            assert moves.integers(n) == rng.integers(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+def test_move_stream_refuses_numpys_other_paths(n):
+    with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
+        _MoveStream(0).integers(n)
+
+
+def refile_each(region) -> tuple[_IndexedSet, _IndexedSet]:
+    """The frontiers as _refile on each cell of region, in iteration order,
+    files them: every cell and its neighbours about five times."""
+    add, remove = _IndexedSet([]), _IndexedSet([])
+    for cell in region:
+        _refile(cell, region, add, remove)
+    return add, remove
+
+
+def assert_same_frontiers(region) -> None:
+    add, remove = _seed_frontiers(region)
+    want_add, want_remove = refile_each(region)
+    assert add._items == want_add._items
+    assert remove._items == want_remove._items
+    assert add._pos == want_add._pos and remove._pos == want_remove._pos
+
+
+@pytest.mark.parametrize("delta,h", [(3.0, 0.1), (2.5, 0.1), (3.6, 0.1), (2.8, 0.6), (2.6, 0.025), (3.0, 0.05)])
+def test_seed_frontiers_file_in_the_refile_order(delta, h):
+    assert_same_frontiers(dict.fromkeys(_seed_cells(delta, h)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=60, unique=True))
+def test_seed_frontiers_file_any_region_in_the_refile_order(cells):
+    assert_same_frontiers(dict.fromkeys(cells))
