@@ -107,8 +107,10 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
     (a triangle closed in the block would show on its last edge), and only
     the block where one first closes is replayed pair by pair.
 
-    The pair arrays grow as n^2: a set of more than _MAX_PAIRS pairs
-    raises MemoryError before anything is allocated.
+    Pairs are built _BAND rows at a time and only those above the floor
+    are kept, so memory grows as _BAND * n plus the kept pairs, not as
+    n^2. The work still grows as n^2: a set of more than _MAX_PAIRS pairs
+    raises MemoryError before any pair is built.
     """
     coords = _coords(s)
     n = len(coords)
@@ -128,9 +130,13 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
 _PREFILTER_MIN = 400
 _SUBSAMPLE = 200
 _BLOCK = 512
+# rows per band of the pair build: the band's distance arrays take
+# _BAND * n floats, whatever n is
+_BAND = 64
 
-# Cap on the pairs diam3 lays out, the raster cap of regions: up to 7,071
-# points, 200 MB per float64 or int64 pair array.
+# Cap on the pairs diam3 measures, the raster cap of regions: up to 7,071
+# points. It bounds the work; the bands bound the memory. The kept pairs can
+# still approach the cap on sets whose pairs are nearly all equally long.
 _MAX_PAIRS = 25_000_000
 
 
@@ -144,18 +150,30 @@ def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:
 def _first_triangle_d2(coords: np.ndarray, floor2: float) -> float:
     """Squared length of the first pair that closes a triangle when pairs
     at squared distance >= floor2 are inserted longest first."""
-    iu, ju = np.triu_indices(len(coords), k=1)
+    n = len(coords)
     x, y = coords[:, 0], coords[:, 1]
-    d2 = x[iu] - x[ju]
-    d2 *= d2
-    dy = y[iu] - y[ju]
-    dy *= dy
-    d2 += dy
-    keep = np.flatnonzero(d2 >= floor2)
-    order = keep[np.argsort(-d2[keep])]
+    iu, ju, d2 = [], [], []
+    for lo in range(0, n - 1, _BAND):
+        # rows lo..hi-1 against columns lo+1..n-1: entry (r, c) is the pair
+        # (lo + r, lo + 1 + c), and c >= r keeps the pairs with j > i
+        hi = min(lo + _BAND, n - 1)
+        band = x[lo:hi, None] - x[None, lo + 1 :]
+        band *= band
+        dy = y[lo:hi, None] - y[None, lo + 1 :]
+        dy *= dy
+        band += dy
+        r, c = np.nonzero(band >= floor2)
+        upper = c >= r
+        r, c = r[upper], c[upper]
+        iu.append(r + lo)
+        ju.append(c + (lo + 1))
+        d2.append(band[r, c])
+    # kept pairs in triu row-major order, as one flat triu layout would list them
+    iu, ju, d2 = np.concatenate(iu), np.concatenate(ju), np.concatenate(d2)
+    order = np.argsort(-d2)
     iu, ju, d2 = iu[order], ju[order], d2[order]
     # little-endian words, so a row's bytes read as one Python int below
-    adj = np.zeros((len(coords), (len(coords) + 63) >> 6), dtype="<u8")
+    adj = np.zeros((n, (n + 63) >> 6), dtype="<u8")
     for lo in range(0, len(d2), _BLOCK):
         bi, bj = iu[lo : lo + _BLOCK], ju[lo : lo + _BLOCK]
         if lo + _BLOCK < len(d2):

@@ -325,11 +325,7 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     """
     diam_cap, far_cap = _caps(delta, region.h)
     idx = region.cell_index_array()
-    cells = region.cells
-    boundary = np.array(
-        [(i, j) for i, j in idx.tolist() if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)],
-        dtype=np.int64,
-    )
+    boundary = _boundary_cells(idx)
     n = len(boundary)
     pairs = n * (n - 1) // 2
     if pairs > diameters._MAX_PAIRS:
@@ -345,6 +341,19 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
         diam_ok=_largest_k(idx[:, 0], idx[:, 1]) <= diam_cap,
         diam3_ok=far_triple is None,
     )
+
+
+def _boundary_cells(idx: np.ndarray) -> np.ndarray:
+    """The rows of a nonempty (n, 2) cell index array with a 4-neighbour
+    outside it, in their order. Each cell is keyed
+    (i - imin + 1) * w + (j - jmin + 1) with w = jmax - jmin + 3, so the
+    column neighbours are key +- 1 without wrapping into the next row, and
+    the row neighbours are key +- w."""
+    i, j = idx[:, 0], idx[:, 1]
+    w = int(j.max() - j.min()) + 3
+    keys = (i - i.min() + 1) * w + (j - j.min() + 1)
+    inner = np.isin(keys + 1, keys) & np.isin(keys - 1, keys) & np.isin(keys + w, keys) & np.isin(keys - w, keys)
+    return idx[~inner]
 
 
 def _refile(center: tuple[int, int], region, add_frontier: _IndexedSet, remove_frontier: _IndexedSet) -> None:

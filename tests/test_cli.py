@@ -290,12 +290,28 @@ PINNED_STRATEGY = {
     },
 }
 
-# sha256 of json.dumps(report, sort_keys=True) for each subcommand, and of
-# the CSV it writes, if any: a change to the code behind a report that moves
-# one of its bytes fails here
+# 1,200 points, above diameters._PREFILTER_MIN, so diam3 takes its
+# sub-sampled floor and its banded pair build
+PINNED_LARGE = np.random.default_rng(13).uniform(-1.5, 1.5, size=(1200, 2))
+
+PINNED_ARGV = {
+    "diameters": ["diameters", "pts.csv", "--ab", "4,2", "--ab", "5,3"],
+    "jung": ["jung", "pts.csv", "--ab", "4,3"],
+    "diameters-1200": ["diameters", "large.csv"],
+    "jung-1200": ["jung", "large.csv"],
+    "bounds": ["bounds", "--delta-min", "1", "--delta-max", "4.5", "--steps", "9", "--csv", "out.csv"],
+    "poison": ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "strategy.json", "--samples", "20000",
+               "--grid", "0.1", "--seed", "3"],
+}
+
+# sha256 of json.dumps(report, sort_keys=True) for each run, and of the CSV
+# it writes, if any: a change to the code behind a report that moves one of
+# its bytes fails here
 PINNED_DIGESTS = {
     "diameters": ("a64e63cb59eb7a8364759018469bed3ba440a948dcff691bce092f0f3050dce0", None),
     "jung": ("5e06fa83ad8ce1718b298d2fd9b66f3b8117e8ce833990e55c2ed403fca38147", None),
+    "diameters-1200": ("ee4f27d778100b7cda8145f106655ad8ee9ef9851bc10a4fc405bda0d90f4582", None),
+    "jung-1200": ("271e8356f5d0def5daa1edc7859ccfdf09f12e5749e6d65ef931ed62fe40fe69", None),
     "bounds": (
         "3dd25597209fc407101d6a20f91e6a6f5470074c486026365cd777a41d5b5fee",
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
@@ -304,26 +320,18 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["diameters", "pts.csv", "--ab", "4,2", "--ab", "5,3"],
-        ["jung", "pts.csv", "--ab", "4,3"],
-        ["bounds", "--delta-min", "1", "--delta-max", "4.5", "--steps", "9", "--csv", "out.csv"],
-        ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "strategy.json", "--samples", "20000",
-         "--grid", "0.1", "--seed", "3"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_report_bytes_are_pinned(argv, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", list(PINNED_ARGV))
+def test_report_bytes_are_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_points_csv(PointSet.from_xy(PINNED_POINTS), "pts.csv")
+    save_points_csv(PointSet.from_xy(map(tuple, PINNED_LARGE)), "large.csv")
     Path("strategy.json").write_text(json.dumps(PINNED_STRATEGY))
+    argv = PINNED_ARGV[name]
     assert cli.run([*argv, "--out", "report.json"]) == 0
     report = json.loads(Path("report.json").read_text())["report"]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     csv_digest = hashlib.sha256(Path("out.csv").read_bytes()).hexdigest() if "--csv" in argv else None
-    assert (digest, csv_digest) == PINNED_DIGESTS[argv[0]]
+    assert (digest, csv_digest) == PINNED_DIGESTS[name]
 
 
 def test_timestamp_flag_beats_env(capsys, pts_csv):
@@ -364,7 +372,8 @@ def run_capped(argv, cwd):
 
 
 def test_out_of_memory_exits_3(tmp_path):
-    """diam3 of 100,000 points builds pair arrays of about 80 GB."""
+    """diam3 of 100,000 points needs 5e9 pairs; under a 2 GiB address
+    space it exits 3 with a one-line error, not a traceback."""
     rng = np.random.default_rng(0)
     save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (100_000, 2)))), tmp_path / "big.csv")
     out = run_capped(["diameters", "big.csv"], tmp_path)
@@ -374,8 +383,8 @@ def test_out_of_memory_exits_3(tmp_path):
 
 
 def test_oversized_diam3_is_refused_before_allocating(tmp_path):
-    """diam3 of 20,000 points lays out 2e8 pairs, about 6 GB of pair
-    arrays, which an overcommitting host might grant."""
+    """diam3 of 20,000 points would measure 2e8 pairs, eight times the
+    cap on its work."""
     rng = np.random.default_rng(1)
     save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (20_000, 2)))), tmp_path / "big.csv")
     out = run_capped(["diameters", "big.csv"], tmp_path)

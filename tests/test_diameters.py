@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -199,6 +200,8 @@ def _diam3_equivalence_inputs() -> dict[str, PointSet]:
     cases["duplicates"] = np.concatenate([base, base, base[::-1]], axis=0)
     t = np.sort(rng.uniform(0, 1, size=450))
     cases["collinear"] = np.stack([1.0 - 3.0 * t, 2.0 + 1.5 * t], axis=1)
+    # n - 1 rows have partners, so the last band is a full one
+    cases["full-last-band"] = rng.uniform(-3, 3, size=(10 * diameters_mod._BAND + 1, 2))
     return {name: PointSet.from_xy(map(tuple, pts)) for name, pts in cases.items()}
 
 
@@ -210,19 +213,39 @@ def test_diam3_equals_sorted_pair_scan(name):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(coord, coord), min_size=3, max_size=30), st.integers(1, 8))
-def test_diam3_prefilter_and_blocks_on_small_sets(pairs, block):
-    """Forcing the sub-sample and tiny blocks onto small sets exercises
-    the prefilter, block boundaries and the replay against both oracles."""
+@given(st.lists(st.tuples(coord, coord), min_size=3, max_size=30), st.integers(1, 8), st.integers(1, 8))
+def test_diam3_prefilter_and_blocks_on_small_sets(pairs, block, band):
+    """Forcing the sub-sample, tiny blocks and bands of 1 to 8 rows onto
+    small sets exercises the prefilter, block boundaries, the replay,
+    single-row bands, a short last band and a band wider than the set
+    against both oracles."""
     s = PointSet.from_xy(pairs)
     with (
         mock.patch.object(diameters_mod, "_PREFILTER_MIN", 2),
         mock.patch.object(diameters_mod, "_SUBSAMPLE", 3),
         mock.patch.object(diameters_mod, "_BLOCK", block),
+        mock.patch.object(diameters_mod, "_BAND", band),
     ):
         fast = diam3(s)
     assert fast == sorted_pair_diam3(s)
     assert fast == pytest.approx(brute_diam3(s), abs=1e-9)
+
+
+def test_diam3_peak_memory_is_banded():
+    """2,000 points make 2M pairs, 76 MiB as one flat pair layout; the
+    bands and the kept pairs above the sub-sample floor fit in 16 MiB."""
+    rng = np.random.default_rng(2)
+    r = 1.5 * np.sqrt(rng.uniform(0, 1, 2000))
+    t = rng.uniform(0, 2 * np.pi, 2000)
+    s = PointSet.from_xy(zip(r * np.cos(t), r * np.sin(t)))
+    tracemalloc.start()
+    try:
+        value = diam3(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert value == sorted_pair_diam3(s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
 from isodiam.geometry import Point
@@ -16,6 +16,7 @@ from isodiam.search import (
     _NEIGHBORS,
     InfeasibleStartError,
     SearchConfig,
+    _boundary_cells,
     _caps,
     _feasibility,
     _IndexedSet,
@@ -236,6 +237,30 @@ def test_feasibility_caps_are_exact_at_ties():
     report = _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=h, cells=tie_pair), 3.0)
     assert not report.diam_ok and not oracle_diam_ok(set(tie_pair), h, 3.0)
     assert _caps(3.0, h) == (899, 399)
+
+
+HOLED_SQUARE = frozenset((i, j) for i in range(-2, 3) for j in range(-2, 3)) - {(0, 0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.frozensets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=80),
+        st.builds(
+            lambda i, js: frozenset((i, j) for j in js),
+            st.integers(-6, 6),
+            st.frozensets(st.integers(-20, 20), min_size=1, max_size=30),
+        ),
+    )
+)
+@example(HOLED_SQUARE)
+@example(frozenset({(-3, -7)}))
+@example(frozenset({(0, j) for j in range(-4, 5)}))
+def test_boundary_cells_equal_the_set_lookup_scan(cells):
+    """Holes, single cells, negative indices and one-row regions."""
+    idx = np.array(sorted(cells), dtype=np.int64)
+    expected = [(i, j) for i, j in idx.tolist() if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)]
+    assert _boundary_cells(idx).tolist() == [list(c) for c in expected]
 
 
 def test_feasibility_refuses_too_many_boundary_cells():
