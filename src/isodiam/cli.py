@@ -456,7 +456,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return ns.func(ns)
     except (BudgetExceededError, InfeasibleStartError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

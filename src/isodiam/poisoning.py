@@ -12,6 +12,15 @@ Those cells are counted row by row, not tested one by one: in a row they
 are the cells whose column lies in one range, and the ends of that range
 follow from the bite's half-width at the row (see _PatchRows).
 
+Most bites are decided without computing their dose. A verdict grid
+(_VerdictGrid) covers the reach of the poison at a pitch of about
+_GRID_PITCH and marks each cell certainly lethal, certainly safe or
+uncertain, from bounds that hold for every point of the cell under the
+float arithmetic of _dose_at. A bite in a certain cell takes its cell's
+verdict; only the few bites in cells the lethal boundary crosses get the
+exact dose. Every verdict is the one the dose would give, so hit counts
+and lethal regions are those of scoring every bite.
+
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
 bites each holding a full gram.
@@ -50,6 +59,11 @@ _CHUNK = 8192  # pairs per sub-draw of a rejection round (see _batch_hits)
 # and the dose in _is_lethal_dose, so that k masses of 1/k g, which sum to
 # 1 - 1e-16 for k = 6, kill like the 1 g they were validated as.
 _TOL = 1e-9
+# Pitch of the verdict grid, and the cap on its cells, border included:
+# a reach box that would need more cells gets a coarser pitch.
+_GRID_PITCH = 0.04
+_GRID_CELLS = 1 << 14
+_SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the grid's cells
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,11 @@ def validate_strategy(strategy: PoisonStrategy, config: PoisonConfig) -> None:
 _EPS = 1e-9
 
 
+def _far_near(a: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest |t - c| over t in [a[k], b[k]], for each k."""
+    return np.maximum(np.abs(a - c), np.abs(b - c)), np.maximum(np.maximum(a - c, c - b), 0.0)
+
+
 class _PatchRows:
     """A density patch's cells grouped by row, for counting the cells
     inside unit bites.
@@ -210,6 +229,41 @@ class _PatchRows:
         for first, length in self.runs[r]:
             out += np.clip(j - first, 0.0, length)
         return out
+
+    def box_counts(
+        self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds lo <= counts(x, y) <= hi for every point (x, y) of each
+        box [xa[k], xb[k]] x [ya[l], yb[l]], as two (len(xa), len(ya))
+        float arrays.
+
+        lo counts the cells whose farthest distance from the box is within
+        sqrt(1 - eps), hi those whose nearest distance is within
+        sqrt(1 + eps). Per row, the box's far and near x offsets give the
+        half-widths sqrt(1 -+ eps - dx^2), and the columns in range follow
+        as in counts, with the box's y edges in place of a point's y. eps
+        must exceed the rounding of the test in counts and of the column
+        bounds, as eps = _EPS times the coordinates' size does.
+        """
+        in_min = np.zeros((xa.size, ya.size))
+        in_max = np.zeros((xa.size, ya.size))
+        ya_r, yb_r = (ya - self.y0)[None, :], (yb - self.y0)[None, :]
+        for r, cx in enumerate(self.cx.tolist()):
+            far_x, near_x = _far_near(xa, xb, cx)
+            rest_out = 1.0 + eps - near_x * near_x
+            near = np.flatnonzero(rest_out >= 0.0)
+            if near.size == 0:
+                continue
+            w = np.sqrt(rest_out[near])[:, None]
+            lo = self._rank(r, np.ceil((ya_r - w) / self.h))
+            hi = self._rank(r, np.floor((yb_r + w) / self.h) + 1.0)
+            in_max[near] += np.maximum(hi - lo, 0.0)
+            rest_in = 1.0 - eps - far_x[near] ** 2
+            w = np.sqrt(np.maximum(rest_in, 0.0))[:, None]
+            lo = self._rank(r, np.ceil((yb_r - w) / self.h))
+            hi = self._rank(r, np.floor((ya_r + w) / self.h) + 1.0)
+            in_min[near] += np.where(rest_in[:, None] >= 0.0, np.maximum(hi - lo, 0.0), 0.0)
+        return in_min, in_max
 
     def counts(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Number of cell centers (cx, cy) with (x - cx)^2 + (y - cy)^2 <= 1
@@ -313,6 +367,103 @@ def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
     return bool(_is_lethal_dose(dose, config)[0])
 
 
+class _VerdictGrid:
+    """Which bite centers certainly kill and which certainly do not, cell
+    by cell, for one strategy and config.
+
+    The grid covers the reach box of the poison (the masses' and patch
+    cells' bounding box grown by 1 + 2 eps, clipped to the sampling
+    square) with nx by ny cells of pitch p, plus a border of one cell on
+    every side. A bite beyond the reach box is at distance > 1 + eps from
+    all poison, so its dose is exactly 0, and the border cells hold the
+    verdict of dose 0. Where the sampling square clips the box, the
+    border beyond it is uncertain instead: no bite lands there, and
+    lethal_region's raster reaches only one cell past the disk. p is
+    _GRID_PITCH, doubled until the cells number at most _GRID_CELLS,
+    whatever R is and however far apart the poison lies.
+
+    Each interior cell is taken as its box grown by eps = _EPS times the
+    coordinates' size, far more than the rounding of the index computed
+    for a point, so every point looked up in a cell lies in its box. Over
+    the box a mass certainly counts when its farthest corner is within
+    1 - eps and may count when its nearest point is within 1 + eps, and
+    eps dwarfs the rounding of the test dx*dx + dy*dy <= 1.0. The patch
+    cells certainly and possibly inside come from the row runs
+    (_PatchRows.box_counts). Float + and * round monotonically, so the
+    mass terms summed in mass order, plus per_cell times a count, bound
+    the dose _dose_at gives at any point of the box: dose_min <= dose <=
+    dose_max. The cell is lethal when dose_min passes the lethal test and
+    safe when dose_max fails it.
+    """
+
+    def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
+        self.strategy, self.config = strategy, config
+        self.patch = patch = _patch_rows(strategy)
+        px = [m.position.x for m in strategy.point_masses]
+        py = [m.position.y for m in strategy.point_masses]
+        size = 0.0
+        if patch is not None:
+            px += [float(patch.cx.min()), float(patch.cx.max())]
+            py += [float(patch.cy.min()), float(patch.cy.max())]
+            origin = strategy.density.region.origin
+            size = max(abs(origin.x), abs(origin.y))
+        eps = _EPS * (2.0 + config.R + max([size, *map(abs, px), *map(abs, py)]))
+        reach, edge = 1.0 + 2.0 * eps, config.R - 1.0 + eps
+        lo_x, hi_x = min(px) - reach, max(px) + reach
+        lo_y, hi_y = min(py) - reach, max(py) + reach
+        clipped = (lo_x < -edge, hi_x > edge, lo_y < -edge, hi_y > edge)
+        lo_x, hi_x, lo_y, hi_y = max(lo_x, -edge), min(hi_x, edge), max(lo_y, -edge), min(hi_y, edge)
+        p = _GRID_PITCH
+
+        def cells(lo: float, hi: float) -> int:
+            return max(1, math.ceil((hi - lo) / p))
+
+        while (cells(lo_x, hi_x) + 2) * (cells(lo_y, hi_y) + 2) > _GRID_CELLS:
+            p *= 2.0
+        nx, ny = cells(lo_x, hi_x), cells(lo_y, hi_y)
+        # cell k of the padded grid covers [x0 + k p, x0 + (k + 1) p)
+        self.pitch, self.nx, self.ny = p, nx, ny
+        self.x0, self.y0, self.inv = lo_x - p, lo_y - p, 1.0 / p
+        xa = lo_x + np.arange(nx) * p - eps
+        xb = xa + (p + 2.0 * eps)
+        ya = lo_y + np.arange(ny) * p - eps
+        yb = ya + (p + 2.0 * eps)
+
+        dose_min = np.zeros((nx, ny))
+        dose_max = np.zeros((nx, ny))
+        for m in strategy.point_masses:
+            far_x, near_x = _far_near(xa, xb, m.position.x)
+            far_y, near_y = _far_near(ya, yb, m.position.y)
+            dose_min += m.grams * ((far_x * far_x)[:, None] + (far_y * far_y)[None, :] <= 1.0 - eps)
+            dose_max += m.grams * ((near_x * near_x)[:, None] + (near_y * near_y)[None, :] <= 1.0 + eps)
+        if patch is not None:
+            in_min, in_max = patch.box_counts(xa, xb, ya, yb, eps)
+            dose_min += patch.per_cell * in_min
+            dose_max += patch.per_cell * in_max
+        dose_0 = _is_lethal_dose(np.zeros(1), config)[0]
+        verdict = np.full((nx + 2, ny + 2), _LETHAL if dose_0 else _SAFE, dtype=np.uint8)
+        for side, clip in zip((verdict[0], verdict[-1], verdict[:, 0], verdict[:, -1]), clipped):
+            if clip:
+                side[:] = _UNSURE
+        inner = np.full((nx, ny), _UNSURE, dtype=np.uint8)
+        inner[_is_lethal_dose(dose_min, config)] = _LETHAL
+        inner[~_is_lethal_dose(dose_max, config)] = _SAFE
+        verdict[1:-1, 1:-1] = inner
+        self.verdict = verdict
+
+    def lookup(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The verdict of the cell of each point, same shape as x."""
+        ix = np.clip((x - self.x0) * self.inv, 0.0, self.nx + 1.0).astype(np.intp)
+        iy = np.clip((y - self.y0) * self.inv, 0.0, self.ny + 1.0).astype(np.intp)
+        ix *= self.ny + 2
+        ix += iy
+        return self.verdict.take(ix)
+
+    def exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Which bites kill, from the exact dose at each point."""
+        return _is_lethal_dose(_dose_at(self.strategy, self.patch, x, y), self.config)
+
+
 @dataclass(frozen=True)
 class KillReport:
     estimate: float
@@ -321,9 +472,7 @@ class KillReport:
     hits: int
 
 
-def _batch_hits(
-    strategy: PoisonStrategy, patch: _PatchRows | None, config: PoisonConfig, batch_index: int, quota: int
-) -> int:
+def _batch_hits(grid: _VerdictGrid, batch_index: int, quota: int) -> int:
     """Accepted-sample hits for one seeded batch.
 
     Bite centers are drawn by rejection from the bounding square of the
@@ -340,22 +489,50 @@ def _batch_hits(
     threshold: it stays in cache, and malloc reuses heap memory for it,
     where the 1-3 MB arrays of a whole round get fresh pages mapped and
     unmapped on every batch.
+
+    Each accepted bite takes the verdict of its cell in grid. Bites in
+    certain cells are counted at once; bites in uncertain cells are set
+    aside and scored with the exact dose, _CHUNK points or fewer at a
+    time, and once more at the end of the batch. A certain verdict is the
+    one the exact dose gives, so the hits are those of scoring every bite.
     """
+    config = grid.config
     rng = np.random.default_rng([config.seed, batch_index])
     radius = config.R - 1.0
     hits = 0
     remaining = quota
+    unsure_x: list[np.ndarray] = []
+    unsure_y: list[np.ndarray] = []
+    unsure = 0
+
+    def flush() -> int:
+        if not unsure_x:
+            return 0
+        lethal = grid.exact(np.concatenate(unsure_x), np.concatenate(unsure_y))
+        unsure_x.clear()
+        unsure_y.clear()
+        return int(np.count_nonzero(lethal))
+
     while remaining > 0:
         draw = int(remaining * 4.0 / math.pi * 1.05) + 16
         for lo in range(0, draw, _CHUNK):
             x, y = rng.uniform(-radius, radius, size=(min(_CHUNK, draw - lo), 2)).T
             idx = np.flatnonzero(x * x + y * y <= radius * radius)[:remaining]
-            dose = _dose_at(strategy, patch, x[idx], y[idx])
-            hits += int(np.count_nonzero(_is_lethal_dose(dose, config)))
+            x, y = x[idx], y[idx]
+            verdict = grid.lookup(x, y)
+            hits += int(np.count_nonzero(verdict == _LETHAL))
+            who = np.flatnonzero(verdict == _UNSURE)
+            if who.size:
+                if unsure + who.size > _CHUNK:
+                    hits += flush()
+                    unsure = 0
+                unsure_x.append(x[who])
+                unsure_y.append(y[who])
+                unsure += who.size
             remaining -= idx.size
             if remaining == 0:
                 break
-    return hits
+    return hits + flush()
 
 
 def kill_probability(
@@ -369,21 +546,25 @@ def kill_probability(
     interval is the normal-approximation 95% band. Raises ValueError when
     threads < 1. At most one worker runs per batch and per CPU, whatever
     threads asks for.
+
+    One verdict grid (_VerdictGrid), built per call and shared read-only
+    by the batches, decides most bites without their dose; the rest get
+    the exact dose. The grid's verdicts are certified, and the draws,
+    batches and seeds are those of scoring every bite, so the hits are
+    too.
     """
     validate_strategy(strategy, config)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n = config.samples
-    patch = _patch_rows(strategy)
+    grid = _VerdictGrid(strategy, config)
     quotas = [(_BATCH if (k + 1) * _BATCH <= n else n - k * _BATCH) for k in range((n + _BATCH - 1) // _BATCH)]
     workers = min(threads, len(quotas), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hit_list = list(
-                pool.map(lambda kq: _batch_hits(strategy, patch, config, kq[0], kq[1]), enumerate(quotas))
-            )
+            hit_list = list(pool.map(lambda kq: _batch_hits(grid, kq[0], kq[1]), enumerate(quotas)))
     else:
-        hit_list = [_batch_hits(strategy, patch, config, k, q) for k, q in enumerate(quotas)]
+        hit_list = [_batch_hits(grid, k, q) for k, q in enumerate(quotas)]
     hits = int(sum(hit_list))
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -396,18 +577,21 @@ class _LethalSet:
     """The lethal bite centers inside the sampling disk, as a shape for
     rasterize."""
 
-    strategy: PoisonStrategy
-    patch: _PatchRows | None
-    config: PoisonConfig
+    grid: _VerdictGrid
 
     def bbox(self) -> tuple[float, float, float, float]:
-        radius = self.config.R - 1.0
+        radius = self.grid.config.R - 1.0
         return (-radius, -radius, radius, radius)
 
     def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        radius = self.config.R - 1.0
-        dose = _dose_at(self.strategy, self.patch, x, y)
-        return (x * x + y * y <= radius * radius) & _is_lethal_dose(dose, self.config)
+        """The grid's verdict at each point, and the exact one where the
+        grid is uncertain."""
+        radius = self.grid.config.R - 1.0
+        verdict = self.grid.lookup(x, y)
+        lethal = verdict == _LETHAL
+        who = np.flatnonzero(verdict == _UNSURE)
+        lethal.flat[who] = self.grid.exact(x.flat[who], y.flat[who])
+        return (x * x + y * y <= radius * radius) & lethal
 
 
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:
@@ -418,4 +602,4 @@ def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float)
     rasterize's, with its cap on the cell count.
     """
     validate_strategy(strategy, config)
-    return rasterize(_LethalSet(strategy, _patch_rows(strategy), config), h_grid)
+    return rasterize(_LethalSet(_VerdictGrid(strategy, config)), h_grid)

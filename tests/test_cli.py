@@ -371,15 +371,35 @@ def run_capped(argv, cwd):
     )
 
 
-def test_out_of_memory_exits_3(tmp_path):
-    """diam3 of 100,000 points needs 5e9 pairs; under a 2 GiB address
-    space it exits 3 with a one-line error, not a traceback."""
+def test_diam3_of_100k_points_is_refused_under_a_2gib_address_space(tmp_path):
+    """100,000 points load within a 2 GiB address space, and diam3, which
+    would need 5e9 pairs, is refused by its pair cap before any pair is
+    built: exit 3 with a one-line error, not a traceback."""
     rng = np.random.default_rng(0)
     save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (100_000, 2)))), tmp_path / "big.csv")
     out = run_capped(["diameters", "big.csv"], tmp_path)
     assert out.returncode == 3, out.stderr
-    assert out.stderr.startswith("error: ")
-    assert "Traceback" not in out.stderr
+    assert out.stderr == "error: diam3 of 100000 points needs 4999950000 pairs, more than the cap of 25000000\n"
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 1.00 TiB for an array with shape (2, 68719476736)"),
+         "error: Unable to allocate 1.00 TiB for an array with shape (2, 68719476736)\n"),
+        (MemoryError(), "error: out of memory\n"),  # what a failed Python allocation raises
+    ],
+    ids=["numpy-message", "no-message"],
+)
+def test_memory_error_in_a_subcommand_exits_3(monkeypatch, capsys, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "kill_probability", exhausted)
+    assert cli.run(["poison", "--R", "3", "--h-available", "1", "--samples", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
 
 
 def test_oversized_diam3_is_refused_before_allocating(tmp_path):

@@ -15,6 +15,10 @@ from isodiam.poisoning import (
     _dose_at,
     _patch_rows,
     _PatchRows,
+    _GRID_CELLS,
+    _LETHAL,
+    _UNSURE,
+    _VerdictGrid,
     PointMass,
     PoisonConfig,
     PoisonStrategy,
@@ -374,11 +378,28 @@ def mass_lists(draw, reach):
 
 @st.composite
 def stream_cases(draw):
+    """Masses (some coincident), patches with gaps and single cells, both
+    mixed, k masses of 1/k g whose float sum falls in the _TOL band below
+    1 g, and masses on the pie rim. One lethal dose in four is at most
+    _TOL, where a bite holding no poison already kills."""
     R = draw(st.sampled_from([2.5, 3.0, 7.3]))
-    kind = draw(st.sampled_from(["masses", "density", "mixed"]))
-    masses = draw(mass_lists(R - 1.0)) if kind != "density" else ()
+    kind = draw(st.sampled_from(["masses", "density", "mixed", "k-gon", "rim"]))
+    masses: tuple[PointMass, ...] = ()
     density = None
-    if kind != "masses":
+    if kind in ("masses", "mixed"):
+        masses = draw(mass_lists(R - 1.0))
+    elif kind == "k-gon":
+        k = draw(st.integers(3, 10))
+        rho = draw(st.floats(0.0, 1.0))
+        cx, cy = draw(st.floats(-(R - 2.0), R - 2.0)), draw(st.floats(-(R - 2.0), R - 2.0))
+        masses = tuple(
+            PointMass(Point(cx + rho * math.cos(2 * math.pi * t / k), cy + rho * math.sin(2 * math.pi * t / k)), 1.0 / k)
+            for t in range(k)
+        )
+    elif kind == "rim":
+        angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4))
+        masses = tuple(PointMass(Point(R * math.cos(a), R * math.sin(a)), 1.0 / len(angles)) for a in angles)
+    if kind in ("density", "mixed"):
         region = PixelRegion(
             origin=Point(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
             h=draw(st.sampled_from([0.05, 0.1, 0.3])),
@@ -386,7 +407,8 @@ def stream_cases(draw):
         )
         density = DensityPatch(region=region, grams=draw(st.sampled_from([0.5, 1.0])))
     config = PoisonConfig(
-        R=R, h_available=1.0, samples=1, seed=draw(st.integers(0, 2**32 - 1)),
+        R=R, h_available=1.0, lethal_dose=draw(st.sampled_from([1.0, 1.0, 0.5, 1e-10])), samples=1,
+        seed=draw(st.integers(0, 2**32 - 1)),
     )
     return PoisonStrategy(point_masses=masses, density=density), config
 
@@ -399,9 +421,8 @@ def stream_cases(draw):
 )
 def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
     strategy, config = case
-    patch = _patch_rows(strategy)
-    got = _batch_hits(strategy, patch, config, batch_index, quota)
-    assert got == whole_round_batch_hits(strategy, patch, config, batch_index, quota)
+    got = _batch_hits(_VerdictGrid(strategy, config), batch_index, quota)
+    assert got == whole_round_batch_hits(strategy, _patch_rows(strategy), config, batch_index, quota)
 
 
 def ulp_ring(cx: float, cy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -438,6 +459,79 @@ def test_dose_equals_the_whole_round_expression(with_patch):
     dose = _dose_at(strat, patch, gx, gy)
     assert dose.shape == gx.shape
     assert np.array_equal(dose, whole_round_dose_at(strat, patch, gx, gy))
+
+
+def grid_probes(grid: _VerdictGrid, strategy: PoisonStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Every corner of the grid's cells, border included, and the points
+    one ulp either side of it in x and in y; the ulp_ring of every mass;
+    probe_points around the patch's cells."""
+    def edges(lo, n):
+        e = lo + np.arange(n + 3) * grid.pitch
+        return np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
+
+    gx, gy = np.meshgrid(edges(grid.x0, grid.nx), edges(grid.y0, grid.ny), indexing="ij")
+    parts = [(gx.ravel(), gy.ravel())]
+    parts += [ulp_ring(m.position.x, m.position.y) for m in strategy.point_masses]
+    if strategy.density is not None:
+        parts.append(probe_points(strategy.density.region, 0))
+    return np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts])
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream_cases())
+def test_certain_grid_cells_give_the_verdict_of_the_dose(case):
+    strategy, config = case
+    grid = _VerdictGrid(strategy, config)
+    assert grid.verdict.size <= _GRID_CELLS
+    xs, ys = grid_probes(grid, strategy)
+    verdict = grid.lookup(xs, ys)
+    certain = verdict != _UNSURE
+    exact = poisoning._is_lethal_dose(_dose_at(strategy, _patch_rows(strategy), xs, ys), config)
+    assert np.array_equal(verdict[certain] == _LETHAL, exact[certain])
+
+
+@pytest.mark.parametrize("lethal_dose", [1.0, 1e-10])
+def test_grid_is_capped_on_a_huge_pie(lethal_dose):
+    """Masses on opposite rims of a pie of radius 1e6: the reach box is
+    the whole sampling square, 2e6 wide, and the pitch coarsens to fit."""
+    R = 1e6
+    rim = R * math.sqrt(0.5)
+    strat = PoisonStrategy(point_masses=(PointMass(Point(rim, rim), 0.5), PointMass(Point(-rim, -rim), 0.5)))
+    cfg = PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose, samples=20_000, seed=3)
+    grid = _VerdictGrid(strat, cfg)
+    assert grid.verdict.size <= _GRID_CELLS
+    assert grid.pitch > 2e6 / 256
+    hits = kill_probability(strat, cfg).hits
+    assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)
+    assert hits == (cfg.samples if lethal_dose < poisoning._TOL else 0)
+
+
+@pytest.mark.parametrize("kind", ["hexagon", "patch", "mixed"])
+def test_lethal_region_equals_the_dose_raster(kind):
+    """The raster built from the grid's verdicts is the raster of the exact
+    dose at every cell center."""
+    patch = DensityPatch(region=rasterize(Disk(center=Point(0.1, -0.2), radius=0.5), 0.05), grams=1.5)
+    strat = {
+        "hexagon": tour_hexagon(),
+        "patch": PoisonStrategy(density=patch),
+        "mixed": PoisonStrategy(
+            point_masses=(PointMass(Point(0.4, 0.0), 0.3), PointMass(Point(-0.2, 0.35), 0.3)),
+            density=DensityPatch(region=patch.region, grams=0.9),
+        ),
+    }[kind]
+    cfg = PoisonConfig(R=3.0, h_available=1.5)
+
+    class ExactLethalSet:
+        def bbox(self):
+            return (-2.0, -2.0, 2.0, 2.0)
+
+        def contains_xy(self, x, y):
+            dose = _dose_at(strat, _patch_rows(strat), x, y)
+            return (x * x + y * y <= 4.0) & poisoning._is_lethal_dose(dose, cfg)
+
+    got = lethal_region(strat, cfg, 0.03)
+    assert not got.is_empty()
+    assert got == rasterize(ExactLethalSet(), 0.03)
 
 
 def tour_hexagon() -> PoisonStrategy:
