@@ -39,6 +39,8 @@ from . import svgplot
 
 SCHEMA = 1
 _TOOL = "isodiam"
+# the thread-count flag is kept only so invocations that pass 1 still parse
+_ONE_THREAD = "isodiam runs on one thread: runs are seeded and deterministic, and a thread pool made them slower"
 
 
 def _sha256(path: str) -> str:
@@ -227,7 +229,7 @@ def cmd_search(ns: argparse.Namespace) -> int:
         seed=ns.seed,
         cooling=ns.cooling,
     )
-    result = anneal_chains(config, chains=ns.chains, threads=ns.threads)
+    result = anneal_chains(config, chains=ns.chains)
     if ns.region_out:
         result.best_region.save(ns.region_out)
     if ns.svg:
@@ -300,10 +302,10 @@ def cmd_poison(ns: argparse.Namespace) -> int:
         inputs.append(ns.strategy)
     else:
         strategy = PoisonStrategy(point_masses=(PointMass(Point(0.0, 0.0), ns.h_available),))
-    kill = kill_probability(strategy, config, threads=ns.threads)
+    kill = kill_probability(strategy, config)
     lethal = None
-    if ns.grid or ns.svg:
-        grid_h = ns.grid if ns.grid else 0.05
+    if ns.grid is not None or ns.svg:
+        grid_h = ns.grid if ns.grid is not None else 0.05
         region = lethal_region(strategy, config, grid_h)
         lethal = {
             "cells": len(region.cells),
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10_000)
     p.add_argument("--cooling", type=float, default=0.9995)
     p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, choices=(1,), help=_ONE_THREAD)
     p.add_argument("--region-out", help="save the best region as JSON")
     p.add_argument("--svg", help="plot the best region over the two-disk candidate")
     _add_common(p, seed=True)
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--strategy", help="JSON strategy file (default: everything at the centre)")
     p.add_argument("--grid", type=float, help="lethal-region raster pitch")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, choices=(1,), help=_ONE_THREAD)
     p.add_argument("--svg", help="plot the lethal region")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_poison)

@@ -1,8 +1,8 @@
 """Exact planar primitives: points, disks, triangles, enclosing circles.
 
-Everything in this module is a pure function over immutable values, so it is
-safe to call from worker threads without locking. Coordinates are float64
-throughout and all tolerances are documented at the definition site.
+Everything in this module is a pure function over immutable values.
+Coordinates are float64 throughout and all tolerances are documented at the
+definition site.
 """
 
 from __future__ import annotations

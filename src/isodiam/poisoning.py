@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,6 +113,8 @@ class PoisonStrategy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PoisonStrategy":
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed strategy JSON: expected an object, got {type(data).__name__}")
         try:
             masses = tuple(
                 PointMass(position=Point(float(x), float(y)), grams=float(g))
@@ -196,9 +196,9 @@ class _PatchRows:
     Per occupied row i: its center x, and its cells as runs of consecutive
     columns j. Center y of every cell, sorted by (i, j). All sizes are
     O(cells), none follows the patch's bounding box, and the floats are
-    those cell_centers() gives. Read-only once built, so one table serves
-    every batch and thread of a call. A point costs O(rows + runs) work
-    near the patch, against O(cells) for testing every cell.
+    those cell_centers() gives. Built once per call and read by every
+    batch. A point costs O(rows + runs) work near the patch, against
+    O(cells) for testing every cell.
     """
 
     def __init__(self, patch: DensityPatch) -> None:
@@ -535,37 +535,23 @@ def _batch_hits(grid: _VerdictGrid, batch_index: int, quota: int) -> int:
     return hits + flush()
 
 
-def kill_probability(
-    strategy: PoisonStrategy, config: PoisonConfig, threads: int = 1
-) -> KillReport:
+def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillReport:
     """Seeded Monte Carlo estimate of the probability a random bite kills.
 
     Samples are split into fixed batches with independent per-batch seed
-    streams; the merge is a plain hit count, so the estimate is identical
-    for identical seeds no matter how many workers run the batches. The
-    interval is the normal-approximation 95% band. Raises ValueError when
-    threads < 1. At most one worker runs per batch and per CPU, whatever
-    threads asks for.
+    streams, run in order; the merge is a plain hit count, so the estimate
+    is identical for identical seeds. The interval is the
+    normal-approximation 95% band.
 
-    One verdict grid (_VerdictGrid), built per call and shared read-only
-    by the batches, decides most bites without their dose; the rest get
-    the exact dose. The grid's verdicts are certified, and the draws,
-    batches and seeds are those of scoring every bite, so the hits are
-    too.
+    One verdict grid (_VerdictGrid), built per call and read by every
+    batch, decides most bites without their dose; the rest get the exact
+    dose. The grid's verdicts are certified, and the draws, batches and
+    seeds are those of scoring every bite, so the hits are too.
     """
     validate_strategy(strategy, config)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n = config.samples
     grid = _VerdictGrid(strategy, config)
-    quotas = [(_BATCH if (k + 1) * _BATCH <= n else n - k * _BATCH) for k in range((n + _BATCH - 1) // _BATCH)]
-    workers = min(threads, len(quotas), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hit_list = list(pool.map(lambda kq: _batch_hits(grid, kq[0], kq[1]), enumerate(quotas)))
-    else:
-        hit_list = [_batch_hits(grid, k, q) for k, q in enumerate(quotas)]
-    hits = int(sum(hit_list))
+    hits = sum(_batch_hits(grid, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH)))
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     ci = (max(0.0, p_hat - 1.96 * se), min(1.0, p_hat + 1.96 * se))

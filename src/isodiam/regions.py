@@ -186,7 +186,11 @@ class PixelRegion:
         try:
             ox, oy = data["origin"]
             h = data["h"]
-            cells = frozenset((int(i), int(j)) for i, j in data["cells"])
+            pairs = [(i, j) for i, j in data["cells"]]
+            # bool is an int subtype, and JSON true is no index
+            if not all(type(i) is int and type(j) is int for i, j in pairs):
+                raise ValueError("cell indices must be integers")
+            cells = frozenset(pairs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed region JSON: {exc}") from exc
         return cls(origin=Point(float(ox), float(oy)), h=float(h), cells=cells)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -550,22 +549,12 @@ def anneal(config: SearchConfig) -> SearchResult:
     )
 
 
-def anneal_chains(config: SearchConfig, chains: int, threads: int = 1) -> SearchResult:
+def anneal_chains(config: SearchConfig, chains: int) -> SearchResult:
     """Run independent chains seeded seed, seed+1, ... and keep the best.
 
-    Ties go to the smaller seed. Results do not depend on threads, which
-    only caps the worker pool.
+    Ties go to the smaller seed.
     """
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
-    configs = [dataclasses.replace(config, seed=config.seed + k) for k in range(chains)]
-    if threads > 1 and chains > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, chains)) as pool:
-            results = list(pool.map(anneal, configs))
-    else:
-        results = [anneal(c) for c in configs]
-    best = results[0]
-    for res in results[1:]:
-        if res.best_measure > best.best_measure:
-            best = res
-    return best
+    results = (anneal(dataclasses.replace(config, seed=config.seed + k)) for k in range(chains))
+    return max(results, key=lambda res: res.best_measure)

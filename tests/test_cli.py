@@ -199,11 +199,39 @@ def test_poison_strategy_file(capsys, tmp_path):
     assert str(strat_path) in payload["manifest"]["input_digests"]
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("threads", ["0", "-2", "2", "-4"])
 def test_poison_rejects_threads_below_one(capsys, threads):
-    argv = ["poison", "--R", "3", "--h-available", "1", "--samples", "1000", "--threads", threads]
+    """Both subcommands that take --threads accept only 1."""
+    for argv in (
+        ["poison", "--R", "3", "--h-available", "1", "--samples", "1000", "--threads", threads],
+        ["search", "--delta", "3", "--h", "0.1", "--iterations", "10", "--chains", "3", "--threads", threads],
+    ):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("strategy", [
+    [],
+    {"density": {"region": {"origin": [0.0, 0.0], "h": 0.1, "cells": [[0.5, 0]]}, "grams": 1.0}},
+])
+def test_malformed_strategy_json_exits_2(capsys, tmp_path, strategy):
+    strat_path = tmp_path / "strategy.json"
+    strat_path.write_text(json.dumps(strategy))
+    assert cli.run(["poison", "--R", "3", "--h-available", "1", "--samples", "1000", "--strategy", str(strat_path)]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: malformed strategy JSON")
+
+
+@pytest.mark.parametrize("extra", [[], ["--svg", "lethal.svg"]])
+def test_poison_rejects_a_zero_grid(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    argv = ["poison", "--R", "3", "--h-available", "1", "--samples", "1000", "--grid", "0", *extra]
     assert cli.run(argv) == 2
-    assert capsys.readouterr().out == ""
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == "error: pitch h must be finite and > 0, got 0.0\n"
+    assert not (tmp_path / "lethal.svg").exists()
 
 
 def test_poison_rejects_mismatched_supply(capsys, tmp_path):

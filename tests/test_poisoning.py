@@ -152,15 +152,11 @@ def test_kill_probability_deterministic_and_thread_invariant():
     cfg = PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=11)
     a = kill_probability(central(1.0), cfg)
     b = kill_probability(central(1.0), cfg)
-    c = kill_probability(central(1.0), cfg, threads=4)
-    assert a.hits == b.hits == c.hits
+    assert a.hits == b.hits
     other = kill_probability(
         central(1.0), PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=12)
     )
     assert other.hits != a.hits
-    for threads in (0, -1):
-        with pytest.raises(ValueError):
-            kill_probability(central(1.0), cfg, threads=threads)
 
 
 def test_kill_probability_ci_shrinks():
@@ -320,13 +316,6 @@ def test_density_patch_bite_boundary_is_closed():
     assert is_lethal(strat, Point(0.0, -1.0), cfg)
     assert not is_lethal(strat, Point(beyond, 0.0), cfg)
     assert not is_lethal(strat, Point(0.0, -beyond), cfg)
-
-
-def test_density_kill_probability_is_thread_invariant():
-    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=4)
-    patch = DensityPatch(region=rasterize(Disk(center=Point(0.1, 0.0), radius=0.5), 0.05), grams=1.0)
-    strat = PoisonStrategy(density=patch)
-    assert kill_probability(strat, cfg).hits == kill_probability(strat, cfg, threads=3).hits
 
 
 # ------------------------------------------------------ point-mass stream
@@ -560,31 +549,3 @@ def test_point_mass_batches_stay_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
-
-
-@pytest.mark.parametrize("cpus, workers", [(64, [3]), (2, [2]), (None, [])])
-def test_threads_are_bounded_by_batches_and_cpus(monkeypatch, cpus, workers):
-    sizes = []
-
-    class RecordingExecutor:
-        """Stands in for ThreadPoolExecutor: records max_workers and runs
-        the batches in the calling thread."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(poisoning, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(poisoning.os, "cpu_count", lambda: cpus)
-    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=3 * _BATCH, seed=2)
-    many = kill_probability(central(1.0), cfg, threads=10**6)
-    assert sizes == workers
-    assert many.hits == kill_probability(central(1.0), cfg).hits

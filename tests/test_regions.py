@@ -191,6 +191,13 @@ def test_pixel_region_json_round_trip(tmp_path):
     assert raw["cells"] == sorted(raw["cells"])
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, "1", True, None])
+def test_pixel_region_json_rejects_non_integer_cell_indices(index):
+    for cell in ([index, 0], [0, index]):
+        with pytest.raises(ValueError, match="cell indices must be integers"):
+            PixelRegion.from_json_dict({"origin": [0.0, 0.0], "h": 0.1, "cells": [[0, 0], cell]})
+
+
 def test_pixel_region_validation():
     with pytest.raises(ValueError):
         PixelRegion(origin=Point(0, 0), h=0.0, cells=frozenset())
