@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Point
-from .regions import PixelRegion, rasterize
+from .regions import PixelRegion, _json_number, rasterize
 
 __all__ = [
     "PointMass",
@@ -117,16 +117,16 @@ class PoisonStrategy:
             raise ValueError(f"malformed strategy JSON: expected an object, got {type(data).__name__}")
         try:
             masses = tuple(
-                PointMass(position=Point(float(x), float(y)), grams=float(g))
+                PointMass(position=Point(_json_number(x), _json_number(y)), grams=_json_number(g))
                 for x, y, g in data.get("masses", [])
             )
             density = None
             if data.get("density") is not None:
                 density = DensityPatch(
                     region=PixelRegion.from_json_dict(data["density"]["region"]),
-                    grams=float(data["density"]["grams"]),
+                    grams=_json_number(data["density"]["grams"]),
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed strategy JSON: {exc}") from exc
         return cls(point_masses=masses, density=density)
 
@@ -203,7 +203,7 @@ class _PatchRows:
 
     def __init__(self, patch: DensityPatch) -> None:
         region = patch.region
-        idx = region.cell_index_array()
+        idx = region.cells
         centers = region.cell_centers()
         new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
         self.starts = np.concatenate([[0], new_row, [len(idx)]])

@@ -133,31 +133,53 @@ AnalyticShape = Union[Disk, TwoDisksUnion, DisjointDisks]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _json_number(value) -> float:
+    """A JSON number as a float: float() would also take strings and bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+@dataclass(frozen=True, eq=False)
 class PixelRegion:
-    """Immutable set of grid cells of pitch h anchored at origin."""
+    """Immutable set of grid cells of pitch h anchored at origin: cells is a
+    read-only (n, 2) int64 array of distinct (i, j), sorted by i, then j.
+    The constructor sorts and deduplicates an array or iterable of pairs."""
 
     origin: Point
     h: float
-    cells: frozenset[tuple[int, int]]
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"pitch h must be finite and > 0, got {self.h}")
+        cells = self.cells
+        if not isinstance(cells, np.ndarray):
+            # an empty list would make a float array of shape (0,)
+            cells = np.array(list(cells) or np.empty((0, 2), dtype=np.int64))
+        # a cast would truncate 0.5 to 0, a reshape re-pair triples' entries
+        if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu" or cells.dtype == np.uint64:
+            raise ValueError(f"cells must be (n, 2) integer pairs, got shape {cells.shape} of {cells.dtype}")
+        cells = cells.astype(np.int64)
+        i, j = cells[:, 0], cells[:, 1]
+        # cells from a row-order grid scan come sorted and skip the sort
+        if not np.all((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))):
+            cells = cells[np.lexsort((j, i))]
+            cells = cells[np.concatenate([[True], (cells[1:] != cells[:-1]).any(axis=1)])]
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PixelRegion):
+            return NotImplemented
+        return (self.origin, self.h) == (other.origin, other.h) and np.array_equal(self.cells, other.cells)
 
     @property
     def measure(self) -> float:
         return len(self.cells) * self.h * self.h
 
     def is_empty(self) -> bool:
-        return not self.cells
-
-    def cell_index_array(self) -> np.ndarray:
-        """Sorted (n, 2) int64 array of cell indices."""
-        if not self.cells:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = np.array(sorted(self.cells), dtype=np.int64)
-        return arr
+        return len(self.cells) == 0
 
     def _xy(self, grid: np.ndarray) -> np.ndarray:
         """(n, 2) float64 coordinates of points given in cell units: grid
@@ -167,33 +189,28 @@ class PixelRegion:
         return grid.astype(np.float64) * self.h + [self.origin.x, self.origin.y]
 
     def cell_centers(self) -> np.ndarray:
-        return self._xy(self.cell_index_array() + 0.5)
+        return self._xy(self.cells + 0.5)
 
     def corner_points(self) -> np.ndarray:
         """Unique cell corners as an (m, 2) float64 array."""
-        idx = self.cell_index_array()
+        idx = self.cells
         return self._xy(np.unique(np.concatenate([idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]]), axis=0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "origin": [self.origin.x, self.origin.y],
-            "h": self.h,
-            "cells": [[int(i), int(j)] for i, j in sorted(self.cells)],
-        }
+        return {"origin": [self.origin.x, self.origin.y], "h": self.h, "cells": self.cells.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PixelRegion":
         try:
-            ox, oy = data["origin"]
-            h = data["h"]
-            pairs = [(i, j) for i, j in data["cells"]]
+            ox, oy = (_json_number(v) for v in data["origin"])
+            h = _json_number(data["h"])
+            cells = data["cells"]
             # bool is an int subtype, and JSON true is no index
-            if not all(type(i) is int and type(j) is int for i, j in pairs):
+            if not all(type(i) is int and type(j) is int for i, j in cells):
                 raise ValueError("cell indices must be integers")
-            cells = frozenset(pairs)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed region JSON: {exc}") from exc
-        return cls(origin=Point(float(ox), float(oy)), h=float(h), cells=cells)
+        return cls(origin=Point(ox, oy), h=h, cells=cells)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
@@ -233,8 +250,7 @@ def rasterize(shape: AnalyticShape, h: float, origin: Point = Point(0.0, 0.0)) -
     gx, gy = np.meshgrid(cx, cy, indexing="ij")
     mask = shape.contains_xy(gx, gy)
     sel_i, sel_j = np.nonzero(mask)
-    cells = frozenset(zip((ii[sel_i]).tolist(), (jj[sel_j]).tolist()))
-    return PixelRegion(origin=origin, h=h, cells=cells)
+    return PixelRegion(origin=origin, h=h, cells=np.column_stack([ii[sel_i], jj[sel_j]]))
 
 
 def lens_area(d: float) -> float:
@@ -260,33 +276,20 @@ def u_delta_measure(delta: float) -> float:
     return u_delta_shape(delta).area
 
 
-def _row_extreme_cells(r: PixelRegion) -> tuple[np.ndarray, np.ndarray]:
-    """The min-j and the max-j cell of each row i, as two (rows, 2) int64
-    index arrays in row order. Raises ValueError on an empty region.
-
-    A cell with cells on both sides in its row lies inside their segment,
-    so these cells hold every convex hull vertex of the cells' corners
-    (see _row_extreme_corners). Unlike search._row_extremes, its cost does
-    not grow with the row span.
-    """
-    if r.is_empty():
-        raise ValueError("diameter of an empty region")
-    idx = np.array(list(r.cells), dtype=np.int64)
-    idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
-    new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
-    first = idx[np.concatenate([[0], new_row])]
-    last = idx[np.concatenate([new_row - 1, [len(idx) - 1]])]
-    return first, last
-
-
 def _row_extreme_corners(r: PixelRegion) -> np.ndarray:
-    """Outer corners of each row's min-j and max-j cells.
+    """Outer corners of each row's min-j and max-j cells, the ends of its
+    block of the sorted cells. Raises ValueError on an empty region.
 
     Every hull vertex of the corner set is among these at most 4 * rows
     points: it is the lowest or highest corner on its vertical grid line,
     and those belong to the extreme cells of the rows on either side.
     """
-    first, last = _row_extreme_cells(r)
+    if r.is_empty():
+        raise ValueError("diameter of an empty region")
+    idx = r.cells
+    new_row = np.flatnonzero(idx[1:, 0] != idx[:-1, 0]) + 1
+    first = idx[np.concatenate([[0], new_row])]
+    last = idx[np.concatenate([new_row - 1, [len(idx) - 1]])]
     return r._xy(np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]]))
 
 
@@ -359,9 +362,9 @@ def minkowski_difference(r: PixelRegion) -> PixelRegion:
     Symmetric under index negation by construction. The difference of an
     empty region is empty.
     """
-    idx = r.cell_index_array()
+    idx = r.cells
     if len(idx) == 0:
-        return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=frozenset())
+        return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=idx)
     i_min, j_min = idx.min(axis=0)
     i_max, j_max = idx.max(axis=0)
     w = int(i_max - i_min) + 1
@@ -372,8 +375,7 @@ def minkowski_difference(r: PixelRegion) -> PixelRegion:
     spectrum = np.fft.rfft2(grid, shape) * np.fft.rfft2(grid[::-1, ::-1], shape)
     corr = np.fft.irfft2(spectrum, shape)
     di, dj = np.nonzero(corr > 0.5)
-    cells = frozenset(zip((di - (w - 1)).tolist(), (dj - (v - 1)).tolist()))
-    return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=cells)
+    return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=np.column_stack([di - (w - 1), dj - (v - 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +450,9 @@ class ArcSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArcSet":
         try:
-            r = float(data["r"])
-            intervals = [(float(t1), float(t2)) for t1, t2 in data["arcs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            r = _json_number(data["r"])
+            intervals = [(_json_number(t1), _json_number(t2)) for t1, t2 in data["arcs"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed arc JSON: {exc}") from exc
         try:
             # already-normalized data loads verbatim, keeping round trips

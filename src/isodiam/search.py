@@ -323,7 +323,7 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     is built.
     """
     diam_cap, far_cap = _caps(delta, region.h)
-    idx = region.cell_index_array()
+    idx = region.cells
     boundary = _boundary_cells(idx)
     n = len(boundary)
     pairs = n * (n - 1) // 2
@@ -455,7 +455,6 @@ def anneal(config: SearchConfig) -> SearchResult:
     baseline_measure = best_measure = measure
     # the best region is copied only when a removal leaves it, or at the end
     at_best = True
-    best_cells: frozenset[tuple[int, int]]
     accepted = 0
     temperature = config.t0
     # additions found infeasible since the last accepted removal
@@ -527,7 +526,7 @@ def anneal(config: SearchConfig) -> SearchResult:
             cell = remove_frontier.choose(moves)
             if moves.random() < remove_probability:
                 if at_best:
-                    best_cells = frozenset(slot_of)
+                    best_cells = np.column_stack([I[:count], J[:count]])
                     at_best = False
                 apply_flip(cell, adding=False)
                 rejected.clear()
@@ -535,7 +534,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         temperature *= config.cooling
 
     if at_best:
-        best_cells = frozenset(slot_of)
+        best_cells = np.column_stack([I[:count], J[:count]])
     best_region = PixelRegion(origin=Point(0.0, 0.0), h=h, cells=best_cells)
     return SearchResult(
         best_region=best_region,

@@ -113,17 +113,15 @@ def region_svg(region: PixelRegion, outline: AnalyticShape | None = None, title:
 
     Drawn in data coordinates with the y axis flipped.
     """
-    idx = region.cell_index_array()
+    idx = region.cells
     h = region.h
     ox, oy = region.origin.x, region.origin.y
     if len(idx) == 0:
         x_lo = y_lo = -1.0
         x_hi = y_hi = 1.0
     else:
-        x_lo = ox + idx[:, 0].min() * h
-        x_hi = ox + (idx[:, 0].max() + 1) * h
-        y_lo = oy + idx[:, 1].min() * h
-        y_hi = oy + (idx[:, 1].max() + 1) * h
+        x_lo, y_lo = region._xy(idx.min(axis=0))
+        x_hi, y_hi = region._xy(idx.max(axis=0) + 1)
     circles = _outline_circles(outline) if outline is not None else []
     for cx, cy, r in circles:
         x_lo = min(x_lo, cx - r)

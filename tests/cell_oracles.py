@@ -1,0 +1,88 @@
+"""Frozenset oracles for pixel regions.
+
+PixelRegion holds its cells as a sorted int64 array. These helpers answer
+the same questions from a plain set of (i, j) tuples, by brute force, so
+the tests can check the array code against them. `in` on an array tests
+single coordinates, not cells, so membership goes through cell_set.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from isodiam.geometry import convex_hull_indices
+from isodiam.search import _NEIGHBORS
+
+
+def cell_set(region) -> frozenset[tuple[int, int]]:
+    """The region's cells as a set of (i, j) tuples."""
+    return frozenset(map(tuple, region.cells.tolist()))
+
+
+def json_dict(origin, h: float, cells: frozenset) -> dict:
+    return {"origin": [origin.x, origin.y], "h": h, "cells": [list(c) for c in sorted(cells)]}
+
+
+def measure(h: float, cells: frozenset) -> float:
+    return len(cells) * h * h
+
+
+def _xy(origin, h: float, grid) -> np.ndarray:
+    return np.array(grid, dtype=np.float64).reshape(-1, 2) * h + [origin.x, origin.y]
+
+
+def cell_centers(origin, h: float, cells: frozenset) -> np.ndarray:
+    return _xy(origin, h, [(i + 0.5, j + 0.5) for i, j in sorted(cells)])
+
+
+def region_diam(origin, h: float, cells: frozenset) -> float:
+    """Largest distance between hull vertices of every cell corner."""
+    corners = {(i + di, j + dj) for i, j in cells for di in (0, 1) for dj in (0, 1)}
+    pts = _xy(origin, h, sorted(corners))
+    pts = pts[convex_hull_indices(pts)]
+    best = 0.0
+    for k in range(len(pts) - 1):
+        best = max(best, float(np.sum((pts[k + 1 :] - pts[k]) ** 2, axis=1).max()))
+    return math.sqrt(best)
+
+
+def difference(cells: frozenset) -> frozenset:
+    return frozenset((i1 - i2, j1 - j2) for i1, j1 in cells for i2, j2 in cells)
+
+
+def corner_k(cells) -> np.ndarray:
+    """Farthest-corner distance^2 / h^2 of every pair of cells, by trying
+    all 16 corner pairs in integer index units."""
+    idx = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
+    best = np.zeros((len(idx), len(idx)), dtype=np.int64)
+    for a in itertools.product((0, 1), repeat=4):
+        dx = (idx[:, None, 0] + a[0]) - (idx[None, :, 0] + a[1])
+        dy = (idx[:, None, 1] + a[2]) - (idx[None, :, 1] + a[3])
+        best = np.maximum(best, dx * dx + dy * dy)
+    return best
+
+
+def exact_far(k: np.ndarray, h: float) -> np.ndarray:
+    """Which corner metrics put two cells' points more than 2 apart, in
+    Fraction from the exact value of h."""
+    far = [v for v in np.unique(k).tolist() if v * Fraction(h) ** 2 > 4]
+    return np.isin(k, far)
+
+
+def oracle_diam_ok(cells, h: float, delta: float) -> bool:
+    return int(corner_k(cells).max()) * Fraction(h) ** 2 <= Fraction(delta) ** 2
+
+
+def has_far_triple(cells, h: float) -> bool:
+    """Whether three of the cells are pairwise far, over every triple."""
+    far = exact_far(corner_k(cells), h).astype(np.int64)
+    return bool(((far @ far) * far).any())
+
+
+def oracle_diam3_ok(cells, h: float) -> bool:
+    """No triple of boundary cells is pairwise far, over every triple."""
+    boundary = [(i, j) for i, j in cells if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)]
+    far = exact_far(corner_k(boundary), h)
+    return not any(far[a, b] and far[a, c] and far[b, c] for a, b, c in itertools.combinations(range(len(boundary)), 3))

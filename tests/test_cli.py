@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from isodiam import cli
-from isodiam.geometry import PointSet, save_points_csv
-from isodiam.regions import ArcSet
+from isodiam.geometry import Point, PointSet, save_points_csv
+from isodiam.poisoning import DensityPatch, PoisonStrategy
+from isodiam.regions import ArcSet, Disk, rasterize
 
 
 @pytest.fixture(autouse=True)
@@ -213,6 +215,13 @@ def test_poison_rejects_threads_below_one(capsys, threads):
 @pytest.mark.parametrize("strategy", [
     [],
     {"density": {"region": {"origin": [0.0, 0.0], "h": 0.1, "cells": [[0.5, 0]]}, "grams": 1.0}},
+    # float() takes strings and booleans, which are no JSON numbers
+    {"masses": [["0", True, "1"]]},
+    {"masses": [[0.0, 0.0, True]]},
+    {"masses": [[0.0, 0.0, 10**400]]},
+    {"density": {"region": {"origin": ["0.5", True], "h": 0.1, "cells": [[0, 0]]}, "grams": 1.0}},
+    {"density": {"region": {"origin": [0.0, 0.0], "h": "0.1", "cells": [[0, 0]]}, "grams": 1.0}},
+    {"density": {"region": {"origin": [0.0, 0.0], "h": 0.1, "cells": [[0, 0]]}, "grams": "1"}},
 ])
 def test_malformed_strategy_json_exits_2(capsys, tmp_path, strategy):
     strat_path = tmp_path / "strategy.json"
@@ -256,6 +265,44 @@ def test_circle_rejects_the_removed_sampling_flag(capsys, tmp_path):
     arcs_path = tmp_path / "arcs.json"
     ArcSet.from_intervals(2.0, [(0.0, 1.4)]).save(arcs_path)
     assert cli.run(["circle", str(arcs_path), "--samples-per-arc", "64"]) == 2
+
+
+@pytest.mark.parametrize("arcs", [
+    {"r": "3", "arcs": [["0", True]]},
+    {"r": 3.0, "arcs": [[0.0, "1"]]},
+    {"r": True, "arcs": [[0.0, 1.0]]},
+    {"r": 3.0, "arcs": [[False, 1.0]]},
+])
+def test_malformed_arc_json_exits_2(capsys, tmp_path, arcs):
+    arcs_path = tmp_path / "arcs.json"
+    arcs_path.write_text(json.dumps(arcs))
+    assert cli.run(["circle", str(arcs_path)]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: malformed arc JSON")
+
+
+def _bench_oracles():
+    """bench/oracles.py: the benchmark's checks of the CLI's output files."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", Path(__file__).parents[1] / "bench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_oracles_read_the_cli_outputs(capsys, tmp_path, monkeypatch):
+    """A region or report format the benchmark cannot read fails here."""
+    oracles = _bench_oracles()
+    monkeypatch.chdir(tmp_path)
+    patch = DensityPatch(region=rasterize(Disk(center=Point(0.2, 0.0), radius=0.5), 0.05), grams=1.0)
+    PoisonStrategy(density=patch).save("patch.json")
+    search = ["search", "--delta", "3", "--h", "0.1", "--iterations", "2000", "--seed", "1"]
+    assert cli.run([*search, "--region-out", "best.json", "--out", "search.json"]) == 0
+    poison = ["poison", "--R", "3", "--h-available", "1", "--strategy", "patch.json", "--samples", "20000"]
+    assert cli.run([*poison, "--grid", "0.05", "--out", "poison.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert oracles.check_search(tmp_path, ("search.json", "best.json"), 3.0, 0.1, 2000, "best.json") == []
+    assert oracles.check_poison(tmp_path, ("poison.json",)) == []
 
 
 def test_circle_small_radius_skips_check(capsys, tmp_path):

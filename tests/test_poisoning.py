@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cell_oracles import cell_set
 from isodiam import poisoning
 from isodiam.geometry import Point
 from isodiam.poisoning import (
@@ -115,7 +116,7 @@ def test_equal_masses_summing_to_the_dose_kill(k):
     assert is_lethal(strat, Point(0.0, 0.0), cfg)
     assert kill_probability(strat, cfg).hits > 0
     # the cell's center (0.25, 0.25) lies within 0.86 of every mass
-    assert (0, 0) in lethal_region(strat, cfg, 0.5).cells
+    assert (0, 0) in cell_set(lethal_region(strat, cfg, 0.5))
 
 
 def test_patch_summing_to_the_dose_kills():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cell_oracles import cell_set
 from isodiam.geometry import Point, convex_hull_indices
 from isodiam.regions import (
     ArcSet,
@@ -96,7 +97,8 @@ def test_rasterize_u_delta_measure():
 def test_rasterize_respects_origin():
     base = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), 0.1)
     moved = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), 0.1, origin=Point(0.05, 0.0))
-    assert base.cells != moved.cells or base.origin != moved.origin
+    # half a cell's shift moves the sampled centers: the two rasters differ
+    assert (len(base.cells), len(moved.cells)) == (316, 312)
     assert abs(base.measure - moved.measure) < 0.2
 
 
@@ -211,7 +213,7 @@ def test_pixel_region_validation():
 def test_minkowski_difference_single_cell():
     r = PixelRegion(origin=Point(0, 0), h=0.2, cells=frozenset({(3, 5)}))
     d = minkowski_difference(r)
-    assert d.cells == frozenset({(0, 0)})
+    assert d.cells.tolist() == [[0, 0]]
     assert d.measure == pytest.approx(0.04)
 
 
@@ -237,8 +239,9 @@ def test_minkowski_difference_is_symmetric():
         (int(i), int(j)) for i, j in rng.integers(-6, 7, size=(25, 2))
     )
     d = minkowski_difference(PixelRegion(origin=Point(0, 0), h=0.1, cells=cells))
-    assert all((-i, -j) in d.cells for i, j in d.cells)
-    assert (0, 0) in d.cells
+    cells = cell_set(d)
+    assert all((-i, -j) in cells for i, j in cells)
+    assert (0, 0) in cells
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,9 +251,9 @@ def test_minkowski_difference_is_symmetric():
 )
 def test_minkowski_difference_equals_brute_force(cells, h):
     r = PixelRegion(origin=Point(0.3, -0.7), h=h, cells=frozenset(cells))
-    brute = frozenset((i1 - i2, j1 - j2) for i1, j1 in r.cells for i2, j2 in r.cells)
+    brute = frozenset((i1 - i2, j1 - j2) for i1, j1 in cells for i2, j2 in cells)
     d = minkowski_difference(r)
-    assert d.cells == brute
+    assert cell_set(d) == brute
     assert (d.origin, d.h) == (Point(0.0, 0.0), h)
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cell_oracles import cell_set, corner_k, has_far_triple, oracle_diam3_ok, oracle_diam_ok
 from isodiam import search
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
 from isodiam.geometry import Point
@@ -35,42 +35,6 @@ from isodiam.search import (
 )
 
 CONVEX_CANDIDATE_AT_3 = 3.695523289953722  # pi + 2*(sqrt(5)/2 - acos(2/3))
-
-
-def corner_k(cells) -> np.ndarray:
-    """Farthest-corner distance^2 / h^2 of every pair of cells, by trying
-    all 16 corner pairs in integer index units."""
-    idx = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
-    best = np.zeros((len(idx), len(idx)), dtype=np.int64)
-    for a in itertools.product((0, 1), repeat=4):
-        dx = (idx[:, None, 0] + a[0]) - (idx[None, :, 0] + a[1])
-        dy = (idx[:, None, 1] + a[2]) - (idx[None, :, 1] + a[3])
-        best = np.maximum(best, dx * dx + dy * dy)
-    return best
-
-
-def exact_far(k: np.ndarray, h: float) -> np.ndarray:
-    """Which corner metrics put two cells' points more than 2 apart, in
-    Fraction from the exact value of h."""
-    far = [v for v in np.unique(k).tolist() if v * Fraction(h) ** 2 > 4]
-    return np.isin(k, far)
-
-
-def oracle_diam_ok(cells, h: float, delta: float) -> bool:
-    return int(corner_k(cells).max()) * Fraction(h) ** 2 <= Fraction(delta) ** 2
-
-
-def has_far_triple(cells, h: float) -> bool:
-    """Whether three of the cells are pairwise far, over every triple."""
-    far = exact_far(corner_k(cells), h).astype(np.int64)
-    return bool(((far @ far) * far).any())
-
-
-def oracle_diam3_ok(cells, h: float) -> bool:
-    """No triple of boundary cells is pairwise far, over every triple."""
-    boundary = [(i, j) for i, j in cells if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)]
-    far = exact_far(corner_k(boundary), h)
-    return not any(far[a, b] and far[a, c] and far[b, c] for a, b, c in itertools.combinations(range(len(boundary)), 3))
 
 
 def seed_oracle(delta: float, h: float) -> list[tuple[int, int]]:
@@ -299,7 +263,8 @@ def test_anneal_stays_below_the_proved_bound():
 
 
 def best_cells_digest(region: PixelRegion) -> str:
-    cells = sorted((int(i), int(j)) for i, j in region.cells)
+    """sha256 of the repr of the sorted cells as a list of (i, j) tuples."""
+    cells = sorted(map(tuple, region.cells.tolist()))
     return hashlib.sha256(repr(cells).encode()).hexdigest()
 
 
@@ -341,8 +306,8 @@ PINNED_TRAJECTORIES = {
 def test_anneal_trajectory_is_pinned(delta, t0):
     h = 0.1
     out = anneal(SearchConfig(delta=delta, h=h, iterations=2000, seed=3, temperature_init=t0))
-    cells = sorted((int(i), int(j)) for i, j in out.best_region.cells)
-    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    cells = cell_set(out.best_region)
+    digest = best_cells_digest(out.best_region)
     assert (out.accepted_moves, out.best_measure, digest) == PINNED_TRAJECTORIES[(delta, t0)]
     assert out.feasibility.diam_ok and out.feasibility.diam3_ok
     # the exact invariants the move check keeps, over every cell pair and triple
@@ -371,9 +336,9 @@ def test_anneal_grows_its_cell_arrays():
     out = anneal(SearchConfig(delta=2.8, h=0.6, iterations=300, seed=0))
     assert out.accepted_moves == 5
     assert out.best_measure == 3.2399999999999998
-    assert sorted(out.best_region.cells) == [(i, j) for i in (-2, -1, 0) for j in (-2, -1, 0)]
-    assert oracle_diam_ok(out.best_region.cells, 0.6, 2.8)
-    assert not has_far_triple(out.best_region.cells, 0.6)
+    assert out.best_region.cells.tolist() == [[i, j] for i in (-2, -1, 0) for j in (-2, -1, 0)]
+    assert oracle_diam_ok(cell_set(out.best_region), 0.6, 2.8)
+    assert not has_far_triple(cell_set(out.best_region), 0.6)
 
 
 def test_anneal_stops_once_frozen():
