@@ -9,19 +9,20 @@ tau. A set with diameter delta whose diam3 is at most tau fits inside a
 disk of this radius; with tau = delta it reduces to Jung's delta/sqrt(3).
 
 Area bounds come in several flavours, each exposed both as the raw closed
-form (the "interior" expression, useful for crossover hunting) and capped
-at 2*pi inside bound_profile():
+form (the "interior" expression, useful for crossover hunting) and, in
+bound_profile(), capped at 2*pi and None outside the window of delta
+where its hypothesis holds:
 
-    stmt1            pi*delta^2/4          valid for delta <= 4/sqrt(3)
-    stmt3            pi/6*delta^4/(delta^2-1) + 4*pi/9, capped at 2*pi
-    convex_blaschke  4*pi*delta/(3*sqrt(3)), capped at 2*pi
-    convex_improved  pi/4*delta^4/(delta^2-1), capped at 2*pi
-    symmetric        pi*delta^2/6 + 4*pi/9, capped at 2*pi
+    stmt1            pi*delta^2/4 (below 2*pi)          delta <= 4/sqrt(3)
+    stmt2            2*pi                               delta >= 4
+    stmt3            pi/6*delta^4/(delta^2-1) + 4*pi/9  4/sqrt(3) < delta < 4
+    convex_blaschke  4*pi*delta/(3*sqrt(3))             delta > 4/sqrt(3)
+    convex_improved  pi/4*delta^4/(delta^2-1)           delta > 4/sqrt(3)
+    symmetric        pi*delta^2/6 + 4*pi/9              delta > 4/sqrt(3)
 
-The stmt3 applicability window is 4/sqrt(3) < delta < 4. (The source
-statement prints a lower endpoint of 4*pi/3, which exceeds 4 and would
-make the window empty; 4/sqrt(3) is the endpoint consistent with the
-disk regime ending at 4/sqrt(3) and with the proof.)
+(The source statement prints 4*pi/3 as the lower end of the stmt3 window,
+which exceeds 4 and would make the window empty; 4/sqrt(3) is the endpoint
+consistent with the disk regime ending at 4/sqrt(3) and with the proof.)
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ CIRCLE_LEMMA_MIN_RADIUS = 2.0 / math.sqrt(3.0)
 
 def jung_radius(delta: float) -> float:
     """Jung's covering radius delta/sqrt(3) for a set of diameter delta."""
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    _require_positive(delta)
     return delta / math.sqrt(3.0)
 
 
@@ -72,8 +72,7 @@ def gen_jung_radius(delta: float, tau: float) -> float:
     Equals the circumradius of the isosceles triangle (delta, delta, tau)
     and reduces to Jung's radius at tau = delta. Requires 0 < tau <= delta.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    _require_positive(delta)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     if tau > delta:
@@ -124,52 +123,33 @@ def symmetric_interior(delta: float) -> float:
 
 @dataclass(frozen=True)
 class BoundProfile:
-    """Every applicable bound at a single delta.
-
-    Entries whose closed form is undefined at this delta are None
-    (the delta^4/(delta^2-1) expressions need delta > 1; stmt1 is only
-    meaningful in the disk regime). Each *_applicable flag states whether
-    the corresponding theorem hypothesis holds at this delta, independent
-    of whether the expression happens to evaluate.
-    """
+    """Every bound at a single delta, None outside its window (see the
+    module docstring); the tau = 2 radius needs delta >= 2."""
 
     delta: float
     stmt1: float | None
-    stmt2: float
-    stmt2_applicable: bool
+    stmt2: float | None
     stmt3: float | None
-    stmt3_applicable: bool
-    convex_blaschke: float
-    convex_blaschke_applicable: bool
+    convex_blaschke: float | None
     convex_improved: float | None
-    convex_improved_applicable: bool
-    symmetric: float
-    symmetric_applicable: bool
+    symmetric: float | None
     jung_radius: float
     gen_jung_radius_tau2: float | None
-    gen_jung_radius_tau2_applicable: bool
 
 
 def bound_profile(delta: float) -> BoundProfile:
     _require_positive(delta)
-    above_one = delta > 1.0
-    in_window = DISK_REGIME_MAX < delta < 4.0
+    beyond_disk = delta > DISK_REGIME_MAX
     return BoundProfile(
         delta=delta,
-        stmt1=stmt1_value(delta) if delta <= DISK_REGIME_MAX else None,
-        stmt2=TWO_PI,
-        stmt2_applicable=delta >= 4.0,
-        stmt3=min(stmt3_interior(delta), TWO_PI) if above_one else None,
-        stmt3_applicable=in_window,
-        convex_blaschke=min(convex_blaschke_interior(delta), TWO_PI),
-        convex_blaschke_applicable=delta > DISK_REGIME_MAX,
-        convex_improved=min(convex_improved_interior(delta), TWO_PI) if above_one else None,
-        convex_improved_applicable=delta > DISK_REGIME_MAX,
-        symmetric=min(symmetric_interior(delta), TWO_PI),
-        symmetric_applicable=delta > DISK_REGIME_MAX,
+        stmt1=None if beyond_disk else stmt1_value(delta),
+        stmt2=TWO_PI if delta >= 4.0 else None,
+        stmt3=min(stmt3_interior(delta), TWO_PI) if beyond_disk and delta < 4.0 else None,
+        convex_blaschke=min(convex_blaschke_interior(delta), TWO_PI) if beyond_disk else None,
+        convex_improved=min(convex_improved_interior(delta), TWO_PI) if beyond_disk else None,
+        symmetric=min(symmetric_interior(delta), TWO_PI) if beyond_disk else None,
         jung_radius=jung_radius(delta),
         gen_jung_radius_tau2=gen_jung_radius(delta, 2.0) if delta >= 2.0 else None,
-        gen_jung_radius_tau2_applicable=delta >= 2.0,
     )
 
 

@@ -6,9 +6,9 @@ timestamp), so a run can be reproduced byte for byte. Timestamps come
 from the clock unless pinned via ``--timestamp`` or the
 ``ISODIAM_TIMESTAMP`` environment variable.
 
-Exit codes: 0 on success, 2 on bad input, 3 when a computation refuses
-to start (subset budget exceeded, raster over its cell cap, infeasible
-search seed) or runs out of memory.
+Exit codes: 0 on success, 2 on bad input, overflowing input included, 3
+when a computation refuses to start (subset budget exceeded, raster over
+its cell cap, infeasible search seed) or runs out of memory.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from . import __version__
-from .bounds import CIRCLE_LEMMA_MIN_RADIUS, BoundProfile, bound_profile, circle_bound, gen_jung_radius
+from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
 from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, tab_check, triameter
 from .geometry import Disk, Point, PointSet, load_points_csv, min_enclosing_circle
 from .poisoning import (
@@ -189,30 +189,18 @@ def _bounds_rows(delta_min: float, delta_max: float, steps: int) -> list[dict]:
     return rows
 
 
-_BOUND_COLUMNS = tuple(f.name for f in fields(BoundProfile) if not f.name.endswith("_applicable"))
-
-
-def _applicable_value(row: dict, name: str):
-    """The column's value, or None where its *_applicable flag in the
-    profile row is false; columns without a flag always apply."""
-    return row[name] if row.get(f"{name}_applicable", True) else None
-
-
 def cmd_bounds(ns: argparse.Namespace) -> int:
     rows = _bounds_rows(ns.delta_min, ns.delta_max, ns.steps)
     if ns.csv:
-        # the CSV keeps only bounds in force at each delta; the JSON report
-        # carries raw values plus applicability flags
         with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_BOUND_COLUMNS)
+            writer.writerow(rows[0].keys())
             for row in rows:
-                values = [_applicable_value(row, c) for c in _BOUND_COLUMNS]
-                writer.writerow(["" if v is None else repr(v) for v in values])
+                writer.writerow(["" if v is None else repr(v) for v in row.values()])
     if ns.svg:
         xs = [row["delta"] for row in rows]
         series = {
-            name: [_applicable_value(row, name) for row in rows]
+            name: [row[name] for row in rows]
             for name in ("stmt1", "stmt2", "stmt3", "convex_blaschke", "convex_improved", "symmetric")
         }
         with open(ns.svg, "w", encoding="utf-8") as fh:
@@ -253,7 +241,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
         "feasibility": asdict(result.feasibility),
         "iterations": result.iterations,
         "region": result.best_region.to_json_dict(),
-        "u_delta_measure": u_delta_measure(ns.delta),
     }
     _emit(ns, report, seed=config.seed)
     return 0
@@ -269,7 +256,7 @@ def cmd_conjecture(ns: argparse.Namespace) -> int:
         rows.append(
             {
                 "best_known": known,
-                "best_known_below_stmt3": known < profile["stmt3"] if profile["stmt3_applicable"] else None,
+                "best_known_below_stmt3": known < profile["stmt3"] if profile["stmt3"] is not None else None,
                 "delta": delta,
                 "stmt3": profile["stmt3"],
                 "symmetric": profile["symmetric"],
@@ -281,7 +268,7 @@ def cmd_conjecture(ns: argparse.Namespace) -> int:
         xs = [row["delta"] for row in rows]
         series = {name: [row[name] for row in rows] for name in ("stmt3", "symmetric", "best_known")}
         mid = (ns.delta_min + ns.delta_max) / 2.0
-        marks = [(mid, row.measure, row.name) for row in evaluate_candidates(mid) if row.feasible]
+        marks = [(mid, row.measure, row.name) for row in evaluate_candidates(mid)]
         with open(ns.svg, "w", encoding="utf-8") as fh:
             fh.write(svgplot.curves_svg(xs, series, title="candidate area against upper bounds", marks=marks))
     _emit(ns, {"all_below_stmt3": all_below, "rows": rows})
@@ -460,7 +447,7 @@ def run(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, InfeasibleStartError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

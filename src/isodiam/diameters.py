@@ -116,9 +116,7 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
     n = len(coords)
     if n < 3:
         return 0.0
-    pairs = n * (n - 1) // 2
-    if pairs > _MAX_PAIRS:
-        raise MemoryError(f"diam3 of {n} points needs {pairs} pairs, more than the cap of {_MAX_PAIRS}")
+    _check_pairs(f"diam3 of {n} points", n)
     floor2 = 0.0
     if n > _PREFILTER_MIN:
         floor2 = _first_triangle_d2(coords[:: n // _SUBSAMPLE], 0.0)
@@ -134,10 +132,19 @@ _BLOCK = 512
 # _BAND * n floats, whatever n is
 _BAND = 64
 
-# Cap on the pairs diam3 measures, the raster cap of regions: up to 7,071
-# points. It bounds the work; the bands bound the memory. The kept pairs can
-# still approach the cap on sets whose pairs are nearly all equally long.
+# Cap on the pairs diam3 measures and search verifies, the raster cap of
+# regions: up to 7,071 points. It bounds the work; the bands bound the
+# memory. The kept pairs can still approach the cap on sets whose pairs are
+# nearly all equally long.
 _MAX_PAIRS = 25_000_000
+
+
+def _check_pairs(what: str, n: int) -> None:
+    """Raise MemoryError, before anything is built, when n items have more
+    than _MAX_PAIRS pairs."""
+    pairs = n * (n - 1) // 2
+    if pairs > _MAX_PAIRS:
+        raise MemoryError(f"{what} needs {pairs} pairs, more than the cap of {_MAX_PAIRS}")
 
 
 def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:

@@ -20,6 +20,7 @@ __all__ = [
     "Point",
     "PointSet",
     "Disk",
+    "DiskUnion",
     "Triangle",
     "TriangleKind",
     "distance",
@@ -57,10 +58,32 @@ class Point:
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
+class DiskUnion:
+    """A union of closed disks, given by its circles (cx, cy, r): the shape
+    that regions rasterizes and svgplot outlines."""
+
+    circles: tuple[tuple[float, float, float], ...]
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        c = self.circles
+        return (
+            min(x - r for x, _, r in c),
+            min(y - r for _, y, r in c),
+            max(x + r for x, _, r in c),
+            max(y + r for _, y, r in c),
+        )
+
+    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact closed containment of coordinate arrays, no slack."""
+        mask = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        for cx, cy, r in self.circles:
+            mask |= (x - cx) ** 2 + (y - cy) ** 2 <= r**2
+        return mask
+
+
 @dataclass(frozen=True)
-class Disk:
-    """A closed disk with center and nonnegative radius, also the disk
-    shape that regions rasterizes."""
+class Disk(DiskUnion):
+    """A closed disk with center and nonnegative radius."""
 
     center: Point
     radius: float
@@ -81,13 +104,9 @@ class Disk:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def bbox(self) -> tuple[float, float, float, float]:
-        c, r = self.center, self.radius
-        return (c.x - r, c.y - r, c.x + r, c.y + r)
-
-    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact closed containment of coordinate arrays, no slack."""
-        return (x - self.center.x) ** 2 + (y - self.center.y) ** 2 <= self.radius**2
+    @property
+    def circles(self) -> tuple[tuple[float, float, float], ...]:
+        return ((self.center.x, self.center.y, self.radius),)
 
 
 @dataclass(frozen=True)

@@ -463,6 +463,21 @@ class _VerdictGrid:
         """Which bites kill, from the exact dose at each point."""
         return _is_lethal_dose(_dose_at(self.strategy, self.patch, x, y), self.config)
 
+    def bbox(self) -> tuple[float, float, float, float]:
+        """The sampling square, which holds the lethal set."""
+        radius = self.config.R - 1.0
+        return (-radius, -radius, radius, radius)
+
+    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Which points are lethal bite centers inside the sampling disk:
+        the cell's verdict, and the exact one where it is uncertain."""
+        radius = self.config.R - 1.0
+        verdict = self.lookup(x, y)
+        lethal = verdict == _LETHAL
+        who = np.flatnonzero(verdict == _UNSURE)
+        lethal.flat[who] = self.exact(x.flat[who], y.flat[who])
+        return (x * x + y * y <= radius * radius) & lethal
+
 
 @dataclass(frozen=True)
 class KillReport:
@@ -558,34 +573,12 @@ def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillRepo
     return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits)
 
 
-@dataclass(frozen=True)
-class _LethalSet:
-    """The lethal bite centers inside the sampling disk, as a shape for
-    rasterize."""
-
-    grid: _VerdictGrid
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        radius = self.grid.config.R - 1.0
-        return (-radius, -radius, radius, radius)
-
-    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The grid's verdict at each point, and the exact one where the
-        grid is uncertain."""
-        radius = self.grid.config.R - 1.0
-        verdict = self.grid.lookup(x, y)
-        lethal = verdict == _LETHAL
-        who = np.flatnonzero(verdict == _UNSURE)
-        lethal.flat[who] = self.grid.exact(x.flat[who], y.flat[who])
-        return (x * x + y * y <= radius * radius) & lethal
-
-
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:
     """Center-sampled raster of the lethal bite-center set.
 
     A cell belongs to the region when its center lies in the sampling disk
-    of radius R - 1 and the bite at the center is lethal. The grid is
-    rasterize's, with its cap on the cell count.
+    of radius R - 1 and the bite at the center is lethal, as the verdict
+    grid decides. The grid is rasterize's, with its cap on the cell count.
     """
     validate_strategy(strategy, config)
-    return rasterize(_LethalSet(_VerdictGrid(strategy, config)), h_grid)
+    return rasterize(_VerdictGrid(strategy, config), h_grid)

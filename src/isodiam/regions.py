@@ -17,20 +17,19 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import diameters
-from .bounds import CIRCLE_LEMMA_MIN_RADIUS
-from .geometry import Disk, Point, PointSet, convex_hull_indices, hull_diameter
+from .bounds import CIRCLE_LEMMA_MIN_RADIUS, TWO_PI
+from .geometry import Disk, DiskUnion, Point, PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
     "PixelRegion",
     "Disk",
     "TwoDisksUnion",
     "DisjointDisks",
-    "AnalyticShape",
     "rasterize",
     "lens_area",
     "u_delta_shape",
@@ -45,16 +44,13 @@ __all__ = [
     "arc_tab_check",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-
 # ---------------------------------------------------------------------------
 # Analytic shapes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TwoDisksUnion:
+class TwoDisksUnion(DiskUnion):
     """Union of two unit disks with centers (±d/2, 0).
 
     For 0 <= d < 2 the disks overlap and the area is 2*pi minus the lens;
@@ -79,17 +75,14 @@ class TwoDisksUnion:
     def diameter(self) -> float:
         return self.d + 2.0
 
-    def bbox(self) -> tuple[float, float, float, float]:
+    @property
+    def circles(self) -> tuple[tuple[float, float, float], ...]:
         half = self.d / 2.0
-        return (-half - 1.0, -1.0, half + 1.0, 1.0)
-
-    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        half = self.d / 2.0
-        return ((x - half) ** 2 + y**2 <= 1.0) | ((x + half) ** 2 + y**2 <= 1.0)
+        return ((-half, 0.0, 1.0), (half, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class DisjointDisks:
+class DisjointDisks(DiskUnion):
     """count unit disks with centers spaced `spacing` apart on the x axis.
 
     spacing must exceed 4 so that all pairwise center distances exceed 4,
@@ -114,18 +107,9 @@ class DisjointDisks:
     def diameter(self) -> float:
         return (self.count - 1) * self.spacing + 2.0
 
-    def bbox(self) -> tuple[float, float, float, float]:
-        return (-1.0, -1.0, (self.count - 1) * self.spacing + 1.0, 1.0)
-
-    def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        mask = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        for k in range(self.count):
-            cx = k * self.spacing
-            mask |= (x - cx) ** 2 + y**2 <= 1.0
-        return mask
-
-
-AnalyticShape = Union[Disk, TwoDisksUnion, DisjointDisks]
+    @property
+    def circles(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple((k * self.spacing, 0.0, 1.0) for k in range(self.count))
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +205,51 @@ class PixelRegion:
 
 
 # Cap on the grid rasterize lays over a shape's bounding box: 5,000 x 5,000
-# cells, 200 MB per float64 coordinate array.
+# cells. It bounds the work; scanning the grid in bands of about
+# _RASTER_BAND centers bounds the memory.
 _MAX_RASTER_CELLS = 25_000_000
+_RASTER_BAND = 1 << 18
 
 
-def rasterize(shape: AnalyticShape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
-    """Center-sampled raster of an analytic shape on the grid of pitch h.
+def _grid_index(rounding, q: float) -> int | float:
+    """rounding(q), or an infinite q, from a pitch so fine that an extent
+    over it overflows, left infinite for _check_raster_cells to refuse."""
+    return rounding(q) if math.isfinite(q) else q
+
+
+def _check_raster_cells(what: str, size: int | float) -> None:
+    """MemoryError for a grid of more than _MAX_RASTER_CELLS cells."""
+    if size > _MAX_RASTER_CELLS:
+        raise MemoryError(f"{what} {size} cells, more than the cap of {_MAX_RASTER_CELLS}")
+
+
+def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
+    """Center-sampled raster of a shape on the grid of pitch h.
 
     A cell is included exactly when its center lies in the (closed) shape.
-    Any object with bbox() and contains_xy(x, y) serves as the shape. A
-    grid of more than _MAX_RASTER_CELLS cells raises MemoryError before
-    anything is allocated.
+    Any object with bbox() and contains_xy(x, y) serves as the shape. The
+    grid is scanned in bands of whole rows, so the cells come out sorted;
+    one of more than _MAX_RASTER_CELLS cells raises MemoryError first.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"pitch h must be finite and > 0, got {h}")
     xmin, ymin, xmax, ymax = shape.bbox()
-    i_lo = math.floor((xmin - origin.x) / h) - 1
-    i_hi = math.ceil((xmax - origin.x) / h) + 1
-    j_lo = math.floor((ymin - origin.y) / h) - 1
-    j_hi = math.ceil((ymax - origin.y) / h) + 1
-    size = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
-    if size > _MAX_RASTER_CELLS:
-        raise MemoryError(f"a raster of pitch {h} needs {size} cells, more than the cap of {_MAX_RASTER_CELLS}")
+    i_lo = _grid_index(math.floor, (xmin - origin.x) / h) - 1
+    i_hi = _grid_index(math.ceil, (xmax - origin.x) / h) + 1
+    j_lo = _grid_index(math.floor, (ymin - origin.y) / h) - 1
+    j_hi = _grid_index(math.ceil, (ymax - origin.y) / h) + 1
+    _check_raster_cells(f"a raster of pitch {h} needs", (i_hi - i_lo + 1) * (j_hi - j_lo + 1))
     ii = np.arange(i_lo, i_hi + 1, dtype=np.int64)
     jj = np.arange(j_lo, j_hi + 1, dtype=np.int64)
     cx = origin.x + (ii + 0.5) * h
     cy = origin.y + (jj + 0.5) * h
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    mask = shape.contains_xy(gx, gy)
-    sel_i, sel_j = np.nonzero(mask)
-    return PixelRegion(origin=origin, h=h, cells=np.column_stack([ii[sel_i], jj[sel_j]]))
+    rows = max(1, _RASTER_BAND // len(jj))
+    cells = []
+    for lo in range(0, len(ii), rows):
+        gx, gy = np.meshgrid(cx[lo : lo + rows], cy, indexing="ij")
+        sel_i, sel_j = np.nonzero(shape.contains_xy(gx, gy))
+        cells.append(np.column_stack([ii[lo + sel_i], jj[sel_j]]))
+    return PixelRegion(origin=origin, h=h, cells=np.concatenate(cells))
 
 
 def lens_area(d: float) -> float:
@@ -311,25 +310,25 @@ def _corner_hull(r: PixelRegion) -> np.ndarray:
     return corners[convex_hull_indices(corners)]
 
 
-def _sampled_support(r: PixelRegion, k: int, seed: int) -> np.ndarray:
-    """k seeded cell-center samples (with replacement) followed by all
+def _sampled_support(r: PixelRegion, k: int) -> np.ndarray:
+    """k cell-center samples (with replacement, seed 0) followed by all
     hull vertices of the corner set."""
     centers = r.cell_centers()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     take = rng.integers(0, len(centers), size=k)
     return np.concatenate([centers[take], _corner_hull(r)], axis=0)
 
 
-def region_diam3_sampled(r: PixelRegion, k: int = 2000, seed: int = 0) -> float:
+def region_diam3_sampled(r: PixelRegion) -> float:
     """Sampled lower bound for the region's diam3.
 
-    Evaluates diam3 on k seeded-uniform cell centers plus every convex hull
-    vertex of the cell corners. A lower bound only: thin features between
+    Evaluates diam3 on 2000 seeded-uniform cell centers plus every convex
+    hull vertex of the cell corners. A lower bound only: thin features between
     samples can hide a larger value.
     """
     if r.is_empty():
         raise ValueError("diam3 of an empty region")
-    pts = _sampled_support(r, k, seed)
+    pts = _sampled_support(r, 2000)
     return diameters.diam3(PointSet.from_xy(map(tuple, pts)))
 
 
@@ -344,7 +343,7 @@ def region_tab_check_sampled(r: PixelRegion, a: int, b: int, threshold: float) -
     if r.is_empty():
         return diameters.TabCheckResult(holds=True)
     k, max_hull = 60, 24
-    pts = _sampled_support(r, k, 0)
+    pts = _sampled_support(r, k)
     stride = math.ceil((len(pts) - k) / max_hull)
     pts = np.concatenate([pts[:k], pts[k::stride]], axis=0)
     return diameters.tab_check(PointSet.from_xy(map(tuple, pts)), a, b, threshold)

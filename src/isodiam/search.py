@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, diameters
 from .geometry import Point
-from .regions import _MAX_RASTER_CELLS, PixelRegion, region_diam, u_delta_measure
+from .regions import PixelRegion, _check_raster_cells, _grid_index, region_diam, u_delta_measure
 
 __all__ = [
     "SearchConfig",
@@ -91,7 +91,6 @@ class FeasibilityReport:
 class CandidateRow:
     name: str
     measure: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -117,24 +116,18 @@ def evaluate_candidates(delta: float) -> tuple[CandidateRow, ...]:
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    rows = [
-        CandidateRow(
-            name="disk",
-            measure=bounds.stmt1_value(min(delta, bounds.DISK_REGIME_MAX)),
-            feasible=True,
-        )
-    ]
+    rows = [CandidateRow(name="disk", measure=bounds.stmt1_value(min(delta, bounds.DISK_REGIME_MAX)))]
     if 2.0 < delta < 4.0:
-        rows.append(CandidateRow(name="u_delta", measure=u_delta_measure(delta), feasible=True))
+        rows.append(CandidateRow(name="u_delta", measure=u_delta_measure(delta)))
     if delta >= 4.0:
-        rows.append(CandidateRow(name="two_unit_disks", measure=2.0 * math.pi, feasible=True))
+        rows.append(CandidateRow(name="two_unit_disks", measure=2.0 * math.pi))
     return tuple(rows)
 
 
 def best_known_measure(delta: float) -> float:
-    """The largest measure among the feasible candidates at this diameter:
+    """The largest measure among the candidates at this diameter:
     max(U_delta, 4*pi/3) in the window 4/sqrt(3) < delta < 4."""
-    return max(row.measure for row in evaluate_candidates(delta) if row.feasible)
+    return max(row.measure for row in evaluate_candidates(delta))
 
 
 def convex_candidate_measure(delta: float) -> float:
@@ -264,12 +257,11 @@ def _seed_cells(delta: float, h: float) -> list[tuple[int, int]]:
     c, at x offset X. Cell j spans y in [j*h, (j+1)*h], so it fits iff
     max(|j|, |j + 1|)^2 <= r = (1 - X^2) / h^2, that is -m <= j < m with
     m = floor(sqrt(r)) = isqrt(floor(r)). Like rasterize, it raises
-    MemoryError when the bounding box of U_delta spans more than
-    _MAX_RASTER_CELLS cells.
+    MemoryError when the bounding box of U_delta spans more cells than the
+    raster cap.
     """
-    size = (math.ceil(delta / h) + 2) * (math.ceil(2.0 / h) + 2)
-    if size > _MAX_RASTER_CELLS:
-        raise MemoryError(f"a seed of pitch {h} spans {size} cells, more than the cap of {_MAX_RASTER_CELLS}")
+    size = (_grid_index(math.ceil, delta / h) + 2) * (_grid_index(math.ceil, 2.0 / h) + 2)
+    _check_raster_cells(f"a seed of pitch {h} spans", size)
     h = Fraction(h)
     cells: set[tuple[int, int]] = set()
     for c in (Fraction(delta) / 2 - 1, 1 - Fraction(delta) / 2):
@@ -318,19 +310,14 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     (diam3(S) = diam3(boundary of S)), where they lie in three boundary
     cells that are then pairwise far; three, because two points of one
     cell are at most h*sqrt(2) <= 2 apart whenever a cell fits in a unit
-    disk. The boundary k matrix grows as n^2: more than
-    diameters._MAX_PAIRS boundary-cell pairs raises MemoryError before it
-    is built.
+    disk. The boundary k matrix grows as n^2: more boundary-cell pairs
+    than the pair cap of diameters raises MemoryError before it is built.
     """
     diam_cap, far_cap = _caps(delta, region.h)
     idx = region.cells
     boundary = _boundary_cells(idx)
     n = len(boundary)
-    pairs = n * (n - 1) // 2
-    if pairs > diameters._MAX_PAIRS:
-        raise MemoryError(
-            f"verifying {n} boundary cells needs {pairs} pairs, more than the cap of {diameters._MAX_PAIRS}"
-        )
+    diameters._check_pairs(f"verifying {n} boundary cells", n)
     bi, bj = boundary.T
     far_triple = diameters._first_violating(
         diameters._close_masks(_corner_k(bi[:, None] - bi, bj[:, None] - bj), far_cap), n, 3, 2
@@ -540,7 +527,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         best_region=best_region,
         best_measure=best_measure,
         baseline_measure=baseline_measure,
-        bound_value=min(bounds.stmt3_interior(delta), bounds.TWO_PI),
+        bound_value=bounds.bound_profile(delta).stmt3,
         feasibility=_feasibility(best_region, delta),
         accepted_moves=accepted,
         iterations=config.iterations,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .regions import AnalyticShape, Disk, DisjointDisks, PixelRegion, TwoDisksUnion
+from .geometry import DiskUnion
+from .regions import PixelRegion
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -97,18 +98,7 @@ def curves_svg(
     return "\n".join(parts)
 
 
-def _outline_circles(shape: AnalyticShape) -> list[tuple[float, float, float]]:
-    if isinstance(shape, Disk):
-        return [(shape.center.x, shape.center.y, shape.radius)]
-    if isinstance(shape, TwoDisksUnion):
-        half = shape.d / 2.0
-        return [(-half, 0.0, 1.0), (half, 0.0, 1.0)]
-    if isinstance(shape, DisjointDisks):
-        return [(k * shape.spacing, 0.0, 1.0) for k in range(shape.count)]
-    raise TypeError(f"no outline for {type(shape).__name__}")
-
-
-def region_svg(region: PixelRegion, outline: AnalyticShape | None = None, title: str = "") -> str:
+def region_svg(region: PixelRegion, outline: DiskUnion | None = None, title: str = "") -> str:
     """Region cells as filled squares, optional analytic outline on top.
 
     Drawn in data coordinates with the y axis flipped.
@@ -122,12 +112,11 @@ def region_svg(region: PixelRegion, outline: AnalyticShape | None = None, title:
     else:
         x_lo, y_lo = region._xy(idx.min(axis=0))
         x_hi, y_hi = region._xy(idx.max(axis=0) + 1)
-    circles = _outline_circles(outline) if outline is not None else []
-    for cx, cy, r in circles:
-        x_lo = min(x_lo, cx - r)
-        x_hi = max(x_hi, cx + r)
-        y_lo = min(y_lo, cy - r)
-        y_hi = max(y_hi, cy + r)
+    circles = outline.circles if outline is not None else ()
+    if circles:
+        bx_lo, by_lo, bx_hi, by_hi = outline.bbox()
+        x_lo, y_lo = min(x_lo, bx_lo), min(y_lo, by_lo)
+        x_hi, y_hi = max(x_hi, bx_hi), max(y_hi, by_hi)
     pad = 0.05 * max(x_hi - x_lo, y_hi - y_lo)
     x_lo -= pad
     x_hi += pad

@@ -119,39 +119,43 @@ def test_crossover_accepts_callable():
 
 
 def test_profile_disk_regime():
+    """Only stmt1 and the radii hold at delta <= 4/sqrt(3)."""
     p = bound_profile(2.0)
     assert p.stmt1 == pytest.approx(math.pi)
-    assert not p.stmt2_applicable
-    assert not p.stmt3_applicable
-    assert not p.convex_blaschke_applicable
-    assert not p.convex_improved_applicable
-    assert not p.symmetric_applicable
-    assert p.gen_jung_radius_tau2_applicable
+    assert (p.stmt2, p.stmt3, p.convex_blaschke, p.convex_improved, p.symmetric) == (None,) * 5
     assert p.gen_jung_radius_tau2 == pytest.approx(p.jung_radius, abs=1e-12)
 
 
 def test_profile_window_regime():
     p = bound_profile(3.0)
-    assert p.stmt1 is None
-    assert p.stmt3_applicable and p.stmt3 == pytest.approx(TWO_PI)
-    assert p.convex_blaschke_applicable
-    assert p.convex_improved_applicable
-    assert p.symmetric_applicable
+    assert (p.stmt1, p.stmt2) == (None, None)
+    assert p.stmt3 == pytest.approx(TWO_PI)
+    assert p.convex_blaschke == min(convex_blaschke_interior(3.0), TWO_PI)
+    assert p.convex_improved == min(convex_improved_interior(3.0), TWO_PI)
     assert p.symmetric == pytest.approx(6.1086523819801535, abs=1e-12)
 
 
 def test_profile_large_delta():
     p = bound_profile(4.5)
-    assert p.stmt2_applicable and p.stmt2 == pytest.approx(TWO_PI)
-    assert not p.stmt3_applicable
+    assert p.stmt2 == pytest.approx(TWO_PI)
+    assert (p.stmt1, p.stmt3) == (None, None)
     assert p.convex_blaschke == pytest.approx(TWO_PI)
+    assert p.convex_improved == pytest.approx(TWO_PI)
+    assert p.symmetric == pytest.approx(TWO_PI)
 
 
 def test_profile_tiny_delta():
     p = bound_profile(0.8)
-    assert p.stmt3 is None
-    assert p.convex_improved is None
-    assert not p.gen_jung_radius_tau2_applicable
+    assert p.stmt1 == stmt1_value(0.8)
+    assert (p.stmt2, p.stmt3, p.convex_blaschke, p.convex_improved, p.symmetric) == (None,) * 5
+    assert p.gen_jung_radius_tau2 is None
+
+
+def test_profile_window_edges():
+    """stmt3 holds strictly inside 4/sqrt(3) < delta < 4, stmt2 from 4 on."""
+    at_disk_max, at_four = bound_profile(DISK_REGIME_MAX), bound_profile(4.0)
+    assert at_disk_max.stmt1 is not None and at_disk_max.stmt3 is None and at_disk_max.symmetric is None
+    assert at_four.stmt3 is None and at_four.stmt2 == TWO_PI
 
 
 @settings(max_examples=120, deadline=None)

@@ -388,7 +388,7 @@ PINNED_DIGESTS = {
     "diameters-1200": ("ee4f27d778100b7cda8145f106655ad8ee9ef9851bc10a4fc405bda0d90f4582", None),
     "jung-1200": ("271e8356f5d0def5daa1edc7859ccfdf09f12e5749e6d65ef931ed62fe40fe69", None),
     "bounds": (
-        "3dd25597209fc407101d6a20f91e6a6f5470074c486026365cd777a41d5b5fee",
+        "018405177d3339d900bb4a171fc592d2306b0cdf753e19a186e9f8d0421113b1",
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
     ),
     "poison": ("138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e", None),
@@ -495,6 +495,26 @@ def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
     assert out.returncode == 3, out.stderr
     assert out.stderr == "error: a raster of pitch 0.0001 needs 1600240009 cells, more than the cap of 25000000\n"
 
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["poison", "--R", "3", "--h-available", "1", "--samples", "10", "--grid", "1e-320"], 3),
+        (["search", "--delta", "3", "--h", "1e-320", "--iterations", "1"], 3),
+        (["poison", "--R", "1e308", "--h-available", "1", "--samples", "10"], 2),
+        (["bounds", "--delta-min", "1", "--delta-max", "1e308", "--steps", "3"], 2),
+    ],
+    ids=["raster-extent-overflows", "seed-extent-overflows", "sampling-square-overflows", "bound-overflows"],
+)
+def test_overflowing_inputs_exit_with_one_error_line(capsys, argv, code):
+    """A pitch so fine that the grid's extent is infinite is refused by the
+    raster cap, and input whose arithmetic overflows is bad input: an exit
+    code and one error line, not a traceback."""
+    assert cli.run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 # every subcommand's option strings (positionals by name); adding or
 # removing a knob changes this table

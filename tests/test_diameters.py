@@ -19,7 +19,7 @@ from isodiam.diameters import (
     triameter,
 )
 from isodiam.geometry import PointSet
-from isodiam.regions import _sampled_support, rasterize, u_delta_shape
+from isodiam.regions import _corner_hull, rasterize, u_delta_shape
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 small_sets = st.lists(st.tuples(coord, coord), min_size=3, max_size=8).map(PointSet.from_xy)
@@ -195,7 +195,10 @@ def _diam3_equivalence_inputs() -> dict[str, PointSet]:
     cases["lattice-centers"] = (np.stack([gi.ravel(), gj.ravel()], axis=1) + 0.5) * 0.05
     for delta in (3.0, 3.6):
         region = rasterize(u_delta_shape(delta), 0.05)
-        cases[f"support-u{delta}"] = _sampled_support(region, k=2000, seed=1)
+        # 2000 cell centers drawn with seed 1, then the corner hull
+        centers = region.cell_centers()
+        take = np.random.default_rng(1).integers(0, len(centers), size=2000)
+        cases[f"support-u{delta}"] = np.concatenate([centers[take], _corner_hull(region)], axis=0)
     base = rng.uniform(-1, 1, size=(150, 2))
     cases["duplicates"] = np.concatenate([base, base, base[::-1]], axis=0)
     t = np.sort(rng.uniform(0, 1, size=450))

@@ -550,3 +550,17 @@ def test_point_mass_batches_stay_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_lethal_region_scans_the_grid_in_bands():
+    """rasterize evaluates the lethal set on bands of rows, not on its whole
+    1,000 x 1,000 grid at once, which peaked at about 38 MiB here."""
+    cfg = PoisonConfig(R=3.0, h_available=1.0)
+    tracemalloc.start()
+    try:
+        region = lethal_region(central(1.0), cfg, 0.004)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(region.cells) == 196364
+    assert peak < 20 << 20

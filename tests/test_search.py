@@ -72,15 +72,13 @@ def test_config_validation():
 
 def test_candidates_disk_regime():
     rows = {r.name: r for r in evaluate_candidates(2.2)}
-    assert rows["disk"].feasible
     assert rows["disk"].measure == pytest.approx(math.pi * 2.2**2 / 4)
-    assert rows["u_delta"].feasible
+    assert rows["u_delta"].measure == pytest.approx(u_delta_measure(2.2))
 
 
 def test_candidates_window():
     rows = {r.name: r for r in evaluate_candidates(3.0)}
     # the disk of diameter 4/sqrt(3), whose inscribed triangle has side 2
-    assert rows["disk"].feasible
     assert rows["disk"].measure == pytest.approx(4 * math.pi / 3)
     assert rows["u_delta"].measure == pytest.approx(u_delta_measure(3.0))
     assert "two_unit_disks" not in rows
@@ -89,7 +87,6 @@ def test_candidates_window():
 def test_candidates_wide():
     rows = {r.name: r for r in evaluate_candidates(4.5)}
     assert rows["two_unit_disks"].measure == pytest.approx(2 * math.pi)
-    assert rows["two_unit_disks"].feasible
     assert "u_delta" not in rows
 
 
