@@ -70,11 +70,12 @@ def gen_jung_radius(delta: float, tau: float) -> float:
     """Covering radius for diameter delta and diam3 at most tau.
 
     Equals the circumradius of the isosceles triangle (delta, delta, tau)
-    and reduces to Jung's radius at tau = delta. Requires 0 < tau <= delta.
+    and reduces to Jung's radius at tau = delta, to delta/2 at tau = 0.
+    Requires 0 <= tau <= delta.
     """
     _require_positive(delta)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau > delta:
         raise ValueError(f"tau must not exceed delta, got tau={tau} > delta={delta}")
     return 0.5 * delta * delta / math.sqrt(delta * delta - tau * tau / 4.0)
@@ -91,16 +92,20 @@ def _require_positive(delta: float) -> None:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
 
 
-def _require_above_one(delta: float) -> None:
+def _fourth_power(delta: float) -> float:
+    """delta^4 for the delta^4/(delta^2-1) bounds, which need delta > 1."""
     _require_positive(delta)
     if delta <= 1.0:
         raise ValueError(f"delta must exceed 1 for delta^4/(delta^2-1) bounds, got {delta}")
+    try:
+        return delta**4
+    except OverflowError:
+        raise OverflowError(f"delta^4 overflows at delta={delta}") from None
 
 
 def stmt3_interior(delta: float) -> float:
     """Uncapped polar-integration bound pi/6*delta^4/(delta^2-1) + 4*pi/9."""
-    _require_above_one(delta)
-    return math.pi / 6.0 * delta**4 / (delta * delta - 1.0) + 4.0 * math.pi / 9.0
+    return math.pi / 6.0 * _fourth_power(delta) / (delta * delta - 1.0) + 4.0 * math.pi / 9.0
 
 
 def convex_blaschke_interior(delta: float) -> float:
@@ -111,8 +116,7 @@ def convex_blaschke_interior(delta: float) -> float:
 
 def convex_improved_interior(delta: float) -> float:
     """Uncapped convex bound pi/4*delta^4/(delta^2-1)."""
-    _require_above_one(delta)
-    return math.pi / 4.0 * delta**4 / (delta * delta - 1.0)
+    return math.pi / 4.0 * _fourth_power(delta) / (delta * delta - 1.0)
 
 
 def symmetric_interior(delta: float) -> float:

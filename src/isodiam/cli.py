@@ -149,7 +149,7 @@ def cmd_jung(ns: argparse.Namespace) -> int:
     if delta <= 0.0:
         raise ValueError("need at least two distinct points")
     d3 = diam3(points)
-    tau = min(max(d3, 1e-6), delta)
+    tau = min(d3, delta)
     rho = gen_jung_radius(delta, tau)
     mec = min_enclosing_circle(points)
     ab_rows = []

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -72,21 +71,15 @@ class TabCheckResult:
         return tuple(s[i] for i in self.witness)
 
 
-def _coords(s: PointSet | Sequence[Point]) -> np.ndarray:
-    if isinstance(s, PointSet):
-        return s.to_array()
-    return PointSet(s).to_array()
-
-
-def diam(s: PointSet | Sequence[Point]) -> float:
+def diam(s: PointSet) -> float:
     """Largest pairwise distance. Raises ValueError on an empty set."""
-    coords = _coords(s)
+    coords = s.to_array()
     if len(coords) == 0:
         raise ValueError("diam of an empty point set")
     return hull_diameter(coords)
 
 
-def diam3(s: PointSet | Sequence[Point]) -> float:
+def diam3(s: PointSet) -> float:
     """Sup over triples of the smallest pairwise distance in the triple.
 
     Zero for fewer than three points. Computed by inserting pairs in order
@@ -112,7 +105,7 @@ def diam3(s: PointSet | Sequence[Point]) -> float:
     n^2. The work still grows as n^2: a set of more than _MAX_PAIRS pairs
     raises MemoryError before any pair is built.
     """
-    coords = _coords(s)
+    coords = s.to_array()
     n = len(coords)
     if n < 3:
         return 0.0
@@ -215,7 +208,7 @@ def _validate_ab(a: int, b: int) -> None:
 
 
 def diam_ab(
-    s: PointSet | Sequence[Point],
+    s: PointSet,
     a: int,
     b: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
@@ -233,7 +226,7 @@ def diam_ab(
     at its first witness; only the last one explores a whole tree.
     """
     _validate_ab(a, b)
-    coords = _coords(s)
+    coords = s.to_array()
     n = len(coords)
     if n < a:
         return 0.0
@@ -246,7 +239,7 @@ def diam_ab(
 
 
 def tab_check(
-    s: PointSet | Sequence[Point],
+    s: PointSet,
     a: int,
     b: int,
     threshold: float,
@@ -261,7 +254,7 @@ def tab_check(
     _validate_ab(a, b)
     if not np.isfinite(threshold) or threshold < 0:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    coords = _coords(s)
+    coords = s.to_array()
     n = len(coords)
     if n < a:
         return TabCheckResult(holds=True)
@@ -331,13 +324,13 @@ def _first_violating(close: list[int], n: int, a: int, b: int) -> tuple[int, ...
     return extend((1 << n) - 1, 0, [[] for _ in range(b - 2)])
 
 
-def triameter(s: PointSet | Sequence[Point]) -> float:
+def triameter(s: PointSet) -> float:
     """Largest triangle area over point triples, zero below three points.
 
     A maximal-area triangle has its vertices on the convex hull, so only
     hull vertices are enumerated.
     """
-    coords = _coords(s)
+    coords = s.to_array()
     if len(coords) < 3:
         return 0.0
     hull = convex_hull_indices(coords)

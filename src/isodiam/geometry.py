@@ -253,7 +253,7 @@ def _circle_three(p: Point, q: Point, r: Point) -> Disk | None:
     return circumcircle(Triangle(p, q, r))
 
 
-def min_enclosing_circle(s: PointSet | Sequence[Point]) -> Disk:
+def min_enclosing_circle(s: PointSet) -> Disk:
     """Smallest closed disk containing every point of s.
 
     Incremental Welzl-style construction in expected linear time. The input
@@ -261,7 +261,7 @@ def min_enclosing_circle(s: PointSet | Sequence[Point]) -> Disk:
     for identical inputs while still defeating adversarial orderings. Raises
     ValueError on an empty set.
     """
-    pts = list(s.points if isinstance(s, PointSet) else s)
+    pts = list(s.points)
     if not pts:
         raise ValueError("min_enclosing_circle of an empty point set")
     random.Random(0x1D0D1A).shuffle(pts)

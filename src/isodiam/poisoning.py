@@ -149,6 +149,11 @@ class PoisonConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.R) and self.R > 2.0):
             raise ValueError(f"pie radius must exceed 2, got {self.R}")
+        # squared distances between points of the pie's bounding square,
+        # as the sampling and the verdict grid compute them, stay finite
+        side = 2.0 * self.R
+        if not math.isfinite(side * side + side * side):
+            raise ValueError(f"pie radius {self.R} is too large: (2R)^2 + (2R)^2 overflows")
         if not (math.isfinite(self.lethal_dose) and self.lethal_dose > 0.0):
             raise ValueError(f"lethal dose must be > 0, got {self.lethal_dose}")
         if not (math.isfinite(self.h_available) and self.h_available >= self.lethal_dose):
@@ -180,7 +185,7 @@ def validate_strategy(strategy: PoisonStrategy, config: PoisonConfig) -> None:
 
 
 # Margin in squared distance, per unit of coordinate size, that keeps the
-# inner and outer cell ranges of _PatchRows.counts clear of rounding.
+# inner and outer cell ranges of _PatchRows.ranks clear of rounding.
 _EPS = 1e-9
 
 
@@ -194,22 +199,23 @@ class _PatchRows:
     inside unit bites.
 
     Per occupied row i: its center x, and its cells as runs of consecutive
-    columns j. Center y of every cell, sorted by (i, j). All sizes are
+    columns j. Center y of every cell, sorted by (i, j), and y0, that of
+    column 0. All sizes are
     O(cells), none follows the patch's bounding box, and the floats are
     those cell_centers() gives. Built once per call and read by every
     batch. A point costs O(rows + runs) work near the patch, against
-    O(cells) for testing every cell.
+    O(cells) for testing every cell. eps, _EPS times the coordinates'
+    size, exceeds the rounding of the test dx*dx + dy*dy <= 1.0 and of the
+    column bounds by a factor of about a million.
     """
 
     def __init__(self, patch: DensityPatch) -> None:
         region = patch.region
-        idx = region.cells
         centers = region.cell_centers()
-        new_row = np.flatnonzero(np.diff(idx[:, 0])) + 1
-        self.starts = np.concatenate([[0], new_row, [len(idx)]])
+        self.starts = region.row_starts
         self.runs: list[list[tuple[int, int]]] = []
         for lo, hi in zip(self.starts[:-1], self.starts[1:]):
-            cols = idx[lo:hi, 1]
+            cols = region.cells[lo:hi, 1]
             breaks = np.flatnonzero(np.diff(cols) != 1) + 1
             firsts = cols[np.concatenate([[0], breaks])]
             lengths = np.diff(np.concatenate([[0], breaks, [len(cols)]]))
@@ -218,7 +224,7 @@ class _PatchRows:
         self.cy = centers[:, 1]
         self.h = region.h
         self.y0 = region.origin.y + 0.5 * region.h
-        self.per_cell = patch.grams / len(idx)
+        self.per_cell = patch.grams / len(region.cells)
         scale = 2.0 + float(np.abs(centers).max()) + abs(region.origin.x) + abs(region.origin.y)
         self.eps = _EPS * scale
 
@@ -230,96 +236,95 @@ class _PatchRows:
             out += np.clip(j - first, 0.0, length)
         return out
 
+    def _near_rows(self, xa: np.ndarray, xb: np.ndarray):
+        """Each row r, with its x, that some box [xa[k], xb[k]] comes within
+        1 + eps of in x, and the slice s of those boxes. xa and xb must be
+        sorted."""
+        reach = 1.0 + self.eps
+        for r, cx in enumerate(self.cx.tolist()):
+            s = slice(int(np.searchsorted(xb, cx - reach)), int(np.searchsorted(xa, cx + reach, "right")))
+            if s.start < s.stop:
+                yield r, cx, s
+
+    def ranks(
+        self, r: int, far2: np.ndarray, near2: np.ndarray, ya: np.ndarray, yb: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Positions a_out <= a_in <= b_in <= b_out among row r's cells, as
+        floats, for boxes whose squared x offsets from the row lie in
+        [near2, far2] and whose y edges, less y0, are ya <= yb. The arrays
+        broadcast; a point is a box with near2 = far2 and ya = yb.
+
+        Every point of a box passes the test dx*dx + dy*dy <= 1.0 on the
+        cells of [a_in, b_in) and fails it on the cells outside
+        [a_out, b_out). The inner range takes the columns within half-width
+        sqrt(1 - eps - far2) of both y edges, the outer one those within
+        sqrt(1 + eps - near2) of either: the columns within w of y run from
+        ceil to floor of (y -+ w) / h, and the row's runs turn them into
+        positions among its cells. Where 1 - eps - far2 < 0 the inner range
+        is empty, at a_out.
+        """
+        h, eps = self.h, self.eps
+        rest_in = 1.0 - eps - far2
+        w_out = np.sqrt(np.maximum(1.0 + eps - near2, 0.0))
+        w_in = np.sqrt(np.maximum(rest_in, 0.0))
+        a_out = self._rank(r, np.ceil((ya - w_out) / h))
+        b_out = self._rank(r, np.floor((yb + w_out) / h) + 1.0)
+        a_in = self._rank(r, np.ceil((yb - w_in) / h))
+        b_in = np.maximum(a_in, self._rank(r, np.floor((ya + w_in) / h) + 1.0))
+        thin = rest_in < 0.0
+        np.copyto(a_in, a_out, where=thin)
+        np.copyto(b_in, a_out, where=thin)
+        return a_out, a_in, b_in, b_out
+
     def box_counts(
-        self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray, eps: float
+        self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bounds lo <= counts(x, y) <= hi for every point (x, y) of each
         box [xa[k], xb[k]] x [ya[l], yb[l]], as two (len(xa), len(ya))
-        float arrays.
-
-        lo counts the cells whose farthest distance from the box is within
-        sqrt(1 - eps), hi those whose nearest distance is within
-        sqrt(1 + eps). Per row, the box's far and near x offsets give the
-        half-widths sqrt(1 -+ eps - dx^2), and the columns in range follow
-        as in counts, with the box's y edges in place of a point's y. eps
-        must exceed the rounding of the test in counts and of the column
-        bounds, as eps = _EPS times the coordinates' size does.
+        float arrays: per row, the cells of the inner and of the outer
+        range of ranks. xa and xb must be sorted.
         """
         in_min = np.zeros((xa.size, ya.size))
         in_max = np.zeros((xa.size, ya.size))
-        ya_r, yb_r = (ya - self.y0)[None, :], (yb - self.y0)[None, :]
-        for r, cx in enumerate(self.cx.tolist()):
-            far_x, near_x = _far_near(xa, xb, cx)
-            rest_out = 1.0 + eps - near_x * near_x
-            near = np.flatnonzero(rest_out >= 0.0)
-            if near.size == 0:
-                continue
-            w = np.sqrt(rest_out[near])[:, None]
-            lo = self._rank(r, np.ceil((ya_r - w) / self.h))
-            hi = self._rank(r, np.floor((yb_r + w) / self.h) + 1.0)
-            in_max[near] += np.maximum(hi - lo, 0.0)
-            rest_in = 1.0 - eps - far_x[near] ** 2
-            w = np.sqrt(np.maximum(rest_in, 0.0))[:, None]
-            lo = self._rank(r, np.ceil((yb_r - w) / self.h))
-            hi = self._rank(r, np.floor((ya_r + w) / self.h) + 1.0)
-            in_min[near] += np.where(rest_in[:, None] >= 0.0, np.maximum(hi - lo, 0.0), 0.0)
+        ya, yb = ya - self.y0, yb - self.y0
+        for r, cx, s in self._near_rows(xa, xb):
+            far, near = _far_near(xa[s], xb[s], cx)
+            a_out, a_in, b_in, b_out = self.ranks(r, (far * far)[:, None], (near * near)[:, None], ya, yb)
+            in_min[s] += b_in - a_in
+            in_max[s] += b_out - a_out
         return in_min, in_max
 
     def counts(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Number of cell centers (cx, cy) with (x - cx)^2 + (y - cy)^2 <= 1
         for each point of the flat arrays xs, ys.
 
-        The count is that of testing every cell with this expression. In a
-        row at x offset dx = x - cx the test holds where dy^2 <= rest =
-        1 - dx^2. Cells with |y - cy| <= sqrt(rest - eps) pass it with room
-        to spare, and cells with |y - cy| > sqrt(rest + eps) fail it: eps
-        grows with the coordinates' size and exceeds the rounding of the
-        test and of the column bounds by a factor of about a million. The
-        columns of a range run from ceil to floor of (y - oy -+ half-width)
-        / h - 1/2, and the row's runs turn them into positions among the
-        row's cells. The inner range is
-        counted without testing. The few cells between the inner and outer
-        ranges are tested with the expression itself, on the same floats.
-        Where rest < eps the inner range is not trusted, and the whole
-        outer range is tested once. Points are sorted by x, so each row
-        reads the one slice of points within reach of it.
+        The count is that of testing every cell with this expression. Per
+        row, the cells of the inner range of ranks are counted without
+        testing, and the few between the inner and the outer range are
+        tested with the expression itself, on the same floats. Points are
+        sorted by x, so each row reads the one slice of points within reach
+        of it.
         """
         order = np.argsort(xs, kind="stable")
         xs, ys = xs[order], ys[order]
         yc = ys - self.y0
         counts = np.zeros(xs.size)
-        h, eps = self.h, self.eps
-        reach = 1.0 + eps  # points farther in x than this miss the whole row
-        for r, cx in enumerate(self.cx.tolist()):
-            s0 = int(np.searchsorted(xs, cx - reach, "left"))
-            s1 = int(np.searchsorted(xs, cx + reach, "right"))
-            if s0 == s1:
-                continue
-            dx = xs[s0:s1] - cx
-            rest = 1.0 - dx * dx
-            w_in = np.sqrt(np.maximum(rest - eps, 0.0))
-            w_out = np.sqrt(np.maximum(rest + eps, 0.0))
-            yr = yc[s0:s1]
-            a_out = self._rank(r, np.ceil((yr - w_out) / h))
-            b_out = self._rank(r, np.floor((yr + w_out) / h) + 1.0)
-            a_in = self._rank(r, np.ceil((yr - w_in) / h))
-            b_in = self._rank(r, np.floor((yr + w_in) / h) + 1.0)
-            thin = np.flatnonzero(rest < eps)
-            a_in[thin] = b_in[thin] = a_out[thin]
+        for r, cx, s in self._near_rows(xs, xs):
+            dx = xs[s] - cx
+            dx2, y = dx * dx, ys[s]
+            a_out, a_in, b_in, b_out = self.ranks(r, dx2, dx2, yc[s], yc[s])
             row = b_in - a_in
-            y = ys[s0:s1]
             for lo, hi in ((a_out, a_in), (b_in, b_out)):
                 who = np.flatnonzero(lo < hi)
                 pos = lo[who].astype(np.int64) + self.starts[r]
                 end = hi[who].astype(np.int64) + self.starts[r]
                 while who.size:
-                    ddx = dx[who]
                     ddy = y[who] - self.cy[pos]
-                    row[who] += ddx * ddx + ddy * ddy <= 1.0
+                    row[who] += dx2[who] + ddy * ddy <= 1.0
                     pos += 1
                     keep = pos < end
                     who, pos, end = who[keep], pos[keep], end[keep]
-            counts[s0:s1] += row
+            counts[s] += row
         out = np.empty(xs.size, dtype=np.int64)
         out[order] = counts
         return out
@@ -335,12 +340,10 @@ def _dose_at(
     """Poison dose inside the closed unit bite around each (x, y).
 
     patch is _patch_rows(strategy), built once by the caller. The density
-    part counts, per patch row, the cells certainly inside the bite (half-
-    width sqrt(1 - dx^2 - eps)) without testing them, and tests the cells
-    between that range and the outer one (half-width sqrt(1 - dx^2 + eps))
-    with the original dx*dx + dy*dy <= 1.0 on the floats of cell_centers().
-    eps, 1e-9 times the coordinates' size, dwarfs every rounding, so the
-    count is exactly that of testing every cell (_PatchRows.counts).
+    part counts, per patch row, the cells certainly inside the bite without
+    testing them, and tests the cells between that range and the outer one
+    with the original dx*dx + dy*dy <= 1.0 on the floats of cell_centers(),
+    so the count is exactly that of testing every cell (_PatchRows.counts).
     """
     dose = np.zeros(xs.shape, dtype=np.float64)
     for m in strategy.point_masses:
@@ -388,12 +391,12 @@ class _VerdictGrid:
     the box a mass certainly counts when its farthest corner is within
     1 - eps and may count when its nearest point is within 1 + eps, and
     eps dwarfs the rounding of the test dx*dx + dy*dy <= 1.0. The patch
-    cells certainly and possibly inside come from the row runs
-    (_PatchRows.box_counts). Float + and * round monotonically, so the
-    mass terms summed in mass order, plus per_cell times a count, bound
-    the dose _dose_at gives at any point of the box: dose_min <= dose <=
-    dose_max. The cell is lethal when dose_min passes the lethal test and
-    safe when dose_max fails it.
+    cells certainly and possibly inside come from the row runs, within the
+    patch's own margin (_PatchRows.box_counts). Float + and * round
+    monotonically, so the mass terms summed in mass order, plus per_cell
+    times a count, bound the dose _dose_at gives at any point of the box:
+    dose_min <= dose <= dose_max. The cell is lethal when dose_min passes
+    the lethal test and safe when dose_max fails it.
     """
 
     def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
@@ -401,13 +404,10 @@ class _VerdictGrid:
         self.patch = patch = _patch_rows(strategy)
         px = [m.position.x for m in strategy.point_masses]
         py = [m.position.y for m in strategy.point_masses]
-        size = 0.0
         if patch is not None:
             px += [float(patch.cx.min()), float(patch.cx.max())]
             py += [float(patch.cy.min()), float(patch.cy.max())]
-            origin = strategy.density.region.origin
-            size = max(abs(origin.x), abs(origin.y))
-        eps = _EPS * (2.0 + config.R + max([size, *map(abs, px), *map(abs, py)]))
+        eps = _EPS * (2.0 + config.R + max(map(abs, px + py)))
         reach, edge = 1.0 + 2.0 * eps, config.R - 1.0 + eps
         lo_x, hi_x = min(px) - reach, max(px) + reach
         lo_y, hi_y = min(py) - reach, max(py) + reach
@@ -437,7 +437,7 @@ class _VerdictGrid:
             dose_min += m.grams * ((far_x * far_x)[:, None] + (far_y * far_y)[None, :] <= 1.0 - eps)
             dose_max += m.grams * ((near_x * near_x)[:, None] + (near_y * near_y)[None, :] <= 1.0 + eps)
         if patch is not None:
-            in_min, in_max = patch.box_counts(xa, xb, ya, yb, eps)
+            in_min, in_max = patch.box_counts(xa, xb, ya, yb)
             dose_min += patch.per_cell * in_min
             dose_max += patch.per_cell * in_max
         dose_0 = _is_lethal_dose(np.zeros(1), config)[0]

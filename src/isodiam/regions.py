@@ -172,6 +172,13 @@ class PixelRegion:
         the same float wherever it is computed."""
         return grid.astype(np.float64) * self.h + [self.origin.x, self.origin.y]
 
+    @property
+    def row_starts(self) -> np.ndarray:
+        """Index in cells of each row's first cell, then len(cells): row k's
+        block of the sorted cells is cells[starts[k]:starts[k + 1]]."""
+        i = self.cells[:, 0]
+        return np.append(np.flatnonzero(np.diff(i, prepend=i[:1] - 1)), len(i))
+
     def cell_centers(self) -> np.ndarray:
         return self._xy(self.cells + 0.5)
 
@@ -249,7 +256,9 @@ def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
         gx, gy = np.meshgrid(cx[lo : lo + rows], cy, indexing="ij")
         sel_i, sel_j = np.nonzero(shape.contains_xy(gx, gy))
         cells.append(np.column_stack([ii[lo + sel_i], jj[sel_j]]))
-    return PixelRegion(origin=origin, h=h, cells=np.concatenate(cells))
+    # the band pieces go before PixelRegion copies their concatenation
+    cells = np.concatenate(cells)
+    return PixelRegion(origin=origin, h=h, cells=cells)
 
 
 def lens_area(d: float) -> float:
@@ -285,10 +294,8 @@ def _row_extreme_corners(r: PixelRegion) -> np.ndarray:
     """
     if r.is_empty():
         raise ValueError("diameter of an empty region")
-    idx = r.cells
-    new_row = np.flatnonzero(idx[1:, 0] != idx[:-1, 0]) + 1
-    first = idx[np.concatenate([[0], new_row])]
-    last = idx[np.concatenate([new_row - 1, [len(idx) - 1]])]
+    starts = r.row_starts
+    first, last = r.cells[starts[:-1]], r.cells[starts[1:] - 1]
     return r._xy(np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]]))
 
 

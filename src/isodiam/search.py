@@ -412,10 +412,11 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     Deterministic for a given config: the proposal stream is the draws of
     np.random.default_rng(seed), read from raw PCG64 words by _MoveStream.
-    A move with both frontiers open draws integers(2) to pick addition
-    (1) or removal (0); the cell is frontier item integers(len(frontier)),
-    and a removal then draws random() against its probability. A longer
-    run extends a shorter one's trajectory.
+    A move on a region of more than one cell with a removable one draws
+    integers(2) to pick addition (1) or removal (0), and any other move
+    adds; the cell is frontier item integers(len(frontier)), and a
+    removal then draws random() against its probability. A longer run
+    extends a shorter one's trajectory.
     """
     delta, h = config.delta, config.h
     if not (bounds.DISK_REGIME_MAX < delta < 4.0):
@@ -490,14 +491,8 @@ def anneal(config: SearchConfig) -> SearchResult:
         # stream is never used.
         if remove_probability == 0.0 and len(rejected) == len(add_frontier):
             break
-        can_add = len(add_frontier) > 0
-        can_remove = len(remove_frontier) > 0 and count > 1
-        if not (can_add or can_remove):
-            break
-        if can_add and can_remove:
-            adding = bool(moves.integers(2))
-        else:
-            adding = can_add
+        # a nonempty finite region always has a cell to add beside it
+        adding = not (len(remove_frontier) > 0 and count > 1) or bool(moves.integers(2))
         if adding:
             cell = add_frontier.choose(moves)
             if cell in rejected or not add_is_feasible(cell):

@@ -58,8 +58,9 @@ def test_gen_jung_frozen_value():
 def test_gen_jung_domain():
     with pytest.raises(ValueError):
         gen_jung_radius(1.0, 1.5)  # tau beyond delta
+    assert gen_jung_radius(1.0, 0.0) == 0.5  # no three points apart: half the diameter
     with pytest.raises(ValueError):
-        gen_jung_radius(1.0, 0.0)
+        gen_jung_radius(1.0, -1e-300)
     with pytest.raises(ValueError):
         gen_jung_radius(0.0, 0.0)
     with pytest.raises(ValueError):
@@ -199,3 +200,9 @@ def test_max_triangle_area_in_disk():
     # inscribed equilateral in the unit disk has area 3*sqrt(3)/4
     assert max_triangle_area_in_disk(1.0) == pytest.approx(3 * math.sqrt(3) / 4, abs=1e-12)
     assert max_triangle_area_in_disk(2.0) == pytest.approx(3 * math.sqrt(3), abs=1e-12)
+
+
+@pytest.mark.parametrize("bound", [stmt3_interior, convex_improved_interior])
+def test_an_overflowing_fourth_power_names_its_delta(bound):
+    with pytest.raises(OverflowError, match=r"delta=1e\+100"):
+        bound(1e100)

@@ -76,6 +76,14 @@ def test_jung_report(capsys, pts_csv):
     assert rep["ab"][0]["covered"] is True
 
 
+def test_jung_on_two_points_takes_tau_zero(capsys, tmp_path):
+    """diam3 of two points is 0, so tau is 0 and rho is half the diameter."""
+    path = tmp_path / "two.csv"
+    save_points_csv(PointSet.from_xy([(0, 0), (1, 0)]), path)
+    rep = run_json(capsys, ["jung", str(path)])["report"]
+    assert (rep["diam3"], rep["tau"], rep["rho"], rep["covered"]) == (0.0, 0.0, 0.5, True)
+
+
 def test_bounds_csv_and_svg(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     svg_path = tmp_path / "sweep.svg"
@@ -498,23 +506,30 @@ def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, named",
     [
-        (["poison", "--R", "3", "--h-available", "1", "--samples", "10", "--grid", "1e-320"], 3),
-        (["search", "--delta", "3", "--h", "1e-320", "--iterations", "1"], 3),
-        (["poison", "--R", "1e308", "--h-available", "1", "--samples", "10"], 2),
-        (["bounds", "--delta-min", "1", "--delta-max", "1e308", "--steps", "3"], 2),
+        (["poison", "--R", "3", "--h-available", "1", "--samples", "10", "--grid", "1e-320"], 3, "pitch 1e-320"),
+        (["search", "--delta", "3", "--h", "1e-320", "--iterations", "1"], 3, "pitch 1e-320"),
+        (["poison", "--R", "1e308", "--h-available", "1", "--samples", "10"], 2, "pie radius 1e+308"),
+        (["poison", "--R", "1e200", "--h-available", "1", "--samples", "1000"], 2, "pie radius 1e+200"),
+        (["bounds", "--delta-min", "1", "--delta-max", "1e308", "--steps", "3"], 2, "delta=5e+307"),
     ],
-    ids=["raster-extent-overflows", "seed-extent-overflows", "sampling-square-overflows", "bound-overflows"],
+    ids=[
+        "raster-extent-overflows", "seed-extent-overflows", "sampling-square-overflows",
+        "sampling-square-squared-overflows", "bound-overflows",
+    ],
 )
-def test_overflowing_inputs_exit_with_one_error_line(capsys, argv, code):
+@pytest.mark.filterwarnings("error")
+def test_overflowing_inputs_exit_with_one_error_line(capsys, argv, code, named):
     """A pitch so fine that the grid's extent is infinite is refused by the
     raster cap, and input whose arithmetic overflows is bad input: an exit
-    code and one error line, not a traceback."""
+    code and one error line naming the input, not a traceback or a numpy
+    warning."""
     assert cli.run(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 # every subcommand's option strings (positionals by name); adding or
 # removing a knob changes this table

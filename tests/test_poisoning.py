@@ -35,6 +35,25 @@ def central(grams: float) -> PoisonStrategy:
     return PoisonStrategy(point_masses=(PointMass(Point(0.0, 0.0), grams),))
 
 
+@pytest.mark.filterwarnings("error")
+def test_pie_radius_is_refused_where_squared_distances_overflow():
+    """At R = 6.5e153, (2R)^2 is finite, but the verdict grid's squared
+    distances between far masses and far cells overflowed. The largest
+    accepted radii run without a numpy warning."""
+    for R in (6.5e153, 1e200, 1e308):
+        with pytest.raises(ValueError, match="pie radius .* is too large"):
+            PoisonConfig(R=R, h_available=1.0)
+    R = 4.7e153
+    rim = 0.999999 * R
+    strat = PoisonStrategy(point_masses=(
+        PointMass(Point(-rim, 0.0), 1 / 3), PointMass(Point(0.0, -rim), 1 / 3),
+        PointMass(Point(rim * math.sqrt(0.5), rim * math.sqrt(0.5)), 1 / 3),
+    ))
+    cfg = PoisonConfig(R=R, h_available=1.0, samples=2000, seed=1)
+    assert kill_probability(strat, cfg).hits == 0
+    assert lethal_region(strat, cfg, R / 50).is_empty()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PoisonConfig(R=2.0, h_available=1.0)  # pie too small for a bite
@@ -288,6 +307,34 @@ def test_row_counts_on_rows_with_gaps_and_single_cells(cells, h):
     xs, ys = probe_points(region, 5)
     got = _PatchRows(DensityPatch(region=region, grams=1.0)).counts(xs, ys)
     assert np.array_equal(got, brute_cell_counts(region, xs, ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell_sets, st.floats(0.01, 2.0), st.integers(0, 2**32 - 1))
+def test_paired_ranks_equal_the_outer_ranks(cells, h, seed):
+    """ranks on k x l boxes built from the outer product of x and y edges,
+    and on the k * l boxes given one by one, give the same four ranks, in
+    order."""
+    region = PixelRegion(origin=Point(0.37, -1.21), h=h, cells=frozenset(cells))
+    rows = _PatchRows(DensityPatch(region=region, grams=1.0))
+    c = region.cell_centers()
+    lo, hi = c.min(axis=0) - 1.5, c.max(axis=0) + 1.5
+    rng = np.random.default_rng(seed)
+    xa, ya = rng.uniform(lo, hi, size=(12, 2)).T
+    xb, yb = xa + rng.uniform(0.0, 0.5, 12), ya + rng.uniform(0.0, 0.5, 12)
+    xb[:3], yb[:3] = xa[:3], ya[:3]  # points among the boxes
+    ya, yb = ya - rows.y0, yb - rows.y0
+    k, l = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
+    k, l = k.ravel(), l.ravel()
+    for r, cx in enumerate(rows.cx.tolist()):
+        far, near = poisoning._far_near(xa, xb, cx)
+        far2, near2 = far * far, near * near
+        outer = rows.ranks(r, far2[:, None], near2[:, None], ya[None, :], yb[None, :])
+        paired = rows.ranks(r, far2[k], near2[k], ya[l], yb[l])
+        for got, want in zip(outer, paired):
+            assert np.array_equal(got.ravel(), want)
+        a_out, a_in, b_in, b_out = paired
+        assert np.all((a_out <= a_in) & (a_in <= b_in) & (b_in <= b_out))
 
 
 def test_dose_on_the_lethal_region_grid():
