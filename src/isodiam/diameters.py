@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import Point, PointSet, convex_hull_indices, hull_diameter
+from .geometry import Point, PointSet, convex_hull_indices, hull_diameter, in_window
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -89,16 +89,32 @@ def diam3(s: PointSet) -> float:
     among tied pairs, so the result is exact, with no tolerance, and does
     not depend on how ties are broken.
 
-    Two shortcuts keep it exact. Above _PREFILTER_MIN points, diam3 of a
-    stride sub-sample of about _SUBSAMPLE points is a lower bound L: its
-    best triple is a triple of the full set. The best triple of the full
-    set has every side >= L, so only pairs at squared distance >= L^2 are
-    sorted; squared distances are computed the same way for the sample
-    and the full set, so the bound holds bit for bit. The pairs are then
-    inserted _BLOCK at a time into bit-packed adjacency rows: if no edge of
-    a block has a common neighbour afterwards, no triangle has closed yet
-    (a triangle closed in the block would show on its last edge), and only
-    the block where one first closes is replayed pair by pair.
+    Three shortcuts keep it exact. Above _PREFILTER_MIN points, diam3 of a
+    stride sub-sample of about _SUBSAMPLE points joined with the convex
+    hull's vertices is a lower bound L: its best triple is a triple of the
+    full set. The best triple of the full set has every side >= L, so only
+    pairs at squared distance >= L^2 are sorted; squared distances are
+    computed the same way for the sample and the full set, so the bound
+    holds bit for bit. The pairs are then inserted _BLOCK at a time into
+    bit-packed adjacency rows: if no edge of a block has a common neighbour
+    afterwards, no triangle has closed yet (a triangle closed in the block
+    would show on its last edge), and only the block where one first closes
+    is replayed pair by pair.
+
+    Inside the coordinate window, the points that cannot be in the best
+    triple are dropped first: those whose largest squared distance to a
+    hull vertex is below L^2 * (1 - 1e-9). The farthest point from any
+    point p is a vertex of the exact hull, and its distance from p is at
+    least half the diameter D. The computed hull drops only points within a
+    few ulps of D of its boundary, and the squared distances are within a
+    few ulps of exact, so each vertex of the best triple reaches a hull
+    vertex at squared distance >= L^2 * (1 - 1e-12): the 1e-9 margin dwarfs
+    the rounding. The survivors keep their order, so each of their pairs
+    has the squared distance the full set computes for it, from the same
+    expression on the same floats; every triangle among them is one of the
+    full set, and the best triple is among them. So the closing pair is the
+    same float. Outside the window, where squares can overflow or
+    underflow, no point is dropped.
 
     Pairs are built _BAND rows at a time and only those above the floor
     are kept, so memory grows as _BAND * n plus the kept pairs, not as
@@ -112,7 +128,10 @@ def diam3(s: PointSet) -> float:
     _check_pairs(f"diam3 of {n} points", n)
     floor2 = 0.0
     if n > _PREFILTER_MIN:
-        floor2 = _first_triangle_d2(coords[:: n // _SUBSAMPLE], 0.0)
+        hull = convex_hull_indices(coords)
+        floor2 = _first_triangle_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0)
+        if in_window(coords):
+            coords = coords[_farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)]
     return float(np.sqrt(_first_triangle_d2(coords, floor2)))
 
 
@@ -138,6 +157,22 @@ def _check_pairs(what: str, n: int) -> None:
     pairs = n * (n - 1) // 2
     if pairs > _MAX_PAIRS:
         raise MemoryError(f"{what} needs {pairs} pairs, more than the cap of {_MAX_PAIRS}")
+
+
+def _farthest_d2(coords: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Largest squared distance from each point of coords to the points
+    of ends, taken _BAND ends at a time."""
+    x, y = coords[:, :1], coords[:, 1:]
+    best = np.zeros(len(coords))
+    for lo in range(0, len(ends), _BAND):
+        e = ends[lo : lo + _BAND]
+        dx = x - e[:, 0]
+        dx *= dx
+        dy = y - e[:, 1]
+        dy *= dy
+        dx += dy
+        np.maximum(best, dx.max(axis=1), out=best)
+    return best
 
 
 def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "min_enclosing_circle",
     "convex_hull_indices",
     "hull_diameter",
+    "in_window",
     "load_points_csv",
     "save_points_csv",
 ]
@@ -44,6 +45,27 @@ RIGHT_ANGLE_COS_TOL = 1e-9
 # Containment slack used by the enclosing-circle routines, multiplicative on
 # the radius. Matches the usual practice for Welzl-style implementations.
 _CONTAINS_EPS = 1 + 1e-14
+
+# The coordinate window. Where every nonzero coordinate has a magnitude in
+# [2^-250, 2^250], every nonzero coordinate difference lies in [2^-302,
+# 2^251] (floats above 2^-250 are multiples of 2^-302), so the squares and
+# cubes of differences that the circumcircle terms take stay normal floats
+# and nothing overflows. load_points_csv refuses coordinates outside it, and
+# the array scans of min_enclosing_circle and diameters.diam3 run only
+# inside it.
+_WINDOW = (2.0**-250, 2.0**250)
+
+# Relative margin of the array scans' certain verdicts: it dwarfs the few
+# ulps by which their squared terms can differ from the exact tests'.
+_MARGIN = 1e-9
+
+
+def in_window(coords: np.ndarray) -> bool:
+    """True when every nonzero entry of coords has a magnitude inside the
+    coordinate window."""
+    lo, hi = _WINDOW
+    a = np.abs(coords)
+    return bool(np.all((a == 0.0) | ((a >= lo) & (a <= hi))))
 
 
 @dataclass(frozen=True)
@@ -260,32 +282,83 @@ def min_enclosing_circle(s: PointSet) -> Disk:
     order is shuffled with a fixed-seed generator so results are deterministic
     for identical inputs while still defeating adversarial orderings. Raises
     ValueError on an empty set.
+
+    The scans are array passes that give the disk of the per-point loops
+    bit for bit. The next point outside a disk is found by _first_outside.
+    Inside the coordinate window, _mec_with_two_scan picks the two
+    circumcircles the per-point loop of _mec_with_two would keep; outside
+    it, where a square or a cube can leave the normal float range, the
+    per-point loop runs.
     """
     pts = list(s.points)
     if not pts:
         raise ValueError("min_enclosing_circle of an empty point set")
     random.Random(0x1D0D1A).shuffle(pts)
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    scan = in_window(x) and in_window(y)
 
-    disk: Disk | None = None
-    for i, p in enumerate(pts):
-        if disk is None or not disk.contains(p):
-            disk = _mec_with_one(pts[: i + 1], p)
-    assert disk is not None
-    return disk
-
-
-def _mec_with_one(pts: Sequence[Point], p: Point) -> Disk:
-    disk = Disk(p, 0.0)
-    for i, q in enumerate(pts):
-        if not disk.contains(q):
+    def with_one(hi: int) -> Disk:
+        # the disk of pts[:hi] with pts[hi - 1] on its boundary
+        p = pts[hi - 1]
+        disk = Disk(p, 0.0)
+        j = _first_outside(disk, pts, x, y, 0, hi)
+        while j < hi:
+            q = pts[j]
             if disk.radius == 0.0:
                 disk = _circle_two(p, q)
+            elif scan:
+                disk = _mec_with_two_scan(pts, x, y, j + 1, p, q)
             else:
-                disk = _mec_with_two(pts[: i + 1], p, q)
+                disk = _mec_with_two(pts[: j + 1], p, q)
+            j = _first_outside(disk, pts, x, y, j + 1, hi)
+        return disk
+
+    disk = with_one(1)
+    i = _first_outside(disk, pts, x, y, 1, len(pts))
+    while i < len(pts):
+        disk = with_one(i + 1)
+        i = _first_outside(disk, pts, x, y, i + 1, len(pts))
     return disk
+
+
+def _sure_sides(disk: Disk, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the points (x, y) that Disk.contains certainly puts inside,
+    and certainly outside, decided on squared distances.
+
+    Where the squared slackened radius r2 is a normal float of magnitude in
+    [2^-1000, 2^1000], the squared distance d2 and r2 are within a few ulps
+    of their exact values, plus underflow far below r2 * _MARGIN, and hypot
+    is within an ulp of the true length. So d2 <= r2 * (1 - _MARGIN) means
+    contained and d2 >= r2 * (1 + _MARGIN) means not, overflow to inf
+    included. Otherwise no point is certain.
+    """
+    reach = disk.radius * _CONTAINS_EPS
+    r2 = reach * reach
+    if not 2.0**-1000 <= r2 <= 2.0**1000:
+        none = np.zeros(len(x), dtype=bool)
+        return none, none
+    with np.errstate(over="ignore"):
+        dx = x - disk.center.x
+        dy = y - disk.center.y
+        dx *= dx
+        dy *= dy
+        dx += dy
+    return dx <= r2 * (1 - _MARGIN), dx >= r2 * (1 + _MARGIN)
+
+
+def _first_outside(disk: Disk, pts: Sequence[Point], x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int:
+    """Index of the first of pts[lo:hi] that disk does not contain, or hi.
+    Points not certainly inside go through Disk.contains in order."""
+    inside, outside = _sure_sides(disk, x[lo:hi], y[lo:hi])
+    for k in np.flatnonzero(~inside).tolist():
+        if outside[k] or not disk.contains(pts[lo + k]):
+            return lo + k
+    return hi
 
 
 def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
+    """The disk of pts with p and q on its boundary, point by point."""
     circ = _circle_two(p, q)
     left: Disk | None = None
     right: Disk | None = None
@@ -303,6 +376,10 @@ def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
             left = c
         elif cross < 0.0 and (right is None or ccross < dx * (right.center.y - py) - dy * (right.center.x - px)):
             right = c
+    return _pick(circ, left, right)
+
+
+def _pick(circ: Disk, left: Disk | None, right: Disk | None) -> Disk:
     if left is None and right is None:
         return circ
     if left is None:
@@ -311,6 +388,58 @@ def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
     if right is None:
         return left
     return left if left.radius <= right.radius else right
+
+
+def _mec_with_two_scan(pts: Sequence[Point], x: np.ndarray, y: np.ndarray, hi: int, p: Point, q: Point) -> Disk:
+    """_mec_with_two in array passes, for point sets inside the coordinate
+    window.
+
+    The points outside the circle on pq come from _sure_sides, with
+    Disk.contains deciding the uncertain ones. For each, cross, the
+    circumcentre and ccross are the expressions of _mec_with_two and
+    circumcircle, elementwise, so they are the same floats. Twice the
+    triangle's area is |cross|. _is_degenerate squares by pow, which can
+    differ from a product by an ulp, so a triangle is flat or not by the
+    array test only outside a relative margin of _MARGIN, and by
+    _is_degenerate inside it. The loop keeps the first strict maximum of
+    ccross among cross > 0 and the first strict minimum among cross < 0:
+    argmax and argmin. Only those two circles are built, by circumcircle.
+    """
+    circ = _circle_two(p, q)
+    inside, outside = _sure_sides(circ, x[:hi], y[:hi])
+    unsure = np.flatnonzero(~(inside | outside))
+    outside[unsure] = [not circ.contains(pts[k]) for k in unsure.tolist()]
+    idx = np.flatnonzero(outside)
+    px, py = p.x, p.y
+    dx, dy = q.x - px, q.y - py
+    rx, ry = x[idx] - px, y[idx] - py
+    cross = dx * ry - dy * rx
+    twice_area = np.abs(cross)
+    # circumcircle's b2 and c2 are two of the squared sides _is_degenerate
+    # takes, here as products
+    b2 = dx * dx + dy * dy
+    c2 = rx * rx + ry * ry
+    qx, qy = q.x - x[idx], q.y - y[idx]
+    tol = DEGENERACY_REL_TOL * np.maximum(np.maximum(b2, qx * qx + qy * qy), c2)
+    flat = twice_area < tol * (1 - _MARGIN)
+    unsure = np.flatnonzero(~flat & (twice_area < tol * (1 + _MARGIN)))
+    flat[unsure] = [_is_degenerate(Triangle(p, q, pts[k])) for k in idx[unsure].tolist()]
+    keep = ~flat
+    idx, rx, ry, c2, cross = idx[keep], rx[keep], ry[keep], c2[keep], cross[keep]
+    # circumcircle(Triangle(p, q, r)) with a = p, b = q, c = r, whose
+    # d is 2 * cross; the loop takes ccross on the centre (px + ux, py + uy)
+    d = 2.0 * cross
+    ux = (ry * b2 - dy * c2) / d
+    uy = (dx * c2 - rx * b2) / d
+    ccross = dx * ((py + uy) - py) - dy * ((px + ux) - px)
+
+    def circle(side: np.ndarray, best) -> Disk | None:
+        k = np.flatnonzero(side)
+        if not len(k):
+            return None
+        return circumcircle(Triangle(p, q, pts[int(idx[k[best(ccross[k])]])]))
+
+    return _pick(circ, circle(cross > 0.0, np.argmax), circle(cross < 0.0, np.argmin))
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +458,31 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
     if n == 0:
         return []
     order = np.lexsort((coords[:, 1], coords[:, 0]))
-    # skip duplicates while keeping the first occurrence
-    uniq: list[int] = []
-    for idx in order:
-        if uniq and coords[idx, 0] == coords[uniq[-1], 0] and coords[idx, 1] == coords[uniq[-1], 1]:
-            continue
-        uniq.append(int(idx))
+    # equal points sort next to each other: keep the first of each run
+    sx, sy = coords[order, 0], coords[order, 1]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    uniq: list[int] = order[first].tolist()
     if len(uniq) <= 2:
         return uniq
+    # the chain reads single coordinates: as Python floats, not numpy scalars
+    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
 
-    def cross(o: int, a: int, b: int) -> float:
-        return (coords[a, 0] - coords[o, 0]) * (coords[b, 1] - coords[o, 1]) - (
-            coords[a, 1] - coords[o, 1]
-        ) * (coords[b, 0] - coords[o, 0])
+    def chain(seq: Iterable[int]) -> list[int]:
+        out: list[int] = []
+        for b in seq:
+            xb, yb = xs[b], ys[b]
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                xo, yo = xs[o], ys[o]
+                if not (xs[a] - xo) * (yb - yo) - (ys[a] - yo) * (xb - xo) <= 0:
+                    break
+                out.pop()
+            out.append(b)
+        return out
 
-    lower: list[int] = []
-    for idx in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], idx) <= 0:
-            lower.pop()
-        lower.append(idx)
-    upper: list[int] = []
-    for idx in reversed(uniq):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], idx) <= 0:
-            upper.pop()
-        upper.append(idx)
+    lower = chain(uniq)
+    upper = chain(reversed(uniq))
     hull = lower[:-1] + upper[:-1]
     if not hull:
         # all points collinear: keep the two extremes
@@ -386,9 +516,11 @@ def load_points_csv(path: str | Path) -> PointSet:
     """Read a point set from CSV: one `x,y` pair per line.
 
     Blank lines and lines starting with `#` are ignored. Decimal separator
-    is the dot; the file must be UTF-8. Malformed lines raise ValueError
-    with the offending line number.
+    is the dot; the file must be UTF-8. Malformed lines, and nonzero
+    coordinates outside the coordinate window, raise ValueError with the
+    offending line number.
     """
+    lo, hi = _WINDOW
     points: list[Point] = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -404,6 +536,8 @@ def load_points_csv(path: str | Path) -> PointSet:
             raise ValueError(f"{path}:{lineno}: bad number in {raw!r}") from exc
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"{path}:{lineno}: coordinates must be finite")
+        if not ((x == 0.0 or lo <= abs(x) <= hi) and (y == 0.0 or lo <= abs(y) <= hi)):
+            raise ValueError(f"{path}:{lineno}: nonzero coordinates must have magnitudes in [2**-250, 2**250]")
         points.append(Point(x, y))
     return PointSet(points)
 

@@ -144,7 +144,12 @@ class PixelRegion:
         # a cast would truncate 0.5 to 0, a reshape re-pair triples' entries
         if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu" or cells.dtype == np.uint64:
             raise ValueError(f"cells must be (n, 2) integer pairs, got shape {cells.shape} of {cells.dtype}")
-        cells = cells.astype(np.int64)
+        # an int64 array that owns its data and is read-only is already
+        # frozen for its holder, as rasterize hands its cells over; any
+        # other array is copied, so a caller's array stays theirs
+        flags = cells.flags
+        if not (cells.dtype == np.int64 and flags.c_contiguous and flags.owndata and not flags.writeable):
+            cells = cells.astype(np.int64)
         i, j = cells[:, 0], cells[:, 1]
         # cells from a row-order grid scan come sorted and skip the sort
         if not np.all((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))):
@@ -256,8 +261,9 @@ def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
         gx, gy = np.meshgrid(cx[lo : lo + rows], cy, indexing="ij")
         sel_i, sel_j = np.nonzero(shape.contains_xy(gx, gy))
         cells.append(np.column_stack([ii[lo + sel_i], jj[sel_j]]))
-    # the band pieces go before PixelRegion copies their concatenation
+    # the band pieces go before PixelRegion takes their concatenation
     cells = np.concatenate(cells)
+    cells.flags.writeable = False
     return PixelRegion(origin=origin, h=h, cells=cells)
 
 
@@ -381,7 +387,9 @@ def minkowski_difference(r: PixelRegion) -> PixelRegion:
     spectrum = np.fft.rfft2(grid, shape) * np.fft.rfft2(grid[::-1, ::-1], shape)
     corr = np.fft.irfft2(spectrum, shape)
     di, dj = np.nonzero(corr > 0.5)
-    return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=np.column_stack([di - (w - 1), dj - (v - 1)]))
+    cells = np.column_stack([di - (w - 1), dj - (v - 1)])
+    cells.flags.writeable = False
+    return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,17 @@ def test_the_constructor_leaves_the_callers_array_alone():
         region.cells[0, 0] = 7
 
 
+def test_only_a_frozen_int64_array_is_taken_without_a_copy():
+    """rasterize and minkowski_difference hand over read-only arrays of
+    their own, so a raster holds its cells once. A caller's writable array
+    in the same canonical form is still copied and stays writable."""
+    pairs = np.array([[1, 5], [2, 0]], dtype=np.int64)
+    region = PixelRegion(origin=Point(0.0, 0.0), h=0.1, cells=pairs)
+    assert region.cells is not pairs and pairs.flags.writeable and not region.cells.flags.writeable
+    pairs.flags.writeable = False
+    assert PixelRegion(origin=Point(0.0, 0.0), h=0.1, cells=pairs).cells is pairs
+
+
 @pytest.mark.parametrize(
     "cells",
     [

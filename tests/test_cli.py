@@ -347,6 +347,27 @@ def test_version_flag(capsys):
     assert "isodiam" in capsys.readouterr().out
 
 
+def test_the_parser_built_once_answers_as_a_fresh_one(capsys, pts_csv):
+    """run keeps one parser per process. Calls after a good or a bad one
+    print the bytes and return the codes of calls on a fresh parser; an
+    --ab list does not carry over into the next call's default."""
+    with_ab = ["diameters", pts_csv, "--ab", "4,2"]
+    bad = ["diameters", pts_csv, "--ab", "4"]
+    plain = ["diameters", pts_csv]
+
+    def call(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    sequence = [with_ab, bad, plain, bad, with_ab]
+    expected = [call(argv, fresh=True) for argv in sequence]
+    assert [code for code, _, _ in expected] == [0, 2, 0, 2, 0]
+    assert [call(argv, fresh=False) for argv in sequence] == expected
+
+
 def test_out_file_instead_of_stdout(capsys, pts_csv, tmp_path):
     out = tmp_path / "report.json"
     code = cli.run(["diameters", pts_csv, "--out", str(out)])
@@ -513,18 +534,30 @@ def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
         (["poison", "--R", "1e308", "--h-available", "1", "--samples", "10"], 2, "pie radius 1e+308"),
         (["poison", "--R", "1e200", "--h-available", "1", "--samples", "1000"], 2, "pie radius 1e+200"),
         (["bounds", "--delta-min", "1", "--delta-max", "1e308", "--steps", "3"], 2, "delta=5e+307"),
+        (["jung", "tiny.csv"], 2, "tiny.csv:2: nonzero coordinates must have magnitudes in [2**-250, 2**250]"),
+        (["diameters", "tiny.csv"], 2, "tiny.csv:2: nonzero coordinates"),
+        (["diameters", "huge.csv"], 2, "huge.csv:2: nonzero coordinates"),
+        (["jung", "huge.csv"], 2, "huge.csv:2: nonzero coordinates"),
     ],
     ids=[
         "raster-extent-overflows", "seed-extent-overflows", "sampling-square-overflows",
-        "sampling-square-squared-overflows", "bound-overflows",
+        "sampling-square-squared-overflows", "bound-overflows", "jung-squares-underflow",
+        "diameters-squares-underflow", "diameters-squares-overflow", "jung-squares-overflow",
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_overflowing_inputs_exit_with_one_error_line(capsys, argv, code, named):
+def test_overflowing_inputs_exit_with_one_error_line(capsys, tmp_path, monkeypatch, argv, code, named):
     """A pitch so fine that the grid's extent is infinite is refused by the
     raster cap, and input whose arithmetic overflows is bad input: an exit
     code and one error line naming the input, not a traceback or a numpy
-    warning."""
+    warning. Point files whose squared differences would underflow or
+    overflow are refused at the first such line."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4)
+    for name, scale in (("tiny.csv", 1e-170), ("huge.csv", 1e200)):
+        # 50 distinct points, the first one at the origin, inside the window
+        pts = np.concatenate([[[0.0, 0.0]], rng.uniform(-1.0, 1.0, size=(49, 2)) * scale])
+        save_points_csv(PointSet.from_xy(map(tuple, pts.tolist())), name)
     assert cli.run(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -189,6 +189,21 @@ def test_csv_reports_bad_line(tmp_path):
         load_points_csv(path)
 
 
+@pytest.mark.parametrize(
+    "value, ok",
+    [(0.0, True), (-0.0, True), (2.0**-250, True), (-(2.0**250), True), (2.0**-251, False), (-(2.0**251), False),
+     (1e-170, False), (1e200, False)],
+)
+def test_csv_refuses_coordinates_outside_the_window(tmp_path, value, ok):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"1,2\n3,{value!r}\n")
+    if ok:
+        assert load_points_csv(path)[1].y == value
+    else:
+        with pytest.raises(ValueError, match=r"pts.csv:2: nonzero coordinates must have magnitudes in"):
+            load_points_csv(path)
+
+
 def test_pointset_equality_and_hash():
     a = PointSet.from_xy([(0, 0), (1, 1)])
     b = PointSet.from_xy([(0, 0), (1, 1)])
