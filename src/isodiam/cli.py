@@ -144,6 +144,12 @@ def cmd_check(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _covered(mec: Disk, rho: float) -> bool:
+    """Whether the enclosing circle fits in radius rho, with a relative
+    slack of 1e-9, so the verdict does not change with the set's scale."""
+    return mec.radius <= rho * (1 + 1e-9)
+
+
 def cmd_jung(ns: argparse.Namespace) -> int:
     points = _load_points(ns.points)
     delta = diam(points)
@@ -159,14 +165,14 @@ def cmd_jung(ns: argparse.Namespace) -> int:
         row: dict = {"a": a, "b": b, "value": value}
         if 0.0 < value <= delta:
             row["rho"] = gen_jung_radius(delta, value)
-            row["covered"] = mec.radius <= row["rho"] + 1e-9
+            row["covered"] = _covered(mec, row["rho"])
         else:
             row["rho"] = None
             row["covered"] = None
         ab_rows.append(row)
     report = {
         "ab": ab_rows,
-        "covered": mec.radius <= rho + 1e-9,
+        "covered": _covered(mec, rho),
         "diam": delta,
         "diam3": d3,
         "mec": {"center": [mec.center.x, mec.center.y], "radius": mec.radius},

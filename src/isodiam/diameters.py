@@ -11,7 +11,9 @@ diam_ab  sup over a-subsets of the min over b-subsets of the largest
 tab_check  decision form: among any a points, some b of them are pairwise
          within the threshold.
 
-All routines are pure and operate on immutable PointSet values. diam_ab
+All routines are pure and operate on immutable PointSet values, whose
+coordinates were checked against the coordinate window once, when the set
+was built, so their squared differences stay normal floats. diam_ab
 and tab_check share one exact subset search over Python-int bitmasks of
 the "within the threshold" graph. Both still guard up front on C(n, a)
 against a configurable budget and raise BudgetExceededError naming the
@@ -26,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import Point, PointSet, convex_hull_indices, hull_diameter, in_window
+from .geometry import Point, PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -101,20 +103,19 @@ def diam3(s: PointSet) -> float:
     would show on its last edge), and only the block where one first closes
     is replayed pair by pair.
 
-    Inside the coordinate window, the points that cannot be in the best
-    triple are dropped first: those whose largest squared distance to a
-    hull vertex is below L^2 * (1 - 1e-9). The farthest point from any
-    point p is a vertex of the exact hull, and its distance from p is at
-    least half the diameter D. The computed hull drops only points within a
-    few ulps of D of its boundary, and the squared distances are within a
-    few ulps of exact, so each vertex of the best triple reaches a hull
-    vertex at squared distance >= L^2 * (1 - 1e-12): the 1e-9 margin dwarfs
-    the rounding. The survivors keep their order, so each of their pairs
-    has the squared distance the full set computes for it, from the same
-    expression on the same floats; every triangle among them is one of the
-    full set, and the best triple is among them. So the closing pair is the
-    same float. Outside the window, where squares can overflow or
-    underflow, no point is dropped.
+    The points that cannot be in the best triple are dropped first: those
+    whose largest squared distance to a hull vertex is below
+    L^2 * (1 - 1e-9). The farthest point from any point p is a vertex of
+    the exact hull, and its distance from p is at least half the diameter
+    D. The computed hull drops only points within a few ulps of D of its
+    boundary, and the squared distances, normal floats inside the
+    coordinate window, are within a few ulps of exact, so each vertex of
+    the best triple reaches a hull vertex at squared distance
+    >= L^2 * (1 - 1e-12): the 1e-9 margin dwarfs the rounding. The
+    survivors keep their order, so each of their pairs has the squared
+    distance the full set computes for it, from the same expression on the
+    same floats; every triangle among them is one of the full set, and the
+    best triple is among them. So the closing pair is the same float.
 
     Pairs are built _BAND rows at a time and only those above the floor
     are kept, so memory grows as _BAND * n plus the kept pairs, not as
@@ -130,8 +131,7 @@ def diam3(s: PointSet) -> float:
     if n > _PREFILTER_MIN:
         hull = convex_hull_indices(coords)
         floor2 = _first_triangle_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0)
-        if in_window(coords):
-            coords = coords[_farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)]
+        coords = coords[_farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)]
     return float(np.sqrt(_first_triangle_d2(coords, floor2)))
 
 
@@ -233,6 +233,8 @@ def _distance_matrix(coords: np.ndarray) -> np.ndarray:
 
 
 def _check_budget(n: int, a: int, budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"subset budget must be >= 0, got {budget}")
     if comb(n, a) > budget:
         raise BudgetExceededError(n, a, budget)
 
@@ -263,9 +265,9 @@ def diam_ab(
     _validate_ab(a, b)
     coords = s.to_array()
     n = len(coords)
+    _check_budget(n, a, budget)
     if n < a:
         return 0.0
-    _check_budget(n, a, budget)
     D = _distance_matrix(coords)
     value = 0.0
     while (w := _first_violating(_close_masks(D, value), n, a, b)) is not None:
@@ -291,9 +293,9 @@ def tab_check(
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     coords = s.to_array()
     n = len(coords)
+    _check_budget(n, a, budget)
     if n < a:
         return TabCheckResult(holds=True)
-    _check_budget(n, a, budget)
     witness = _first_violating(_close_masks(_distance_matrix(coords), threshold), n, a, b)
     if witness is None:
         return TabCheckResult(holds=True)
@@ -363,7 +365,8 @@ def triameter(s: PointSet) -> float:
     """Largest triangle area over point triples, zero below three points.
 
     A maximal-area triangle has its vertices on the convex hull, so only
-    hull vertices are enumerated.
+    hull vertices are enumerated: for each first vertex i, one pass over
+    the m^2 block of cross products of the later vertices j and k.
     """
     coords = s.to_array()
     if len(coords) < 3:
@@ -372,16 +375,12 @@ def triameter(s: PointSet) -> float:
     if len(hull) < 3:
         return 0.0
     pts = coords[hull]
-    m = len(pts)
     best = 0.0
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            vx = pts[j, 0] - pts[i, 0]
-            vy = pts[j, 1] - pts[i, 1]
-            rest = pts[j + 1 :]
-            cross = vx * (rest[:, 1] - pts[i, 1]) - vy * (rest[:, 0] - pts[i, 0])
-            peak = float(np.abs(cross).max())
-            if peak > best:
-                best = peak
+    for i in range(len(pts) - 2):
+        v = pts[i + 1 :] - pts[i]
+        # entry (j, k) is twice the signed area of (i, j, k), and entry (k, j)
+        # is its exact negation: the largest magnitude is that of some k > j
+        cross = np.multiply.outer(v[:, 0], v[:, 1])
+        cross -= np.multiply.outer(v[:, 1], v[:, 0])
+        best = max(best, float(np.abs(cross, out=cross).max()))
     return best / 2.0
-

@@ -2,7 +2,9 @@
 
 Everything in this module is a pure function over immutable values.
 Coordinates are float64 throughout and all tolerances are documented at the
-definition site.
+definition site. A PointSet checks its coordinates once, when it is built:
+each must be finite, and each nonzero one must lie in the coordinate window
+[2^-250, 2^250], so the array scans over it need no fallback.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "min_enclosing_circle",
     "convex_hull_indices",
     "hull_diameter",
-    "in_window",
     "load_points_csv",
     "save_points_csv",
 ]
@@ -50,22 +51,14 @@ _CONTAINS_EPS = 1 + 1e-14
 # [2^-250, 2^250], every nonzero coordinate difference lies in [2^-302,
 # 2^251] (floats above 2^-250 are multiples of 2^-302), so the squares and
 # cubes of differences that the circumcircle terms take stay normal floats
-# and nothing overflows. load_points_csv refuses coordinates outside it, and
-# the array scans of min_enclosing_circle and diameters.diam3 run only
-# inside it.
+# and nothing overflows. A PointSet holds only coordinates inside it, so
+# the array scans of min_enclosing_circle and diameters.diam3 may rely on
+# it.
 _WINDOW = (2.0**-250, 2.0**250)
 
 # Relative margin of the array scans' certain verdicts: it dwarfs the few
 # ulps by which their squared terms can differ from the exact tests'.
 _MARGIN = 1e-9
-
-
-def in_window(coords: np.ndarray) -> bool:
-    """True when every nonzero entry of coords has a magnitude inside the
-    coordinate window."""
-    lo, hi = _WINDOW
-    a = np.abs(coords)
-    return bool(np.all((a == 0.0) | ((a >= lo) & (a <= hi))))
 
 
 @dataclass(frozen=True)
@@ -146,53 +139,87 @@ class TriangleKind(Enum):
 
 
 class PointSet:
-    """An ordered, immutable collection of points. Duplicates are retained.
+    """An ordered, immutable collection of points, held as one read-only
+    (n, 2) float64 array. Duplicates are retained.
 
     Order matters for witness reporting: subset scans enumerate indices in
-    the order points were supplied.
+    the order points were supplied. Every coordinate is checked once, here:
+    a coordinate that is not finite, or nonzero with a magnitude outside
+    the coordinate window [2^-250, 2^250], raises ValueError.
     """
 
-    __slots__ = ("_points",)
+    __slots__ = ("_xy",)
 
     def __init__(self, points: Iterable[Point]):
-        self._points = tuple(points)
-        for p in self._points:
+        pairs = []
+        for p in points:
             if not isinstance(p, Point):
                 raise TypeError(f"PointSet expects Point elements, got {type(p).__name__}")
+            pairs.append((p.x, p.y))
+        self._xy = _checked(pairs)
 
     @classmethod
-    def from_xy(cls, pairs: Iterable[tuple[float, float]]) -> "PointSet":
-        return cls(Point(float(x), float(y)) for x, y in pairs)
+    def from_xy(cls, pairs: Iterable[tuple[float, float]] | np.ndarray) -> "PointSet":
+        """The set of (x, y) pairs, or of the rows of an (n, 2) array."""
+        s = cls.__new__(cls)
+        s._xy = _checked(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        return s
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return self._points
+        return tuple(self)
 
     def to_array(self) -> np.ndarray:
-        """Coordinates as an (n, 2) float64 array."""
-        if not self._points:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.array([(p.x, p.y) for p in self._points], dtype=np.float64)
+        """Coordinates as a read-only (n, 2) float64 array."""
+        return self._xy
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._xy)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._points)
+        return (Point(x, y) for x, y in self._xy.tolist())
 
     def __getitem__(self, i: int) -> Point:
-        return self._points[i]
+        return Point(*self._xy[i].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self._points == other._points
+        return np.array_equal(self._xy, other._xy)
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        # hashed as floats, so that 0.0 and -0.0 hash alike, as they compare
+        return hash(tuple(self._xy.ravel().tolist()))
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self._points)} points)"
+        return f"PointSet({len(self._xy)} points)"
+
+
+def _checked(pairs: Sequence[tuple[float, float]] | np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of pairs, refused as PointSet documents."""
+    xy = np.array(pairs, dtype=np.float64)
+    if not xy.size:
+        xy = xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected (x, y) pairs, got an array of shape {xy.shape}")
+    if (refused := _refusal(xy)) is not None:
+        raise ValueError(f"point {refused[0]}: {refused[1]}")
+    xy.flags.writeable = False
+    return xy
+
+
+def _refusal(xy: np.ndarray) -> tuple[int, str] | None:
+    """The first row of xy with a coordinate that is not finite, or nonzero
+    outside the coordinate window, and why it is refused; or None."""
+    lo, hi = _WINDOW
+    a = np.abs(xy)
+    refused = np.flatnonzero(~((a == 0.0) | ((a >= lo) & (a <= hi))).all(axis=1))
+    if not len(refused):
+        return None
+    k = int(refused[0])
+    if not np.isfinite(xy[k]).all():
+        return k, "coordinates must be finite"
+    return k, "nonzero coordinates must have magnitudes in [2**-250, 2**250]"
 
 
 def distance(p: Point, q: Point) -> float:
@@ -271,10 +298,6 @@ def _circle_two(p: Point, q: Point) -> Disk:
     return Disk(c, max(distance(c, p), distance(c, q)))
 
 
-def _circle_three(p: Point, q: Point, r: Point) -> Disk | None:
-    return circumcircle(Triangle(p, q, r))
-
-
 def min_enclosing_circle(s: PointSet) -> Disk:
     """Smallest closed disk containing every point of s.
 
@@ -284,119 +307,85 @@ def min_enclosing_circle(s: PointSet) -> Disk:
     ValueError on an empty set.
 
     The scans are array passes that give the disk of the per-point loops
-    bit for bit. The next point outside a disk is found by _first_outside.
-    Inside the coordinate window, _mec_with_two_scan picks the two
-    circumcircles the per-point loop of _mec_with_two would keep; outside
-    it, where a square or a cube can leave the normal float range, the
-    per-point loop runs.
+    bit for bit: _first_outside finds the next point outside a disk, and
+    _mec_with_two picks the two circumcircles the per-point loop would keep.
     """
-    pts = list(s.points)
-    if not pts:
+    xy = s.to_array()
+    if not len(xy):
         raise ValueError("min_enclosing_circle of an empty point set")
-    random.Random(0x1D0D1A).shuffle(pts)
-    x = np.array([p.x for p in pts])
-    y = np.array([p.y for p in pts])
-    scan = in_window(x) and in_window(y)
+    # random.shuffle permutes by length alone, so the indices take the
+    # order that shuffling the points themselves would give them
+    order = list(range(len(xy)))
+    random.Random(0x1D0D1A).shuffle(order)
+    x, y = xy[order, 0], xy[order, 1]
 
     def with_one(hi: int) -> Disk:
-        # the disk of pts[:hi] with pts[hi - 1] on its boundary
-        p = pts[hi - 1]
+        # the disk of the first hi points with the last of them on its boundary
+        p = _point(x, y, hi - 1)
         disk = Disk(p, 0.0)
-        j = _first_outside(disk, pts, x, y, 0, hi)
+        j = _first_outside(disk, x, y, 0, hi)
         while j < hi:
-            q = pts[j]
+            q = _point(x, y, j)
             if disk.radius == 0.0:
                 disk = _circle_two(p, q)
-            elif scan:
-                disk = _mec_with_two_scan(pts, x, y, j + 1, p, q)
             else:
-                disk = _mec_with_two(pts[: j + 1], p, q)
-            j = _first_outside(disk, pts, x, y, j + 1, hi)
+                disk = _mec_with_two(x[: j + 1], y[: j + 1], p, q)
+            j = _first_outside(disk, x, y, j + 1, hi)
         return disk
 
     disk = with_one(1)
-    i = _first_outside(disk, pts, x, y, 1, len(pts))
-    while i < len(pts):
+    i = _first_outside(disk, x, y, 1, len(x))
+    while i < len(x):
         disk = with_one(i + 1)
-        i = _first_outside(disk, pts, x, y, i + 1, len(pts))
+        i = _first_outside(disk, x, y, i + 1, len(x))
     return disk
+
+
+def _point(x: np.ndarray, y: np.ndarray, k: int) -> Point:
+    return Point(float(x[k]), float(y[k]))
 
 
 def _sure_sides(disk: Disk, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the points (x, y) that Disk.contains certainly puts inside,
     and certainly outside, decided on squared distances.
 
-    Where the squared slackened radius r2 is a normal float of magnitude in
-    [2^-1000, 2^1000], the squared distance d2 and r2 are within a few ulps
-    of their exact values, plus underflow far below r2 * _MARGIN, and hypot
-    is within an ulp of the true length. So d2 <= r2 * (1 - _MARGIN) means
-    contained and d2 >= r2 * (1 + _MARGIN) means not, overflow to inf
-    included. Otherwise no point is certain.
+    In the coordinate window a disk's radius is 0 or at least 2^-303, half
+    the distance of two points, and the degeneracy test keeps circumcentres
+    within 2^292 of the origin. So the squared slackened radius r2 and each
+    squared distance d2 are within a few ulps of their exact values, with no
+    overflow and any underflow far below r2 * _MARGIN, and hypot is within
+    an ulp of the true length: d2 <= r2 * (1 - _MARGIN) means contained and
+    d2 > r2 * (1 + _MARGIN) means not. At r2 = 0 they read d2 == 0 and
+    d2 > 0, exact, as the points' nonzero differences square to normals.
     """
     reach = disk.radius * _CONTAINS_EPS
     r2 = reach * reach
-    if not 2.0**-1000 <= r2 <= 2.0**1000:
-        none = np.zeros(len(x), dtype=bool)
-        return none, none
-    with np.errstate(over="ignore"):
-        dx = x - disk.center.x
-        dy = y - disk.center.y
-        dx *= dx
-        dy *= dy
-        dx += dy
-    return dx <= r2 * (1 - _MARGIN), dx >= r2 * (1 + _MARGIN)
+    dx = x - disk.center.x
+    dy = y - disk.center.y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx <= r2 * (1 - _MARGIN), dx > r2 * (1 + _MARGIN)
 
 
-def _first_outside(disk: Disk, pts: Sequence[Point], x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int:
-    """Index of the first of pts[lo:hi] that disk does not contain, or hi.
-    Points not certainly inside go through Disk.contains in order."""
+def _first_outside(disk: Disk, x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int:
+    """Index of the first of the points lo..hi-1 of (x, y) that disk does
+    not contain, or hi. Points not certainly inside go through
+    Disk.contains in order."""
     inside, outside = _sure_sides(disk, x[lo:hi], y[lo:hi])
     for k in np.flatnonzero(~inside).tolist():
-        if outside[k] or not disk.contains(pts[lo + k]):
+        if outside[k] or not disk.contains(_point(x, y, lo + k)):
             return lo + k
     return hi
 
 
-def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
-    """The disk of pts with p and q on its boundary, point by point."""
-    circ = _circle_two(p, q)
-    left: Disk | None = None
-    right: Disk | None = None
-    px, py = p.x, p.y
-    dx, dy = q.x - px, q.y - py
-    for r in pts:
-        if circ.contains(r):
-            continue
-        cross = dx * (r.y - py) - dy * (r.x - px)
-        c = _circle_three(p, q, r)
-        if c is None:
-            continue
-        ccross = dx * (c.center.y - py) - dy * (c.center.x - px)
-        if cross > 0.0 and (left is None or ccross > dx * (left.center.y - py) - dy * (left.center.x - px)):
-            left = c
-        elif cross < 0.0 and (right is None or ccross < dx * (right.center.y - py) - dy * (right.center.x - px)):
-            right = c
-    return _pick(circ, left, right)
-
-
-def _pick(circ: Disk, left: Disk | None, right: Disk | None) -> Disk:
-    if left is None and right is None:
-        return circ
-    if left is None:
-        assert right is not None
-        return right
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
-
-
-def _mec_with_two_scan(pts: Sequence[Point], x: np.ndarray, y: np.ndarray, hi: int, p: Point, q: Point) -> Disk:
-    """_mec_with_two in array passes, for point sets inside the coordinate
-    window.
+def _mec_with_two(x: np.ndarray, y: np.ndarray, p: Point, q: Point) -> Disk:
+    """The disk of the points (x, y) with p and q on its boundary, in array
+    passes that give the disk of the per-point loop.
 
     The points outside the circle on pq come from _sure_sides, with
     Disk.contains deciding the uncertain ones. For each, cross, the
-    circumcentre and ccross are the expressions of _mec_with_two and
+    circumcentre and ccross are the expressions of the per-point loop and
     circumcircle, elementwise, so they are the same floats. Twice the
     triangle's area is |cross|. _is_degenerate squares by pow, which can
     differ from a product by an ulp, so a triangle is flat or not by the
@@ -406,9 +395,9 @@ def _mec_with_two_scan(pts: Sequence[Point], x: np.ndarray, y: np.ndarray, hi: i
     argmax and argmin. Only those two circles are built, by circumcircle.
     """
     circ = _circle_two(p, q)
-    inside, outside = _sure_sides(circ, x[:hi], y[:hi])
+    inside, outside = _sure_sides(circ, x, y)
     unsure = np.flatnonzero(~(inside | outside))
-    outside[unsure] = [not circ.contains(pts[k]) for k in unsure.tolist()]
+    outside[unsure] = [not circ.contains(_point(x, y, k)) for k in unsure.tolist()]
     idx = np.flatnonzero(outside)
     px, py = p.x, p.y
     dx, dy = q.x - px, q.y - py
@@ -423,7 +412,7 @@ def _mec_with_two_scan(pts: Sequence[Point], x: np.ndarray, y: np.ndarray, hi: i
     tol = DEGENERACY_REL_TOL * np.maximum(np.maximum(b2, qx * qx + qy * qy), c2)
     flat = twice_area < tol * (1 - _MARGIN)
     unsure = np.flatnonzero(~flat & (twice_area < tol * (1 + _MARGIN)))
-    flat[unsure] = [_is_degenerate(Triangle(p, q, pts[k])) for k in idx[unsure].tolist()]
+    flat[unsure] = [_is_degenerate(Triangle(p, q, _point(x, y, k))) for k in idx[unsure].tolist()]
     keep = ~flat
     idx, rx, ry, c2, cross = idx[keep], rx[keep], ry[keep], c2[keep], cross[keep]
     # circumcircle(Triangle(p, q, r)) with a = p, b = q, c = r, whose
@@ -437,9 +426,11 @@ def _mec_with_two_scan(pts: Sequence[Point], x: np.ndarray, y: np.ndarray, hi: i
         k = np.flatnonzero(side)
         if not len(k):
             return None
-        return circumcircle(Triangle(p, q, pts[int(idx[k[best(ccross[k])]])]))
+        return circumcircle(Triangle(p, q, _point(x, y, int(idx[k[best(ccross[k])]]))))
 
-    return _pick(circ, circle(cross > 0.0, np.argmax), circle(cross < 0.0, np.argmin))
+    # the smaller of the two side circles, the left one on a tie
+    sides = [c for c in (circle(cross > 0.0, np.argmax), circle(cross < 0.0, np.argmin)) if c is not None]
+    return min(sides, key=lambda c: c.radius) if sides else circ
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +507,11 @@ def load_points_csv(path: str | Path) -> PointSet:
     """Read a point set from CSV: one `x,y` pair per line.
 
     Blank lines and lines starting with `#` are ignored. Decimal separator
-    is the dot; the file must be UTF-8. Malformed lines, and nonzero
-    coordinates outside the coordinate window, raise ValueError with the
-    offending line number.
+    is the dot; the file must be UTF-8. Malformed lines, and coordinates
+    that PointSet refuses, raise ValueError with the offending line number.
     """
-    lo, hi = _WINDOW
-    points: list[Point] = []
+    pairs: list[tuple[float, float]] = []
+    linenos: list[int] = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -531,15 +521,15 @@ def load_points_csv(path: str | Path) -> PointSet:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'x,y', got {raw!r}")
         try:
-            x, y = float(parts[0]), float(parts[1])
+            pairs.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad number in {raw!r}") from exc
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"{path}:{lineno}: coordinates must be finite")
-        if not ((x == 0.0 or lo <= abs(x) <= hi) and (y == 0.0 or lo <= abs(y) <= hi)):
-            raise ValueError(f"{path}:{lineno}: nonzero coordinates must have magnitudes in [2**-250, 2**250]")
-        points.append(Point(x, y))
-    return PointSet(points)
+        linenos.append(lineno)
+    try:
+        return PointSet.from_xy(pairs)
+    except ValueError:
+        k, why = _refusal(np.array(pairs))
+        raise ValueError(f"{path}:{linenos[k]}: {why}") from None
 
 
 def save_points_csv(s: PointSet, path: str | Path) -> None:

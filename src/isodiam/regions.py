@@ -261,7 +261,9 @@ def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
         gx, gy = np.meshgrid(cx[lo : lo + rows], cy, indexing="ij")
         sel_i, sel_j = np.nonzero(shape.contains_xy(gx, gy))
         cells.append(np.column_stack([ii[lo + sel_i], jj[sel_j]]))
-    # the band pieces go before PixelRegion takes their concatenation
+    # the last band's grids and selections go before the bands are joined,
+    # and the band pieces before PixelRegion takes the join
+    del gx, gy, sel_i, sel_j
     cells = np.concatenate(cells)
     cells.flags.writeable = False
     return PixelRegion(origin=origin, h=h, cells=cells)
@@ -342,7 +344,7 @@ def region_diam3_sampled(r: PixelRegion) -> float:
     if r.is_empty():
         raise ValueError("diam3 of an empty region")
     pts = _sampled_support(r, 2000)
-    return diameters.diam3(PointSet.from_xy(map(tuple, pts)))
+    return diameters.diam3(PointSet.from_xy(pts))
 
 
 def region_tab_check_sampled(r: PixelRegion, a: int, b: int, threshold: float) -> diameters.TabCheckResult:
@@ -359,7 +361,7 @@ def region_tab_check_sampled(r: PixelRegion, a: int, b: int, threshold: float) -
     pts = _sampled_support(r, k)
     stride = math.ceil((len(pts) - k) / max_hull)
     pts = np.concatenate([pts[:k], pts[k::stride]], axis=0)
-    return diameters.tab_check(PointSet.from_xy(map(tuple, pts)), a, b, threshold)
+    return diameters.tab_check(PointSet.from_xy(pts), a, b, threshold)
 
 
 def minkowski_difference(r: PixelRegion) -> PixelRegion:

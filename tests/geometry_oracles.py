@@ -1,8 +1,9 @@
 """Per-point oracles for the array fast paths of geometry and diameters.
 
 convex_hull_indices reads numpy scalars one at a time, min_enclosing_circle
-tests every point with Disk.contains and builds every circumcircle, and
-diam3 sorts the pairs of the whole set above a stride-sample floor. These
+tests every point with Disk.contains and builds every circumcircle, diam3
+sorts the pairs of the whole set above a stride-sample floor, and
+triameter makes one pass per pair of hull vertices. These
 are the routines the fast paths replaced, kept as they were so the tests
 can require equal results, not close ones. diam3_brute takes the maximum
 over all triples directly.
@@ -129,3 +130,25 @@ def diam3_brute(s: PointSet) -> float:
 
     best = max(min(d2(a, b), d2(a, c), d2(b, c)) for a, b, c in itertools.combinations(xy, 3))
     return float(np.sqrt(best))
+
+
+def triameter(s: PointSet) -> float:
+    coords = s.to_array()
+    if len(coords) < 3:
+        return 0.0
+    hull = convex_hull_indices(coords)
+    if len(hull) < 3:
+        return 0.0
+    pts = coords[hull]
+    m = len(pts)
+    best = 0.0
+    for i in range(m - 2):
+        for j in range(i + 1, m - 1):
+            vx = pts[j, 0] - pts[i, 0]
+            vy = pts[j, 1] - pts[i, 1]
+            rest = pts[j + 1 :]
+            cross = vx * (rest[:, 1] - pts[i, 1]) - vy * (rest[:, 0] - pts[i, 0])
+            peak = float(np.abs(cross).max())
+            if peak > best:
+                best = peak
+    return best / 2.0

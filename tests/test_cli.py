@@ -84,6 +84,18 @@ def test_jung_on_two_points_takes_tau_zero(capsys, tmp_path):
     assert (rep["diam3"], rep["tau"], rep["rho"], rep["covered"]) == (0.0, 0.0, 0.5, True)
 
 
+@pytest.mark.parametrize("scale", [2.0**-200, 1.0, 2.0**200])
+def test_jung_covered_does_not_depend_on_scale(capsys, tmp_path, scale):
+    """An equilateral triangle of side 1 and its centroid: at every scale
+    the enclosing circle meets rho to the last ulp, and is 10% wider than
+    the (4, 2) row's rho."""
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2), (0.5, math.sqrt(3) / 6)]
+    path = tmp_path / "tri.csv"
+    path.write_text("".join(f"{x * scale!r},{y * scale!r}\n" for x, y in pts))
+    rep = run_json(capsys, ["jung", str(path), "--ab", "4,2"])["report"]
+    assert (rep["covered"], rep["ab"][0]["covered"]) == (True, False)
+
+
 def test_bounds_csv_and_svg(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     svg_path = tmp_path / "sweep.svg"
@@ -342,6 +354,14 @@ def test_check_exit_code_budget(capsys, pts_csv, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["check", "--a", "3", "--b", "2", "--threshold", "2"], ["diameters", "--ab", "3,2"]], ids=["check", "diameters"]
+)
+def test_negative_budget_is_bad_input(capsys, pts_csv, argv):
+    assert cli.run([argv[0], pts_csv, *argv[1:], "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: subset budget must be >= 0, got -1\n"
+
+
 def test_version_flag(capsys):
     assert cli.run(["--version"]) == 0
     assert "isodiam" in capsys.readouterr().out
@@ -557,7 +577,8 @@ def test_overflowing_inputs_exit_with_one_error_line(capsys, tmp_path, monkeypat
     for name, scale in (("tiny.csv", 1e-170), ("huge.csv", 1e200)):
         # 50 distinct points, the first one at the origin, inside the window
         pts = np.concatenate([[[0.0, 0.0]], rng.uniform(-1.0, 1.0, size=(49, 2)) * scale])
-        save_points_csv(PointSet.from_xy(map(tuple, pts.tolist())), name)
+        # as text: a PointSet refuses these coordinates
+        Path(name).write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()), encoding="utf-8")
     assert cli.run(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,6 +1,8 @@
-"""The array fast paths of convex_hull_indices, min_enclosing_circle and
-diam3 against the per-point routines they replaced (geometry_oracles).
-Every comparison is ==: the fast paths compute the same floats."""
+"""The array fast paths of convex_hull_indices, min_enclosing_circle, diam3
+and triameter against the per-point routines they replaced
+(geometry_oracles). Every comparison is ==: the fast paths compute the same
+floats. Sets outside the coordinate window never reach them: PointSet
+refuses those."""
 
 import math
 
@@ -9,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geometry_oracles as oracle
-from isodiam.diameters import _PREFILTER_MIN, diam3
-from isodiam.geometry import Point, PointSet, _mec_with_two_scan, convex_hull_indices, in_window, min_enclosing_circle
+from isodiam.diameters import _PREFILTER_MIN, diam3, triameter
+from isodiam.geometry import Point, PointSet, _mec_with_two, convex_hull_indices, min_enclosing_circle
 
 KINDS = ("normal", "uniform", "grid", "kgon", "collinear")
-# powers of two scale exactly; the base sets reach both sides of the
-# window's edges at 2^-250 and 2^250
-SCALES = (1.0, 2.0**-250, 2.0**250)
+# powers of two scale exactly; the base sets stay inside the coordinate
+# window at the first three scales, and reach past its edges at 2^-250 and
+# 2^250
+SCALES = (1.0, 2.0**-200, 2.0**200, 2.0**-250, 2.0**250)
 
 
 def base_set(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,8 +45,15 @@ def base_set(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([t * direction[0] - wobble * direction[1] + 0.5, t * direction[1] + wobble * direction[0] - 1.0])
 
 
-def point_set(coords: np.ndarray) -> PointSet:
-    return PointSet.from_xy(map(tuple, coords.tolist()))
+def point_set(coords: np.ndarray) -> PointSet | None:
+    """The PointSet of coords, or None once PointSet has refused coords
+    with a nonzero magnitude outside [2^-250, 2^250]."""
+    a = np.abs(coords)
+    if np.all((a == 0.0) | ((a >= 2.0**-250) & (a <= 2.0**250))):
+        return PointSet.from_xy(coords)
+    with pytest.raises(ValueError, match="nonzero coordinates must have magnitudes in"):
+        PointSet.from_xy(coords)
+    return None
 
 
 @st.composite
@@ -64,21 +74,28 @@ def test_hull_matches_the_numpy_scalar_chain(coords):
 @given(coordinate_sets())
 def test_welzl_array_scans_match_the_per_point_loops(coords):
     s = point_set(coords)
-    assert min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
+    assert s is None or min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
 
 
 @settings(max_examples=150, deadline=None)
 @given(coordinate_sets(st.integers(3, 60)))
 def test_diam3_matches_the_unpruned_scan_and_all_triples(coords):
     s = point_set(coords)
-    assert diam3(s) == oracle.diam3(s) == oracle.diam3_brute(s)
+    assert s is None or diam3(s) == oracle.diam3(s) == oracle.diam3_brute(s)
 
 
 @settings(max_examples=40, deadline=None)
 @given(coordinate_sets(st.integers(_PREFILTER_MIN - 1, _PREFILTER_MIN + 2)))
 def test_diam3_around_the_prefilter_threshold_matches_the_unpruned_scan(coords):
     s = point_set(coords)
-    assert diam3(s) == oracle.diam3(s)
+    assert s is None or diam3(s) == oracle.diam3(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_sets(st.integers(0, 60)))
+def test_triameter_matches_the_pair_loop(coords):
+    s = point_set(coords)
+    assert s is None or triameter(s) == oracle.triameter(s)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -102,16 +119,17 @@ def test_large_sets_match(kind):
     ids=["low-edge", "below", "high-edge", "above"],
 )
 def test_fast_paths_at_the_window_edges(low, scale, inside):
-    """Magnitudes in [low, 2 * low) scaled to either side of each edge: the
-    array scans run inside the window, the per-point loops and the
-    unpruned scan outside it, and both give the oracles' results."""
+    """Magnitudes in [low, 2 * low) scaled to either side of each edge:
+    inside the window the array scans give the oracles' results, and
+    outside it PointSet refuses the set."""
     rng = np.random.default_rng(3)
     shape = (_PREFILTER_MIN + 1, 2)
     coords = rng.uniform(low, 2.0 * low, size=shape) * rng.choice([-1.0, 1.0], size=shape) * scale
-    assert in_window(coords) is inside
     s = point_set(coords)
-    assert min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
-    assert diam3(s) == oracle.diam3(s)
+    assert (s is not None) is inside
+    if inside:
+        assert min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
+        assert diam3(s) == oracle.diam3(s)
 
 
 @pytest.mark.parametrize("delta", [-1e-4, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-4])
@@ -125,16 +143,12 @@ def test_the_three_point_step_at_the_degeneracy_tolerance(delta):
     rs = [Point(2.0, sign * 4e-12 * (1.0 + delta) * (1.0 + k * 1e-3)) for k in range(3) for sign in (1.0, -1.0)]
     pts = [p, *rs, q]
     x, y = np.array([r.x for r in pts]), np.array([r.y for r in pts])
-    assert _mec_with_two_scan(pts, x, y, len(pts), p, q) == oracle._mec_with_two(pts, p, q)
+    assert _mec_with_two(x, y, p, q) == oracle._mec_with_two(pts, p, q)
 
 
-def test_welzl_overflow_raises_as_the_per_point_loops_do():
-    """At 1e200 the squares of _is_degenerate overflow; outside the window
-    the per-point loops run, so the error is the loops' own."""
+def test_sets_whose_squares_would_overflow_are_refused():
+    """At 1e200 the squares of _is_degenerate would overflow: PointSet
+    refuses the set, at its first point."""
     coords = np.random.default_rng(1).uniform(-1.0, 1.0, size=(50, 2)) * 1e200
-    s = point_set(coords)
-    with pytest.raises(OverflowError) as want:
-        oracle.min_enclosing_circle(s)
-    with pytest.raises(OverflowError) as got:
-        min_enclosing_circle(s)
-    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="point 0: nonzero coordinates must have magnitudes in"):
+        PointSet.from_xy(coords)

@@ -11,7 +11,6 @@ from isodiam.geometry import (
     PointSet,
     Triangle,
     TriangleKind,
-    _circle_three,
     _circle_two,
     circumcircle,
     convex_hull_indices,
@@ -22,7 +21,10 @@ from isodiam.geometry import (
     triangle_classify,
 )
 
-coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
+# a PointSet refuses nonzero coordinates of magnitude below 2^-250
+coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False).filter(
+    lambda v: v == 0.0 or abs(v) >= 2.0**-250
+)
 
 
 def min_enclosing_circle_bruteforce(s: PointSet) -> Disk:
@@ -35,7 +37,7 @@ def min_enclosing_circle_bruteforce(s: PointSet) -> Disk:
     if len(pts) == 1:
         return Disk(pts[0], 0.0)
     candidates = [_circle_two(p, q) for p, q in itertools.combinations(pts, 2)]
-    candidates += [c for p, q, r in itertools.combinations(pts, 3) if (c := _circle_three(p, q, r)) is not None]
+    candidates += [c for p, q, r in itertools.combinations(pts, 3) if (c := circumcircle(Triangle(p, q, r))) is not None]
     return min((c for c in candidates if all(c.contains(p) for p in pts)), key=lambda c: c.radius)
 
 
@@ -204,9 +206,51 @@ def test_csv_refuses_coordinates_outside_the_window(tmp_path, value, ok):
             load_points_csv(path)
 
 
+@pytest.mark.parametrize(
+    "value, ok",
+    [(0.0, True), (-0.0, True), (2.0**-250, True), (-(2.0**250), True), (2.0**-251, False), (-(2.0**251), False),
+     (1e-170, False), (1e200, False), (math.inf, False), (math.nan, False)],
+)
+def test_pointset_refuses_coordinates_outside_the_window(value, ok):
+    pairs = [(1.0, 2.0), (3.0, value)]
+    if ok:
+        assert PointSet.from_xy(pairs)[1].y == value
+        return
+    why = "nonzero coordinates must have magnitudes in" if math.isfinite(value) else "coordinates must be finite"
+    with pytest.raises(ValueError, match=f"point 1: {why}"):
+        PointSet.from_xy(pairs)
+    with pytest.raises(ValueError, match=f"point 1: {why}"):
+        PointSet.from_xy(np.array(pairs))
+    if math.isfinite(value):
+        with pytest.raises(ValueError, match=f"point 1: {why}"):
+            PointSet([Point(1.0, 2.0), Point(3.0, value)])
+
+
+def test_pointset_constructors_agree():
+    pairs = [(0.5, -1.0), (2.0, 3.25), (0.5, -1.0), (0.0, 7.0)]
+    s = PointSet([Point(x, y) for x, y in pairs])
+    assert s == PointSet.from_xy(pairs) == PointSet.from_xy(np.array(pairs))
+    assert list(s) == list(s.points) == [Point(x, y) for x, y in pairs]
+    assert s[-1] == Point(0.0, 7.0) and len(s) == 4
+    assert PointSet([]) == PointSet.from_xy([]) == PointSet.from_xy(np.empty((0, 2)))
+
+
+def test_pointset_copies_its_input_and_is_read_only():
+    xy = np.array([[0.0, 1.0], [2.0, 3.0]])
+    s = PointSet.from_xy(xy)
+    xy[0, 0] = 5.0
+    assert s[0] == Point(0.0, 1.0)
+    assert s.to_array() is s.to_array()
+    with pytest.raises(ValueError, match="read-only"):
+        s.to_array()[0, 0] = 5.0
+
+
 def test_pointset_equality_and_hash():
     a = PointSet.from_xy([(0, 0), (1, 1)])
     b = PointSet.from_xy([(0, 0), (1, 1)])
     c = PointSet.from_xy([(1, 1), (0, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != c  # order is part of identity
+    # signed zeros compare equal, so they hash alike too
+    z, nz = PointSet.from_xy([(0.0, 1)]), PointSet.from_xy([(-0.0, 1)])
+    assert z == nz and hash(z) == hash(nz)
