@@ -28,6 +28,7 @@ consistent with the disk regime ending at 4/sqrt(3) and with the proof.)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,13 +72,16 @@ def gen_jung_radius(delta: float, tau: float) -> float:
 
     Equals the circumradius of the isosceles triangle (delta, delta, tau)
     and reduces to Jung's radius at tau = delta, to delta/2 at tau = 0.
-    Requires 0 <= tau <= delta.
+    Requires 0 <= tau <= delta, and a delta whose square is a normal
+    float: past that range the expression gives NaN or divides by zero.
     """
     _require_positive(delta)
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau > delta:
         raise ValueError(f"tau must not exceed delta, got tau={tau} > delta={delta}")
+    if not sys.float_info.min <= delta * delta < math.inf:
+        raise OverflowError(f"delta^2 is not a normal float at delta={delta}")
     return 0.5 * delta * delta / math.sqrt(delta * delta - tau * tau / 4.0)
 
 
@@ -198,10 +202,13 @@ def circle_bound(r: float) -> float:
     """Arc-length cap (4/3)*pi*r for a T(3,2) subset of the circle of radius r.
 
     Only valid for r > 2/sqrt(3); at or below that radius an inscribed
-    equilateral triangle has side <= 2 and no cap holds.
+    equilateral triangle has side <= 2 and no cap holds. Raises
+    OverflowError where 4*pi*r overflows.
     """
     if not (math.isfinite(r) and r > CIRCLE_LEMMA_MIN_RADIUS):
         raise ValueError(f"circle bound needs r > 2/sqrt(3) = {CIRCLE_LEMMA_MIN_RADIUS:.6f}, got {r}")
+    if not math.isfinite(4.0 * math.pi * r):
+        raise OverflowError(f"circle bound overflows at r={r}")
     return 4.0 * math.pi * r / 3.0
 
 

@@ -4,7 +4,9 @@ A PixelRegion is a finite set of grid cells of pitch h anchored at an
 origin: cell (i, j) covers [ox + i*h, ox + (i+1)*h] x [oy + j*h, oy + (j+1)*h].
 Rasterization uses center sampling (a cell belongs to the raster of a shape
 exactly when its center lies in the shape), so the measure |cells| * h^2
-carries an O(h) error proportional to the shape's perimeter.
+carries an O(h) error proportional to the shape's perimeter. The inner
+raster of a union of disks keeps exactly the cells that fit in one disk,
+so it lies inside the shape.
 
 ArcSet models a subset of the circle of radius r as disjoint half-open
 angular intervals, normalized to [0, 2*pi) with wraparound split at zero.
@@ -31,12 +33,12 @@ __all__ = [
     "TwoDisksUnion",
     "DisjointDisks",
     "rasterize",
+    "inner_raster",
     "lens_area",
     "u_delta_shape",
     "u_delta_measure",
     "region_diam",
     "region_diam3_sampled",
-    "region_tab_check_sampled",
     "minkowski_difference",
     "ArcSet",
     "ArcCheckResult",
@@ -269,6 +271,43 @@ def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
     return PixelRegion(origin=origin, h=h, cells=cells)
 
 
+def inner_raster(shape: DiskUnion, h: float) -> PixelRegion:
+    """The cells of pitch h, anchored at the origin, whose four corners lie
+    in one closed disk of shape.circles, decided in integers.
+
+    Every float is a dyadic rational, so scaling h and each circle's
+    center and radius by the lcm of their denominators gives integers H,
+    CX, CY and R. The cells of row i span x in [i*H, (i+1)*H], and their
+    farthest corners from the center take the end farther from CX, at x
+    offset X <= R. Cell j then fits iff its farther end in y lies within
+    s = isqrt(R^2 - X^2) of CY: CY - s <= j*H and (j+1)*H <= CY + s.
+    Like rasterize, it raises MemoryError when the bounding box spans more
+    cells than the raster cap.
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"pitch h must be finite and > 0, got {h}")
+    xmin, ymin, xmax, ymax = shape.bbox()
+    size = (_grid_index(math.ceil, (xmax - xmin) / h) + 2) * (_grid_index(math.ceil, (ymax - ymin) / h) + 2)
+    _check_raster_cells(f"an inner raster of pitch {h} spans", size)
+    ratios = [v.as_integer_ratio() for v in (h, *(v for circle in shape.circles for v in circle))]
+    scale = math.lcm(*(d for _, d in ratios))
+    H, *scaled = (n * (scale // d) for n, d in ratios)
+    spans = []
+    for k in range(0, len(scaled), 3):
+        CX, CY, R = scaled[k : k + 3]
+        # the rows whose x span lies in [CX - R, CX + R]
+        for i in range(-((R - CX) // H), (CX + R) // H):
+            X = max(abs(i * H - CX), abs((i + 1) * H - CX))
+            s = math.isqrt(R * R - X * X)
+            spans.append((i, -((s - CY) // H), (CY + s) // H))
+    rows, lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 3).T
+    counts = np.maximum(hi - lo, 0)
+    # a row's k-th cell has j = lo + k
+    firsts = np.cumsum(counts) - counts
+    cells = np.column_stack([np.repeat(rows, counts), np.arange(counts.sum()) + np.repeat(lo - firsts, counts)])
+    return PixelRegion(origin=Point(0.0, 0.0), h=h, cells=cells)
+
+
 def lens_area(d: float) -> float:
     """Area of the intersection of two unit disks with centers d apart.
 
@@ -325,43 +364,19 @@ def _corner_hull(r: PixelRegion) -> np.ndarray:
     return corners[convex_hull_indices(corners)]
 
 
-def _sampled_support(r: PixelRegion, k: int) -> np.ndarray:
-    """k cell-center samples (with replacement, seed 0) followed by all
-    hull vertices of the corner set."""
-    centers = r.cell_centers()
-    rng = np.random.default_rng(0)
-    take = rng.integers(0, len(centers), size=k)
-    return np.concatenate([centers[take], _corner_hull(r)], axis=0)
-
-
 def region_diam3_sampled(r: PixelRegion) -> float:
     """Sampled lower bound for the region's diam3.
 
-    Evaluates diam3 on 2000 seeded-uniform cell centers plus every convex
-    hull vertex of the cell corners. A lower bound only: thin features between
-    samples can hide a larger value.
+    Evaluates diam3 on 2000 seeded-uniform cell centers (with replacement,
+    seed 0) plus every convex hull vertex of the cell corners. A lower
+    bound only: thin features between samples can hide a larger value.
     """
     if r.is_empty():
         raise ValueError("diam3 of an empty region")
-    pts = _sampled_support(r, 2000)
+    centers = r.cell_centers()
+    take = np.random.default_rng(0).integers(0, len(centers), size=2000)
+    pts = np.concatenate([centers[take], _corner_hull(r)], axis=0)
     return diameters.diam3(PointSet.from_xy(pts))
-
-
-def region_tab_check_sampled(r: PixelRegion, a: int, b: int, threshold: float) -> diameters.TabCheckResult:
-    """Sampled T(a,b) check on a region.
-
-    Runs tab_check on 60 cell centers (seed 0) plus at most 24 hull
-    vertices (evenly strided). Sampled, so "holds" is evidence rather than
-    proof; a reported violation is genuine for the sampled points, which
-    all lie in the region.
-    """
-    if r.is_empty():
-        return diameters.TabCheckResult(holds=True)
-    k, max_hull = 60, 24
-    pts = _sampled_support(r, k)
-    stride = math.ceil((len(pts) - k) / max_hull)
-    pts = np.concatenate([pts[:k], pts[k::stride]], axis=0)
-    return diameters.tab_check(PointSet.from_xy(pts), a, b, threshold)
 
 
 def minkowski_difference(r: PixelRegion) -> PixelRegion:

@@ -1,14 +1,15 @@
 """Candidate evaluation and annealing search in the conjectural window.
 
 For diameters strictly between 4/sqrt(3) and 4 no extremal T(3,2)-set is
-known. The anneal below starts from the cells of U_delta (two unit disks
-with centers delta - 2 apart) that fit in one of its disks, and flips
-single boundary cells to grow the measure. Its regions are unions of
-closed cells, and every one it keeps is a T(3,2)-set of diameter at most
-delta: the move check and the final verification compare one integer
-corner metric with caps taken exactly from h and delta. So the measure
-it returns is a certified lower bound on the extremal measure, and
-beating the best known candidate is a genuine improvement on it.
+known. The anneal below starts from the inner raster of U_delta (two
+unit disks with centers delta - 2 apart), the cells that fit in one of
+its disks, and flips single boundary cells to grow the measure. Its
+regions are unions of closed cells, and every one it keeps is a
+T(3,2)-set of diameter at most delta: the move check and the final
+verification compare one integer corner metric with caps taken exactly
+from h and delta. So the measure it returns is a certified lower bound
+on the extremal measure, and beating the best known candidate is a
+genuine improvement on it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import bounds, diameters
 from .geometry import Point
-from .regions import PixelRegion, _check_raster_cells, _grid_index, region_diam, u_delta_measure
+from .regions import PixelRegion, inner_raster, region_diam, u_delta_measure, u_delta_shape
 
 __all__ = [
     "SearchConfig",
@@ -247,32 +248,6 @@ def _caps(delta: float, h: float) -> tuple[int, int]:
     return math.floor(Fraction(delta) ** 2 / h2), math.floor(4 / h2)
 
 
-def _seed_cells(delta: float, h: float) -> list[tuple[int, int]]:
-    """The sorted cells, on the grid of pitch h anchored at the origin,
-    whose four corners lie in one closed unit disk of U_delta, decided in
-    exact arithmetic.
-
-    Against the disk centered at (c, 0), the cells of row i span x in
-    [i*h, (i+1)*h], and their farthest corners take the end farther from
-    c, at x offset X. Cell j spans y in [j*h, (j+1)*h], so it fits iff
-    max(|j|, |j + 1|)^2 <= r = (1 - X^2) / h^2, that is -m <= j < m with
-    m = floor(sqrt(r)) = isqrt(floor(r)). Like rasterize, it raises
-    MemoryError when the bounding box of U_delta spans more cells than the
-    raster cap.
-    """
-    size = (_grid_index(math.ceil, delta / h) + 2) * (_grid_index(math.ceil, 2.0 / h) + 2)
-    _check_raster_cells(f"a seed of pitch {h} spans", size)
-    h = Fraction(h)
-    cells: set[tuple[int, int]] = set()
-    for c in (Fraction(delta) / 2 - 1, 1 - Fraction(delta) / 2):
-        for i in range(math.floor((c - 1) / h), math.ceil((c + 1) / h)):
-            x = max(abs(i * h - c), abs((i + 1) * h - c))
-            if x <= 1:
-                m = math.isqrt(math.floor((1 - x * x) / (h * h)))
-                cells.update((i, j) for j in range(-m, m))
-    return sorted(cells)
-
-
 def _row_extremes(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The min-j and max-j cell of each row i of an integer cell set.
 
@@ -386,17 +361,18 @@ def _seed_frontiers(region) -> tuple[_IndexedSet, _IndexedSet]:
 def anneal(config: SearchConfig) -> SearchResult:
     """Measure-maximizing annealing over single boundary-cell flips.
 
-    Seeded at the cells whose corners lie in one unit disk of U_delta
-    (_seed_cells). Of any three seed cells two share a disk, so no two of
-    their points are more than 2 apart, and every corner lies in U_delta,
-    whose diameter is delta. A flip that would give two cells a corner
-    metric above diam_cap, or make three cells pairwise far (_caps), is
-    rejected outright; feasible additions are always taken and removals
-    are taken with probability exp(delta_measure / T) under geometric
-    cooling. Removals cannot create far pairs or triples, and an addition
-    only creates them through the new cell, so checking those against
-    every current cell keeps both invariants exact. The result carries
-    the post-hoc verification of _feasibility.
+    Seeded at the inner raster of U_delta (regions.inner_raster), the
+    cells whose corners lie in one of its unit disks. Of any three seed
+    cells two share a disk, so no two of their points are more than 2
+    apart, and every corner lies in U_delta, whose diameter is delta. A
+    flip that would give two cells a corner metric above diam_cap, or
+    make three cells pairwise far (_caps), is rejected outright;
+    feasible additions are always taken and removals are taken with
+    probability exp(delta_measure / T) under geometric cooling. Removals
+    cannot create far pairs or triples, and an addition only creates
+    them through the new cell, so checking those against every current
+    cell keeps both invariants exact. The result carries the post-hoc
+    verification of _feasibility.
 
     Three shortcuts leave the result unchanged. Whether an addition is
     feasible is monotone in the region: more cells only add far pairs and
@@ -424,17 +400,17 @@ def anneal(config: SearchConfig) -> SearchResult:
             f"anneal explores the window 4/sqrt(3) < delta < 4, got delta={delta}"
         )
 
-    seed_cells = _seed_cells(delta, h)
-    if not seed_cells:
+    seed = inner_raster(u_delta_shape(delta), h)
+    if seed.is_empty():
         raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: no cell fits in a unit disk")
 
     # the region's cells, each mapped to its slot in the index arrays
-    slot_of = {cell: slot for slot, cell in enumerate(seed_cells)}
+    slot_of = {cell: slot for slot, cell in enumerate(map(tuple, seed.cells.tolist()))}
     count = len(slot_of)
     # cell indices in slots [0, count); the arrays double when full
     I = np.empty(2 * count, dtype=np.int64)
     J = np.empty_like(I)
-    I[:count], J[:count] = np.array(seed_cells, dtype=np.int64).T
+    I[:count], J[:count] = seed.cells.T
 
     add_frontier, remove_frontier = _seed_frontiers(slot_of)
     diam_cap, far_cap = _caps(delta, h)

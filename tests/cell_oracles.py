@@ -86,3 +86,22 @@ def oracle_diam3_ok(cells, h: float) -> bool:
     boundary = [(i, j) for i, j in cells if any((i + di, j + dj) not in cells for di, dj in _NEIGHBORS)]
     far = exact_far(corner_k(boundary), h)
     return not any(far[a, b] and far[a, c] and far[b, c] for a, b, c in itertools.combinations(range(len(boundary)), 3))
+
+
+def inner_raster_cells(circles, h: float) -> list[tuple[int, int]]:
+    """The sorted cells, on the grid of pitch h anchored at the origin,
+    with all four corners in one closed disk (cx, cy, r), one corner at a
+    time in Fraction over each circle's bounding box."""
+    H = Fraction(h)
+    cells = set()
+    for cx, cy, r in circles:
+        cx, cy, r = Fraction(cx), Fraction(cy), Fraction(r)
+        # squared offsets of the grid lines from the center
+        dx2 = {i: (i * H - cx) ** 2 for i in range(math.floor((cx - r) / H), math.ceil((cx + r) / H) + 1)}
+        dy2 = {j: (j * H - cy) ** 2 for j in range(math.floor((cy - r) / H), math.ceil((cy + r) / H) + 1)}
+        rows, cols, r2 = list(dx2)[:-1], list(dy2)[:-1], r * r
+        for i in rows:
+            for j in cols:
+                if all(dx2[i + a] + dy2[j + b] <= r2 for a in (0, 1) for b in (0, 1)):
+                    cells.add((i, j))
+    return sorted(cells)

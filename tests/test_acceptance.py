@@ -9,6 +9,7 @@ not coverage.
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,10 +45,11 @@ from isodiam.regions import (
     lens_area,
     minkowski_difference,
     rasterize,
+    inner_raster,
     region_diam,
-    region_tab_check_sampled,
     u_delta_measure,
 )
+from isodiam.search import _caps, _largest_k
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,21 +118,40 @@ def test_04_stmt3_crossover_true_root():
 
 
 def test_05_extremal_rasters_have_expected_measure_and_pass_checks():
+    """Inner rasters of the extremal disk unions, each certified exactly.
+
+    An inner raster covers the points at least h*sqrt(2) inside its
+    shape, so its measure lies between area - sqrt(2)*h*perimeter and the
+    area. The disk of diameter 4/sqrt(3) is a T(3,2)-set once every cell
+    corner lies within 2/sqrt(3) of its center: three points pairwise more
+    than 2 apart need an enclosing disk of radius above 2/sqrt(3), since
+    an acute triangle's smallest side faces an angle of at most 60
+    degrees, and an obtuse or right triangle's longest side exceeds
+    2*sqrt(2). Each row's extreme corners span the rest of the row, so
+    checking them in Fraction covers every corner. A union of a - 1 far
+    disks is a T(a,2)-set once each disk's cells have largest corner
+    metric at most far_cap: of any a points two share a disk's cells and
+    lie within 2 of each other.
+    """
     h = 0.01
-    slack = 2.0 + 2.0 * h * SQRT2  # raster corners overshoot cell centers
+    disk = inner_raster(Disk(Point(0.0, 0.0), DISK_REGIME_MAX / 2.0), h)
+    assert 4.0 * math.pi / 3.0 - SQRT2 * h * TWO_PI * DISK_REGIME_MAX / 2.0 <= disk.measure <= 4.0 * math.pi / 3.0
+    starts = disk.row_starts
+    first, last = disk.cells[starts[:-1]], disk.cells[starts[1:] - 1]
+    corners = np.concatenate([first, first + [1, 0], last + [0, 1], last + [1, 1]])
+    assert int((corners**2).sum(axis=1).max()) * Fraction(h) ** 2 <= Fraction(4, 3)
 
-    disk = rasterize(Disk(Point(0.0, 0.0), DISK_REGIME_MAX / 2.0), h)
-    assert disk.measure == pytest.approx(4.0 * math.pi / 3.0, abs=0.05)
-    assert region_tab_check_sampled(disk, 3, 2, slack).holds
-
-    pair = rasterize(DisjointDisks(count=2, spacing=5.0), h)
-    assert pair.measure == pytest.approx(2.0 * math.pi, abs=0.05)
-    assert region_tab_check_sampled(pair, 3, 2, slack).holds
-
+    _, far_cap = _caps(2.0, h)
+    # a = 3 is the pair of far disks
     for a in (3, 4, 5):
-        chain = rasterize(DisjointDisks(count=a - 1, spacing=5.0), h)
-        assert chain.measure == pytest.approx((a - 1) * math.pi, abs=0.05 * (a - 1))
-        assert region_tab_check_sampled(chain, a, 2, slack).holds
+        chain = inner_raster(DisjointDisks(count=a - 1, spacing=5.0), h)
+        area = (a - 1) * math.pi
+        assert area - SQRT2 * h * (a - 1) * TWO_PI <= chain.measure <= area
+        # the disks' cells, split where a row is skipped
+        i = chain.cells[:, 0]
+        groups = np.split(chain.cells, np.flatnonzero(np.diff(i) > 1) + 1)
+        assert len(groups) == a - 1
+        assert all(_largest_k(g[:, 0], g[:, 1]) <= far_cap for g in groups)
 
 
 def test_06_two_disk_union_stays_below_area_bound_and_lens_mc():

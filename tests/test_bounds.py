@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,25 @@ def test_gen_jung_domain():
         gen_jung_radius(0.0, 0.0)
     with pytest.raises(ValueError):
         gen_jung_radius(float("inf"), 1.0)
+
+
+@pytest.mark.parametrize(
+    "delta,tau,named", [(1e200, 2.0, "delta=1e+200"), (1e160, 1e160, "delta=1e+160"), (1e-200, 1e-200, "delta=1e-200")]
+)
+def test_gen_jung_refuses_a_delta_whose_square_is_not_normal(delta, tau, named):
+    """The expression gave NaN past the overflow of delta^2 and divided by
+    zero past its underflow."""
+    with pytest.raises(OverflowError, match=re.escape(named)):
+        gen_jung_radius(delta, tau)
+    # the largest and smallest deltas with a normal square still give rho
+    assert gen_jung_radius(1e154, 1e154) == pytest.approx(1e154 / math.sqrt(3.0))
+    assert gen_jung_radius(1.5e-154, 0.0) == pytest.approx(0.75e-154)
+
+
+def test_circle_bound_refuses_an_overflowing_radius():
+    assert circle_bound(1e307) == 4.0 * math.pi * 1e307 / 3.0
+    with pytest.raises(OverflowError, match=r"r=2e\+307"):
+        circle_bound(2e307)
 
 
 @settings(max_examples=100, deadline=None)

@@ -164,7 +164,8 @@ def test_search_infeasible_exit_code(capsys):
 def test_search_refuses_an_oversized_seed(capsys):
     """U_3 at pitch 1e-4 spans 30,002 x 20,002 cells."""
     assert cli.run(["search", "--delta", "3.0", "--h", "0.0001", "--iterations", "5"]) == 3
-    assert capsys.readouterr().err == "error: a seed of pitch 0.0001 spans 600100004 cells, more than the cap of 25000000\n"
+    err = "error: an inner raster of pitch 0.0001 spans 600100004 cells, more than the cap of 25000000\n"
+    assert capsys.readouterr().err == err
 
 
 def test_conjecture_report(capsys):
@@ -558,11 +559,13 @@ def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
         (["diameters", "tiny.csv"], 2, "tiny.csv:2: nonzero coordinates"),
         (["diameters", "huge.csv"], 2, "huge.csv:2: nonzero coordinates"),
         (["jung", "huge.csv"], 2, "huge.csv:2: nonzero coordinates"),
+        (["circle", "huge_arc.json"], 2, "r=3e+307"),
     ],
     ids=[
         "raster-extent-overflows", "seed-extent-overflows", "sampling-square-overflows",
         "sampling-square-squared-overflows", "bound-overflows", "jung-squares-underflow",
         "diameters-squares-underflow", "diameters-squares-overflow", "jung-squares-overflow",
+        "circle-bound-overflows",
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -579,6 +582,8 @@ def test_overflowing_inputs_exit_with_one_error_line(capsys, tmp_path, monkeypat
         pts = np.concatenate([[[0.0, 0.0]], rng.uniform(-1.0, 1.0, size=(49, 2)) * scale])
         # as text: a PointSet refuses these coordinates
         Path(name).write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()), encoding="utf-8")
+    # 4*pi*r overflows although (4/3)*pi*r does not
+    Path("huge_arc.json").write_text(json.dumps({"r": 3e307, "arcs": [[0, 1]]}), encoding="utf-8")
     assert cli.run(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,13 +3,14 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cell_oracles import cell_set
-from isodiam.geometry import Point, convex_hull_indices
+from cell_oracles import cell_set, inner_raster_cells
+from isodiam.geometry import DiskUnion, Point, convex_hull_indices
 from isodiam.regions import (
     ArcSet,
     Disk,
@@ -19,12 +20,12 @@ from isodiam.regions import (
     _corner_hull,
     arc_measure,
     arc_tab_check,
+    inner_raster,
     lens_area,
     minkowski_difference,
     rasterize,
     region_diam,
     region_diam3_sampled,
-    region_tab_check_sampled,
     u_delta_measure,
     u_delta_shape,
 )
@@ -103,6 +104,39 @@ def test_rasterize_respects_origin():
     # half a cell's shift moves the sampled centers: the two rasters differ
     assert (len(base.cells), len(moved.cells)) == (316, 312)
     assert abs(base.measure - moved.measure) < 0.2
+
+
+@dataclass(frozen=True)
+class Circles(DiskUnion):
+    circles: tuple[tuple[float, float, float], ...]
+
+
+circle_lists = st.lists(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(0.0, 3.0)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_lists, st.floats(0.25, 1.0))
+@example([(0.3, -0.2, 0.2)], 0.25)  # a radius below h fits no cell
+@example([(-2.7, -3.1, 2.9), (1.1, 2.5, 1.3), (-2.0, -2.0, 2.5)], 0.25)
+def test_inner_raster_equals_the_four_corner_test(circles, h):
+    """Centers off the axis and at negative coordinates, overlapping
+    disks, and radii from below h to several units."""
+    got = inner_raster(Circles(tuple(circles)), h)
+    assert got.origin == Point(0.0, 0.0) and got.h == h
+    assert got.cells.tolist() == [list(c) for c in inner_raster_cells(circles, h)]
+
+
+@pytest.mark.parametrize("h", [0.125, 0.1875])
+@pytest.mark.parametrize("m,n", [(0, 0), (3, -7), (-10, 4)])
+def test_inner_raster_keeps_corners_on_the_circle(h, m, n):
+    """On a dyadic pitch a grid-point center and r = 5h put corners such
+    as (3h, 4h) from the center exactly on the circle."""
+    circles = [(m * h, n * h, 5 * h)]
+    got = inner_raster(Circles(tuple(circles)), h)
+    assert [m + 2, n + 3] in got.cells.tolist() and [m - 3, n - 4] in got.cells.tolist()
+    assert got.cells.tolist() == [list(c) for c in inner_raster_cells(circles, h)]
 
 
 # sha256 of the cells rasterize gives on the grids RASTER_GRIDS, one after
@@ -209,21 +243,6 @@ def test_region_diam3_sampled_u3():
     # the true diam3 is 2: a vertical diametral pair in one disk plus the
     # far pole of the other; sampling plus hull corners should get close
     assert 2.0 - 4 * h <= val <= 2.0 + h * math.sqrt(2) + 1e-9
-
-
-def test_region_tab_check_sampled_thresholds():
-    h = 0.05
-    r = rasterize(u_delta_shape(3.0), h)
-    slack = 2.0 * h * math.sqrt(2.0)
-    assert region_tab_check_sampled(r, 3, 2, 2.0 + slack).holds
-    res = region_tab_check_sampled(r, 3, 2, 1.5)
-    assert not res.holds
-    assert res.witness is not None
-
-
-def test_region_tab_check_empty_region():
-    empty = PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset())
-    assert region_tab_check_sampled(empty, 3, 2, 1.0).holds
 
 
 @pytest.mark.parametrize(

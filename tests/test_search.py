@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cell_oracles import cell_set, corner_k, has_far_triple, oracle_diam3_ok, oracle_diam_ok
+from cell_oracles import cell_set, corner_k, has_far_triple, inner_raster_cells, oracle_diam3_ok, oracle_diam_ok
 from isodiam import search
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
 from isodiam.geometry import Point
-from isodiam.regions import PixelRegion, u_delta_measure
+from isodiam.regions import PixelRegion, inner_raster, u_delta_measure, u_delta_shape
 from isodiam.search import (
     _NEIGHBORS,
     InfeasibleStartError,
@@ -26,7 +26,6 @@ from isodiam.search import (
     _MoveStream,
     _refile,
     _row_extremes,
-    _seed_cells,
     _seed_frontiers,
     anneal,
     anneal_chains,
@@ -35,21 +34,6 @@ from isodiam.search import (
 )
 
 CONVEX_CANDIDATE_AT_3 = 3.695523289953722  # pi + 2*(sqrt(5)/2 - acos(2/3))
-
-
-def seed_oracle(delta: float, h: float) -> list[tuple[int, int]]:
-    """Cells with all four corners in one closed unit disk of U_delta,
-    one corner at a time in Fraction."""
-    H = Fraction(h)
-    centers = (Fraction(delta) / 2 - 1, 1 - Fraction(delta) / 2)
-    reach = math.ceil(Fraction(delta) / 2 / H) + 1
-    cells = []
-    for i in range(-reach, reach + 1):
-        for j in range(-reach, reach + 1):
-            corners = [((i + a) * H, (j + b) * H) for a in (0, 1) for b in (0, 1)]
-            if any(all((x - c) ** 2 + y * y <= 1 for x, y in corners) for c in centers):
-                cells.append((i, j))
-    return cells
 
 
 def test_config_defaults():
@@ -247,7 +231,8 @@ def test_seed_equals_the_four_corner_test(delta, h):
     """Dyadic pitches put corners exactly on the circles. At 0.3, 0.03 and
     0.02 a float disk test admits cells whose farthest corner lies outside
     by a rounding error (cell (3, 1) at delta 2.8, h 0.3, by 4e-17)."""
-    assert _seed_cells(delta, h) == seed_oracle(delta, h)
+    shape = u_delta_shape(delta)
+    assert inner_raster(shape, h).cells.tolist() == [list(c) for c in inner_raster_cells(shape.circles, h)]
 
 
 def test_anneal_stays_below_the_proved_bound():
@@ -329,7 +314,7 @@ def test_anneal_grows_its_cell_arrays():
     """A 4-cell seed, whose index arrays start with 8 slots, ends with 9
     cells; the result is the one recorded with arrays sized for every
     iteration."""
-    assert len(_seed_cells(2.8, 0.6)) == 4
+    assert len(inner_raster(u_delta_shape(2.8), 0.6).cells) == 4
     out = anneal(SearchConfig(delta=2.8, h=0.6, iterations=300, seed=0))
     assert out.accepted_moves == 5
     assert out.best_measure == 3.2399999999999998
@@ -394,7 +379,7 @@ def assert_same_frontiers(region) -> None:
 
 @pytest.mark.parametrize("delta,h", [(3.0, 0.1), (2.5, 0.1), (3.6, 0.1), (2.8, 0.6), (2.6, 0.025), (3.0, 0.05)])
 def test_seed_frontiers_file_in_the_refile_order(delta, h):
-    assert_same_frontiers(dict.fromkeys(_seed_cells(delta, h)))
+    assert_same_frontiers(dict.fromkeys(map(tuple, inner_raster(u_delta_shape(delta), h).cells.tolist())))
 
 
 @settings(max_examples=150, deadline=None)
