@@ -18,8 +18,13 @@ _GRID_PITCH and marks each cell certainly lethal, certainly safe or
 uncertain, from bounds that hold for every point of the cell under the
 float arithmetic of _dose_at. A bite in a certain cell takes its cell's
 verdict; only the few bites in cells the lethal boundary crosses get the
-exact dose. Every verdict is the one the dose would give, so hit counts
-and lethal regions are those of scoring every bite.
+exact dose. The Monte Carlo reads most draws from a sampling table
+(_SamplingTable) instead: its cells, indexed by the generator's raw
+doubles, are those whose draws are all rejected or all accepted with one
+certain grid verdict, so one table lookup decides acceptance and verdict
+together, and only draws in the other cells are mapped to bite centers.
+Every verdict is the one the dose would give, so hit counts and lethal
+regions are those of scoring every bite.
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -51,7 +56,9 @@ __all__ = [
 ]
 
 _BATCH = 1 << 17
-_CHUNK = 8192  # pairs per sub-draw of a rejection round (see _batch_hits)
+_CHUNK = 8192  # pairs per sub-draw of a batch (see _batch_hits)
+_PENDING = 2048  # _SLOW pairs gathered before they are scored (see _batch_hits)
+_TABLE = 128  # cells per side of the sampling table (see _SamplingTable)
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
 # total and placement in validate_strategy, the bite center in is_lethal,
 # and the dose in _is_lethal_dose, so that k masses of 1/k g, which sum to
@@ -62,6 +69,7 @@ _TOL = 1e-9
 _GRID_PITCH = 0.04
 _GRID_CELLS = 1 << 14
 _SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the grid's cells
+_OUT, _SLOW, _IN_SAFE, _IN_LETHAL = 0, 1, 2, 3  # codes of the sampling table's cells
 
 
 @dataclass(frozen=True)
@@ -451,12 +459,17 @@ class _VerdictGrid:
         verdict[1:-1, 1:-1] = inner
         self.verdict = verdict
 
+    def index(self, t: np.ndarray, t0: float, n: int) -> np.ndarray:
+        """The padded grid's cell index of each coordinate t, on the axis
+        with origin t0 and n interior cells. It does not decrease as t
+        grows."""
+        return np.clip((t - t0) * self.inv, 0.0, n + 1.0).astype(np.intp)
+
     def lookup(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The verdict of the cell of each point, same shape as x."""
-        ix = np.clip((x - self.x0) * self.inv, 0.0, self.nx + 1.0).astype(np.intp)
-        iy = np.clip((y - self.y0) * self.inv, 0.0, self.ny + 1.0).astype(np.intp)
+        ix = self.index(x, self.x0, self.nx)
         ix *= self.ny + 2
-        ix += iy
+        ix += self.index(y, self.y0, self.ny)
         return self.verdict.take(ix)
 
     def exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -479,6 +492,82 @@ class _VerdictGrid:
         return (x * x + y * y <= radius * radius) & lethal
 
 
+def _box_sums(sat: np.ndarray, a0: np.ndarray, b0: np.ndarray, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """Sums over the index boxes [a0[i], b0[i]) x [a1[j], b1[j]), as an
+    array over (i, j), from summed-area counts: sat[k, l] sums the cells
+    [0, k) x [0, l). The longer axis of sat is summed first, so no array
+    outgrows len(a0) or len(a1) times its shorter axis."""
+    if sat.shape[0] >= sat.shape[1]:
+        part = sat[b0]
+        part -= sat[a0]
+        out = part[:, b1]
+        out -= part[:, a1]
+    else:
+        part = sat[:, b1]
+        part -= sat[:, a1]
+        out = part[b0]
+        out -= part[a0]
+    return out
+
+
+class _SamplingTable:
+    """What becomes of the bite centers drawn in each cell of the sampling
+    square, where that is certain: rejected, accepted and safe, or
+    accepted and lethal. Built once per kill_probability call, with the
+    buffers every batch draws into.
+
+    A bite center is drawn as a pair of the generator's doubles u in
+    [0, 1) and mapped to x = low + span * u, with low = -r, span = 2r and
+    r = R - 1. That is Generator.uniform(-r, r), bit for bit: numpy
+    computes low + (high - low) * u, and high - low = 2r is exact. Cell
+    (i, j) of the table's _TABLE x _TABLE cells holds the pairs with
+    floor(_TABLE * u) = (i, j); the product is exact, so casting it to an
+    integer finds the cell. The map is monotone, so the centers drawn in
+    a cell lie in the box between the images of the cell's corners, and
+    the table grows that box by eps, _EPS times the coordinates' size.
+
+    A cell is _OUT when every point of its box fails the disk test
+    x*x + y*y <= r*r, and in when every point passes it: float * and +
+    round monotonically, so the nearest and the farthest corner decide.
+    An in cell is _IN_SAFE or _IN_LETHAL when every verdict-grid cell
+    that lookup can return for a point of its box holds that verdict.
+    lookup's index does not decrease along either axis, so those are the
+    grid cells of one index rectangle, and summed-area counts of the
+    cells that hold another verdict find them. Every other cell, on the
+    disk's edge or without a certain verdict, is _SLOW: its pairs take the
+    disk test, lookup and the exact dose as _batch_hits gives them.
+
+    code[j, i] is the code of cell (i, j), so code.ravel() is indexed by
+    i + 256 j: the little-endian uint16 that the uint8 pair (i, j) reads
+    as.
+    """
+
+    def __init__(self, grid: _VerdictGrid) -> None:
+        config = grid.config
+        radius = config.R - 1.0
+        self.grid, self.low, self.span, self.r2 = grid, -radius, 2.0 * radius, radius * radius
+        edges = self.low + self.span * (np.arange(_TABLE + 1) / _TABLE)
+        eps = _EPS * (2.0 + config.R)
+        lo, hi = edges[:-1] - eps, edges[1:] + eps
+        far, near = _far_near(lo, hi, 0.0)
+        far, near = far * far, near * near
+        # lookup returns the grid cells [ax, bx) x [ay, by) for the points of the boxes
+        ax, bx = grid.index(lo, grid.x0, grid.nx), grid.index(hi, grid.x0, grid.nx) + 1
+        ay, by = grid.index(lo, grid.y0, grid.ny), grid.index(hi, grid.y0, grid.ny) + 1
+        inside = far[:, None] + far[None, :] <= self.r2
+        self.code = np.full((_TABLE, 256), _SLOW, dtype=np.uint8)
+        code = self.code[:, :_TABLE]
+        for verdict, certain in ((_SAFE, _IN_SAFE), (_LETHAL, _IN_LETHAL)):
+            sat = np.zeros((grid.nx + 3, grid.ny + 3), dtype=np.int32)
+            sat[1:, 1:] = grid.verdict != verdict
+            np.cumsum(sat, axis=0, out=sat)
+            np.cumsum(sat, axis=1, out=sat)
+            code[inside & (_box_sums(sat, ax, bx, ay, by).T == 0)] = certain
+        code[near[:, None] + near[None, :] > self.r2] = _OUT
+        self.draws = np.empty((_CHUNK, 2))
+        self.cells = np.empty((_CHUNK, 2), dtype=np.uint8)
+
+
 @dataclass(frozen=True)
 class KillReport:
     estimate: float
@@ -487,35 +576,40 @@ class KillReport:
     hits: int
 
 
-def _batch_hits(grid: _VerdictGrid, batch_index: int, quota: int) -> int:
+def _batch_hits(table: _SamplingTable, batch_index: int, quota: int) -> int:
     """Accepted-sample hits for one seeded batch.
 
     Bite centers are drawn by rejection from the bounding square of the
-    radius R - 1 disk; each round draws enough pairs to meet the rest of
-    the quota most of the time, and rounds repeat until it is met, so the
-    accepted stream is a deterministic function of (seed, batch_index).
+    radius R - 1 disk until quota of them are accepted: the accepted stream
+    is the first quota accepted pairs of the batch's generator, a
+    deterministic function of (seed, batch_index).
 
-    A round is drawn and scored in sub-draws of _CHUNK pairs. PCG64 gives
-    one double per 64-bit output and buffers none, so the sub-draws of a
-    round yield the round's doubles in the same order, and the accepted
-    points are the same prefix in the same order. Draws left in a round
-    once the quota is met are discarded, as is the generator. _CHUNK pairs
-    keep every temporary at 128 KiB at most, glibc's default mmap
-    threshold: it stays in cache, and malloc reuses heap memory for it,
-    where the 1-3 MB arrays of a whole round get fresh pages mapped and
-    unmapped on every batch.
+    Pairs are drawn into the table's one buffer, at most _CHUNK at a time.
+    PCG64 gives one double per 64-bit output and buffers none, so
+    sub-draws of any sizes yield the generator's doubles in the same
+    order. remaining counts the pairs still to accept, the pending _SLOW
+    pairs among them, and a sub-draw holds at most remaining - pending
+    pairs: every pair it accepts counts, whatever becomes of the pending
+    ones, and no pair is drawn past the quota. The largest array a
+    sub-draw allocates is the 64 KiB of take's intp indices, and none is
+    sized by the batch.
 
-    Each accepted bite takes the verdict of its cell in grid. Bites in
-    certain cells are counted at once; bites in uncertain cells are set
-    aside and scored with the exact dose, _CHUNK points or fewer at a
-    time, and once more at the end of the batch. A certain verdict is the
-    one the exact dose gives, so the hits are those of scoring every bite.
+    Each pair takes the code of its table cell: one take, then two counts
+    for the pairs the cell decides. The _SLOW pairs are gathered; once
+    _PENDING of them wait, or no pair may be drawn before they are scored,
+    they are mapped to their bite centers and take the exact disk test
+    and the verdict of their grid cell. Those the grid leaves uncertain
+    are set aside and scored with the exact dose, _CHUNK points or fewer
+    at a time, and once more at the end of the batch. The table's and the
+    grid's verdicts are the exact dose's, so the hits are those of scoring
+    every bite.
     """
-    config = grid.config
-    rng = np.random.default_rng([config.seed, batch_index])
-    radius = config.R - 1.0
+    grid = table.grid
+    rng = np.random.default_rng([grid.config.seed, batch_index])
     hits = 0
     remaining = quota
+    slow: list[np.ndarray] = []
+    pending = 0
     unsure_x: list[np.ndarray] = []
     unsure_y: list[np.ndarray] = []
     unsure = 0
@@ -529,24 +623,37 @@ def _batch_hits(grid: _VerdictGrid, batch_index: int, quota: int) -> int:
         return int(np.count_nonzero(lethal))
 
     while remaining > 0:
-        draw = int(remaining * 4.0 / math.pi * 1.05) + 16
-        for lo in range(0, draw, _CHUNK):
-            x, y = rng.uniform(-radius, radius, size=(min(_CHUNK, draw - lo), 2)).T
-            idx = np.flatnonzero(x * x + y * y <= radius * radius)[:remaining]
-            x, y = x[idx], y[idx]
-            verdict = grid.lookup(x, y)
-            hits += int(np.count_nonzero(verdict == _LETHAL))
-            who = np.flatnonzero(verdict == _UNSURE)
-            if who.size:
-                if unsure + who.size > _CHUNK:
-                    hits += flush()
-                    unsure = 0
-                unsure_x.append(x[who])
-                unsure_y.append(y[who])
-                unsure += who.size
-            remaining -= idx.size
-            if remaining == 0:
-                break
+        size = min(_CHUNK, remaining - pending)
+        if size > 0 and pending < _PENDING:
+            draws, cells = table.draws[:size], table.cells[:size]
+            rng.random(out=draws)
+            np.multiply(draws, _TABLE, out=cells, casting="unsafe")
+            code = table.code.take(cells.view("<u2").ravel())
+            gathered = draws.compress(code == _SLOW, axis=0)
+            slow.append(gathered)
+            pending += len(gathered)
+            hits += int(np.count_nonzero(code == _IN_LETHAL))
+            # accepted: every pair not _OUT, less the _SLOW ones still pending
+            remaining -= int(np.count_nonzero(code)) - len(gathered)
+            continue
+        xy = np.concatenate(slow)
+        slow.clear()
+        pending = 0
+        xy *= table.span
+        xy += table.low
+        x, y = xy.T
+        inside = x * x + y * y <= table.r2
+        remaining -= int(np.count_nonzero(inside))
+        verdict = grid.lookup(x, y)
+        hits += int(np.count_nonzero(inside & (verdict == _LETHAL)))
+        who = np.flatnonzero(inside & (verdict == _UNSURE))
+        if who.size:
+            if unsure + who.size > _CHUNK:
+                hits += flush()
+                unsure = 0
+            unsure_x.append(x[who])
+            unsure_y.append(y[who])
+            unsure += who.size
     return hits + flush()
 
 
@@ -558,15 +665,16 @@ def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillRepo
     is identical for identical seeds. The interval is the
     normal-approximation 95% band.
 
-    One verdict grid (_VerdictGrid), built per call and read by every
-    batch, decides most bites without their dose; the rest get the exact
-    dose. The grid's verdicts are certified, and the draws, batches and
-    seeds are those of scoring every bite, so the hits are too.
+    One verdict grid (_VerdictGrid) and the sampling table on it
+    (_SamplingTable), built per call and read by every batch, decide most
+    bites without their dose; the rest get the exact dose. Their verdicts
+    are certified, and the draws, batches and seeds are those of scoring
+    every bite, so the hits are too.
     """
     validate_strategy(strategy, config)
     n = config.samples
-    grid = _VerdictGrid(strategy, config)
-    hits = sum(_batch_hits(grid, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH)))
+    table = _SamplingTable(_VerdictGrid(strategy, config))
+    hits = sum(_batch_hits(table, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH)))
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     ci = (max(0.0, p_hat - 1.96 * se), min(1.0, p_hat + 1.96 * se))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cell_oracles import cell_set
-from isodiam import poisoning
+from isodiam import cli, poisoning
 from isodiam.geometry import Point
 from isodiam.poisoning import (
     _BATCH,
@@ -17,8 +18,14 @@ from isodiam.poisoning import (
     _patch_rows,
     _PatchRows,
     _GRID_CELLS,
+    _IN_LETHAL,
+    _IN_SAFE,
     _LETHAL,
+    _OUT,
+    _SAFE,
+    _TABLE,
     _UNSURE,
+    _SamplingTable,
     _VerdictGrid,
     PointMass,
     PoisonConfig,
@@ -458,8 +465,84 @@ def stream_cases(draw):
 )
 def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
     strategy, config = case
-    got = _batch_hits(_VerdictGrid(strategy, config), batch_index, quota)
+    got = _batch_hits(_SamplingTable(_VerdictGrid(strategy, config)), batch_index, quota)
+    assert type(got) is int
     assert got == whole_round_batch_hits(strategy, _patch_rows(strategy), config, batch_index, quota)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])
+def test_uniform_is_the_affine_map_of_random(radius):
+    """_SamplingTable reads the cell of a bite center from the raw doubles
+    of Generator.random and maps the few it must to -r + 2r u: that is what
+    Generator.uniform(-r, r) returns, bit for bit, in sub-draws of any size
+    from one buffer."""
+    want = np.random.default_rng([5, 3]).uniform(-radius, radius, size=(3000, 2))
+    rng = np.random.default_rng([5, 3])
+    buf = np.empty((1024, 2))
+    got = []
+    for size in (1, 1023, 1024, 7, 945):
+        u = buf[:size]
+        rng.random(out=u)
+        got.append(-radius + 2.0 * radius * u)
+        u *= 2.0 * radius
+        u += -radius
+        assert np.array_equal(u, got[-1])
+    assert np.array_equal(np.concatenate(got), want)
+
+
+def sampling_probes() -> np.ndarray:
+    """Raw doubles u at every cell edge k / _TABLE and one ulp either side
+    of it, inside [0, 1), and a few random ones."""
+    edges = np.arange(_TABLE + 1) / _TABLE
+    u = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        np.random.default_rng(0).random(200)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+def assert_table_is_sound(strategy: PoisonStrategy, config: PoisonConfig) -> None:
+    """Every certain cell of the table gives the disk test's and the grid's
+    answer at every probe pair (u, v) that falls in it."""
+    grid = _VerdictGrid(strategy, config)
+    table = _SamplingTable(grid)
+    u = sampling_probes()
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    uu, vv = uu.ravel(), vv.ravel()
+    code = table.code[(_TABLE * vv).astype(np.intp), (_TABLE * uu).astype(np.intp)]
+    x = table.low + table.span * uu
+    y = table.low + table.span * vv
+    inside = x * x + y * y <= table.r2
+    assert not inside[code == _OUT].any()
+    certain = (code == _IN_SAFE) | (code == _IN_LETHAL)
+    assert inside[certain].all()
+    verdict = grid.lookup(x[certain], y[certain])
+    assert np.array_equal(verdict, np.where(code[certain] == _IN_LETHAL, _LETHAL, _SAFE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_cases())
+def test_certain_table_cells_give_the_disk_test_and_the_grid_verdict(case):
+    assert_table_is_sound(*case)
+
+
+@pytest.mark.parametrize("lethal_dose", [1.0, 1e-10])
+def test_table_is_sound_on_a_huge_pie(lethal_dose):
+    R = 1e6
+    rim = R * math.sqrt(0.5)
+    strat = PoisonStrategy(point_masses=(PointMass(Point(rim, rim), 0.5), PointMass(Point(-rim, -rim), 0.5)))
+    assert_table_is_sound(strat, PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose))
+
+
+def test_table_cells_span_several_grid_cells_at_radius_7_3():
+    """At R = 7.3 a table cell is 12.6 / 128 = 0.098 wide, about 2.5 grid
+    pitches, and the table still decides most of the disk."""
+    cfg = PoisonConfig(R=7.3, h_available=1.5)
+    grid = _VerdictGrid(tour_hexagon(), cfg)
+    table = _SamplingTable(grid)
+    assert table.span / _TABLE > 2.0 * grid.pitch
+    code = table.code[:, :_TABLE]
+    assert np.count_nonzero(code >= _IN_SAFE) > 0.7 * code.size
+    assert np.count_nonzero(code == _IN_LETHAL) > 0
+    assert_table_is_sound(tour_hexagon(), cfg)
 
 
 def ulp_ring(cx: float, cy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -587,16 +670,42 @@ def test_hexagon_hits_are_pinned():
     assert kill_probability(tour_hexagon(), cfg).hits == 33441
 
 
+def test_hits_are_a_python_int_and_the_report_is_written(tmp_path):
+    """json.dumps refuses a numpy integer, so hits summed as np.int64 would
+    fail every poison report while the count itself was right."""
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=20_000, seed=4)
+    hits = kill_probability(tour_hexagon(), cfg).hits
+    assert type(hits) is int
+    strat_path, out = tmp_path / "hexagon.json", tmp_path / "poison.json"
+    tour_hexagon().save(strat_path)
+    argv = ["poison", "--R", "3", "--h-available", "1.5", "--strategy", str(strat_path), "--samples", "20000",
+            "--seed", "4", "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert json.loads(out.read_text())["report"]["kill"]["hits"] == hits
+
+
+def mixed_strategy() -> PoisonStrategy:
+    """Three 0.3 g masses around a 716-cell patch of 0.6 g, like the pie
+    workload's mixed strategy."""
+    masses = tuple(PointMass(Point(0.4 * math.cos(t), 0.4 * math.sin(t)), 0.3) for t in (0.1, 2.2, 4.3))
+    return PoisonStrategy(
+        point_masses=masses,
+        density=DensityPatch(region=rasterize(Disk(center=Point(0.0, 0.0), radius=0.75), 0.05), grams=0.6),
+    )
+
+
 def test_point_mass_batches_stay_cache_sized():
-    """The whole-round kernel peaked at about 8 MiB of temporaries here."""
+    """The whole-round kernel peaked at about 8 MiB of temporaries on the
+    hexagon. The mixed strategy peaks at about 0.8 MiB here."""
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=3 * _BATCH + 5, seed=1)
-    tracemalloc.start()
-    try:
-        kill_probability(tour_hexagon(), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    for strat in (tour_hexagon(), mixed_strategy()):
+        tracemalloc.start()
+        try:
+            kill_probability(strat, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 def test_lethal_region_scans_the_grid_in_bands():
