@@ -12,19 +12,17 @@ Those cells are counted row by row, not tested one by one: in a row they
 are the cells whose column lies in one range, and the ends of that range
 follow from the bite's half-width at the row (see _PatchRows).
 
-Most bites are decided without computing their dose. A verdict grid
-(_VerdictGrid) covers the reach of the poison at a pitch of about
-_GRID_PITCH and marks each cell certainly lethal, certainly safe or
-uncertain, from bounds that hold for every point of the cell under the
-float arithmetic of _dose_at. A bite in a certain cell takes its cell's
-verdict; only the few bites in cells the lethal boundary crosses get the
-exact dose. The Monte Carlo reads most draws from a sampling table
-(_SamplingTable) instead: its cells, indexed by the generator's raw
-doubles, are those whose draws are all rejected or all accepted with one
-certain grid verdict, so one table lookup decides acceptance and verdict
-together, and only draws in the other cells are mapped to bite centers.
-Every verdict is the one the dose would give, so hit counts and lethal
-regions are those of scoring every bite.
+Most bites are decided without computing their dose. A verdict table
+(_VerdictTable) cuts the sampling square into 128 x 128 cells and marks
+each cell certainly lethal, certainly safe or uncertain, from bounds that
+hold for every point of the cell under the float arithmetic of _dose_at.
+A bite in a certain cell takes its cell's verdict; only the few bites in
+cells the lethal boundary crosses get the exact dose. The Monte Carlo
+finds a draw's cell from the generator's raw doubles, and the cells whose
+draws are all rejected, or all accepted with a certain verdict, decide
+acceptance and verdict with that one lookup. Every verdict is the one the
+dose would give, so hit counts and lethal regions are those of scoring
+every bite.
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -58,18 +56,14 @@ __all__ = [
 _BATCH = 1 << 17
 _CHUNK = 8192  # pairs per sub-draw of a batch (see _batch_hits)
 _PENDING = 2048  # _SLOW pairs gathered before they are scored (see _batch_hits)
-_TABLE = 128  # cells per side of the sampling table (see _SamplingTable)
+_TABLE = 128  # cells per side of the verdict table (see _VerdictTable)
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
 # total and placement in validate_strategy, the bite center in is_lethal,
 # and the dose in _is_lethal_dose, so that k masses of 1/k g, which sum to
 # 1 - 1e-16 for k = 6, kill like the 1 g they were validated as.
 _TOL = 1e-9
-# Pitch of the verdict grid, and the cap on its cells, border included:
-# a reach box that would need more cells gets a coarser pitch.
-_GRID_PITCH = 0.04
-_GRID_CELLS = 1 << 14
-_SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the grid's cells
-_OUT, _SLOW, _IN_SAFE, _IN_LETHAL = 0, 1, 2, 3  # codes of the sampling table's cells
+_SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the table's cells
+_OUT, _SLOW, _IN_SAFE, _IN_LETHAL = 0, 1, 2, 3  # codes of the table's cells for the Monte Carlo
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class PoisonConfig:
         if not (math.isfinite(self.R) and self.R > 2.0):
             raise ValueError(f"pie radius must exceed 2, got {self.R}")
         # squared distances between points of the pie's bounding square,
-        # as the sampling and the verdict grid compute them, stay finite
+        # as the sampling and the verdict table compute them, stay finite
         side = 2.0 * self.R
         if not math.isfinite(side * side + side * side):
             raise ValueError(f"pie radius {self.R} is too large: (2R)^2 + (2R)^2 overflows")
@@ -241,7 +235,10 @@ class _PatchRows:
         float j (infinities included)."""
         out = np.zeros(j.shape)
         for first, length in self.runs[r]:
-            out += np.clip(j - first, 0.0, length)
+            d = j - first
+            np.maximum(d, 0.0, out=d)
+            np.minimum(d, length, out=d)
+            out += d
         return out
 
     def _near_rows(self, xa: np.ndarray, xb: np.ndarray):
@@ -378,67 +375,78 @@ def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
     return bool(_is_lethal_dose(dose, config)[0])
 
 
-class _VerdictGrid:
-    """Which bite centers certainly kill and which certainly do not, cell
-    by cell, for one strategy and config.
+class _VerdictTable:
+    """What becomes of the bite centers in each cell of the sampling
+    square, for one strategy and config: which certainly kill, which
+    certainly do not, and, for the Monte Carlo, which are drawn and
+    rejected. kill_probability and lethal_region share one table per
+    strategy and config (_verdict_table).
 
-    The grid covers the reach box of the poison (the masses' and patch
-    cells' bounding box grown by 1 + 2 eps, clipped to the sampling
-    square) with nx by ny cells of pitch p, plus a border of one cell on
-    every side. A bite beyond the reach box is at distance > 1 + eps from
-    all poison, so its dose is exactly 0, and the border cells hold the
-    verdict of dose 0. Where the sampling square clips the box, the
-    border beyond it is uncertain instead: no bite lands there, and
-    lethal_region's raster reaches only one cell past the disk. p is
-    _GRID_PITCH, doubled until the cells number at most _GRID_CELLS,
-    whatever R is and however far apart the poison lies.
+    The square [-r, r]^2, r = R - 1, is cut into _TABLE x _TABLE cells,
+    cell (i, j) spanning [e[i], e[i + 1]] x [e[j], e[j + 1]] with the
+    edges e[k] = low + span * (k / _TABLE), low = -r and span = 2r. Each
+    cell is taken as that box grown by eps = _EPS times the coordinates'
+    size. The Monte Carlo draws a bite center as a pair of the generator's
+    doubles u in [0, 1), mapped to low + span * u, which is
+    Generator.uniform(-r, r) bit for bit: numpy computes
+    low + (high - low) * u, and high - low = 2r is exact. The product
+    _TABLE * u is exact, so its integer cast is the cell, and the map is
+    monotone, so the center lies in the cell's box. lethal_region's raster
+    points find their cell by index: floor((x - low) * _TABLE / span),
+    clamped to the table. It does not decrease as x grows, and its
+    rounding moves x by a few ulps of r, far less than eps, so a point
+    whose index is k lies in cell k's grown box. A clamped point that lies
+    outside the grown box of its edge cell is more than eps outside the
+    square, and eps dwarfs the rounding of x*x, so it fails the disk test
+    x*x + y*y <= r*r.
 
-    Each interior cell is taken as its box grown by eps = _EPS times the
-    coordinates' size, far more than the rounding of the index computed
-    for a point, so every point looked up in a cell lies in its box. Over
-    the box a mass certainly counts when its farthest corner is within
-    1 - eps and may count when its nearest point is within 1 + eps, and
-    eps dwarfs the rounding of the test dx*dx + dy*dy <= 1.0. The patch
-    cells certainly and possibly inside come from the row runs, within the
-    patch's own margin (_PatchRows.box_counts). Float + and * round
-    monotonically, so the mass terms summed in mass order, plus per_cell
-    times a count, bound the dose _dose_at gives at any point of the box:
-    dose_min <= dose <= dose_max. The cell is lethal when dose_min passes
-    the lethal test and safe when dose_max fails it.
+    Verdicts. A cell whose box stays more than 1 + 2 eps from all poison
+    in x or in y holds bites of dose exactly 0, and takes that dose's
+    verdict. Over the box of every other cell a mass certainly counts when
+    its farthest corner is within 1 - eps and may count when its nearest
+    point is within 1 + eps, and eps dwarfs the rounding of the test
+    dx*dx + dy*dy <= 1.0. The patch cells certainly and possibly inside
+    come from the row runs, within the patch's own margin
+    (_PatchRows.box_counts). Float + and * round monotonically, so the
+    mass terms summed in mass order, plus per_cell times a count, bound
+    the dose _dose_at gives at any point of the box: dose_min <= dose <=
+    dose_max. The cell is _LETHAL when dose_min passes the lethal test,
+    _SAFE when dose_max fails it, and _UNSURE otherwise.
+
+    Codes. A cell is _OUT when every point of its box fails the disk test
+    and in when every point passes it: the nearest and the farthest corner
+    decide. An in cell with a certain verdict is _IN_SAFE or _IN_LETHAL;
+    every other cell is _SLOW, and its pairs take the disk test, and the
+    exact dose where the verdict is _UNSURE, as _batch_hits gives them.
+
+    verdict and code hold cell (i, j) at [j, i] of a (_TABLE, 256) array,
+    so their ravel() is indexed by i + 256 j: the little-endian uint16 that
+    the uint8 pair (i, j) reads as. Their columns from _TABLE on are never
+    read.
     """
 
     def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
         self.strategy, self.config = strategy, config
         self.patch = patch = _patch_rows(strategy)
+        radius = config.R - 1.0
+        self.low, self.span, self.r2 = -radius, 2.0 * radius, radius * radius
+        self.inv = _TABLE / self.span
         px = [m.position.x for m in strategy.point_masses]
         py = [m.position.y for m in strategy.point_masses]
         if patch is not None:
             px += [float(patch.cx.min()), float(patch.cx.max())]
             py += [float(patch.cy.min()), float(patch.cy.max())]
         eps = _EPS * (2.0 + config.R + max(map(abs, px + py)))
-        reach, edge = 1.0 + 2.0 * eps, config.R - 1.0 + eps
-        lo_x, hi_x = min(px) - reach, max(px) + reach
-        lo_y, hi_y = min(py) - reach, max(py) + reach
-        clipped = (lo_x < -edge, hi_x > edge, lo_y < -edge, hi_y > edge)
-        lo_x, hi_x, lo_y, hi_y = max(lo_x, -edge), min(hi_x, edge), max(lo_y, -edge), min(hi_y, edge)
-        p = _GRID_PITCH
+        edges = self.low + self.span * (np.arange(_TABLE + 1) / _TABLE)
+        lo, hi = edges[:-1] - eps, edges[1:] + eps
 
-        def cells(lo: float, hi: float) -> int:
-            return max(1, math.ceil((hi - lo) / p))
-
-        while (cells(lo_x, hi_x) + 2) * (cells(lo_y, hi_y) + 2) > _GRID_CELLS:
-            p *= 2.0
-        nx, ny = cells(lo_x, hi_x), cells(lo_y, hi_y)
-        # cell k of the padded grid covers [x0 + k p, x0 + (k + 1) p)
-        self.pitch, self.nx, self.ny = p, nx, ny
-        self.x0, self.y0, self.inv = lo_x - p, lo_y - p, 1.0 / p
-        xa = lo_x + np.arange(nx) * p - eps
-        xb = xa + (p + 2.0 * eps)
-        ya = lo_y + np.arange(ny) * p - eps
-        yb = ya + (p + 2.0 * eps)
-
-        dose_min = np.zeros((nx, ny))
-        dose_max = np.zeros((nx, ny))
+        # the cells [ia, ib) x [ja, jb) come within 1 + 2 eps of the poison
+        reach = 1.0 + 2.0 * eps
+        ia, ib = np.searchsorted(hi, min(px) - reach), np.searchsorted(lo, max(px) + reach, "right")
+        ja, jb = np.searchsorted(hi, min(py) - reach), np.searchsorted(lo, max(py) + reach, "right")
+        xa, xb, ya, yb = lo[ia:ib], hi[ia:ib], lo[ja:jb], hi[ja:jb]
+        dose_min = np.zeros((xa.size, ya.size))
+        dose_max = np.zeros((xa.size, ya.size))
         for m in strategy.point_masses:
             far_x, near_x = _far_near(xa, xb, m.position.x)
             far_y, near_y = _far_near(ya, yb, m.position.y)
@@ -449,28 +457,28 @@ class _VerdictGrid:
             dose_min += patch.per_cell * in_min
             dose_max += patch.per_cell * in_max
         dose_0 = _is_lethal_dose(np.zeros(1), config)[0]
-        verdict = np.full((nx + 2, ny + 2), _LETHAL if dose_0 else _SAFE, dtype=np.uint8)
-        for side, clip in zip((verdict[0], verdict[-1], verdict[:, 0], verdict[:, -1]), clipped):
-            if clip:
-                side[:] = _UNSURE
-        inner = np.full((nx, ny), _UNSURE, dtype=np.uint8)
-        inner[_is_lethal_dose(dose_min, config)] = _LETHAL
-        inner[~_is_lethal_dose(dose_max, config)] = _SAFE
-        verdict[1:-1, 1:-1] = inner
-        self.verdict = verdict
+        self.verdict = np.full((_TABLE, 256), _LETHAL if dose_0 else _SAFE, dtype=np.uint8)
+        self.code = np.full((_TABLE, 256), _SLOW, dtype=np.uint8)
+        verdict, code = self.verdict[:, :_TABLE].T, self.code[:, :_TABLE].T  # cell (i, j) at [i, j]
+        near_poison = verdict[ia:ib, ja:jb]
+        near_poison[:] = _UNSURE
+        near_poison[_is_lethal_dose(dose_min, config)] = _LETHAL
+        near_poison[~_is_lethal_dose(dose_max, config)] = _SAFE
 
-    def index(self, t: np.ndarray, t0: float, n: int) -> np.ndarray:
-        """The padded grid's cell index of each coordinate t, on the axis
-        with origin t0 and n interior cells. It does not decrease as t
-        grows."""
-        return np.clip((t - t0) * self.inv, 0.0, n + 1.0).astype(np.intp)
+        far, near = _far_near(lo, hi, 0.0)
+        far, near = far * far, near * near
+        inside = far[:, None] + far[None, :] <= self.r2
+        code[inside & (verdict == _SAFE)] = _IN_SAFE
+        code[inside & (verdict == _LETHAL)] = _IN_LETHAL
+        code[near[:, None] + near[None, :] > self.r2] = _OUT
 
-    def lookup(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The verdict of the cell of each point, same shape as x."""
-        ix = self.index(x, self.x0, self.nx)
-        ix *= self.ny + 2
-        ix += self.index(y, self.y0, self.ny)
-        return self.verdict.take(ix)
+    def index(self, t: np.ndarray) -> np.ndarray:
+        """The table's cell index of each coordinate t, clamped to the
+        table. It does not decrease as t grows."""
+        k = (t - self.low) * self.inv
+        np.maximum(k, 0.0, out=k)
+        np.minimum(k, _TABLE - 1.0, out=k)
+        return k.astype(np.intp)
 
     def exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Which bites kill, from the exact dose at each point."""
@@ -478,94 +486,32 @@ class _VerdictGrid:
 
     def bbox(self) -> tuple[float, float, float, float]:
         """The sampling square, which holds the lethal set."""
-        radius = self.config.R - 1.0
-        return (-radius, -radius, radius, radius)
+        return (self.low, self.low, -self.low, -self.low)
 
     def contains_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Which points are lethal bite centers inside the sampling disk:
         the cell's verdict, and the exact one where it is uncertain."""
-        radius = self.config.R - 1.0
-        verdict = self.lookup(x, y)
+        inside = x * x + y * y <= self.r2
+        cell = self.index(y)
+        cell *= 256
+        cell += self.index(x)
+        verdict = self.verdict.take(cell)
         lethal = verdict == _LETHAL
-        who = np.flatnonzero(verdict == _UNSURE)
+        who = np.flatnonzero(inside & (verdict == _UNSURE))
         lethal.flat[who] = self.exact(x.flat[who], y.flat[who])
-        return (x * x + y * y <= radius * radius) & lethal
+        return inside & lethal
 
 
-def _box_sums(sat: np.ndarray, a0: np.ndarray, b0: np.ndarray, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """Sums over the index boxes [a0[i], b0[i]) x [a1[j], b1[j]), as an
-    array over (i, j), from summed-area counts: sat[k, l] sums the cells
-    [0, k) x [0, l). The longer axis of sat is summed first, so no array
-    outgrows len(a0) or len(a1) times its shorter axis."""
-    if sat.shape[0] >= sat.shape[1]:
-        part = sat[b0]
-        part -= sat[a0]
-        out = part[:, b1]
-        out -= part[:, a1]
-    else:
-        part = sat[:, b1]
-        part -= sat[:, a1]
-        out = part[b0]
-        out -= part[a0]
-    return out
+# The table of the last strategy and config it was built for: a poison run
+# asks kill_probability and lethal_region about the same pair.
+_last_table: _VerdictTable | None = None
 
 
-class _SamplingTable:
-    """What becomes of the bite centers drawn in each cell of the sampling
-    square, where that is certain: rejected, accepted and safe, or
-    accepted and lethal. Built once per kill_probability call, with the
-    buffers every batch draws into.
-
-    A bite center is drawn as a pair of the generator's doubles u in
-    [0, 1) and mapped to x = low + span * u, with low = -r, span = 2r and
-    r = R - 1. That is Generator.uniform(-r, r), bit for bit: numpy
-    computes low + (high - low) * u, and high - low = 2r is exact. Cell
-    (i, j) of the table's _TABLE x _TABLE cells holds the pairs with
-    floor(_TABLE * u) = (i, j); the product is exact, so casting it to an
-    integer finds the cell. The map is monotone, so the centers drawn in
-    a cell lie in the box between the images of the cell's corners, and
-    the table grows that box by eps, _EPS times the coordinates' size.
-
-    A cell is _OUT when every point of its box fails the disk test
-    x*x + y*y <= r*r, and in when every point passes it: float * and +
-    round monotonically, so the nearest and the farthest corner decide.
-    An in cell is _IN_SAFE or _IN_LETHAL when every verdict-grid cell
-    that lookup can return for a point of its box holds that verdict.
-    lookup's index does not decrease along either axis, so those are the
-    grid cells of one index rectangle, and summed-area counts of the
-    cells that hold another verdict find them. Every other cell, on the
-    disk's edge or without a certain verdict, is _SLOW: its pairs take the
-    disk test, lookup and the exact dose as _batch_hits gives them.
-
-    code[j, i] is the code of cell (i, j), so code.ravel() is indexed by
-    i + 256 j: the little-endian uint16 that the uint8 pair (i, j) reads
-    as.
-    """
-
-    def __init__(self, grid: _VerdictGrid) -> None:
-        config = grid.config
-        radius = config.R - 1.0
-        self.grid, self.low, self.span, self.r2 = grid, -radius, 2.0 * radius, radius * radius
-        edges = self.low + self.span * (np.arange(_TABLE + 1) / _TABLE)
-        eps = _EPS * (2.0 + config.R)
-        lo, hi = edges[:-1] - eps, edges[1:] + eps
-        far, near = _far_near(lo, hi, 0.0)
-        far, near = far * far, near * near
-        # lookup returns the grid cells [ax, bx) x [ay, by) for the points of the boxes
-        ax, bx = grid.index(lo, grid.x0, grid.nx), grid.index(hi, grid.x0, grid.nx) + 1
-        ay, by = grid.index(lo, grid.y0, grid.ny), grid.index(hi, grid.y0, grid.ny) + 1
-        inside = far[:, None] + far[None, :] <= self.r2
-        self.code = np.full((_TABLE, 256), _SLOW, dtype=np.uint8)
-        code = self.code[:, :_TABLE]
-        for verdict, certain in ((_SAFE, _IN_SAFE), (_LETHAL, _IN_LETHAL)):
-            sat = np.zeros((grid.nx + 3, grid.ny + 3), dtype=np.int32)
-            sat[1:, 1:] = grid.verdict != verdict
-            np.cumsum(sat, axis=0, out=sat)
-            np.cumsum(sat, axis=1, out=sat)
-            code[inside & (_box_sums(sat, ax, bx, ay, by).T == 0)] = certain
-        code[near[:, None] + near[None, :] > self.r2] = _OUT
-        self.draws = np.empty((_CHUNK, 2))
-        self.cells = np.empty((_CHUNK, 2), dtype=np.uint8)
+def _verdict_table(strategy: PoisonStrategy, config: PoisonConfig) -> _VerdictTable:
+    global _last_table
+    if _last_table is None or _last_table.strategy is not strategy or _last_table.config != config:
+        _last_table = _VerdictTable(strategy, config)
+    return _last_table
 
 
 @dataclass(frozen=True)
@@ -576,7 +522,7 @@ class KillReport:
     hits: int
 
 
-def _batch_hits(table: _SamplingTable, batch_index: int, quota: int) -> int:
+def _batch_hits(table: _VerdictTable, batch_index: int, quota: int) -> int:
     """Accepted-sample hits for one seeded batch.
 
     Bite centers are drawn by rejection from the bounding square of the
@@ -584,28 +530,28 @@ def _batch_hits(table: _SamplingTable, batch_index: int, quota: int) -> int:
     is the first quota accepted pairs of the batch's generator, a
     deterministic function of (seed, batch_index).
 
-    Pairs are drawn into the table's one buffer, at most _CHUNK at a time.
-    PCG64 gives one double per 64-bit output and buffers none, so
-    sub-draws of any sizes yield the generator's doubles in the same
-    order. remaining counts the pairs still to accept, the pending _SLOW
-    pairs among them, and a sub-draw holds at most remaining - pending
-    pairs: every pair it accepts counts, whatever becomes of the pending
-    ones, and no pair is drawn past the quota. The largest array a
-    sub-draw allocates is the 64 KiB of take's intp indices, and none is
-    sized by the batch.
+    Pairs are drawn into one buffer, at most _CHUNK at a time. PCG64 gives
+    one double per 64-bit output and buffers none, so sub-draws of any
+    sizes yield the generator's doubles in the same order. remaining
+    counts the pairs still to accept, the pending _SLOW pairs among them,
+    and a sub-draw holds at most remaining - pending pairs: every pair it
+    accepts counts, whatever becomes of the pending ones, and no pair is
+    drawn past the quota. The largest array a sub-draw allocates is the
+    64 KiB of take's intp indices, and none is sized by the batch.
 
     Each pair takes the code of its table cell: one take, then two counts
     for the pairs the cell decides. The _SLOW pairs are gathered; once
     _PENDING of them wait, or no pair may be drawn before they are scored,
-    they are mapped to their bite centers and take the exact disk test
-    and the verdict of their grid cell. Those the grid leaves uncertain
-    are set aside and scored with the exact dose, _CHUNK points or fewer
-    at a time, and once more at the end of the batch. The table's and the
-    grid's verdicts are the exact dose's, so the hits are those of scoring
-    every bite.
+    they take the verdict of their cell, found from the same cast of
+    _TABLE * u, and are mapped to their bite centers for the exact disk
+    test. Those whose cell is uncertain are set aside and scored with the
+    exact dose, _CHUNK points or fewer at a time, and once more at the end
+    of the batch. The table's verdicts are the exact dose's, so the hits
+    are those of scoring every bite.
     """
-    grid = table.grid
-    rng = np.random.default_rng([grid.config.seed, batch_index])
+    rng = np.random.default_rng([table.config.seed, batch_index])
+    buffer = np.empty((_CHUNK, 2))
+    buffer_cells = np.empty((_CHUNK, 2), dtype=np.uint8)
     hits = 0
     remaining = quota
     slow: list[np.ndarray] = []
@@ -617,7 +563,7 @@ def _batch_hits(table: _SamplingTable, batch_index: int, quota: int) -> int:
     def flush() -> int:
         if not unsure_x:
             return 0
-        lethal = grid.exact(np.concatenate(unsure_x), np.concatenate(unsure_y))
+        lethal = table.exact(np.concatenate(unsure_x), np.concatenate(unsure_y))
         unsure_x.clear()
         unsure_y.clear()
         return int(np.count_nonzero(lethal))
@@ -625,7 +571,7 @@ def _batch_hits(table: _SamplingTable, batch_index: int, quota: int) -> int:
     while remaining > 0:
         size = min(_CHUNK, remaining - pending)
         if size > 0 and pending < _PENDING:
-            draws, cells = table.draws[:size], table.cells[:size]
+            draws, cells = buffer[:size], buffer_cells[:size]
             rng.random(out=draws)
             np.multiply(draws, _TABLE, out=cells, casting="unsafe")
             code = table.code.take(cells.view("<u2").ravel())
@@ -639,12 +585,12 @@ def _batch_hits(table: _SamplingTable, batch_index: int, quota: int) -> int:
         xy = np.concatenate(slow)
         slow.clear()
         pending = 0
+        verdict = table.verdict.take((xy * _TABLE).astype(np.uint8).view("<u2").ravel())
         xy *= table.span
         xy += table.low
         x, y = xy.T
         inside = x * x + y * y <= table.r2
         remaining -= int(np.count_nonzero(inside))
-        verdict = grid.lookup(x, y)
         hits += int(np.count_nonzero(inside & (verdict == _LETHAL)))
         who = np.flatnonzero(inside & (verdict == _UNSURE))
         if who.size:
@@ -665,15 +611,14 @@ def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillRepo
     is identical for identical seeds. The interval is the
     normal-approximation 95% band.
 
-    One verdict grid (_VerdictGrid) and the sampling table on it
-    (_SamplingTable), built per call and read by every batch, decide most
-    bites without their dose; the rest get the exact dose. Their verdicts
+    One verdict table (_VerdictTable), read by every batch, decides most
+    bites without their dose; the rest get the exact dose. Its verdicts
     are certified, and the draws, batches and seeds are those of scoring
     every bite, so the hits are too.
     """
     validate_strategy(strategy, config)
     n = config.samples
-    table = _SamplingTable(_VerdictGrid(strategy, config))
+    table = _verdict_table(strategy, config)
     hits = sum(_batch_hits(table, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH)))
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -686,7 +631,9 @@ def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float)
 
     A cell belongs to the region when its center lies in the sampling disk
     of radius R - 1 and the bite at the center is lethal, as the verdict
-    grid decides. The grid is rasterize's, with its cap on the cell count.
+    table decides: the same table as kill_probability's on the same
+    strategy and config. The grid is rasterize's, with its cap on the
+    cell count.
     """
     validate_strategy(strategy, config)
-    return rasterize(_VerdictGrid(strategy, config), h_grid)
+    return rasterize(_verdict_table(strategy, config), h_grid)

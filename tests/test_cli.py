@@ -5,6 +5,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -620,3 +621,21 @@ def test_parser_options_are_pinned():
     assert found == PARSER_OPTIONS
     top = [opt for action in parser._actions for opt in action.option_strings]
     assert top == ["-h", "--help", "--version"]
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The isodiam command lines of README's CLI block, split as a shell
+    would, comments dropped, without the leading isodiam."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("isodiam ")]
+
+
+def test_readme_cli_lines_parse():
+    """Every documented invocation parses, and the block shows every
+    subcommand."""
+    lines = readme_cli_lines()
+    parser = cli.build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).subcommand == argv[0]
+    assert sorted(argv[0] for argv in lines) == sorted(PARSER_OPTIONS)

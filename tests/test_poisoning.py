@@ -17,7 +17,6 @@ from isodiam.poisoning import (
     _dose_at,
     _patch_rows,
     _PatchRows,
-    _GRID_CELLS,
     _IN_LETHAL,
     _IN_SAFE,
     _LETHAL,
@@ -25,8 +24,7 @@ from isodiam.poisoning import (
     _SAFE,
     _TABLE,
     _UNSURE,
-    _SamplingTable,
-    _VerdictGrid,
+    _VerdictTable,
     PointMass,
     PoisonConfig,
     PoisonStrategy,
@@ -44,8 +42,8 @@ def central(grams: float) -> PoisonStrategy:
 
 @pytest.mark.filterwarnings("error")
 def test_pie_radius_is_refused_where_squared_distances_overflow():
-    """At R = 6.5e153, (2R)^2 is finite, but the verdict grid's squared
-    distances between far masses and far cells overflowed. The largest
+    """At R = 6.5e153, (2R)^2 is finite, but squared distances between
+    far masses and far verdict cells overflowed. The largest
     accepted radii run without a numpy warning."""
     for R in (6.5e153, 1e200, 1e308):
         with pytest.raises(ValueError, match="pie radius .* is too large"):
@@ -465,14 +463,14 @@ def stream_cases(draw):
 )
 def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
     strategy, config = case
-    got = _batch_hits(_SamplingTable(_VerdictGrid(strategy, config)), batch_index, quota)
+    got = _batch_hits(_VerdictTable(strategy, config), batch_index, quota)
     assert type(got) is int
     assert got == whole_round_batch_hits(strategy, _patch_rows(strategy), config, batch_index, quota)
 
 
 @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])
 def test_uniform_is_the_affine_map_of_random(radius):
-    """_SamplingTable reads the cell of a bite center from the raw doubles
+    """_VerdictTable reads the cell of a bite center from the raw doubles
     of Generator.random and maps the few it must to -r + 2r u: that is what
     Generator.uniform(-r, r) returns, bit for bit, in sub-draws of any size
     from one buffer."""
@@ -500,27 +498,29 @@ def sampling_probes() -> np.ndarray:
 
 
 def assert_table_is_sound(strategy: PoisonStrategy, config: PoisonConfig) -> None:
-    """Every certain cell of the table gives the disk test's and the grid's
-    answer at every probe pair (u, v) that falls in it."""
-    grid = _VerdictGrid(strategy, config)
-    table = _SamplingTable(grid)
+    """At every probe pair (u, v): a certain code gives the disk test's
+    answer and the cell's verdict, and a certain verdict, the one
+    _batch_hits gives a _SLOW pair, is that of the exact dose."""
+    table = _VerdictTable(strategy, config)
     u = sampling_probes()
     uu, vv = np.meshgrid(u, u, indexing="ij")
     uu, vv = uu.ravel(), vv.ravel()
-    code = table.code[(_TABLE * vv).astype(np.intp), (_TABLE * uu).astype(np.intp)]
+    cell = (_TABLE * vv).astype(np.intp), (_TABLE * uu).astype(np.intp)
+    code, verdict = table.code[cell], table.verdict[cell]
     x = table.low + table.span * uu
     y = table.low + table.span * vv
     inside = x * x + y * y <= table.r2
     assert not inside[code == _OUT].any()
-    certain = (code == _IN_SAFE) | (code == _IN_LETHAL)
-    assert inside[certain].all()
-    verdict = grid.lookup(x[certain], y[certain])
-    assert np.array_equal(verdict, np.where(code[certain] == _IN_LETHAL, _LETHAL, _SAFE))
+    assert inside[code == _IN_SAFE].all() and (verdict[code == _IN_SAFE] == _SAFE).all()
+    assert inside[code == _IN_LETHAL].all() and (verdict[code == _IN_LETHAL] == _LETHAL).all()
+    certain = inside & (verdict != _UNSURE)
+    exact = poisoning._is_lethal_dose(_dose_at(strategy, _patch_rows(strategy), x[certain], y[certain]), config)
+    assert np.array_equal(verdict[certain] == _LETHAL, exact)
 
 
 @settings(max_examples=60, deadline=None)
 @given(stream_cases())
-def test_certain_table_cells_give_the_disk_test_and_the_grid_verdict(case):
+def test_certain_table_cells_give_the_disk_test_and_the_verdict_of_the_dose(case):
     assert_table_is_sound(*case)
 
 
@@ -532,14 +532,28 @@ def test_table_is_sound_on_a_huge_pie(lethal_dose):
     assert_table_is_sound(strat, PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose))
 
 
-def test_table_cells_span_several_grid_cells_at_radius_7_3():
-    """At R = 7.3 a table cell is 12.6 / 128 = 0.098 wide, about 2.5 grid
-    pitches, and the table still decides most of the disk."""
+@pytest.mark.parametrize("lethal_dose", [1.0, 1e-10])
+def test_grid_is_capped_on_a_huge_pie(lethal_dose):
+    """Masses on opposite rims of a pie of radius 1e6: the verdict table
+    stays _TABLE cells a side, each about 15,625 wide, and the hits are
+    still those of scoring every bite."""
+    R = 1e6
+    rim = R * math.sqrt(0.5)
+    strat = PoisonStrategy(point_masses=(PointMass(Point(rim, rim), 0.5), PointMass(Point(-rim, -rim), 0.5)))
+    cfg = PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose, samples=20_000, seed=3)
+    table = _VerdictTable(strat, cfg)
+    assert table.verdict.shape == table.code.shape == (_TABLE, 256)
+    assert table.span / _TABLE > 2e6 / 256
+    hits = kill_probability(strat, cfg).hits
+    assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)
+    assert hits == (cfg.samples if lethal_dose < poisoning._TOL else 0)
+
+
+def test_table_decides_most_of_the_disk_at_radius_7_3():
+    """At R = 7.3 a table cell is 12.6 / 128 = 0.098 wide, and the table
+    still decides most of the disk."""
     cfg = PoisonConfig(R=7.3, h_available=1.5)
-    grid = _VerdictGrid(tour_hexagon(), cfg)
-    table = _SamplingTable(grid)
-    assert table.span / _TABLE > 2.0 * grid.pitch
-    code = table.code[:, :_TABLE]
+    code = _VerdictTable(tour_hexagon(), cfg).code[:, :_TABLE]
     assert np.count_nonzero(code >= _IN_SAFE) > 0.7 * code.size
     assert np.count_nonzero(code == _IN_LETHAL) > 0
     assert_table_is_sound(tour_hexagon(), cfg)
@@ -581,15 +595,15 @@ def test_dose_equals_the_whole_round_expression(with_patch):
     assert np.array_equal(dose, whole_round_dose_at(strat, patch, gx, gy))
 
 
-def grid_probes(grid: _VerdictGrid, strategy: PoisonStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Every corner of the grid's cells, border included, and the points
-    one ulp either side of it in x and in y; the ulp_ring of every mass;
-    probe_points around the patch's cells."""
-    def edges(lo, n):
-        e = lo + np.arange(n + 3) * grid.pitch
-        return np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
-
-    gx, gy = np.meshgrid(edges(grid.x0, grid.nx), edges(grid.y0, grid.ny), indexing="ij")
+def raster_probes(table: _VerdictTable, strategy: PoisonStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Every corner of the table's cells and the points one ulp either side
+    of it in x and in y, with points up to one raster pitch outside the
+    sampling square, for the pitches 0.05 and 2r; the ulp_ring of every
+    mass; probe_points around the patch's cells."""
+    e = table.low + table.span * (np.arange(_TABLE + 1) / _TABLE)
+    beyond = np.append(np.linspace(0.0, 0.05, 6)[1:], table.span)
+    t = np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf), e[0] - beyond, e[-1] + beyond])
+    gx, gy = np.meshgrid(t, t, indexing="ij")
     parts = [(gx.ravel(), gy.ravel())]
     parts += [ulp_ring(m.position.x, m.position.y) for m in strategy.point_masses]
     if strategy.density is not None:
@@ -600,36 +614,25 @@ def grid_probes(grid: _VerdictGrid, strategy: PoisonStrategy) -> tuple[np.ndarra
 @settings(max_examples=150, deadline=None)
 @given(stream_cases())
 def test_certain_grid_cells_give_the_verdict_of_the_dose(case):
+    """A raster point inside the sampling disk takes the exact dose's
+    verdict from the table cell its coordinate index finds, wherever that
+    verdict is certain, so contains_xy is the disk test and the exact
+    dose's verdict."""
     strategy, config = case
-    grid = _VerdictGrid(strategy, config)
-    assert grid.verdict.size <= _GRID_CELLS
-    xs, ys = grid_probes(grid, strategy)
-    verdict = grid.lookup(xs, ys)
-    certain = verdict != _UNSURE
+    table = _VerdictTable(strategy, config)
+    xs, ys = raster_probes(table, strategy)
+    verdict = table.verdict.take(table.index(ys) * 256 + table.index(xs))
+    inside = xs * xs + ys * ys <= table.r2
     exact = poisoning._is_lethal_dose(_dose_at(strategy, _patch_rows(strategy), xs, ys), config)
+    certain = inside & (verdict != _UNSURE)
     assert np.array_equal(verdict[certain] == _LETHAL, exact[certain])
-
-
-@pytest.mark.parametrize("lethal_dose", [1.0, 1e-10])
-def test_grid_is_capped_on_a_huge_pie(lethal_dose):
-    """Masses on opposite rims of a pie of radius 1e6: the reach box is
-    the whole sampling square, 2e6 wide, and the pitch coarsens to fit."""
-    R = 1e6
-    rim = R * math.sqrt(0.5)
-    strat = PoisonStrategy(point_masses=(PointMass(Point(rim, rim), 0.5), PointMass(Point(-rim, -rim), 0.5)))
-    cfg = PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose, samples=20_000, seed=3)
-    grid = _VerdictGrid(strat, cfg)
-    assert grid.verdict.size <= _GRID_CELLS
-    assert grid.pitch > 2e6 / 256
-    hits = kill_probability(strat, cfg).hits
-    assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)
-    assert hits == (cfg.samples if lethal_dose < poisoning._TOL else 0)
+    assert np.array_equal(table.contains_xy(xs, ys), inside & exact)
 
 
 @pytest.mark.parametrize("kind", ["hexagon", "patch", "mixed"])
 def test_lethal_region_equals_the_dose_raster(kind):
-    """The raster built from the grid's verdicts is the raster of the exact
-    dose at every cell center."""
+    """The raster built from the table's verdicts is the raster of the
+    exact dose at every cell center."""
     patch = DensityPatch(region=rasterize(Disk(center=Point(0.1, -0.2), radius=0.5), 0.05), grams=1.5)
     strat = {
         "hexagon": tour_hexagon(),
@@ -682,6 +685,35 @@ def test_hits_are_a_python_int_and_the_report_is_written(tmp_path):
             "--seed", "4", "--out", str(out)]
     assert cli.run(argv) == 0
     assert json.loads(out.read_text())["report"]["kill"]["hits"] == hits
+
+
+def test_poison_run_builds_one_verdict_table(tmp_path, monkeypatch):
+    """cmd_poison asks kill_probability and lethal_region about one
+    strategy and config, and they share one table."""
+    built = []
+
+    class CountedTable(poisoning._VerdictTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(poisoning, "_VerdictTable", CountedTable)
+    out = tmp_path / "poison.json"
+    argv = ["poison", "--R", "3", "--h-available", "1.5", "--samples", "20000", "--grid", "0.05",
+            "--seed", "4", "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert len(built) == 1
+    assert json.loads(out.read_text())["report"]["lethal"]["cells"] > 0
+
+
+def test_calls_on_one_strategy_keep_their_own_seeds():
+    """Back-to-back calls on one strategy object with different seeds each
+    give the hits of their own seed's draw."""
+    strat = mixed_strategy()
+    for seed in (11, 12, 11):
+        cfg = PoisonConfig(R=3.0, h_available=1.5, samples=5000, seed=seed)
+        hits = kill_probability(strat, cfg).hits
+        assert hits == whole_round_batch_hits(strat, _patch_rows(strat), cfg, 0, cfg.samples)
 
 
 def mixed_strategy() -> PoisonStrategy:
