@@ -19,9 +19,11 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 from . import __version__
 from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
@@ -76,13 +78,73 @@ def _manifest(ns: argparse.Namespace, seed: int | None, inputs: list[str]) -> di
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _flat_int_pairs(items: list | tuple) -> tuple | None:
+    """The ints of items, pair after pair, if items holds only pairs of ints
+    (region cells); else None."""
+    if set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
+        flat = tuple(chain.from_iterable(items))
+        if set(map(type, flat)) == {int}:
+            return flat
+    return None
+
+
+def _dumps(value: object, outer: str = "\n") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    writes it, for dicts with str keys, lists, tuples, str, int, float, bool
+    and None; outer is the newline and indent of value's own line.
+
+    With an indent, json.dumps takes its pure-Python encoder, one call per
+    element. Here a list of int pairs (region cells) is one join, and every
+    other value is at most one call. Non-finite floats raise ValueError, as
+    in json.dumps; any other type raises TypeError, and so does a dict key
+    that is not a str.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = outer + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = "," + inner
+        flat = _flat_int_pairs(value)
+        if flat is not None:
+            pair = f"[{inner}  %d,{inner}  %d{inner}]"
+            body = sep.join([pair] * len(value)) % flat
+        else:
+            body = sep.join([_dumps(v, inner) for v in value])
+        return f"[{inner}{body}{outer}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("report keys must be str")
+        body = ("," + inner).join([f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{{inner}{body}{outer}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(ns: argparse.Namespace, report: dict, seed: int | None = None, inputs: list[str] | None = None) -> None:
     payload = {
         "manifest": _manifest(ns, seed, inputs or []),
         "report": report,
         "schema": SCHEMA,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = _dumps(payload) + "\n"
     out = getattr(ns, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -130,11 +130,11 @@ def region_svg(region: PixelRegion, outline: DiskUnion | None = None, title: str
         f'height="{_fmt(y_hi - y_lo)}" fill="white"/>',
         '<g transform="scale(1,-1)">',
     ]
-    for i, j in idx.tolist():
-        parts.append(
-            f'<rect x="{_fmt(ox + i * h)}" y="{_fmt(oy + j * h)}" width="{_fmt(h)}" '
-            f'height="{_fmt(h)}" fill="#1f77b4" fill-opacity="0.85"/>'
-        )
+    # a lethal region has thousands of cells on a few dozen rows and columns
+    xs = {i: _fmt(ox + i * h) for i in set(idx[:, 0].tolist())}
+    ys = {j: _fmt(oy + j * h) for j in set(idx[:, 1].tolist())}
+    tail = f'" width="{_fmt(h)}" height="{_fmt(h)}" fill="#1f77b4" fill-opacity="0.85"/>'
+    parts += [f'<rect x="{xs[i]}" y="{ys[j]}{tail}' for i, j in idx.tolist()]
     for cx, cy, r in circles:
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '

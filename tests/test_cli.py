@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isodiam import cli
 from isodiam.geometry import Point, PointSet, save_points_csv
@@ -428,11 +429,14 @@ PINNED_ARGV = {
     "bounds": ["bounds", "--delta-min", "1", "--delta-max", "4.5", "--steps", "9", "--csv", "out.csv"],
     "poison": ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "strategy.json", "--samples", "20000",
                "--grid", "0.1", "--seed", "3"],
+    "search": ["search", "--delta", "3", "--h", "0.15"],
+    "poison-svg": ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "strategy.json", "--samples", "20000",
+                   "--grid", "0.1", "--seed", "3", "--svg", "out.svg"],
 }
 
 # sha256 of json.dumps(report, sort_keys=True) for each run, and of the CSV
-# it writes, if any: a change to the code behind a report that moves one of
-# its bytes fails here
+# or SVG it writes, if any: a change to the code behind a report that moves
+# one of its bytes fails here
 PINNED_DIGESTS = {
     "diameters": ("a64e63cb59eb7a8364759018469bed3ba440a948dcff691bce092f0f3050dce0", None),
     "jung": ("5e06fa83ad8ce1718b298d2fd9b66f3b8117e8ce833990e55c2ed403fca38147", None),
@@ -443,6 +447,24 @@ PINNED_DIGESTS = {
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
     ),
     "poison": ("138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e", None),
+    "search": ("5d44549087ea61ff894898d6df5ced242bd21f54f2fe34c7c001bd4c71ecddd2", None),
+    "poison-svg": (
+        "138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e",
+        "d2467c38eef01d7601d3a03cc3e4f7748e745d37b82f360e185a041368e6dafa",
+    ),
+}
+
+# sha256 of each report file as written, with the timestamp pinned: a change
+# of the writer's indentation, key order or float text fails here
+PINNED_FILE_DIGESTS = {
+    "diameters": "4c010dd2fc0e10f9b3fa0b6a71c8857ed50b36cc6251017bd798b820c055a296",
+    "jung": "3e4e058d4a1d07afe7659e3b606c0f2b39be2dfd01694b10c8dc093e0aae77a9",
+    "diameters-1200": "b284eb0dc6e3e1b0febd17c0ef7c2f3c2957bcfe6f3702af2ed867c2d4979c28",
+    "jung-1200": "08c178dd5a9f101939bd92ffa054fc6f0dc8280bfd1c923e84e76915bde5fc8b",
+    "bounds": "ae7c1883731a22a901edbe14498b1500d722244f846cc3ec277f52d461988279",
+    "poison": "5afe614cff504c80b616cc85414ae4ef79daf98b8d992feb45610f5f86f244ba",
+    "search": "b74b2b939bd2e1eb162b7bf53622eb39bccebd89d4da0939e8394384eabe81e5",
+    "poison-svg": "fd33d51172c4608f0605744eaaf11ca1e8371398aadf70e120737af6ba6c6ba6",
 }
 
 
@@ -453,11 +475,73 @@ def test_report_bytes_are_pinned(name, tmp_path, monkeypatch):
     save_points_csv(PointSet.from_xy(map(tuple, PINNED_LARGE)), "large.csv")
     Path("strategy.json").write_text(json.dumps(PINNED_STRATEGY))
     argv = PINNED_ARGV[name]
-    assert cli.run([*argv, "--out", "report.json"]) == 0
-    report = json.loads(Path("report.json").read_text())["report"]
+    assert cli.run([*argv, "--out", "report.json", "--timestamp", "2026-01-01T00:00:00Z"]) == 0
+    written = Path("report.json").read_bytes()
+    report = json.loads(written)["report"]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    csv_digest = hashlib.sha256(Path("out.csv").read_bytes()).hexdigest() if "--csv" in argv else None
-    assert (digest, csv_digest) == PINNED_DIGESTS[name]
+    side = next((argv[k + 1] for k, flag in enumerate(argv) if flag in ("--csv", "--svg")), None)
+    side_digest = hashlib.sha256(Path(side).read_bytes()).hexdigest() if side else None
+    assert (digest, side_digest) == PINNED_DIGESTS[name]
+    assert hashlib.sha256(written).hexdigest() == PINNED_FILE_DIGESTS[name]
+
+
+def dumps_reference(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+_INTS = st.integers() | st.integers(min_value=-(2**80), max_value=2**80)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e16, -0.0, 5e-324, 1e-7, 0.1, 2.0**53])
+# every code point, lone surrogates and control characters included
+_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+_INT_PAIRS = st.lists(st.tuples(_INTS, _INTS).map(list) | st.tuples(_INTS, _INTS), max_size=8)
+_LEAVES = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT | _INT_PAIRS
+_REPORTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPORTS)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [[], {}], "c": ()})
+@example({"cells": [[0, 1], (-3, 2**70)], "mixed": [[1, True], [2, 2.0], [3], [4, 5, 6]]})
+@example({"\u00e9\x00\x1f\ud800\U0001f600": "\u2028\"\\"})
+@example([np.float64(0.1), 1e16, -0.0, 5e-324])
+def test_report_writer_equals_json_dumps(value):
+    assert cli._dumps(value) == dumps_reference(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_writer_rejects_non_finite_floats(bad):
+    for value in (bad, [1, bad], {"a": [[0, 1], (2, bad)]}):
+        with pytest.raises(ValueError):
+            dumps_reference(value)
+        with pytest.raises(ValueError):
+            cli._dumps(value)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object(), np.int64(3), b"bytes"])
+def test_report_writer_rejects_unsupported_types(bad):
+    for value in (bad, [bad], {"a": [[0, 1], bad]}):
+        with pytest.raises(TypeError):
+            dumps_reference(value)
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+    with pytest.raises(TypeError):
+        cli._dumps({1: "int keys are not report keys"})
+
+
+def test_a_non_finite_report_value_exits_2(capsys, pts_csv, monkeypatch):
+    monkeypatch.setattr(cli, "_resolve_timestamp", lambda ns: math.nan)
+    assert cli.run(["diameters", pts_csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not JSON compliant" in captured.err
 
 
 def test_timestamp_flag_beats_env(capsys, pts_csv):
