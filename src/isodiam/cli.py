@@ -254,7 +254,8 @@ def _bounds_rows(delta_min: float, delta_max: float, steps: int) -> list[dict]:
     rows = []
     for k in range(steps):
         delta = delta_min + (delta_max - delta_min) * k / (steps - 1)
-        rows.append(asdict(bound_profile(delta)))
+        # a flat dataclass: its field dict, without the deep copy of asdict
+        rows.append(dict(vars(bound_profile(delta))))
     return rows
 
 

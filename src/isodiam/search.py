@@ -278,10 +278,10 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     """Verify a nonempty region against the exact caps of _caps.
 
     diam_ok compares the largest corner metric, over the rows' extreme
-    cells, with diam_cap. diam3_ok holds when the subset search of
-    diameters finds no triple of boundary cells pairwise far. That makes
-    the region a T(3,2)-set: three of its points pairwise farther than 2
-    can each move away from the other two until they meet the boundary
+    cells, with diam_cap. diam3_ok holds when no three boundary cells are
+    pairwise far (_far_triangle_free). That makes the region a
+    T(3,2)-set: three of its points pairwise farther than 2 can each move
+    away from the other two until they meet the boundary
     (diam3(S) = diam3(boundary of S)), where they lie in three boundary
     cells that are then pairwise far; three, because two points of one
     cell are at most h*sqrt(2) <= 2 apart whenever a cell fits in a unit
@@ -294,25 +294,53 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     n = len(boundary)
     diameters._check_pairs(f"verifying {n} boundary cells", n)
     bi, bj = boundary.T
-    far_triple = diameters._first_violating(
-        diameters._close_masks(_corner_k(bi[:, None] - bi, bj[:, None] - bj), far_cap), n, 3, 2
-    )
+    far = _corner_k(bi[:, None] - bi, bj[:, None] - bj) > far_cap
+    np.fill_diagonal(far, False)
     return FeasibilityReport(
         diam_corners=region_diam(region),
         diam_ok=_largest_k(idx[:, 0], idx[:, 1]) <= diam_cap,
-        diam3_ok=far_triple is None,
+        diam3_ok=_far_triangle_free(far),
     )
+
+
+def _far_triangle_free(far: np.ndarray) -> bool:
+    """Whether no three of n items are pairwise far, given their symmetric
+    (n, n) far matrix with a false diagonal.
+
+    A far triangle is a far edge (a, b) whose two ends share a far
+    neighbour, so the test ANDs the bit-packed far rows of the ends of
+    every edge of the upper triangle, diameters._BLOCK edges at a time so
+    that no temporary holds more than 2 * _BLOCK packed rows.
+    """
+    rows = np.packbits(far, axis=1)
+    a, b = np.nonzero(np.triu(far, 1))
+    block = diameters._BLOCK
+    return not any(
+        (rows.take(a[lo : lo + block], axis=0) & rows.take(b[lo : lo + block], axis=0)).any()
+        for lo in range(0, len(a), block)
+    )
+
+
+def _cell_keys(idx: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """Integer keys of the rows of a nonempty (n, 2) cell index array, with
+    the key width w and the cell (i0, j0) of key 0.
+
+    Cell (i, j) is keyed (i - i0) * w + (j - j0), with i0 = imin - 1,
+    j0 = jmin - 1 and w = jmax - jmin + 3. So the cells and their
+    4-neighbours have distinct nonnegative keys: the column neighbours are
+    key +- 1 without wrapping into the next row, and the row neighbours
+    are key +- w.
+    """
+    i, j = idx[:, 0], idx[:, 1]
+    i0, j0 = int(i.min()) - 1, int(j.min()) - 1
+    w = int(j.max()) - j0 + 2
+    return (i - i0) * w + (j - j0), w, i0, j0
 
 
 def _boundary_cells(idx: np.ndarray) -> np.ndarray:
     """The rows of a nonempty (n, 2) cell index array with a 4-neighbour
-    outside it, in their order. Each cell is keyed
-    (i - imin + 1) * w + (j - jmin + 1) with w = jmax - jmin + 3, so the
-    column neighbours are key +- 1 without wrapping into the next row, and
-    the row neighbours are key +- w."""
-    i, j = idx[:, 0], idx[:, 1]
-    w = int(j.max() - j.min()) + 3
-    keys = (i - i.min() + 1) * w + (j - j.min() + 1)
+    outside it, in their order, found by key (_cell_keys)."""
+    keys, w, _, _ = _cell_keys(idx)
     inner = np.isin(keys + 1, keys) & np.isin(keys - 1, keys) & np.isin(keys + w, keys) & np.isin(keys - w, keys)
     return idx[~inner]
 
@@ -336,26 +364,83 @@ def _refile(center: tuple[int, int], region, add_frontier: _IndexedSet, remove_f
             add_frontier.discard(cell)
 
 
-def _seed_frontiers(region) -> tuple[_IndexedSet, _IndexedSet]:
-    """The (add, remove) frontiers of region, filed in the order that
-    _refile on each of its cells, in iteration order, would give.
+def _seed_frontiers(cells: np.ndarray) -> tuple[_IndexedSet, _IndexedSet]:
+    """The (add, remove) frontiers of the region of the distinct rows of a
+    nonempty (n, 2) cell array, filed in the order that _refile on each of
+    its cells, in array order, would give.
 
     The region does not change while it is filed, so every visit to a cell
     gives the same verdict, the discards are no-ops, and each frontier
     lists its cells in the order of their first visit among (cell, +i, -i,
     +j, -j). Every visited cell outside the region neighbours the cell it
-    was visited from.
+    was visited from. The visits are the cell keys (_cell_keys) plus
+    (0, w, -w, 1, -1), so the first visit to each cell is the first index
+    of its key in that flat order. Only the frontier cells become tuples.
     """
-    visits = dict.fromkeys((i + di, j + dj) for i, j in region for di, dj in ((0, 0),) + _NEIGHBORS)
-    add, remove = [], []
-    for cell in visits:
-        if cell not in region:
-            add.append(cell)
-        else:
-            i, j = cell
-            if not ((i + 1, j) in region and (i - 1, j) in region and (i, j + 1) in region and (i, j - 1) in region):
-                remove.append(cell)
-    return _IndexedSet(add), _IndexedSet(remove)
+    keys, w, i0, j0 = _cell_keys(cells)
+    visits = (keys[:, None] + np.array([0, w, -w, 1, -1])).ravel()
+    _, first = np.unique(visits, return_index=True)
+    visited = visits[np.sort(first)]
+    held = np.isin(visited, keys)
+    kept = visited[held]
+    inner = np.isin(kept + w, keys) & np.isin(kept - w, keys) & np.isin(kept + 1, keys) & np.isin(kept - 1, keys)
+
+    def filed(q: np.ndarray) -> _IndexedSet:
+        return _IndexedSet(list(zip((q // w + i0).tolist(), (q % w + j0).tolist())))
+
+    return filed(visited[~held]), filed(kept[~inner])
+
+
+def _addition_is_feasible(
+    I: np.ndarray,
+    J: np.ndarray,
+    count: int,
+    cell: tuple[int, int],
+    caps: tuple[int, int],
+    witnesses: list[tuple[int, int, int, int, int]],
+) -> bool:
+    """Whether adding cell to the region of the cells (I[s], J[s]) for
+    s < count keeps every corner metric within diam_cap and makes no three
+    cells pairwise far, given caps = (diam_cap, far_cap) and a region that
+    already does both.
+
+    A new far triple must pass through the new cell, so the addition is
+    rejected iff a region cell lies beyond diam_cap from it, or two region
+    cells far from it are far from each other. Each rejection found by a
+    scan appends its witness to witnesses as (cap, ai, aj, bi, bj): a cell
+    beyond diam_cap is (diam_cap, a, a), and a far pair is (far_cap, a,
+    b). A later candidate beyond cap from both cells of a witness is
+    rejected without a scan, most recent witness first. That is exact
+    while every witness cell stays in the region: the caller clears
+    witnesses whenever it removes a cell.
+    """
+    diam_cap, far_cap = caps
+    ci, cj = cell
+    for cap, ai, aj, bi, bj in reversed(witnesses):
+        if _corner_k(ai - ci, aj - cj) > cap and _corner_k(bi - ci, bj - cj) > cap:
+            return False
+    I, J = I[:count], J[:count]
+    k = _corner_k(I - ci, J - cj)
+    top = int(k.argmax())
+    if k[top] > diam_cap:
+        ti, tj = int(I[top]), int(J[top])
+        witnesses.append((diam_cap, ti, tj, ti, tj))
+        return False
+    far = k > far_cap
+    if np.count_nonzero(far) < 2:
+        return True
+    fi, fj = I[far], J[far]
+    # two far cells are far from each other only if their bounding box is
+    if _corner_k(fi.max() - fi.min(), fj.max() - fj.min()) <= far_cap:
+        return True
+    # otherwise the farthest pair is among the rows' extreme cells
+    ri, rj = _row_extremes(fi, fj)
+    k = _corner_k(ri[:, None] - ri, rj[:, None] - rj)
+    a, b = divmod(int(k.argmax()), len(ri))
+    if k[a, b] <= far_cap:
+        return True
+    witnesses.append((far_cap, int(ri[a]), int(rj[a]), int(ri[b]), int(rj[b])))
+    return False
 
 
 def anneal(config: SearchConfig) -> SearchResult:
@@ -374,16 +459,21 @@ def anneal(config: SearchConfig) -> SearchResult:
     cell keeps both invariants exact. The result carries the post-hoc
     verification of _feasibility.
 
-    Three shortcuts leave the result unchanged. Whether an addition is
+    Four shortcuts leave the result unchanged. Whether an addition is
     feasible is monotone in the region: more cells only add far pairs and
     far triples. So a rejected cell stays rejected until a removal is
     accepted, and is not re-evaluated before then; the check draws no
-    random numbers. Two cells far from the new one are far from each other
-    only if the corner metric of the far cells' bounding box exceeds
-    far_cap, and otherwise the largest corner metric among the far cells
-    is taken over each row's two extreme cells (see _row_extremes). And
-    the loop stops once nothing can change: the removal probability is 0.0
-    (the temperature has underflowed it) and every frontier cell is
+    random numbers. By the same monotonicity a rejection's witness, the
+    region cell beyond diam_cap or the far pair that rejected it, rejects
+    every later candidate beyond the cap from it (from both cells of a
+    pair) for as long as its cells stay in the region, that is until a
+    removal is accepted; those candidates skip the scan
+    (_addition_is_feasible). Two cells far from the new one are far from
+    each other only if the corner metric of the far cells' bounding box
+    exceeds far_cap, and otherwise the largest corner metric among the far
+    cells is taken over each row's two extreme cells (see _row_extremes).
+    And the loop stops once nothing can change: the removal probability is
+    0.0 (the temperature has underflowed it) and every frontier cell is
     memo-rejected. The report still gives the requested iterations.
 
     Deterministic for a given config: the proposal stream is the draws of
@@ -412,8 +502,8 @@ def anneal(config: SearchConfig) -> SearchResult:
     J = np.empty_like(I)
     I[:count], J[:count] = seed.cells.T
 
-    add_frontier, remove_frontier = _seed_frontiers(slot_of)
-    diam_cap, far_cap = _caps(delta, h)
+    add_frontier, remove_frontier = _seed_frontiers(seed.cells)
+    caps = _caps(delta, h)
     moves = _MoveStream(config.seed)
     measure = count * h * h
     baseline_measure = best_measure = measure
@@ -421,24 +511,10 @@ def anneal(config: SearchConfig) -> SearchResult:
     at_best = True
     accepted = 0
     temperature = config.t0
-    # additions found infeasible since the last accepted removal
+    # additions found infeasible since the last accepted removal, and the
+    # region cells that showed it (see _addition_is_feasible)
     rejected: set[tuple[int, int]] = set()
-
-    def add_is_feasible(cell: tuple[int, int]) -> bool:
-        ci, cj = cell
-        k = _corner_k(I[:count] - ci, J[:count] - cj)
-        if int(k.max()) > diam_cap:
-            return False
-        # a new far triple must pass through the new cell: reject iff two
-        # cells far from it are also far from each other
-        far = k > far_cap
-        if np.count_nonzero(far) < 2:
-            return True
-        fi = I[:count][far]
-        fj = J[:count][far]
-        if _corner_k(fi.max() - fi.min(), fj.max() - fj.min()) <= far_cap:
-            return True
-        return _largest_k(fi, fj) <= far_cap
+    witnesses: list[tuple[int, int, int, int, int]] = []
 
     def apply_flip(cell: tuple[int, int], adding: bool) -> None:
         nonlocal count, I, J
@@ -471,7 +547,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         adding = not (len(remove_frontier) > 0 and count > 1) or bool(moves.integers(2))
         if adding:
             cell = add_frontier.choose(moves)
-            if cell in rejected or not add_is_feasible(cell):
+            if cell in rejected or not _addition_is_feasible(I, J, count, cell, caps, witnesses):
                 rejected.add(cell)
             else:
                 apply_flip(cell, adding=True)
@@ -488,6 +564,7 @@ def anneal(config: SearchConfig) -> SearchResult:
                     at_best = False
                 apply_flip(cell, adding=False)
                 rejected.clear()
+                witnesses.clear()
                 accepted += 1
         temperature *= config.cooling
 

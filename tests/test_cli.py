@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from isodiam import cli
+from isodiam.bounds import bound_profile
 from isodiam.geometry import Point, PointSet, save_points_csv
 from isodiam.poisoning import DensityPatch, PoisonStrategy
 from isodiam.regions import ArcSet, Disk, rasterize
@@ -123,6 +125,15 @@ def test_bounds_csv_and_svg(capsys, tmp_path):
     first = lines[1].split(",")
     assert first[3] == ""  # stmt3 not in force at delta = 2
     assert svg_path.read_text().startswith("<svg")
+
+
+def test_bounds_rows_are_the_profiles_as_dicts():
+    """The rows equal asdict of each profile, keys in field order, which
+    the CSV header follows."""
+    rows = cli._bounds_rows(1.0, 4.5, 40)
+    want = [dataclasses.asdict(bound_profile(1.0 + 3.5 * k / 39)) for k in range(40)]
+    assert rows == want
+    assert all(list(row) == list(w) for row, w in zip(rows, want))
 
 
 def test_bounds_rejects_bad_range(capsys):

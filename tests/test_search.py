@@ -4,13 +4,14 @@ import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cell_oracles import cell_set, corner_k, has_far_triple, inner_raster_cells, oracle_diam3_ok, oracle_diam_ok
-from isodiam import search
+from isodiam import diameters, search
 from isodiam.bounds import DISK_REGIME_MAX, stmt3_interior
 from isodiam.geometry import Point
 from isodiam.regions import PixelRegion, inner_raster, u_delta_measure, u_delta_shape
@@ -18,8 +19,11 @@ from isodiam.search import (
     _NEIGHBORS,
     InfeasibleStartError,
     SearchConfig,
+    _addition_is_feasible,
     _boundary_cells,
     _caps,
+    _corner_k,
+    _far_triangle_free,
     _feasibility,
     _IndexedSet,
     _largest_k,
@@ -223,6 +227,57 @@ def test_feasibility_refuses_too_many_boundary_cells():
         _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=0.001, cells=row), 10.0)
 
 
+def first_violating_ok(cells, h: float) -> bool:
+    """diam3_ok by the subset search of diameters over the boundary cells."""
+    boundary = _boundary_cells(np.array(sorted(cells), dtype=np.int64))
+    bi, bj = boundary.T
+    close = diameters._close_masks(_corner_k(bi[:, None] - bi, bj[:, None] - bj), _caps(3.0, h)[1])
+    return diameters._first_violating(close, len(boundary), 3, 2) is None
+
+
+U3_AT_H01 = frozenset(map(tuple, inner_raster(u_delta_shape(3.0), 0.1).cells.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(region_cells, st.floats(0.05, 1.4), st.sampled_from([1, 3, 512]))
+@example(frozenset({(0, 0), (11, 15), (-20, 0)}), 0.1, 512)  # k = 400 = far_cap + 1 on a pair
+@example(frozenset({(0, 0), (4, 4), (9, -4)}), 0.281, 512)  # k = 50 = far_cap on a pair
+@example(frozenset({(0, 0), (4, 5), (9, -4)}), 0.281, 512)
+@example(frozenset({(2, -3)}), 0.5, 512)  # one boundary cell, no edges
+@example(frozenset({(0, 0), (5, 5)}), 0.5, 512)  # two boundary cells, one far edge
+@example(frozenset({(0, 0), (0, 1)}), 1.5, 512)  # every pair far, a cell too: no triangle of two cells
+@example(frozenset({(0, 0), (5, -6), (5, 6), (10, 0), (15, 0)}), 0.2, 1)  # the first far edge is in no triangle
+@example(U3_AT_H01, 0.1, 512)  # 810 far edges, no far triangle
+@example(U3_AT_H01 | {(26, 0)}, 0.1, 512)
+def test_packed_verifier_equals_the_subset_search(cells, h, block):
+    """The far-triangle test over packed rows, in blocks of any size,
+    gives the verdict of the subset search and of the all-triples oracle."""
+    with mock.patch.object(diameters, "_BLOCK", block):
+        ok = _feasibility(PixelRegion(origin=Point(0.0, 0.0), h=h, cells=frozenset(cells)), 3.0).diam3_ok
+    assert ok == first_violating_ok(cells, h) == oracle_diam3_ok(cells, h)
+
+
+def test_packed_verifier_ties_and_blocks():
+    """The recorded cases of the test above hold what they say."""
+    tie = frozenset({(0, 0), (4, 4), (9, -4)})
+    assert int(corner_k({(0, 0), (4, 4)}).max()) == _caps(3.0, 0.281)[1] == 50
+    assert first_violating_ok(tie, 0.281) and not first_violating_ok(tie - {(4, 4)} | {(4, 5)}, 0.281)
+    h = 0.1
+    far_cap = _caps(3.0, h)[1]
+    boundary = _boundary_cells(np.array(sorted(U3_AT_H01), dtype=np.int64))
+    bi, bj = boundary.T
+    far = _corner_k(bi[:, None] - bi, bj[:, None] - bj) > far_cap
+    assert np.count_nonzero(np.triu(far, 1)) == 810 > diameters._BLOCK
+    assert _far_triangle_free(far) and not oracle_diam3_ok(U3_AT_H01 | {(26, 0)}, h)
+    assert _far_triangle_free(np.zeros((0, 0), dtype=bool)) and _far_triangle_free(np.zeros((1, 1), dtype=bool))
+    late = frozenset({(0, 0), (5, -6), (5, 6), (10, 0), (15, 0)})
+    # all five are boundary cells, in the sorted order of corner_k
+    assert len(_boundary_cells(np.array(sorted(late), dtype=np.int64))) == 5
+    far = corner_k(late) > _caps(3.0, 0.2)[1]
+    a, b = np.nonzero(np.triu(far, 1))
+    assert not (far[a[0]] & far[b[0]]).any() and not oracle_diam3_ok(late, 0.2)
+
+
 @pytest.mark.parametrize(
     "delta,h",
     [(3.0, 0.5), (3.0, 0.25), (2.5, 0.125), (3.0, 0.1), (2.8, 0.3), (3.6, 0.3), (2.8, 0.03), (3.0, 0.02)],
@@ -369,9 +424,9 @@ def refile_each(region) -> tuple[_IndexedSet, _IndexedSet]:
     return add, remove
 
 
-def assert_same_frontiers(region) -> None:
-    add, remove = _seed_frontiers(region)
-    want_add, want_remove = refile_each(region)
+def assert_same_frontiers(cells: np.ndarray) -> None:
+    add, remove = _seed_frontiers(cells)
+    want_add, want_remove = refile_each(dict.fromkeys(map(tuple, cells.tolist())))
     assert add._items == want_add._items
     assert remove._items == want_remove._items
     assert add._pos == want_add._pos and remove._pos == want_remove._pos
@@ -379,10 +434,91 @@ def assert_same_frontiers(region) -> None:
 
 @pytest.mark.parametrize("delta,h", [(3.0, 0.1), (2.5, 0.1), (3.6, 0.1), (2.8, 0.6), (2.6, 0.025), (3.0, 0.05)])
 def test_seed_frontiers_file_in_the_refile_order(delta, h):
-    assert_same_frontiers(dict.fromkeys(map(tuple, inner_raster(u_delta_shape(delta), h).cells.tolist())))
+    assert_same_frontiers(inner_raster(u_delta_shape(delta), h).cells)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=60, unique=True))
 def test_seed_frontiers_file_any_region_in_the_refile_order(cells):
-    assert_same_frontiers(dict.fromkeys(cells))
+    assert_same_frontiers(np.array(cells, dtype=np.int64))
+
+
+def witnessed_checks(h: float, delta: float, moves) -> tuple[int, int]:
+    """Run a stream of moves on a region grown from its first cell: an
+    (i, j) cell is checked for addition and added when feasible, and an
+    int removes the region cell it indexes. Every verdict, with the
+    witnesses gathered since the last removal, must equal the brute force
+    on the region with the cell. Returns the rejections and the scans."""
+    caps = _caps(delta, h)
+    region = [moves[0]]
+    witnesses = []
+    rejections = scans = 0
+    for move in moves[1:]:
+        if isinstance(move, int):
+            if len(region) > 1:
+                region.pop(move % len(region))
+                witnesses.clear()
+            continue
+        if move in region:
+            continue
+        # slots beyond count hold junk that a check must not read
+        idx = np.array(region + [(10**6, -(10**6))] * 3, dtype=np.int64)
+        before = len(witnesses)
+        got = _addition_is_feasible(idx[:, 0], idx[:, 1], len(region), move, caps, witnesses)
+        union = set(region) | {move}
+        assert got == (oracle_diam_ok(union, h, delta) and not has_far_triple(union, h))
+        if got:
+            region.append(move)
+        else:
+            rejections += 1
+            scans += len(witnesses) > before
+    return rejections, scans
+
+
+moves_strategy = st.lists(
+    st.one_of(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), st.integers(0, 50)), min_size=2, max_size=80
+).filter(lambda moves: isinstance(moves[0], tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moves_strategy, st.floats(0.15, 0.6), st.floats(1.0, 6.0))
+def test_move_check_with_witnesses_equals_the_brute_force(moves, h, delta):
+    witnessed_checks(h, delta, moves)
+
+
+def test_move_check_witnesses_decide_without_a_scan():
+    """Most rejections of a long stream come from a witness, and a witness
+    rejects a candidate without reading the region, here an empty one."""
+    stream = random.Random(7)
+    moves = [(0, 0)] + [(stream.randint(-7, 7), stream.randint(-7, 7)) for _ in range(300)]
+    rejections, scans = witnessed_checks(0.3, 3.0, moves)
+    assert scans < rejections / 2
+    h, caps = 0.5, _caps(3.0, 0.5)
+    assert caps == (36, 16)
+    none = np.empty(0, dtype=np.int64)
+    # a cell beyond diam_cap: k((0, 0), (5, 0)) = 37
+    region = np.array([[0, 0], [1, 0]])
+    witnesses = []
+    assert not _addition_is_feasible(region[:, 0], region[:, 1], 2, (5, 0), caps, witnesses)
+    assert witnesses == [(36, 0, 0, 0, 0)]
+    assert not _addition_is_feasible(none, none, 0, (5, 1), caps, witnesses)
+    # a far pair: (0, 0) and (4, 0) are far, and both are far from (2, 3)
+    region = np.array([[0, 0], [4, 0]])
+    witnesses = []
+    assert not _addition_is_feasible(region[:, 0], region[:, 1], 2, (2, 3), caps, witnesses)
+    assert sorted([witnesses[0][1:3], witnesses[0][3:]]) == [(0, 0), (4, 0)]
+    assert not _addition_is_feasible(none, none, 0, (2, 4), caps, witnesses)
+    assert not has_far_triple({(0, 0), (4, 0)}, h) and has_far_triple({(0, 0), (4, 0), (2, 4)}, h)
+
+
+def test_move_check_witness_goes_stale_on_removal():
+    """Removing the witness cell (0, 0) makes (5, 1) feasible: a kept
+    witness would still reject it, so removals clear them."""
+    caps = _caps(3.0, 0.5)
+    region = np.array([[0, 0], [1, 0]])
+    witnesses = []
+    assert not _addition_is_feasible(region[:, 0], region[:, 1], 2, (5, 0), caps, witnesses)
+    left = np.array([[1, 0]])
+    assert oracle_diam_ok({(1, 0), (5, 1)}, 0.5, 3.0) and not has_far_triple({(1, 0), (5, 1)}, 0.5)
+    assert not _addition_is_feasible(left[:, 0], left[:, 1], 1, (5, 1), caps, list(witnesses))
+    assert _addition_is_feasible(left[:, 0], left[:, 1], 1, (5, 1), caps, [])
