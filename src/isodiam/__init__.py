@@ -9,8 +9,7 @@ feasible sets, and a Monte Carlo model of the poisoned-pie puzzle that
 motivated the whole thing.
 """
 
-from .geometry import Disk, Point, PointSet, Triangle, TriangleKind
-from .geometry import circumcircle, distance, min_enclosing_circle, triangle_classify
+from .geometry import Disk, Point, PointSet, Triangle, circumcircle, distance, min_enclosing_circle
 from .diameters import (
     BudgetExceededError,
     TabCheckResult,
@@ -21,7 +20,7 @@ from .diameters import (
     triameter,
 )
 from .bounds import BoundProfile, bound_profile, circle_bound, crossover, gen_jung_radius, jung_radius
-from .regions import ArcSet, PixelRegion, arc_tab_check, minkowski_difference, rasterize, u_delta_shape
+from .regions import ArcSet, PixelRegion, arc_tab_check, rasterize, u_delta_shape
 from .search import InfeasibleStartError, SearchConfig, SearchResult, anneal, anneal_chains
 from .poisoning import PoisonConfig, PoisonStrategy, kill_probability, lethal_region
 
@@ -42,7 +41,6 @@ __all__ = [
     "SearchResult",
     "TabCheckResult",
     "Triangle",
-    "TriangleKind",
     "anneal",
     "anneal_chains",
     "arc_tab_check",
@@ -59,11 +57,9 @@ __all__ = [
     "kill_probability",
     "lethal_region",
     "min_enclosing_circle",
-    "minkowski_difference",
     "rasterize",
     "tab_check",
     "triameter",
-    "triangle_classify",
     "u_delta_shape",
     "__version__",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "circle_bound",
     "ta2_bound",
     "nb_of",
-    "max_triangle_area_in_disk",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -227,11 +226,3 @@ def nb_of(a: int, b: int) -> int:
     if not isinstance(b, int) or b < 2:
         raise ValueError(f"need integer b >= 2, got {b}")
     return (b - 1) * a - b + 2
-
-
-def max_triangle_area_in_disk(rho: float) -> float:
-    """Largest triangle area inside a disk of radius rho: equilateral with
-    side rho*sqrt(3), area (3*sqrt(3)/4)*rho^2."""
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    return 3.0 * math.sqrt(3.0) / 4.0 * rho * rho

@@ -249,8 +249,8 @@ def cmd_jung(ns: argparse.Namespace) -> int:
 def _bounds_rows(delta_min: float, delta_max: float, steps: int) -> list[dict]:
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if not (0.0 < delta_min < delta_max):
-        raise ValueError("need 0 < delta-min < delta-max")
+    if not (0.0 < delta_min < delta_max < math.inf):
+        raise ValueError(f"need 0 < --delta-min < --delta-max < inf, got {delta_min} and {delta_max}")
     rows = []
     for k in range(steps):
         delta = delta_min + (delta_max - delta_min) * k / (steps - 1)

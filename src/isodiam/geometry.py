@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -24,24 +23,17 @@ __all__ = [
     "Disk",
     "DiskUnion",
     "Triangle",
-    "TriangleKind",
     "distance",
     "circumcircle",
-    "triangle_classify",
     "min_enclosing_circle",
     "convex_hull_indices",
     "hull_diameter",
     "load_points_csv",
-    "save_points_csv",
 ]
 
 # A triangle counts as degenerate when twice its area is below this fraction
 # of the squared longest side.
 DEGENERACY_REL_TOL = 1e-12
-
-# A triangle is "right" when the cosine of its largest angle is within this
-# tolerance of zero (about 1e-9 radians at 90 degrees).
-RIGHT_ANGLE_COS_TOL = 1e-9
 
 # Containment slack used by the enclosing-circle routines, multiplicative on
 # the radius. Matches the usual practice for Welzl-style implementations.
@@ -129,13 +121,6 @@ class Triangle:
     a: Point
     b: Point
     c: Point
-
-
-class TriangleKind(Enum):
-    ACUTE = "acute"
-    RIGHT = "right"
-    OBTUSE = "obtuse"
-    DEGENERATE = "degenerate"
 
 
 class PointSet:
@@ -262,28 +247,6 @@ def circumcircle(t: Triangle) -> Disk | None:
     center = Point(ax + ux, ay + uy)
     radius = max(distance(center, t.a), distance(center, t.b), distance(center, t.c))
     return Disk(center, radius)
-
-
-def triangle_classify(t: Triangle) -> TriangleKind:
-    """Classify by the largest angle.
-
-    Right means the cosine of the largest angle lies within
-    RIGHT_ANGLE_COS_TOL of zero; degenerate triangles are detected first
-    with the area rule shared with circumcircle().
-    """
-    if _is_degenerate(t):
-        return TriangleKind.DEGENERATE
-    s1 = (t.a.x - t.b.x) ** 2 + (t.a.y - t.b.y) ** 2
-    s2 = (t.b.x - t.c.x) ** 2 + (t.b.y - t.c.y) ** 2
-    s3 = (t.c.x - t.a.x) ** 2 + (t.c.y - t.a.y) ** 2
-    s1, s2, s3 = sorted((s1, s2, s3))
-    # cos of the angle opposite the longest side
-    cos_largest = (s1 + s2 - s3) / (2.0 * math.sqrt(s1 * s2))
-    if abs(cos_largest) <= RIGHT_ANGLE_COS_TOL:
-        return TriangleKind.RIGHT
-    if cos_largest < 0.0:
-        return TriangleKind.OBTUSE
-    return TriangleKind.ACUTE
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +462,7 @@ def hull_diameter(coords: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# CSV input
 # ---------------------------------------------------------------------------
 
 
@@ -531,7 +494,3 @@ def load_points_csv(path: str | Path) -> PointSet:
         k, why = _refusal(np.array(pairs))
         raise ValueError(f"{path}:{linenos[k]}: {why}") from None
 
-
-def save_points_csv(s: PointSet, path: str | Path) -> None:
-    lines = [f"{p.x!r},{p.y!r}" for p in s]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -48,7 +48,6 @@ __all__ = [
     "PoisonConfig",
     "KillReport",
     "validate_strategy",
-    "is_lethal",
     "kill_probability",
     "lethal_region",
 ]
@@ -58,9 +57,9 @@ _CHUNK = 8192  # pairs per sub-draw of a batch (see _batch_hits)
 _PENDING = 2048  # _SLOW pairs gathered before they are scored (see _batch_hits)
 _TABLE = 128  # cells per side of the verdict table (see _VerdictTable)
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
-# total and placement in validate_strategy, the bite center in is_lethal,
-# and the dose in _is_lethal_dose, so that k masses of 1/k g, which sum to
-# 1 - 1e-16 for k = 6, kill like the 1 g they were validated as.
+# total and placement in validate_strategy, and the dose in _is_lethal_dose,
+# so that k masses of 1/k g, which sum to 1 - 1e-16 for k = 6, kill like
+# the 1 g they were validated as.
 _TOL = 1e-9
 _SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the table's cells
 _OUT, _SLOW, _IN_SAFE, _IN_LETHAL = 0, 1, 2, 3  # codes of the table's cells for the Monte Carlo
@@ -362,17 +361,6 @@ def _dose_at(
 def _is_lethal_dose(dose: np.ndarray, config: PoisonConfig) -> np.ndarray:
     """Which doses kill: at least the lethal dose, up to _TOL."""
     return dose >= config.lethal_dose - _TOL
-
-
-def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
-    """Does the bite centered at p ingest at least the lethal dose?
-
-    p must lie in the closed sampling disk of radius R - 1.
-    """
-    if math.hypot(p.x, p.y) > config.R - 1.0 + _TOL:
-        raise ValueError(f"bite center ({p.x}, {p.y}) outside the disk of radius {config.R - 1}")
-    dose = _dose_at(strategy, _patch_rows(strategy), np.array([p.x]), np.array([p.y]))
-    return bool(_is_lethal_dose(dose, config)[0])
 
 
 class _VerdictTable:

@@ -39,7 +39,6 @@ __all__ = [
     "u_delta_measure",
     "region_diam",
     "region_diam3_sampled",
-    "minkowski_difference",
     "ArcSet",
     "ArcCheckResult",
     "arc_measure",
@@ -377,36 +376,6 @@ def region_diam3_sampled(r: PixelRegion) -> float:
     take = np.random.default_rng(0).integers(0, len(centers), size=2000)
     pts = np.concatenate([centers[take], _corner_hull(r)], axis=0)
     return diameters.diam3(PointSet.from_xy(pts))
-
-
-def minkowski_difference(r: PixelRegion) -> PixelRegion:
-    """Cell-index difference set {c1 - c2} at the same pitch, origin-anchored.
-
-    This is the grid-level stand-in for the pointwise difference body
-    S - S: its measure |diff| * h^2 tracks lambda_2(S - S) to within a
-    boundary term. The support is found by correlating the indicator grid
-    with itself, by numpy's real FFT at the full (2w - 1, 2v - 1) size, so
-    nothing wraps around; counts are integers and the rounding error is far
-    below one half, so thresholding at one half is exact.
-    Symmetric under index negation by construction. The difference of an
-    empty region is empty.
-    """
-    idx = r.cells
-    if len(idx) == 0:
-        return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=idx)
-    i_min, j_min = idx.min(axis=0)
-    i_max, j_max = idx.max(axis=0)
-    w = int(i_max - i_min) + 1
-    v = int(j_max - j_min) + 1
-    grid = np.zeros((w, v), dtype=np.float64)
-    grid[idx[:, 0] - i_min, idx[:, 1] - j_min] = 1.0
-    shape = (2 * w - 1, 2 * v - 1)
-    spectrum = np.fft.rfft2(grid, shape) * np.fft.rfft2(grid[::-1, ::-1], shape)
-    corr = np.fft.irfft2(spectrum, shape)
-    di, dj = np.nonzero(corr > 0.5)
-    cells = np.column_stack([di - (w - 1), dj - (v - 1)])
-    cells.flags.writeable = False
-    return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=cells)
 
 
 # ---------------------------------------------------------------------------

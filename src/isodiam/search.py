@@ -35,7 +35,6 @@ __all__ = [
     "best_known_measure",
     "anneal",
     "anneal_chains",
-    "convex_candidate_measure",
 ]
 
 
@@ -129,22 +128,6 @@ def best_known_measure(delta: float) -> float:
     """The largest measure among the candidates at this diameter:
     max(U_delta, 4*pi/3) in the window 4/sqrt(3) < delta < 4."""
     return max(row.measure for row in evaluate_candidates(delta))
-
-
-def convex_candidate_measure(delta: float) -> float:
-    """Area of the convex hull of a unit disk and a concentric segment of
-    length delta (the conjectured convex extremal).
-
-    With L = delta/2 the hull adds two tangent caps to the disk:
-    pi + 2*(sqrt(L^2 - 1) - acos(1/L)). Requires delta >= 2; below that
-    the segment hides inside the disk and the shape degenerates.
-    """
-    if not (math.isfinite(delta) and delta >= 2.0):
-        raise ValueError(f"convex candidate needs delta >= 2, got {delta}")
-    half = delta / 2.0
-    if half == 1.0:
-        return math.pi
-    return math.pi + 2.0 * (math.sqrt(half * half - 1.0) - math.acos(1.0 / half))
 
 
 class _IndexedSet:

@@ -4,6 +4,8 @@ PixelRegion holds its cells as a sorted int64 array. These helpers answer
 the same questions from a plain set of (i, j) tuples, by brute force, so
 the tests can check the array code against them. `in` on an array tests
 single coordinates, not cells, so membership goes through cell_set.
+minkowski_difference is the one that returns a PixelRegion: it finds the
+difference set by FFT correlation, for rasters too large for difference.
 """
 
 import itertools
@@ -12,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from isodiam.geometry import convex_hull_indices
+from isodiam.geometry import Point, convex_hull_indices
+from isodiam.regions import PixelRegion
 from isodiam.search import _NEIGHBORS
 
 
@@ -50,6 +53,36 @@ def region_diam(origin, h: float, cells: frozenset) -> float:
 
 def difference(cells: frozenset) -> frozenset:
     return frozenset((i1 - i2, j1 - j2) for i1, j1 in cells for i2, j2 in cells)
+
+
+def minkowski_difference(r: PixelRegion) -> PixelRegion:
+    """Cell-index difference set {c1 - c2} at the same pitch, origin-anchored.
+
+    This is the grid-level stand-in for the pointwise difference body
+    S - S: its measure |diff| * h^2 tracks lambda_2(S - S) to within a
+    boundary term. The support is found by correlating the indicator grid
+    with itself, by numpy's real FFT at the full (2w - 1, 2v - 1) size, so
+    nothing wraps around; counts are integers and the rounding error is far
+    below one half, so thresholding at one half is exact.
+    Symmetric under index negation by construction. The difference of an
+    empty region is empty.
+    """
+    idx = r.cells
+    if len(idx) == 0:
+        return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=idx)
+    i_min, j_min = idx.min(axis=0)
+    i_max, j_max = idx.max(axis=0)
+    w = int(i_max - i_min) + 1
+    v = int(j_max - j_min) + 1
+    grid = np.zeros((w, v), dtype=np.float64)
+    grid[idx[:, 0] - i_min, idx[:, 1] - j_min] = 1.0
+    shape = (2 * w - 1, 2 * v - 1)
+    spectrum = np.fft.rfft2(grid, shape) * np.fft.rfft2(grid[::-1, ::-1], shape)
+    corr = np.fft.irfft2(spectrum, shape)
+    di, dj = np.nonzero(corr > 0.5)
+    cells = np.column_stack([di - (w - 1), dj - (v - 1)])
+    cells.flags.writeable = False
+    return PixelRegion(origin=Point(0.0, 0.0), h=r.h, cells=cells)
 
 
 def corner_k(cells) -> np.ndarray:

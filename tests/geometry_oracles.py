@@ -1,4 +1,5 @@
-"""Per-point oracles for the array fast paths of geometry and diameters.
+"""Per-point oracles for the array fast paths of geometry, diameters and
+poisoning, and the CSV writer for point-set fixtures.
 
 convex_hull_indices reads numpy scalars one at a time, min_enclosing_circle
 tests every point with Disk.contains and builds every circumcircle, diam3
@@ -6,17 +7,22 @@ sorts the pairs of the whole set above a stride-sample floor, and
 triameter makes one pass per pair of hull vertices. These
 are the routines the fast paths replaced, kept as they were so the tests
 can require equal results, not close ones. diam3_brute takes the maximum
-over all triples directly.
+over all triples directly. is_lethal scores one bite by its exact dose,
+the verdict that the Monte Carlo's table must reproduce. save_points_csv
+writes what load_points_csv reads.
 """
 
 import itertools
+import math
 import random
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from isodiam.diameters import _PREFILTER_MIN, _SUBSAMPLE, _first_triangle_d2
 from isodiam.geometry import Disk, Point, PointSet, Triangle, _circle_two, circumcircle
+from isodiam.poisoning import _TOL, PoisonConfig, PoisonStrategy, _dose_at, _is_lethal_dose, _patch_rows
 
 
 def convex_hull_indices(coords: np.ndarray) -> list[int]:
@@ -152,3 +158,19 @@ def triameter(s: PointSet) -> float:
             if peak > best:
                 best = peak
     return best / 2.0
+
+
+def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
+    """Does the bite centered at p ingest at least the lethal dose?
+
+    p must lie in the closed sampling disk of radius R - 1, up to _TOL.
+    """
+    if math.hypot(p.x, p.y) > config.R - 1.0 + _TOL:
+        raise ValueError(f"bite center ({p.x}, {p.y}) outside the disk of radius {config.R - 1}")
+    dose = _dose_at(strategy, _patch_rows(strategy), np.array([p.x]), np.array([p.y]))
+    return bool(_is_lethal_dose(dose, config)[0])
+
+
+def save_points_csv(s: PointSet, path: str | Path) -> None:
+    lines = [f"{p.x!r},{p.y!r}" for p in s]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

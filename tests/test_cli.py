@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geometry_oracles import save_points_csv
 from isodiam import cli
 from isodiam.bounds import bound_profile
-from isodiam.geometry import Point, PointSet, save_points_csv
+from isodiam.geometry import Point, PointSet
 from isodiam.poisoning import DensityPatch, PoisonStrategy
 from isodiam.regions import ArcSet, Disk, rasterize
 
@@ -138,7 +139,14 @@ def test_bounds_rows_are_the_profiles_as_dicts():
 
 def test_bounds_rejects_bad_range(capsys):
     assert cli.run(["bounds", "--delta-min", "3.0", "--delta-max", "2.0"]) == 2
+    assert capsys.readouterr().err == "error: need 0 < --delta-min < --delta-max < inf, got 3.0 and 2.0\n"
     assert cli.run(["bounds", "--delta-min", "1.0", "--delta-max", "2.0", "--steps", "1"]) == 2
+    assert capsys.readouterr().err == "error: steps must be at least 2\n"
+    # an infinite end would reach bound_profile as delta_min + inf * 0 = nan
+    for command in ("bounds", "conjecture"):
+        for lo, hi in (("1.0", "inf"), ("inf", "inf"), ("nan", "3.0")):
+            assert cli.run([command, "--delta-min", lo, "--delta-max", hi]) == 2
+            assert capsys.readouterr().err == f"error: need 0 < --delta-min < --delta-max < inf, got {lo} and {hi}\n"
 
 
 def test_search_report_and_region(capsys, tmp_path):

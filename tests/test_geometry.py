@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geometry_oracles import save_points_csv
 from isodiam.geometry import (
     Disk,
     Point,
     PointSet,
     Triangle,
-    TriangleKind,
     _circle_two,
     circumcircle,
     convex_hull_indices,
     distance,
     load_points_csv,
     min_enclosing_circle,
-    save_points_csv,
-    triangle_classify,
 )
 
 # a PointSet refuses nonzero coordinates of magnitude below 2^-250
@@ -95,19 +93,6 @@ def test_circumcircle_far_from_origin():
     circ = circumcircle(Triangle(Point(off, off), Point(off + 4, off), Point(off, off + 3)))
     assert circ is not None
     assert circ.radius == pytest.approx(2.5, rel=1e-9)
-
-
-@pytest.mark.parametrize(
-    "tri,kind",
-    [
-        (Triangle(Point(0, 0), Point(2, 0), Point(1, 2)), TriangleKind.ACUTE),
-        (Triangle(Point(0, 0), Point(4, 0), Point(0, 3)), TriangleKind.RIGHT),
-        (Triangle(Point(0, 0), Point(4, 0), Point(0.5, 0.3)), TriangleKind.OBTUSE),
-        (Triangle(Point(0, 0), Point(1, 0), Point(2, 0)), TriangleKind.DEGENERATE),
-    ],
-)
-def test_triangle_classify(tri, kind):
-    assert triangle_classify(tri) is kind
 
 
 def test_mec_two_points():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cell_oracles import cell_set
+from geometry_oracles import is_lethal
 from isodiam import cli, poisoning
 from isodiam.geometry import Point
 from isodiam.poisoning import (
@@ -28,7 +29,6 @@ from isodiam.poisoning import (
     PointMass,
     PoisonConfig,
     PoisonStrategy,
-    is_lethal,
     kill_probability,
     lethal_region,
     validate_strategy,

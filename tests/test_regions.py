@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cell_oracles import cell_set, inner_raster_cells
+from cell_oracles import cell_set, inner_raster_cells, minkowski_difference
 from isodiam.geometry import DiskUnion, Point, convex_hull_indices
 from isodiam.regions import (
     ArcSet,
@@ -22,7 +22,6 @@ from isodiam.regions import (
     arc_tab_check,
     inner_raster,
     lens_area,
-    minkowski_difference,
     rasterize,
     region_diam,
     region_diam3_sampled,

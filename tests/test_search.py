@@ -33,11 +33,9 @@ from isodiam.search import (
     _seed_frontiers,
     anneal,
     anneal_chains,
-    convex_candidate_measure,
     evaluate_candidates,
 )
 
-CONVEX_CANDIDATE_AT_3 = 3.695523289953722  # pi + 2*(sqrt(5)/2 - acos(2/3))
 
 
 def test_config_defaults():
@@ -76,14 +74,6 @@ def test_candidates_wide():
     rows = {r.name: r for r in evaluate_candidates(4.5)}
     assert rows["two_unit_disks"].measure == pytest.approx(2 * math.pi)
     assert "u_delta" not in rows
-
-
-def test_convex_candidate_measure():
-    assert convex_candidate_measure(2.0) == pytest.approx(math.pi, abs=1e-12)
-    assert convex_candidate_measure(3.0) == pytest.approx(CONVEX_CANDIDATE_AT_3, abs=1e-12)
-    assert convex_candidate_measure(3.5) > convex_candidate_measure(3.0)
-    with pytest.raises(ValueError):
-        convex_candidate_measure(1.9)
 
 
 def test_anneal_window_guard():
