@@ -9,7 +9,7 @@ feasible sets, and a Monte Carlo model of the poisoned-pie puzzle that
 motivated the whole thing.
 """
 
-from .geometry import Disk, Point, PointSet, Triangle, circumcircle, distance, min_enclosing_circle
+from .geometry import Disk, DiskUnion, Point, PointSet, circumcircle, distance, min_enclosing_circle
 from .diameters import (
     BudgetExceededError,
     TabCheckResult,
@@ -31,6 +31,7 @@ __all__ = [
     "BoundProfile",
     "BudgetExceededError",
     "Disk",
+    "DiskUnion",
     "InfeasibleStartError",
     "PixelRegion",
     "Point",
@@ -40,7 +41,6 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "TabCheckResult",
-    "Triangle",
     "anneal",
     "anneal_chains",
     "arc_tab_check",

@@ -7,8 +7,9 @@ from the clock unless pinned via ``--timestamp`` or the
 ``ISODIAM_TIMESTAMP`` environment variable.
 
 Exit codes: 0 on success, 2 on bad input, overflowing input included, 3
-when a computation refuses to start (subset budget exceeded, raster over
-its cell cap, infeasible search seed) or runs out of memory.
+when a computation refuses to start (subset budget exceeded, raster, pair
+or triple count over its cap, infeasible search seed) or runs out of
+memory.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import chain
 from . import __version__
 from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
 from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, tab_check, triameter
-from .geometry import Disk, Point, PointSet, load_points_csv, min_enclosing_circle
+from .geometry import Disk, DiskUnion, Point, PointSet, load_points_csv, min_enclosing_circle
 from .poisoning import (
     PointMass,
     PoisonConfig,
@@ -285,7 +286,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
         h=ns.h,
         iterations=ns.iterations,
         seed=ns.seed,
-        cooling=ns.cooling,
     )
     result = anneal_chains(config, chains=ns.chains)
     if ns.region_out:
@@ -375,7 +375,7 @@ def cmd_poison(ns: argparse.Namespace) -> int:
                 fh.write(
                     svgplot.region_svg(
                         region,
-                        outline=Disk(center=Point(0.0, 0.0), radius=config.R - 1.0),
+                        outline=DiskUnion(((0.0, 0.0, config.R - 1.0),)),
                         title=f"lethal region R={config.R}",
                     )
                 )
@@ -469,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--iterations", type=int, default=10_000)
-    p.add_argument("--cooling", type=float, default=0.9995)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--threads", type=int, default=1, choices=(1,), help=_ONE_THREAD)
     p.add_argument("--region-out", help="save the best region as JSON")

@@ -150,6 +150,11 @@ _BAND = 64
 # nearly all equally long.
 _MAX_PAIRS = 25_000_000
 
+# Cap on the hull-vertex triples triameter measures: up to 1,145 vertices,
+# about 3 s. Points in general position have few hull vertices, but points
+# on a circle are all vertices.
+_MAX_TRIPLES = 250_000_000
+
 
 def _check_pairs(what: str, n: int) -> None:
     """Raise MemoryError, before anything is built, when n items have more
@@ -366,7 +371,8 @@ def triameter(s: PointSet) -> float:
 
     A maximal-area triangle has its vertices on the convex hull, so only
     hull vertices are enumerated: for each first vertex i, one pass over
-    the m^2 block of cross products of the later vertices j and k.
+    the m^2 block of cross products of the later vertices j and k. A hull
+    of more than _MAX_TRIPLES triples raises MemoryError before the first.
     """
     coords = s.to_array()
     if len(coords) < 3:
@@ -374,6 +380,11 @@ def triameter(s: PointSet) -> float:
     hull = convex_hull_indices(coords)
     if len(hull) < 3:
         return 0.0
+    triples = comb(len(hull), 3)
+    if triples > _MAX_TRIPLES:
+        raise MemoryError(
+            f"triameter of {len(hull)} hull vertices needs {triples} triples, more than the cap of {_MAX_TRIPLES}"
+        )
     pts = coords[hull]
     best = 0.0
     for i in range(len(pts) - 2):

@@ -1,4 +1,4 @@
-"""Exact planar primitives: points, disks, triangles, enclosing circles.
+"""Exact planar primitives: points, disks, disk unions, enclosing circles.
 
 Everything in this module is a pure function over immutable values.
 Coordinates are float64 throughout and all tolerances are documented at the
@@ -22,7 +22,6 @@ __all__ = [
     "PointSet",
     "Disk",
     "DiskUnion",
-    "Triangle",
     "distance",
     "circumcircle",
     "min_enclosing_circle",
@@ -65,6 +64,7 @@ class Point:
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
+@dataclass(frozen=True)
 class DiskUnion:
     """A union of closed disks, given by its circles (cx, cy, r): the shape
     that regions rasterizes and svgplot outlines."""
@@ -89,8 +89,9 @@ class DiskUnion:
 
 
 @dataclass(frozen=True)
-class Disk(DiskUnion):
-    """A closed disk with center and nonnegative radius."""
+class Disk:
+    """A closed disk with center and nonnegative radius: the circle that
+    min_enclosing_circle and circumcircle return."""
 
     center: Point
     radius: float
@@ -102,25 +103,6 @@ class Disk(DiskUnion):
     def contains(self, p: Point) -> bool:
         """Closed containment with multiplicative slack on the radius."""
         return distance(self.center, p) <= self.radius * _CONTAINS_EPS
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius**2
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    @property
-    def circles(self) -> tuple[tuple[float, float, float], ...]:
-        return ((self.center.x, self.center.y, self.radius),)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    a: Point
-    b: Point
-    c: Point
 
 
 class PointSet:
@@ -215,37 +197,37 @@ def _twice_area(a: Point, b: Point, c: Point) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y))
 
 
-def _is_degenerate(t: Triangle) -> bool:
+def _is_degenerate(a: Point, b: Point, c: Point) -> bool:
     longest_sq = max(
-        (t.a.x - t.b.x) ** 2 + (t.a.y - t.b.y) ** 2,
-        (t.b.x - t.c.x) ** 2 + (t.b.y - t.c.y) ** 2,
-        (t.c.x - t.a.x) ** 2 + (t.c.y - t.a.y) ** 2,
+        (a.x - b.x) ** 2 + (a.y - b.y) ** 2,
+        (b.x - c.x) ** 2 + (b.y - c.y) ** 2,
+        (c.x - a.x) ** 2 + (c.y - a.y) ** 2,
     )
     if longest_sq == 0.0:  # all three vertices coincide
         return True
-    return _twice_area(t.a, t.b, t.c) < DEGENERACY_REL_TOL * longest_sq
+    return _twice_area(a, b, c) < DEGENERACY_REL_TOL * longest_sq
 
 
-def circumcircle(t: Triangle) -> Disk | None:
-    """Circle through the three vertices, or None for a degenerate triangle.
+def circumcircle(a: Point, b: Point, c: Point) -> Disk | None:
+    """Circle through the three points, or None for a degenerate triangle.
 
     Degeneracy rule: twice the area below DEGENERACY_REL_TOL times the squared
     longest side. The center is computed from the perpendicular-bisector
-    linear system after translating vertex a to the origin, which keeps the
+    linear system after translating a to the origin, which keeps the
     arithmetic well scaled for distant triangles.
     """
-    if _is_degenerate(t):
+    if _is_degenerate(a, b, c):
         return None
-    ax, ay = t.a.x, t.a.y
-    bx, by = t.b.x - ax, t.b.y - ay
-    cx, cy = t.c.x - ax, t.c.y - ay
+    ax, ay = a.x, a.y
+    bx, by = b.x - ax, b.y - ay
+    cx, cy = c.x - ax, c.y - ay
     d = 2.0 * (bx * cy - by * cx)
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
     center = Point(ax + ux, ay + uy)
-    radius = max(distance(center, t.a), distance(center, t.b), distance(center, t.c))
+    radius = max(distance(center, a), distance(center, b), distance(center, c))
     return Disk(center, radius)
 
 
@@ -375,10 +357,10 @@ def _mec_with_two(x: np.ndarray, y: np.ndarray, p: Point, q: Point) -> Disk:
     tol = DEGENERACY_REL_TOL * np.maximum(np.maximum(b2, qx * qx + qy * qy), c2)
     flat = twice_area < tol * (1 - _MARGIN)
     unsure = np.flatnonzero(~flat & (twice_area < tol * (1 + _MARGIN)))
-    flat[unsure] = [_is_degenerate(Triangle(p, q, _point(x, y, k))) for k in idx[unsure].tolist()]
+    flat[unsure] = [_is_degenerate(p, q, _point(x, y, k)) for k in idx[unsure].tolist()]
     keep = ~flat
     idx, rx, ry, c2, cross = idx[keep], rx[keep], ry[keep], c2[keep], cross[keep]
-    # circumcircle(Triangle(p, q, r)) with a = p, b = q, c = r, whose
+    # circumcircle(p, q, r) with a = p, b = q, c = r, whose
     # d is 2 * cross; the loop takes ccross on the centre (px + ux, py + uy)
     d = 2.0 * cross
     ux = (ry * b2 - dy * c2) / d
@@ -389,7 +371,7 @@ def _mec_with_two(x: np.ndarray, y: np.ndarray, p: Point, q: Point) -> Disk:
         k = np.flatnonzero(side)
         if not len(k):
             return None
-        return circumcircle(Triangle(p, q, _point(x, y, int(idx[k[best(ccross[k])]]))))
+        return circumcircle(p, q, _point(x, y, int(idx[k[best(ccross[k])]])))
 
     # the smaller of the two side circles, the left one on a tie
     sides = [c for c in (circle(cross > 0.0, np.argmax), circle(cross < 0.0, np.argmin)) if c is not None]

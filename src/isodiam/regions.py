@@ -1,4 +1,4 @@
-"""Pixel regions, analytic shapes, and circle-restricted arc sets.
+"""Pixel regions, the U_delta shape, and circle-restricted arc sets.
 
 A PixelRegion is a finite set of grid cells of pitch h anchored at an
 origin: cell (i, j) covers [ox + i*h, ox + (i+1)*h] x [oy + j*h, oy + (j+1)*h].
@@ -25,13 +25,10 @@ import numpy as np
 
 from . import diameters
 from .bounds import CIRCLE_LEMMA_MIN_RADIUS, TWO_PI
-from .geometry import Disk, DiskUnion, Point, PointSet, convex_hull_indices, hull_diameter
+from .geometry import DiskUnion, Point, PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
     "PixelRegion",
-    "Disk",
-    "TwoDisksUnion",
-    "DisjointDisks",
     "rasterize",
     "inner_raster",
     "lens_area",
@@ -44,74 +41,6 @@ __all__ = [
     "arc_measure",
     "arc_tab_check",
 ]
-
-# ---------------------------------------------------------------------------
-# Analytic shapes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoDisksUnion(DiskUnion):
-    """Union of two unit disks with centers (±d/2, 0).
-
-    For 0 <= d < 2 the disks overlap and the area is 2*pi minus the lens;
-    for d >= 2 they are disjoint (tangent at d = 2) with area 2*pi. The
-    diameter is d + 2. With d = delta - 2 this is the candidate U_delta
-    for the window 4/sqrt(3) < delta < 4.
-    """
-
-    d: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d) and self.d >= 0.0):
-            raise ValueError(f"center distance must be finite and >= 0, got {self.d}")
-
-    @property
-    def area(self) -> float:
-        if self.d >= 2.0:
-            return TWO_PI
-        return TWO_PI - lens_area(self.d)
-
-    @property
-    def diameter(self) -> float:
-        return self.d + 2.0
-
-    @property
-    def circles(self) -> tuple[tuple[float, float, float], ...]:
-        half = self.d / 2.0
-        return ((-half, 0.0, 1.0), (half, 0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class DisjointDisks(DiskUnion):
-    """count unit disks with centers spaced `spacing` apart on the x axis.
-
-    spacing must exceed 4 so that all pairwise center distances exceed 4,
-    the configuration realizing the T(a,2) extremal measure (a-1)*pi with
-    count = a - 1 disks.
-    """
-
-    count: int
-    spacing: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.count, int) and self.count >= 1):
-            raise ValueError(f"count must be a positive integer, got {self.count}")
-        if not (math.isfinite(self.spacing) and self.spacing > 4.0):
-            raise ValueError(f"spacing must exceed 4, got {self.spacing}")
-
-    @property
-    def area(self) -> float:
-        return self.count * math.pi
-
-    @property
-    def diameter(self) -> float:
-        return (self.count - 1) * self.spacing + 2.0
-
-    @property
-    def circles(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((k * self.spacing, 0.0, 1.0) for k in range(self.count))
-
 
 # ---------------------------------------------------------------------------
 # Pixel regions
@@ -318,16 +247,24 @@ def lens_area(d: float) -> float:
     return 2.0 * math.acos(d / 2.0) - (d / 2.0) * math.sqrt(4.0 - d * d)
 
 
-def u_delta_shape(delta: float) -> TwoDisksUnion:
-    """The two-unit-disk union of diameter delta, for 2 < delta < 4."""
+def _u_delta_gap(delta: float) -> float:
+    """delta - 2, the distance of U_delta's unit-disk centres, for
+    2 < delta < 4."""
     if not (math.isfinite(delta) and 2.0 < delta < 4.0):
         raise ValueError(f"u_delta needs 2 < delta < 4, got {delta}")
-    return TwoDisksUnion(delta - 2.0)
+    return delta - 2.0
+
+
+def u_delta_shape(delta: float) -> DiskUnion:
+    """U_delta: the union of the unit disks centred at (+-(delta - 2)/2, 0),
+    of diameter delta."""
+    half = _u_delta_gap(delta) / 2.0
+    return DiskUnion(((-half, 0.0, 1.0), (half, 0.0, 1.0)))
 
 
 def u_delta_measure(delta: float) -> float:
     """Measure 2*pi - lens_area(delta - 2) of the candidate U_delta."""
-    return u_delta_shape(delta).area
+    return TWO_PI - lens_area(_u_delta_gap(delta))
 
 
 def _row_extreme_corners(r: PixelRegion) -> np.ndarray:

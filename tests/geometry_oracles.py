@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from isodiam.diameters import _PREFILTER_MIN, _SUBSAMPLE, _first_triangle_d2
-from isodiam.geometry import Disk, Point, PointSet, Triangle, _circle_two, circumcircle
+from isodiam.geometry import Disk, Point, PointSet, _circle_two, circumcircle
 from isodiam.poisoning import _TOL, PoisonConfig, PoisonStrategy, _dose_at, _is_lethal_dose, _patch_rows
 
 
@@ -94,7 +94,7 @@ def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
         if circ.contains(r):
             continue
         cross = dx * (r.y - py) - dy * (r.x - px)
-        c = circumcircle(Triangle(p, q, r))
+        c = circumcircle(p, q, r)
         if c is None:
             continue
         ccross = dx * (c.center.y - py) - dy * (c.center.x - px)

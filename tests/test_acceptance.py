@@ -26,20 +26,19 @@ from isodiam.bounds import (
     gen_jung_radius,
     stmt3_interior,
     symmetric_interior,
+    ta2_bound,
 )
 from isodiam.diameters import diam, diam3
 from isodiam.geometry import (
+    DiskUnion,
     Point,
     PointSet,
-    Triangle,
     circumcircle,
     min_enclosing_circle,
 )
 from isodiam.poisoning import PointMass, PoisonConfig, PoisonStrategy, kill_probability, lethal_region
 from isodiam.regions import (
     ArcSet,
-    Disk,
-    DisjointDisks,
     PixelRegion,
     arc_measure,
     arc_tab_check,
@@ -79,8 +78,7 @@ def test_02_isosceles_circumradius_matches_closed_form():
         delta = float(rng.uniform(0.5, 6.0))
         tau = delta * float(rng.uniform(0.05, 1.0))
         apex_h = math.sqrt(delta * delta - tau * tau / 4.0)
-        tri = Triangle(Point(-tau / 2.0, 0.0), Point(tau / 2.0, 0.0), Point(0.0, apex_h))
-        disk = circumcircle(tri)
+        disk = circumcircle(Point(-tau / 2.0, 0.0), Point(tau / 2.0, 0.0), Point(0.0, apex_h))
         assert disk is not None
         assert disk.radius == pytest.approx(gen_jung_radius(delta, tau), abs=1e-9)
 
@@ -134,7 +132,7 @@ def test_05_extremal_rasters_have_expected_measure_and_pass_checks():
     lie within 2 of each other.
     """
     h = 0.01
-    disk = inner_raster(Disk(Point(0.0, 0.0), DISK_REGIME_MAX / 2.0), h)
+    disk = inner_raster(DiskUnion(((0.0, 0.0, DISK_REGIME_MAX / 2.0),)), h)
     assert 4.0 * math.pi / 3.0 - SQRT2 * h * TWO_PI * DISK_REGIME_MAX / 2.0 <= disk.measure <= 4.0 * math.pi / 3.0
     starts = disk.row_starts
     first, last = disk.cells[starts[:-1]], disk.cells[starts[1:] - 1]
@@ -144,8 +142,8 @@ def test_05_extremal_rasters_have_expected_measure_and_pass_checks():
     _, far_cap = _caps(2.0, h)
     # a = 3 is the pair of far disks
     for a in (3, 4, 5):
-        chain = inner_raster(DisjointDisks(count=a - 1, spacing=5.0), h)
-        area = (a - 1) * math.pi
+        chain = inner_raster(DiskUnion(tuple((5.0 * k, 0.0, 1.0) for k in range(a - 1))), h)
+        area = ta2_bound(a)
         assert area - SQRT2 * h * (a - 1) * TWO_PI <= chain.measure <= area
         # the disks' cells, split where a row is skipped
         i = chain.cells[:, 0]
@@ -230,7 +228,7 @@ def test_08_difference_body_inequality_on_disk_unions():
         diff = minkowski_difference(region)
         assert diff.measure >= 4.0 * region.measure - 10.0 * h * perimeter
 
-    unit = rasterize(Disk(Point(0.0, 0.0), 1.0), h)
+    unit = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), h)
     ratio = minkowski_difference(unit).measure / (4.0 * unit.measure)
     assert abs(ratio - 1.0) <= 0.02
 

@@ -21,7 +21,7 @@ from isodiam.bounds import (
     symmetric_interior,
     ta2_bound,
 )
-from isodiam.geometry import Point, Triangle, circumcircle
+from isodiam.geometry import Point, circumcircle
 
 # closed forms for where each capped bound meets 2*pi, derived by solving
 # interior(delta) = 2*pi by hand; frozen here as regression anchors
@@ -40,8 +40,7 @@ def test_gen_jung_matches_isosceles_circumradius():
     isosceles triangle; the circumcircle routine is an independent path."""
     for delta, tau in ((2.0, 1.0), (3.0, 2.0), (5.0, 5.0), (1.0, 0.25)):
         apex_y = math.sqrt(delta * delta - tau * tau / 4.0)
-        tri = Triangle(Point(-tau / 2, 0.0), Point(tau / 2, 0.0), Point(0.0, apex_y))
-        circ = circumcircle(tri)
+        circ = circumcircle(Point(-tau / 2, 0.0), Point(tau / 2, 0.0), Point(0.0, apex_y))
         assert circ is not None
         assert gen_jung_radius(delta, tau) == pytest.approx(circ.radius, abs=1e-9)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cell_oracles as oracle
-from isodiam.geometry import Point
+from isodiam.geometry import DiskUnion, Point
 from isodiam.poisoning import PoisonConfig, PoisonStrategy, PointMass, lethal_region
-from isodiam.regions import Disk, PixelRegion, rasterize, region_diam, u_delta_shape
+from isodiam.regions import PixelRegion, rasterize, region_diam, u_delta_shape
 from isodiam.search import SearchConfig, _feasibility, anneal
 
 
@@ -80,7 +80,7 @@ def test_every_producer_gives_the_canonical_format():
     hot = anneal(SearchConfig(delta=3.0, h=0.25, iterations=400, seed=2, temperature_init=0.25**2))
     regions = [
         rasterize(u_delta_shape(3.0), 0.1, origin=Point(0.03, -0.01)),
-        oracle.minkowski_difference(rasterize(Disk(center=Point(0.0, 0.0), radius=0.5), 0.1)),
+        oracle.minkowski_difference(rasterize(DiskUnion(((0.0, 0.0, 0.5),)), 0.1)),
         lethal_region(strategy, config, 0.1),
         anneal(SearchConfig(delta=3.0, h=0.25, iterations=400, seed=2)).best_region,
         hot.best_region,

@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from geometry_oracles import save_points_csv
 from isodiam import cli
 from isodiam.bounds import bound_profile
-from isodiam.geometry import Point, PointSet
+from isodiam.geometry import DiskUnion, PointSet
 from isodiam.poisoning import DensityPatch, PoisonStrategy
-from isodiam.regions import ArcSet, Disk, rasterize
+from isodiam.regions import ArcSet, rasterize
 
 
 @pytest.fixture(autouse=True)
@@ -336,7 +336,7 @@ def test_the_benchmark_oracles_read_the_cli_outputs(capsys, tmp_path, monkeypatc
     """A region or report format the benchmark cannot read fails here."""
     oracles = _bench_oracles()
     monkeypatch.chdir(tmp_path)
-    patch = DensityPatch(region=rasterize(Disk(center=Point(0.2, 0.0), radius=0.5), 0.05), grams=1.0)
+    patch = DensityPatch(region=rasterize(DiskUnion(((0.2, 0.0, 0.5),)), 0.05), grams=1.0)
     PoisonStrategy(density=patch).save("patch.json")
     search = ["search", "--delta", "3", "--h", "0.1", "--iterations", "2000", "--seed", "1"]
     assert cli.run([*search, "--region-out", "best.json", "--out", "search.json"]) == 0
@@ -482,7 +482,7 @@ PINNED_FILE_DIGESTS = {
     "jung-1200": "08c178dd5a9f101939bd92ffa054fc6f0dc8280bfd1c923e84e76915bde5fc8b",
     "bounds": "ae7c1883731a22a901edbe14498b1500d722244f846cc3ec277f52d461988279",
     "poison": "5afe614cff504c80b616cc85414ae4ef79daf98b8d992feb45610f5f86f244ba",
-    "search": "b74b2b939bd2e1eb162b7bf53622eb39bccebd89d4da0939e8394384eabe81e5",
+    "search": "5f5eab080554a4bf492e9c68a018a2cbe6582463a3c714c2616c2001d7bec91d",
     "poison-svg": "fd33d51172c4608f0605744eaaf11ca1e8371398aadf70e120737af6ba6c6ba6",
 }
 
@@ -641,6 +641,19 @@ def test_oversized_diam3_is_refused_before_allocating(tmp_path):
     assert out.stderr == "error: diam3 of 20000 points needs 199990000 pairs, more than the cap of 25000000\n"
 
 
+def test_triameter_of_a_large_hull_is_refused(capsys, tmp_path):
+    """Every one of 2,000 points on a circle is a hull vertex, and
+    triameter would measure 1.3e9 triples of them, five times its cap."""
+    t = np.arange(2000) * (2.0 * math.pi / 2000)
+    save_points_csv(PointSet.from_xy(np.column_stack([np.cos(t), np.sin(t)])), tmp_path / "ring.csv")
+    assert cli.run(["diameters", str(tmp_path / "ring.csv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: triameter of 2000 hull vertices needs 1331334000 triples, more than the cap of 250000000\n"
+    )
+
+
 def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
     """A lethal-region grid of pitch 1e-4 on the radius-2 sampling disk has
     1.6e9 cells, 12.8 GB per coordinate array."""
@@ -702,7 +715,7 @@ PARSER_OPTIONS = {
     "jung": ["-h", "--help", "points", "--ab", "--budget", "--out", "--timestamp"],
     "bounds": ["-h", "--help", "--delta-min", "--delta-max", "--steps", "--csv", "--svg", "--out", "--timestamp"],
     "search": [
-        "-h", "--help", "--delta", "--h", "--iterations", "--cooling", "--chains", "--threads",
+        "-h", "--help", "--delta", "--h", "--iterations", "--chains", "--threads",
         "--region-out", "--svg", "--out", "--timestamp", "--seed",
     ],
     "conjecture": ["-h", "--help", "--delta-min", "--delta-max", "--steps", "--svg", "--out", "--timestamp"],
@@ -742,3 +755,10 @@ def test_readme_cli_lines_parse():
     for argv in lines:
         assert parser.parse_args(argv).subcommand == argv[0]
     assert sorted(argv[0] for argv in lines) == sorted(PARSER_OPTIONS)
+
+
+def test_readme_library_example_runs():
+    """README's python block runs as written against the package."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

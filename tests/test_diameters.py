@@ -431,6 +431,14 @@ def test_triameter_known_values():
     assert triameter(PointSet.from_xy([(0, 0), (1, 0)])) == 0.0
 
 
+def test_triameter_triple_cap_counts_hull_vertices(monkeypatch):
+    monkeypatch.setattr(diameters_mod, "_MAX_TRIPLES", 10)
+    # an interior point adds no triple: 5 hull vertices have 10
+    assert triameter(PointSet.from_xy([(k, k * k) for k in range(5)] + [(2, 5)])) > 0.0
+    with pytest.raises(MemoryError, match="triameter of 6 hull vertices needs 20 triples"):
+        triameter(PointSet.from_xy([(k, k * k) for k in range(6)]))
+
+
 def test_triameter_matches_bruteforce():
     rng = np.random.default_rng(43)
     for _ in range(50):

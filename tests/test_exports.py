@@ -15,7 +15,6 @@ UNUSED_ON_PURPOSE = {
     "crossover": "item 10 gives it its conjecture use; test_04 pins the paper's crossovers with it",
     "ta2_bound": "items 7 and 9",
     "nb_of": "items 7 and 9",
-    "DisjointDisks": "items 7 and 9",
     "region_diam3_sampled": "bench/spans.py TARGETS binds it until item 1",
 }
 
@@ -68,3 +67,27 @@ def test_every_export_is_used_by_the_package():
     unused = unused_exports(Path(isodiam.__file__).parent)
     assert set(unused) - set(UNUSED_ON_PURPOSE) == set(), unused
     assert set(UNUSED_ON_PURPOSE) - set(unused) == set()
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment;
+    imported names are not among them."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_export_is_defined_where_it_is_exported():
+    """A module under src/isodiam, other than __init__, exports only what it
+    defines: a name re-exported from another module would give one value two
+    homes."""
+    foreign = []
+    for path in sorted(Path(isodiam.__file__).parent.glob("*.py")):
+        if path.stem != "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            foreign += [f"{path.stem}.{name}" for name in _exports(tree) if name not in _defined_names(tree)]
+    assert foreign == []

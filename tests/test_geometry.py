@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from geometry_oracles import save_points_csv
 from isodiam.geometry import (
     Disk,
+    DiskUnion,
     Point,
     PointSet,
-    Triangle,
     _circle_two,
     circumcircle,
     convex_hull_indices,
@@ -35,7 +35,7 @@ def min_enclosing_circle_bruteforce(s: PointSet) -> Disk:
     if len(pts) == 1:
         return Disk(pts[0], 0.0)
     candidates = [_circle_two(p, q) for p, q in itertools.combinations(pts, 2)]
-    candidates += [c for p, q, r in itertools.combinations(pts, 3) if (c := circumcircle(Triangle(p, q, r))) is not None]
+    candidates += [c for p, q, r in itertools.combinations(pts, 3) if (c := circumcircle(p, q, r)) is not None]
     return min((c for c in candidates if all(c.contains(p) for p in pts)), key=lambda c: c.radius)
 
 
@@ -56,14 +56,14 @@ def test_disk_rejects_negative_radius():
         Disk(Point(0, 0), -0.1)
 
 
-def test_one_disk_class_serves_as_shape():
-    from isodiam import regions
-
-    assert regions.Disk is Disk
-    d = Disk(Point(1.0, -2.0), 0.5)
-    assert (d.area, d.diameter, d.bbox()) == (math.pi * 0.25, 1.0, (0.5, -2.5, 1.5, -1.5))
+def test_disk_union_bbox_and_containment():
+    d = DiskUnion(((1.0, -2.0, 0.5),))
+    assert d.bbox() == (0.5, -2.5, 1.5, -1.5)
     assert d.contains_xy(np.array([1.5, 1.6]), np.array([-2.0, -2.0])).tolist() == [True, False]
-    assert Disk(Point(0, 0), 0.0).contains_xy(np.array([0.0]), np.array([0.0])).tolist() == [True]
+    assert DiskUnion(((0.0, 0.0, 0.0),)).contains_xy(np.array([0.0]), np.array([0.0])).tolist() == [True]
+    pair = DiskUnion(((-1.0, 0.0, 1.0), (2.0, 1.0, 0.5)))
+    assert pair.bbox() == (-2.0, -1.0, 2.5, 1.5)
+    assert pair.contains_xy(np.array([-2.0, 0.5, 2.0]), np.array([0.0, 0.0, 1.5])).tolist() == [True, False, True]
 
 
 def test_disk_contains_boundary():
@@ -75,7 +75,7 @@ def test_disk_contains_boundary():
 
 def test_circumcircle_right_triangle():
     """For a right triangle the circumcenter sits at the hypotenuse midpoint."""
-    circ = circumcircle(Triangle(Point(0, 0), Point(4, 0), Point(0, 3)))
+    circ = circumcircle(Point(0, 0), Point(4, 0), Point(0, 3))
     assert circ is not None
     assert circ.radius == pytest.approx(2.5, abs=1e-12)
     assert circ.center.x == pytest.approx(2.0, abs=1e-12)
@@ -83,14 +83,14 @@ def test_circumcircle_right_triangle():
 
 
 def test_circumcircle_collinear_is_none():
-    assert circumcircle(Triangle(Point(0, 0), Point(1, 1), Point(2, 2))) is None
-    assert circumcircle(Triangle(Point(0, 0), Point(0, 0), Point(1, 0))) is None
+    assert circumcircle(Point(0, 0), Point(1, 1), Point(2, 2)) is None
+    assert circumcircle(Point(0, 0), Point(0, 0), Point(1, 0)) is None
 
 
 def test_circumcircle_far_from_origin():
     # translation invariance of the construction
     off = 1e6
-    circ = circumcircle(Triangle(Point(off, off), Point(off + 4, off), Point(off, off + 3)))
+    circ = circumcircle(Point(off, off), Point(off + 4, off), Point(off, off + 3))
     assert circ is not None
     assert circ.radius == pytest.approx(2.5, rel=1e-9)
 

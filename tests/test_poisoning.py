@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cell_oracles import cell_set
 from geometry_oracles import is_lethal
 from isodiam import cli, poisoning
-from isodiam.geometry import Point
+from isodiam.geometry import DiskUnion, Point
 from isodiam.poisoning import (
     _BATCH,
     _CHUNK,
@@ -33,7 +33,7 @@ from isodiam.poisoning import (
     lethal_region,
     validate_strategy,
 )
-from isodiam.regions import Disk, PixelRegion, rasterize, region_diam
+from isodiam.regions import PixelRegion, rasterize, region_diam
 
 
 def central(grams: float) -> PoisonStrategy:
@@ -93,7 +93,7 @@ def test_point_mass_validation():
 
 def test_strategy_json_round_trip(tmp_path):
     patch = DensityPatch(
-        region=rasterize(Disk(center=Point(0.5, 0.0), radius=0.4), 0.1),
+        region=rasterize(DiskUnion(((0.5, 0.0, 0.4),)), 0.1),
         grams=0.5,
     )
     strat = PoisonStrategy(
@@ -195,7 +195,7 @@ def test_density_patch_dose():
     # swallows it whole, a far bite gets nothing
     cfg = PoisonConfig(R=3.0, h_available=1.0)
     patch = DensityPatch(
-        region=rasterize(Disk(center=Point(0.0, 0.0), radius=0.3), 0.05),
+        region=rasterize(DiskUnion(((0.0, 0.0, 0.3),)), 0.05),
         grams=1.0,
     )
     strat = PoisonStrategy(point_masses=(), density=patch)
@@ -344,7 +344,7 @@ def test_paired_ranks_equal_the_outer_ranks(cells, h, seed):
 
 def test_dose_on_the_lethal_region_grid():
     """lethal_region hands _dose_at 2-D meshgrid arrays."""
-    region = rasterize(Disk(center=Point(0.3, -0.2), radius=0.6), 0.05)
+    region = rasterize(DiskUnion(((0.3, -0.2, 0.6),)), 0.05)
     strat = PoisonStrategy(
         point_masses=(PointMass(Point(0.5, 0.5), 0.4),),
         density=DensityPatch(region=region, grams=0.6),
@@ -580,7 +580,7 @@ def test_dose_equals_the_whole_round_expression(with_patch):
     )
     density = None
     if with_patch:
-        density = DensityPatch(region=rasterize(Disk(center=Point(-0.2, 0.1), radius=0.4), 0.05), grams=0.5)
+        density = DensityPatch(region=rasterize(DiskUnion(((-0.2, 0.1, 0.4),)), 0.05), grams=0.5)
     strat = PoisonStrategy(point_masses=masses, density=density)
     patch = _patch_rows(strat)
     rings = [ulp_ring(m.position.x, m.position.y) for m in masses]
@@ -633,7 +633,7 @@ def test_certain_grid_cells_give_the_verdict_of_the_dose(case):
 def test_lethal_region_equals_the_dose_raster(kind):
     """The raster built from the table's verdicts is the raster of the
     exact dose at every cell center."""
-    patch = DensityPatch(region=rasterize(Disk(center=Point(0.1, -0.2), radius=0.5), 0.05), grams=1.5)
+    patch = DensityPatch(region=rasterize(DiskUnion(((0.1, -0.2, 0.5),)), 0.05), grams=1.5)
     strat = {
         "hexagon": tour_hexagon(),
         "patch": PoisonStrategy(density=patch),
@@ -722,7 +722,7 @@ def mixed_strategy() -> PoisonStrategy:
     masses = tuple(PointMass(Point(0.4 * math.cos(t), 0.4 * math.sin(t)), 0.3) for t in (0.1, 2.2, 4.3))
     return PoisonStrategy(
         point_masses=masses,
-        density=DensityPatch(region=rasterize(Disk(center=Point(0.0, 0.0), radius=0.75), 0.05), grams=0.6),
+        density=DensityPatch(region=rasterize(DiskUnion(((0.0, 0.0, 0.75),)), 0.05), grams=0.6),
     )
 
 

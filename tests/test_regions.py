@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,10 +12,7 @@ from cell_oracles import cell_set, inner_raster_cells, minkowski_difference
 from isodiam.geometry import DiskUnion, Point, convex_hull_indices
 from isodiam.regions import (
     ArcSet,
-    Disk,
-    DisjointDisks,
     PixelRegion,
-    TwoDisksUnion,
     _corner_hull,
     arc_measure,
     arc_tab_check,
@@ -48,9 +44,7 @@ def test_lens_area_endpoints():
 
 
 def test_u_delta_shape_and_measure():
-    shape = u_delta_shape(3.0)
-    assert shape.d == pytest.approx(1.0)
-    assert shape.diameter == pytest.approx(3.0)
+    assert u_delta_shape(3.0) == DiskUnion(((-0.5, 0.0, 1.0), (0.5, 0.0, 1.0)))
     assert u_delta_measure(3.0) == pytest.approx(U3_MEASURE, abs=1e-12)
     with pytest.raises(ValueError):
         u_delta_shape(2.0)
@@ -65,30 +59,13 @@ def test_u_delta_measure_monotone(delta):
     assert u_delta_measure(delta) <= u_delta_measure(min(delta + 0.1, 3.999)) + 1e-12
 
 
-def test_two_disks_union_degenerate_distance():
-    with pytest.raises(ValueError):
-        TwoDisksUnion(d=-0.5)
-    merged = TwoDisksUnion(d=0.0)
-    assert merged.area == pytest.approx(math.pi)
-
-
-def test_disjoint_disks_validation():
-    with pytest.raises(ValueError):
-        DisjointDisks(count=0, spacing=5.0)
-    with pytest.raises(ValueError):
-        DisjointDisks(count=2, spacing=3.0)  # disks would overlap or touch
-    d = DisjointDisks(count=3, spacing=5.0)
-    assert d.area == pytest.approx(3 * math.pi)
-    assert d.diameter == pytest.approx(12.0)
-
-
 # ---------------------------------------------------------------- raster
 
 
 def test_rasterize_disk_measure_converges():
     exact = math.pi
     for h in (0.1, 0.05, 0.02):
-        r = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), h)
+        r = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), h)
         assert abs(r.measure - exact) < 10.0 * h * 2 * math.pi
 
 
@@ -98,16 +75,11 @@ def test_rasterize_u_delta_measure():
 
 
 def test_rasterize_respects_origin():
-    base = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), 0.1)
-    moved = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), 0.1, origin=Point(0.05, 0.0))
+    base = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), 0.1)
+    moved = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), 0.1, origin=Point(0.05, 0.0))
     # half a cell's shift moves the sampled centers: the two rasters differ
     assert (len(base.cells), len(moved.cells)) == (316, 312)
     assert abs(base.measure - moved.measure) < 0.2
-
-
-@dataclass(frozen=True)
-class Circles(DiskUnion):
-    circles: tuple[tuple[float, float, float], ...]
 
 
 circle_lists = st.lists(
@@ -122,7 +94,7 @@ circle_lists = st.lists(
 def test_inner_raster_equals_the_four_corner_test(circles, h):
     """Centers off the axis and at negative coordinates, overlapping
     disks, and radii from below h to several units."""
-    got = inner_raster(Circles(tuple(circles)), h)
+    got = inner_raster(DiskUnion(tuple(circles)), h)
     assert got.origin == Point(0.0, 0.0) and got.h == h
     assert got.cells.tolist() == [list(c) for c in inner_raster_cells(circles, h)]
 
@@ -133,7 +105,7 @@ def test_inner_raster_keeps_corners_on_the_circle(h, m, n):
     """On a dyadic pitch a grid-point center and r = 5h put corners such
     as (3h, 4h) from the center exactly on the circle."""
     circles = [(m * h, n * h, 5 * h)]
-    got = inner_raster(Circles(tuple(circles)), h)
+    got = inner_raster(DiskUnion(tuple(circles)), h)
     assert [m + 2, n + 3] in got.cells.tolist() and [m - 3, n - 4] in got.cells.tolist()
     assert got.cells.tolist() == [list(c) for c in inner_raster_cells(circles, h)]
 
@@ -145,27 +117,27 @@ def test_inner_raster_keeps_corners_on_the_circle(h, m, n):
 RASTER_GRIDS = ((0.05, Point(0.0, 0.0)), (0.004, Point(0.0, 0.0)), (0.05, Point(0.004, -0.007)))
 DISK_UNION_PINS = {
     "disk": (
-        Disk(Point(0.3, -0.1), 0.9),
+        DiskUnion(((0.3, -0.1, 0.9),)),
         "b59888824010783926cca8639609d8a613f9ce4e497b374dbac7758324e082de",
         "bd73e7c4fffc59bf497ac9aa30cf6659edae9b2de0dddba1360ea41d94b6527b",
     ),
     "two-0": (
-        TwoDisksUnion(0.0),
+        DiskUnion(((-0.0, 0.0, 1.0), (0.0, 0.0, 1.0))),
         "10829dec840e0b1a88ad2a962af3129d218385ebd2ea7926a4aadc6a71fb42b4",
         "43aae4e40e693093339ef51ad4d1d0b27901ec754eda93a333cfeecd3301fb71",
     ),
     "two-1": (
-        TwoDisksUnion(1.0),
+        DiskUnion(((-0.5, 0.0, 1.0), (0.5, 0.0, 1.0))),
         "2dadce1086b3ea2f0e6e0ff21f2aebf6e6e19231434db3c82035b7f52e5c4635",
         "d2049ec34a99282a7f4bcaaf62b279d8ff878278cf28465661174aa1303f03f0",
     ),
     "two-2.5": (
-        TwoDisksUnion(2.5),
+        DiskUnion(((-1.25, 0.0, 1.0), (1.25, 0.0, 1.0))),
         "92b98762d0f75813f416c910eefb588b3e6d2c902b2f0936c9140dd6a556ec43",
         "5df696ebc8b6b169fc9dd045875a11887896f9c07d3f930a9c7f51e3320f5021",
     ),
     "disjoint-3": (
-        DisjointDisks(count=3, spacing=4.5),
+        DiskUnion(((0.0, 0.0, 1.0), (4.5, 0.0, 1.0), (9.0, 0.0, 1.0))),
         "1c69ab928808ffa66bfcdc5d783f7ef9e77beff88bc39cc4d9f78094b7175ce8",
         "e9cf37e399a7ce40663319f6acacd7b70398cecf39f6e204eb43f69dcad7f48d",
     ),
@@ -182,7 +154,7 @@ def test_disk_union_rasters_and_outlines_are_pinned(name):
     assert (digest.hexdigest(), hashlib.sha256(svg.encode()).hexdigest()) == (cells_digest, svg_digest)
 
 def test_region_diam_disk():
-    r = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), 0.02)
+    r = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), 0.02)
     # corner-to-corner diameter brackets the true value
     assert 2.0 - 0.08 <= region_diam(r) <= 2.0 + 0.02 * math.sqrt(2) + 1e-9
     with pytest.raises(ValueError):
@@ -228,8 +200,8 @@ def test_region_diam_equals_the_all_corners_hull(cells, h, ox, oy):
 def test_region_diam_equals_the_all_corners_hull_on_rasters():
     for r in (
         rasterize(u_delta_shape(3.0), 0.02),
-        rasterize(Disk(center=Point(0.3, -0.1), radius=1.0), 0.013, origin=Point(0.004, -0.007)),
-        rasterize(DisjointDisks(count=2, spacing=4.5), 0.05),
+        rasterize(DiskUnion(((0.3, -0.1, 1.0),)), 0.013, origin=Point(0.004, -0.007)),
+        rasterize(DiskUnion(((0.0, 0.0, 1.0), (4.5, 0.0, 1.0))), 0.05),
     ):
         assert region_diam(r) == all_corners_region_diam(r)
         assert np.array_equal(_corner_hull(r), all_corners_hull(r))
@@ -266,7 +238,7 @@ def test_rasterize_holds_its_cells_at_most_three_times():
     now about 2.0 times."""
     tracemalloc.start()
     try:
-        region = rasterize(Disk(Point(0.0, 0.0), 1.0), 0.002)
+        region = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), 0.002)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -274,7 +246,7 @@ def test_rasterize_holds_its_cells_at_most_three_times():
 
 
 def test_pixel_region_json_round_trip(tmp_path):
-    r = rasterize(Disk(center=Point(0.3, -0.2), radius=0.7), 0.1)
+    r = rasterize(DiskUnion(((0.3, -0.2, 0.7),)), 0.1)
     data = r.to_json_dict()
     back = PixelRegion.from_json_dict(data)
     assert back == r
@@ -352,7 +324,7 @@ def test_minkowski_difference_equals_brute_force(cells, h):
 
 def test_minkowski_difference_disk_quadruples():
     h = 0.02
-    r = rasterize(Disk(center=Point(0.0, 0.0), radius=1.0), h)
+    r = rasterize(DiskUnion(((0.0, 0.0, 1.0),)), h)
     d = minkowski_difference(r)
     assert d.measure / (4.0 * r.measure) == pytest.approx(1.0, abs=0.02)
 

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isodiam.geometry import Point
-from isodiam.regions import Disk, PixelRegion, rasterize, u_delta_shape
+from isodiam.geometry import DiskUnion, Point
+from isodiam.regions import PixelRegion, rasterize, u_delta_shape
 from isodiam.svgplot import _fmt, curves_svg, region_svg
 
 
@@ -56,8 +56,8 @@ def test_region_svg_with_outline():
 
 
 def test_region_svg_disk_outline():
-    region = rasterize(Disk(center=Point(0, 0), radius=1.0), 0.25)
-    svg = region_svg(region, outline=Disk(center=Point(0, 0), radius=1.0))
+    disk = DiskUnion(((0.0, 0.0, 1.0),))
+    svg = region_svg(rasterize(disk, 0.25), outline=disk)
     assert svg.count("<circle") == 1
 
 
@@ -106,7 +106,7 @@ def per_cell_region_svg(region, outline=None, title=""):
     return "\n".join(parts)
 
 
-_OUTLINES = {"none": None, "disk": Disk(Point(0.4, -0.3), 2.0), "u3": u_delta_shape(3.0)}
+_OUTLINES = {"none": None, "disk": DiskUnion(((0.4, -0.3, 2.0),)), "u3": u_delta_shape(3.0)}
 
 
 @settings(max_examples=150, deadline=None)
