@@ -177,13 +177,14 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 def cmd_diameters(ns: argparse.Namespace) -> int:
     points = _load_points(ns.points)
-    # the subset scans run first, so an over-budget --ab refuses before any other work
+    # the refusals come first: an over-budget --ab, then an over-cap hull
+    # for triameter; _dumps sorts the keys
     report = {
         "ab": [{"a": a, "b": b, "value": diam_ab(points, a, b, budget=ns.budget)} for a, b in ns.ab],
+        "triameter": triameter(points),
         "diam": diam(points),
         "diam3": diam3(points),
         "n": len(points),
-        "triameter": triameter(points),
     }
     _emit(ns, report, inputs=[ns.points])
     return 0

@@ -157,14 +157,8 @@ class _IndexedSet:
             self._items[slot] = last
             self._pos[last] = slot
 
-    def choose(self, moves: _MoveStream) -> tuple[int, int]:
-        return self._items[moves.integers(len(self._items))]
-
-
-def _raw_words(bitgen: np.random.PCG64, block: int = 1024):
-    """The bit generator's 64-bit words as Python ints, drawn in blocks."""
-    while True:
-        yield from bitgen.random_raw(block).tolist()
+    def choose(self, integers) -> tuple[int, int]:
+        return self._items[integers(len(self._items))]
 
 
 class _MoveStream:
@@ -182,11 +176,31 @@ class _MoveStream:
     n raise ValueError.
     """
 
-    __slots__ = ("_words", "_half")
+    __slots__ = ("_bitgen", "_ahead", "_words", "_next", "position", "_half")
+    BLOCK = 1024
 
     def __init__(self, seed: int) -> None:
-        self._words = _raw_words(np.random.PCG64(seed))
+        self._bitgen, self._ahead = np.random.PCG64(seed), np.random.PCG64(seed)
+        self._words: list[int] = []
+        # the index in _words of the next word, and the words read so far
+        self._next = self.position = 0
         self._half: int | None = None
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._words, self._next = self._bitgen.random_raw(self.BLOCK).tolist(), 0
+        self._next += 1
+        self.position += 1
+        return self._words[self._next - 1]
+
+    def peek(self, k: int, skip: int = 0) -> np.ndarray:
+        """The k words that draws read after the next skip, as uint64: the
+        rest of the block, then words _ahead draws from a copy of the state."""
+        start = self._next + skip
+        held = np.array(self._words[start : start + k], dtype=np.uint64)
+        self._ahead.state = self._bitgen.state
+        self._ahead.advance(max(0, start - len(self._words)))
+        return np.concatenate([held, self._ahead.random_raw(k - len(held))])
 
     def integers(self, n: int) -> int:
         if not 1 <= n <= 1 << 32:
@@ -195,7 +209,7 @@ class _MoveStream:
             return 0
         while True:
             if self._half is None:
-                word = next(self._words)
+                word = self._word()
                 self._half = word >> 32
                 m = (word & 0xFFFFFFFF) * n
             else:
@@ -206,7 +220,40 @@ class _MoveStream:
                 return m >> 32
 
     def random(self) -> float:
-        return (next(self._words) >> 11) * 2.0**-53
+        return (self._word() >> 11) * 2.0**-53
+
+
+def _warm_iterations(hh: float, temperature: float, cooling: float) -> float:
+    """An upper bound, or math.inf, on the iterations from temperature T > 0
+    on whose removal probability exp(-hh / T) is not 0.0, as it is once
+    T <= hh / 746. A rounded T * cooling is at most T * cooling * (1 + 2^-53)
+    while normal, so the count to hh / 747 comes from logs, with a margin.
+    Cooling 1.0 never lowers T, and nor may a subnormal T: no bound."""
+    cold = hh / 747.0
+    step = math.log(cooling) + 2.0**-52
+    if step >= 0.0 or cold < 2.0**-1000:
+        return math.inf
+    return math.ceil((math.log(temperature) - math.log(cold)) / -step * (1.0 + 1e-9)) + 2
+
+
+def _first_live_word(moves: _MoveStream, words: int, p: float, sizes: tuple[int, int]) -> int | None:
+    """The stream position of the first live word among the next words, or
+    None. A word is live when random() on it is below 2p (p doubled in case
+    a later p rounds above it; the cutoff is >= 1, as u = 0.0 < p), or a
+    half of it makes integers(n) redraw for a frontier size n. R moves read
+    2R halves and R words for random(): with no live word among the next
+    2R only the kept half can redraw, once, so they read no other word."""
+    cutoff = math.ceil(2.0 * p * 2.0**53)
+    wraps = [(n, (1 << 32) % n) for n in sizes if n > 1 and (1 << 32) % n]
+    for skip in range(0, words, moves.BLOCK):
+        w = moves.peek(min(moves.BLOCK, words - skip), skip)
+        live = (w >> 11) < cutoff
+        for n, r in wraps:
+            live |= ((w & 0xFFFFFFFF) * n & 0xFFFFFFFF) < r
+            live |= ((w >> 32) * n & 0xFFFFFFFF) < r
+        if live.any():
+            return moves.position + skip + int(live.argmax())
+    return None
 
 
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -215,7 +262,7 @@ _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 def _corner_k(di, dj):
     """The corner metric k = (|di| + 1)^2 + (|dj| + 1)^2 of two cells whose
     indices differ by (di, dj): their farthest corners lie sqrt(k) * h
-    apart. Takes ints or integer arrays."""
+    apart. Takes ints or integer arrays; _addition_is_feasible inlines it."""
     return (abs(di) + 1) ** 2 + (abs(dj) + 1) ** 2
 
 
@@ -400,7 +447,7 @@ def _addition_is_feasible(
     diam_cap, far_cap = caps
     ci, cj = cell
     for cap, ai, aj, bi, bj in reversed(witnesses):
-        if _corner_k(ai - ci, aj - cj) > cap and _corner_k(bi - ci, bj - cj) > cap:
+        if (abs(ai - ci) + 1) ** 2 + (abs(aj - cj) + 1) ** 2 > cap and (abs(bi - ci) + 1) ** 2 + (abs(bj - cj) + 1) ** 2 > cap:
             return False
     I, J = I[:count], J[:count]
     k = _corner_k(I - ci, J - cj)
@@ -455,9 +502,13 @@ def anneal(config: SearchConfig) -> SearchResult:
     each other only if the corner metric of the far cells' bounding box
     exceeds far_cap, and otherwise the largest corner metric among the far
     cells is taken over each row's two extreme cells (see _row_extremes).
-    And the loop stops once nothing can change: the removal probability is
-    0.0 (the temperature has underflowed it) and every frontier cell is
-    memo-rejected. The report still gives the requested iterations.
+    And the loop stops once nothing can change. With every frontier cell
+    memo-rejected only an accepted removal can, in one of the R iterations
+    before the falling removal probability p is 0.0 (_warm_iterations).
+    They read at most 2R words; the loop stops when none is live
+    (_first_live_word). A check moves no draw, the next one waits until the
+    region changes or the loop reads past the live word it found, and none
+    starts while p * 2R >= 1. The report gives the requested iterations.
 
     Deterministic for a given config: the proposal stream is the draws of
     np.random.default_rng(seed), read from raw PCG64 words by _MoveStream.
@@ -498,9 +549,13 @@ def anneal(config: SearchConfig) -> SearchResult:
     # region cells that showed it (see _addition_is_feasible)
     rejected: set[tuple[int, int]] = set()
     witnesses: list[tuple[int, int, int, int, int]] = []
+    # the live word a frozen check found, or -1 once the region changes
+    recheck = -1
+
 
     def apply_flip(cell: tuple[int, int], adding: bool) -> None:
-        nonlocal count, I, J
+        nonlocal count, I, J, recheck
+        recheck = -1
         if adding:
             if count == len(I):
                 I = np.concatenate([I, np.empty_like(I)])
@@ -517,19 +572,23 @@ def anneal(config: SearchConfig) -> SearchResult:
                 slot_of[last] = slot
         _refile(cell, slot_of, add_frontier, remove_frontier)
 
-    for _ in range(config.iterations):
-        remove_probability = math.exp(-(h * h) / temperature) if temperature > 0.0 else 0.0
+    hh, cooling, integers, uniform = h * h, config.cooling, moves.integers, moves.random
+    for left in range(config.iterations, 0, -1):
+        remove_probability = math.exp(-hh / temperature) if temperature > 0.0 else 0.0
         # Between accepted removals every rejected cell stays outside the
         # region next to it, so rejected is a subset of add_frontier; equal
-        # sizes mean every add is memo-rejected. With removals refused too,
-        # no later move changes anything, and the rest of the proposal
-        # stream is never used.
-        if remove_probability == 0.0 and len(rejected) == len(add_frontier):
-            break
+        # sizes mean every add is memo-rejected (see the docstring).
+        if len(rejected) == len(add_frontier) and moves.position > recheck:
+            warm = min(left, _warm_iterations(hh, temperature, cooling)) if remove_probability else 0
+            if remove_probability * 2 * warm < 1.0:
+                sizes = len(add_frontier), len(remove_frontier)
+                recheck = _first_live_word(moves, 2 * warm, remove_probability, sizes)
+                if recheck is None:
+                    break
         # a nonempty finite region always has a cell to add beside it
-        adding = not (len(remove_frontier) > 0 and count > 1) or bool(moves.integers(2))
+        adding = not (len(remove_frontier) > 0 and count > 1) or bool(integers(2))
         if adding:
-            cell = add_frontier.choose(moves)
+            cell = add_frontier.choose(integers)
             if cell in rejected or not _addition_is_feasible(I, J, count, cell, caps, witnesses):
                 rejected.add(cell)
             else:
@@ -540,8 +599,8 @@ def anneal(config: SearchConfig) -> SearchResult:
                     best_measure = measure
                     at_best = True
         else:
-            cell = remove_frontier.choose(moves)
-            if moves.random() < remove_probability:
+            cell = remove_frontier.choose(integers)
+            if uniform() < remove_probability:
                 if at_best:
                     best_cells = np.column_stack([I[:count], J[:count]])
                     at_best = False
@@ -549,7 +608,7 @@ def anneal(config: SearchConfig) -> SearchResult:
                 rejected.clear()
                 witnesses.clear()
                 accepted += 1
-        temperature *= config.cooling
+        temperature *= cooling
 
     if at_best:
         best_cells = np.column_stack([I[:count], J[:count]])

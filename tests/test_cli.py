@@ -654,6 +654,18 @@ def test_triameter_of_a_large_hull_is_refused(capsys, tmp_path):
     )
 
 
+def test_an_over_cap_hull_is_refused_before_diam3(monkeypatch, capsys, tmp_path):
+    """1,200 cocircular points give triameter 2.9e8 hull triples, over its
+    cap, and diameters refuses them before it measures diam3."""
+    t = np.arange(1200) * (2.0 * math.pi / 1200)
+    save_points_csv(PointSet.from_xy(np.column_stack([np.cos(t), np.sin(t)])), tmp_path / "ring.csv")
+    calls = []
+    monkeypatch.setattr(cli, "diam3", lambda points: calls.append(points))
+    assert cli.run(["diameters", str(tmp_path / "ring.csv")]) == 3
+    assert capsys.readouterr().out == ""
+    assert calls == []
+
+
 def test_oversized_lethal_grid_is_refused_before_allocating(tmp_path):
     """A lethal-region grid of pitch 1e-4 on the radius-2 sampling disk has
     1.6e9 cells, 12.8 GB per coordinate array."""

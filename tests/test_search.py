@@ -369,14 +369,53 @@ def test_anneal_grows_its_cell_arrays():
 
 
 def test_anneal_stops_once_frozen():
-    """Once removals have probability 0.0 and every frontier cell is
-    memo-rejected nothing changes, so a run of 10**13 iterations returns
-    at once, without allocating per iteration, and equals a shorter one
-    apart from the requested count it reports."""
+    """Once every frontier cell is memo-rejected and no word left to the
+    run accepts a removal, nothing changes, so a run of 10**13 iterations
+    returns at once, without allocating per iteration, and equals a
+    shorter one apart from the requested count it reports."""
     short = anneal(SearchConfig(delta=3.0, h=0.5, iterations=20_000, seed=1))
     huge = anneal(SearchConfig(delta=3.0, h=0.5, iterations=10**13, seed=1))
     assert huge.iterations == 10**13
     assert dataclasses.replace(huge, iterations=short.iterations) == short
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(DISK_REGIME_MAX, 4.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.integers(0, 50),
+    st.sampled_from([None, 1.0, 3.0]),
+    st.sampled_from([0.5, 0.9995, 1.0]),
+    st.integers(0, 3000),
+)
+@example(delta=2.5, h=0.5, seed=0, t0_in_h2=1.0, cooling=0.9995, iterations=3000)
+def test_anneal_stop_equals_the_step_by_step_loop(delta, h, seed, t0_in_h2, cooling, iterations):
+    """With the frozen check patched to find a live word at every call,
+    the loop runs every iteration; the result is the same."""
+    t0 = None if t0_in_h2 is None else t0_in_h2 * h * h
+    cfg = SearchConfig(delta=delta, h=h, iterations=iterations, seed=seed, temperature_init=t0, cooling=cooling)
+    out = anneal(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_first_live_word", lambda moves, *args: moves.position)
+        assert anneal(cfg) == out
+
+
+@pytest.mark.parametrize("delta,iterations,draws", [(3.0, 20_000, 17_240), (3.6, 5000, 10_000)])
+def test_anneal_stops_within_half_the_draws(monkeypatch, delta, iterations, draws):
+    """The two benchmark searches at seed 7 freeze after about 2,000
+    iterations. The stop rule it replaced, which waited for a removal
+    probability of 0.0 (no words left to check), drew integers draws
+    times, to the underflow at delta 3 and to the last iteration at 3.6."""
+    counted = []
+    integers = _MoveStream.integers
+    monkeypatch.setattr(_MoveStream, "integers", lambda self, n: counted.append(n) or integers(self, n))
+    cfg = SearchConfig(delta=delta, h=0.05, iterations=iterations, seed=7)
+    out = anneal(cfg)
+    assert len(counted) < draws / 2
+    counted.clear()
+    monkeypatch.setattr(search, "_first_live_word", lambda moves, words, *args: None if words == 0 else moves.position)
+    assert anneal(cfg) == out
+    assert len(counted) == draws
 
 
 SPECIAL_N = (1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32)
@@ -385,18 +424,72 @@ SPECIAL_N = (1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(1, 3000))
 def test_move_stream_equals_numpy(seed, pattern, length):
-    """Random interleavings of integers(n) and random(), long enough to
-    cross blocks of raw words, draw what default_rng(seed) draws."""
+    """Random interleavings of integers(n), random() and peeks, long enough
+    to cross blocks of raw words, draw what default_rng(seed) draws; a
+    peek returns the words that the next draws read."""
     order = random.Random(pattern)
     moves = _MoveStream(seed)
     rng = np.random.default_rng(seed)
     for _ in range(length):
         kind = order.random()
-        if kind < 0.3:
+        if kind < 0.05:
+            k, skip = order.randint(1, 2500), order.randint(0, 2500)
+            ahead = moves.peek(skip + k)
+            assert moves.peek(k, skip).tolist() == ahead[skip:].tolist()
+            raw = np.random.PCG64(seed).random_raw(moves.position + skip + k)
+            assert ahead.tolist() == raw[moves.position :].tolist()
+        elif kind < 0.1:
+            for word in moves.peek(order.randint(1, 3)).tolist():
+                assert moves.random() == rng.random() == (word >> 11) * 2.0**-53
+        elif kind < 0.3:
             assert moves.random() == rng.random()
         else:
             n = order.choice(SPECIAL_N) if kind < 0.5 else order.randint(1, 2**order.randint(1, 32))
             assert moves.integers(n) == rng.integers(n)
+
+
+def frozen_replay(moves, iterations, n_add, n_remove, p, remove_always=False):
+    """The draws of iterations moves on a frozen region, whether one
+    accepts a removal at probability p, and the words read. With
+    remove_always every move reads two halves and a word, as many as any
+    move can read without a redraw."""
+    start, draws, removed = moves.position, [], False
+    for _ in range(iterations):
+        adding = moves.integers(2) and not remove_always
+        draws.append(moves.integers(n_add if adding else n_remove))
+        if not adding:
+            draws.append(moves.random())
+            removed |= draws[-1] < p
+    return draws, removed, moves.position - start
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3),
+    st.sampled_from([1, 2, 731, 3 * 2**30]),
+    st.sampled_from([1, 2, 402, 3 * 2**30]),
+    st.sampled_from([0.0, 5e-324, 1e-12, 1e-4, 1e-3, 0.01, 0.5]),
+    st.integers(0, 1500),
+)
+@example(seed=0, lead=0, n_add=731, n_remove=402, p=1e-3, iterations=600)
+@example(seed=4, lead=0, n_add=2, n_remove=3 * 2**30, p=0.0, iterations=2)
+def test_live_word_check_equals_a_frozen_replay(seed, lead, n_add, n_remove, p, iterations):
+    """Whenever the check finds no live word among the next 2 * iterations,
+    a replay of that many frozen iterations accepts no removal and reads
+    no more words, even if every move removes; and the check leaves the
+    stream where it was. A frontier of 3 * 2**30 cells redraws with
+    probability 1/4, and an odd lead leaves a kept half."""
+    checked, twin, worst = (_MoveStream(seed) for _ in range(3))
+    for moves in (checked, twin, worst):
+        for _ in range(lead):
+            moves.integers(2)
+    live = search._first_live_word(checked, 2 * iterations, p, (n_add, n_remove))
+    replay = frozen_replay(checked, iterations, n_add, n_remove, p)
+    assert replay == frozen_replay(twin, iterations, n_add, n_remove, p)
+    if live is None:
+        _, removed, words = frozen_replay(worst, iterations, n_add, n_remove, p, remove_always=True)
+        assert not replay[1] and not removed and words <= 2 * iterations
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
