@@ -193,16 +193,15 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
 def cmd_check(ns: argparse.Namespace) -> int:
     points = _load_points(ns.points)
     result = tab_check(points, ns.a, ns.b, ns.threshold, budget=ns.budget)
+    witness = list(result.witness) if result.witness is not None else None
     report = {
         "a": ns.a,
         "b": ns.b,
         "holds": result.holds,
         "n": len(points),
         "threshold": ns.threshold,
-        "witness_indices": list(result.witness) if result.witness is not None else None,
-        "witness_points": [[p.x, p.y] for p in result.witness_points(points)]
-        if result.witness is not None
-        else None,
+        "witness_indices": witness,
+        "witness_points": points.to_array()[witness].tolist() if witness is not None else None,
     }
     _emit(ns, report, inputs=[ns.points])
     return 0

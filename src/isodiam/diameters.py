@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import Point, PointSet, convex_hull_indices, hull_diameter
+from .geometry import PointSet, convex_hull_indices, hull_diameter
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -66,11 +66,6 @@ class TabCheckResult:
 
     holds: bool
     witness: tuple[int, ...] | None = None
-
-    def witness_points(self, s: PointSet) -> tuple[Point, ...] | None:
-        if self.witness is None:
-            return None
-        return tuple(s[i] for i in self.witness)
 
 
 def diam(s: PointSet) -> float:

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,24 +117,9 @@ class PointSet:
 
     __slots__ = ("_xy",)
 
-    def __init__(self, points: Iterable[Point]):
-        pairs = []
-        for p in points:
-            if not isinstance(p, Point):
-                raise TypeError(f"PointSet expects Point elements, got {type(p).__name__}")
-            pairs.append((p.x, p.y))
-        self._xy = _checked(pairs)
-
-    @classmethod
-    def from_xy(cls, pairs: Iterable[tuple[float, float]] | np.ndarray) -> "PointSet":
+    def __init__(self, pairs: Iterable[tuple[float, float]] | np.ndarray):
         """The set of (x, y) pairs, or of the rows of an (n, 2) array."""
-        s = cls.__new__(cls)
-        s._xy = _checked(pairs if isinstance(pairs, np.ndarray) else list(pairs))
-        return s
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(self)
+        self._xy = _checked(pairs if isinstance(pairs, np.ndarray) else list(pairs))
 
     def to_array(self) -> np.ndarray:
         """Coordinates as a read-only (n, 2) float64 array."""
@@ -142,12 +127,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self._xy)
-
-    def __iter__(self) -> Iterator[Point]:
-        return (Point(x, y) for x, y in self._xy.tolist())
-
-    def __getitem__(self, i: int) -> Point:
-        return Point(*self._xy[i].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
@@ -193,10 +172,6 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def _twice_area(a: Point, b: Point, c: Point) -> float:
-    return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y))
-
-
 def _is_degenerate(a: Point, b: Point, c: Point) -> bool:
     longest_sq = max(
         (a.x - b.x) ** 2 + (a.y - b.y) ** 2,
@@ -205,7 +180,8 @@ def _is_degenerate(a: Point, b: Point, c: Point) -> bool:
     )
     if longest_sq == 0.0:  # all three vertices coincide
         return True
-    return _twice_area(a, b, c) < DEGENERACY_REL_TOL * longest_sq
+    twice_area = abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y))
+    return twice_area < DEGENERACY_REL_TOL * longest_sq
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> Disk | None:
@@ -419,11 +395,9 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
 
     lower = chain(uniq)
     upper = chain(reversed(uniq))
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        # all points collinear: keep the two extremes
-        return [uniq[0], uniq[-1]]
-    return hull
+    # each chain keeps its first and last points, so the hull has two or
+    # more: collinear points give the two extremes
+    return lower[:-1] + upper[:-1]
 
 
 def hull_diameter(coords: np.ndarray) -> float:
@@ -471,7 +445,7 @@ def load_points_csv(path: str | Path) -> PointSet:
             raise ValueError(f"{path}:{lineno}: bad number in {raw!r}") from exc
         linenos.append(lineno)
     try:
-        return PointSet.from_xy(pairs)
+        return PointSet(pairs)
     except ValueError:
         k, why = _refusal(np.array(pairs))
         raise ValueError(f"{path}:{linenos[k]}: {why}") from None

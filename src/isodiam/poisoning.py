@@ -131,9 +131,6 @@ class PoisonStrategy:
             raise ValueError(f"malformed strategy JSON: {exc}") from exc
         return cls(point_masses=masses, density=density)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
-
     @classmethod
     def load(cls, path: str | Path) -> "PoisonStrategy":
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -165,8 +165,9 @@ def _check_raster_cells(what: str, size: int | float) -> None:
         raise MemoryError(f"{what} {size} cells, more than the cap of {_MAX_RASTER_CELLS}")
 
 
-def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
-    """Center-sampled raster of a shape on the grid of pitch h.
+def rasterize(shape, h: float) -> PixelRegion:
+    """Center-sampled raster of a shape on the grid of pitch h, anchored at
+    the origin.
 
     A cell is included exactly when its center lies in the (closed) shape.
     Any object with bbox() and contains_xy(x, y) serves as the shape. The
@@ -176,15 +177,15 @@ def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"pitch h must be finite and > 0, got {h}")
     xmin, ymin, xmax, ymax = shape.bbox()
-    i_lo = _grid_index(math.floor, (xmin - origin.x) / h) - 1
-    i_hi = _grid_index(math.ceil, (xmax - origin.x) / h) + 1
-    j_lo = _grid_index(math.floor, (ymin - origin.y) / h) - 1
-    j_hi = _grid_index(math.ceil, (ymax - origin.y) / h) + 1
+    i_lo = _grid_index(math.floor, xmin / h) - 1
+    i_hi = _grid_index(math.ceil, xmax / h) + 1
+    j_lo = _grid_index(math.floor, ymin / h) - 1
+    j_hi = _grid_index(math.ceil, ymax / h) + 1
     _check_raster_cells(f"a raster of pitch {h} needs", (i_hi - i_lo + 1) * (j_hi - j_lo + 1))
     ii = np.arange(i_lo, i_hi + 1, dtype=np.int64)
     jj = np.arange(j_lo, j_hi + 1, dtype=np.int64)
-    cx = origin.x + (ii + 0.5) * h
-    cy = origin.y + (jj + 0.5) * h
+    cx = (ii + 0.5) * h
+    cy = (jj + 0.5) * h
     rows = max(1, _RASTER_BAND // len(jj))
     cells = []
     for lo in range(0, len(ii), rows):
@@ -196,7 +197,7 @@ def rasterize(shape, h: float, origin: Point = Point(0.0, 0.0)) -> PixelRegion:
     del gx, gy, sel_i, sel_j
     cells = np.concatenate(cells)
     cells.flags.writeable = False
-    return PixelRegion(origin=origin, h=h, cells=cells)
+    return PixelRegion(origin=Point(0.0, 0.0), h=h, cells=cells)
 
 
 def inner_raster(shape: DiskUnion, h: float) -> PixelRegion:
@@ -312,7 +313,7 @@ def region_diam3_sampled(r: PixelRegion) -> float:
     centers = r.cell_centers()
     take = np.random.default_rng(0).integers(0, len(centers), size=2000)
     pts = np.concatenate([centers[take], _corner_hull(r)], axis=0)
-    return diameters.diam3(PointSet.from_xy(pts))
+    return diameters.diam3(PointSet(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +382,6 @@ class ArcSet:
                 merged.append((t1, t2))
         return cls(r=r, arcs=tuple(merged))
 
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "arcs": [[t1, t2] for t1, t2 in self.arcs]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArcSet":
         try:
@@ -397,9 +395,6 @@ class ArcSet:
             return cls(r=r, arcs=tuple(intervals))
         except ValueError:
             return cls.from_intervals(r, intervals)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "ArcSet":

@@ -130,35 +130,37 @@ def best_known_measure(delta: float) -> float:
     return max(row.measure for row in evaluate_candidates(delta))
 
 
-class _IndexedSet:
-    """Set with O(1) membership, insert, discard, and uniform choice."""
+class _IndexedSet(dict):
+    """Set with O(1) membership, insert, discard, and uniform choice: each
+    item maps to its slot in the list listed (not items, which would hide
+    dict.items)."""
 
-    __slots__ = ("_items", "_pos")
+    __slots__ = ("listed",)
 
     def __init__(self, items: list[tuple[int, int]]) -> None:
         """File distinct items in the given order."""
-        self._items = items
-        self._pos = {item: slot for slot, item in enumerate(items)}
-
-    def __len__(self) -> int:
-        return len(self._items)
+        super().__init__(zip(items, range(len(items))))
+        self.listed = items
 
     def add(self, item: tuple[int, int]) -> None:
-        if item not in self._pos:
-            self._pos[item] = len(self._items)
-            self._items.append(item)
+        if item not in self:
+            self[item] = len(self)
+            self.listed.append(item)
 
-    def discard(self, item: tuple[int, int]) -> None:
-        slot = self._pos.pop(item, None)
+    def discard(self, item: tuple[int, int]) -> int | None:
+        """Unfile item, moving the last item into its slot; the slot it
+        vacated, or None if it was not filed."""
+        slot = self.pop(item, None)
         if slot is None:
-            return
-        last = self._items.pop()
+            return None
+        last = self.listed.pop()
         if last != item:
-            self._items[slot] = last
-            self._pos[last] = slot
+            self.listed[slot] = last
+            self[last] = slot
+        return slot
 
     def choose(self, integers) -> tuple[int, int]:
-        return self._items[integers(len(self._items))]
+        return self.listed[integers(len(self))]
 
 
 class _MoveStream:
@@ -528,18 +530,17 @@ def anneal(config: SearchConfig) -> SearchResult:
     if seed.is_empty():
         raise InfeasibleStartError(f"h={h} too coarse for delta={delta}: no cell fits in a unit disk")
 
-    # the region's cells, each mapped to its slot in the index arrays
-    slot_of = {cell: slot for slot, cell in enumerate(map(tuple, seed.cells.tolist()))}
-    count = len(slot_of)
-    # cell indices in slots [0, count); the arrays double when full
-    I = np.empty(2 * count, dtype=np.int64)
+    # the region's cells, filed in the slots of the index arrays I and J
+    region = _IndexedSet(list(map(tuple, seed.cells.tolist())))
+    # cell indices in slots [0, len(region)); the arrays double when full
+    I = np.empty(2 * len(region), dtype=np.int64)
     J = np.empty_like(I)
-    I[:count], J[:count] = seed.cells.T
+    I[: len(region)], J[: len(region)] = seed.cells.T
 
     add_frontier, remove_frontier = _seed_frontiers(seed.cells)
     caps = _caps(delta, h)
     moves = _MoveStream(config.seed)
-    measure = count * h * h
+    measure = len(region) * h * h
     baseline_measure = best_measure = measure
     # the best region is copied only when a removal leaves it, or at the end
     at_best = True
@@ -554,23 +555,20 @@ def anneal(config: SearchConfig) -> SearchResult:
 
 
     def apply_flip(cell: tuple[int, int], adding: bool) -> None:
-        nonlocal count, I, J, recheck
+        nonlocal I, J, recheck
         recheck = -1
         if adding:
-            if count == len(I):
+            slot = len(region)
+            if slot == len(I):
                 I = np.concatenate([I, np.empty_like(I)])
                 J = np.concatenate([J, np.empty_like(J)])
-            I[count], J[count] = cell
-            slot_of[cell] = count
-            count += 1
+            I[slot], J[slot] = cell
+            region.add(cell)
         else:
-            slot = slot_of.pop(cell)
-            count -= 1
-            if slot != count:
-                last = (int(I[count]), int(J[count]))
-                I[slot], J[slot] = I[count], J[count]
-                slot_of[last] = slot
-        _refile(cell, slot_of, add_frontier, remove_frontier)
+            # the last slot's cell moves into the vacated one
+            slot, last = region.discard(cell), len(region)
+            I[slot], J[slot] = I[last], J[last]
+        _refile(cell, region, add_frontier, remove_frontier)
 
     hh, cooling, integers, uniform = h * h, config.cooling, moves.integers, moves.random
     for left in range(config.iterations, 0, -1):
@@ -586,15 +584,15 @@ def anneal(config: SearchConfig) -> SearchResult:
                 if recheck is None:
                     break
         # a nonempty finite region always has a cell to add beside it
-        adding = not (len(remove_frontier) > 0 and count > 1) or bool(integers(2))
+        adding = not (len(remove_frontier) > 0 and len(region) > 1) or bool(integers(2))
         if adding:
             cell = add_frontier.choose(integers)
-            if cell in rejected or not _addition_is_feasible(I, J, count, cell, caps, witnesses):
+            if cell in rejected or not _addition_is_feasible(I, J, len(region), cell, caps, witnesses):
                 rejected.add(cell)
             else:
                 apply_flip(cell, adding=True)
                 accepted += 1
-                measure = count * h * h
+                measure = len(region) * h * h
                 if measure > best_measure:
                     best_measure = measure
                     at_best = True
@@ -602,7 +600,7 @@ def anneal(config: SearchConfig) -> SearchResult:
             cell = remove_frontier.choose(integers)
             if uniform() < remove_probability:
                 if at_best:
-                    best_cells = np.column_stack([I[:count], J[:count]])
+                    best_cells = np.column_stack([I[: len(region)], J[: len(region)]])
                     at_best = False
                 apply_flip(cell, adding=False)
                 rejected.clear()
@@ -611,7 +609,7 @@ def anneal(config: SearchConfig) -> SearchResult:
         temperature *= cooling
 
     if at_best:
-        best_cells = np.column_stack([I[:count], J[:count]])
+        best_cells = np.column_stack([I[: len(region)], J[: len(region)]])
     best_region = PixelRegion(origin=Point(0.0, 0.0), h=h, cells=best_cells)
     return SearchResult(
         best_region=best_region,

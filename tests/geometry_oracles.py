@@ -60,8 +60,13 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
     return hull
 
 
+def points(s: PointSet) -> list[Point]:
+    """The points of s, in order."""
+    return [Point(x, y) for x, y in s.to_array().tolist()]
+
+
 def min_enclosing_circle(s: PointSet) -> Disk:
-    pts = list(s.points)
+    pts = points(s)
     if not pts:
         raise ValueError("min_enclosing_circle of an empty point set")
     random.Random(0x1D0D1A).shuffle(pts)
@@ -126,7 +131,7 @@ def diam3(s: PointSet) -> float:
 def diam3_brute(s: PointSet) -> float:
     """Max over triples of the smallest squared side, each side the
     expression diam3 computes, then one square root."""
-    xy = [(p.x, p.y) for p in s]
+    xy = s.to_array().tolist()
     if len(xy) < 3:
         return 0.0
 
@@ -172,5 +177,5 @@ def is_lethal(strategy: PoisonStrategy, p: Point, config: PoisonConfig) -> bool:
 
 
 def save_points_csv(s: PointSet, path: str | Path) -> None:
-    lines = [f"{p.x!r},{p.y!r}" for p in s]
+    lines = [f"{x!r},{y!r}" for x, y in s.to_array().tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -61,7 +61,7 @@ def test_01_random_sets_fit_in_generalized_jung_disk():
     violations = 0
     for _ in range(10_000):
         n = int(rng.integers(2, 13))
-        pts = PointSet.from_xy(map(tuple, rng.uniform(0.0, 5.0, size=(n, 2))))
+        pts = PointSet(map(tuple, rng.uniform(0.0, 5.0, size=(n, 2))))
         delta = diam(pts)
         tau = max(diam3(pts), 1e-6)
         rho = gen_jung_radius(delta, tau)
@@ -274,9 +274,9 @@ def test_10_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("ISODIAM_TIMESTAMP", raising=False)
 
     pts = tmp_path / "pts.csv"
-    save_points_csv(PointSet.from_xy([(0, 0), (2, 0), (1, 1.8), (0.5, 0.2)]), pts)
+    save_points_csv(PointSet([(0, 0), (2, 0), (1, 1.8), (0.5, 0.2)]), pts)
     arcs = tmp_path / "arcs.json"
-    ArcSet.from_intervals(2.0, [(0.0, 1.4), (2.2, 3.6), (4.4, 5.8)]).save(arcs)
+    arcs.write_text(json.dumps({"r": 2.0, "arcs": [[0.0, 1.4], [2.2, 3.6], [4.4, 5.8]]}))
     strategy = tmp_path / "strategy.json"
     strategy.write_text(json.dumps({"masses": [[0.0, 0.0, 1.0]]}))
 

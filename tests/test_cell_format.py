@@ -79,7 +79,7 @@ def test_every_producer_gives_the_canonical_format():
     # a hot anneal accepts removals, so the best cells are copied mid-run
     hot = anneal(SearchConfig(delta=3.0, h=0.25, iterations=400, seed=2, temperature_init=0.25**2))
     regions = [
-        rasterize(u_delta_shape(3.0), 0.1, origin=Point(0.03, -0.01)),
+        rasterize(u_delta_shape(3.0), 0.1),
         oracle.minkowski_difference(rasterize(DiskUnion(((0.0, 0.0, 0.5),)), 0.1)),
         lethal_region(strategy, config, 0.1),
         anneal(SearchConfig(delta=3.0, h=0.25, iterations=400, seed=2)).best_region,

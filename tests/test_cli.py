@@ -20,7 +20,7 @@ from isodiam import cli
 from isodiam.bounds import bound_profile
 from isodiam.geometry import DiskUnion, PointSet
 from isodiam.poisoning import DensityPatch, PoisonStrategy
-from isodiam.regions import ArcSet, rasterize
+from isodiam.regions import rasterize
 
 
 @pytest.fixture(autouse=True)
@@ -31,7 +31,7 @@ def _pin_env(monkeypatch):
 
 @pytest.fixture
 def pts_csv(tmp_path):
-    s = PointSet.from_xy([(0, 0), (2, 0), (1, 1.8), (0.5, 0.2)])
+    s = PointSet([(0, 0), (2, 0), (1, 1.8), (0.5, 0.2)])
     path = tmp_path / "pts.csv"
     save_points_csv(s, path)
     return str(path)
@@ -82,11 +82,14 @@ def test_jung_report(capsys, pts_csv):
 
 
 def test_jung_on_two_points_takes_tau_zero(capsys, tmp_path):
-    """diam3 of two points is 0, so tau is 0 and rho is half the diameter."""
+    """diam3 of two points is 0, so tau is 0 and rho is half the diameter.
+    They hold no 4-subset, so the (4, 2) row's value is 0 and it has no
+    radius to compare with the enclosing circle."""
     path = tmp_path / "two.csv"
-    save_points_csv(PointSet.from_xy([(0, 0), (1, 0)]), path)
-    rep = run_json(capsys, ["jung", str(path)])["report"]
+    save_points_csv(PointSet([(0, 0), (1, 0)]), path)
+    rep = run_json(capsys, ["jung", str(path), "--ab", "4,2"])["report"]
     assert (rep["diam3"], rep["tau"], rep["rho"], rep["covered"]) == (0.0, 0.0, 0.5, True)
+    assert rep["ab"] == [{"a": 4, "b": 2, "value": 0.0, "rho": None, "covered": None}]
 
 
 @pytest.mark.parametrize("scale", [2.0**-200, 1.0, 2.0**200])
@@ -294,7 +297,7 @@ def test_poison_rejects_mismatched_supply(capsys, tmp_path):
 
 def test_circle_report(capsys, tmp_path):
     arcs_path = tmp_path / "arcs.json"
-    ArcSet.from_intervals(2.0, [(0.0, 1.4), (2.2, 3.6), (4.4, 5.8)]).save(arcs_path)
+    arcs_path.write_text(json.dumps({"r": 2.0, "arcs": [[0.0, 1.4], [2.2, 3.6], [4.4, 5.8]]}))
     payload = run_json(capsys, ["circle", str(arcs_path)])
     rep = payload["report"]
     assert rep["bound"] == pytest.approx(8 * math.pi / 3)
@@ -303,9 +306,21 @@ def test_circle_report(capsys, tmp_path):
     assert payload["manifest"]["args"] == {"arcs": str(arcs_path), "out": None, "timestamp": None}
 
 
+def test_circle_normalizes_the_arcs_it_loads(capsys, tmp_path):
+    """Arcs out of order, overlapping, crossing zero and starting below
+    zero load as their normalized arcs, and give their report."""
+    raw, normalized = tmp_path / "raw.json", tmp_path / "normalized.json"
+    raw.write_text(json.dumps({"r": 2.0, "arcs": [[4.4, 5.8], [2.9, 3.6], [2.2, 3.0], [0.5, 1.4], [6.0, 6.8],
+                                                  [-0.2, 0.6]]}))
+    normalized.write_text(json.dumps({"r": 2.0, "arcs": [[0.0, 1.4], [2.2, 3.6], [4.4, 5.8], [6.0, 2 * math.pi]]}))
+    rep = run_json(capsys, ["circle", str(raw)])["report"]
+    assert rep == run_json(capsys, ["circle", str(normalized)])["report"]
+    assert rep["holds"] is False and rep["measure"] == pytest.approx(2.0 * (4.2 + 2 * math.pi - 6.0))
+
+
 def test_circle_rejects_the_removed_sampling_flag(capsys, tmp_path):
     arcs_path = tmp_path / "arcs.json"
-    ArcSet.from_intervals(2.0, [(0.0, 1.4)]).save(arcs_path)
+    arcs_path.write_text(json.dumps({"r": 2.0, "arcs": [[0.0, 1.4]]}))
     assert cli.run(["circle", str(arcs_path), "--samples-per-arc", "64"]) == 2
 
 
@@ -337,7 +352,7 @@ def test_the_benchmark_oracles_read_the_cli_outputs(capsys, tmp_path, monkeypatc
     oracles = _bench_oracles()
     monkeypatch.chdir(tmp_path)
     patch = DensityPatch(region=rasterize(DiskUnion(((0.2, 0.0, 0.5),)), 0.05), grams=1.0)
-    PoisonStrategy(density=patch).save("patch.json")
+    Path("patch.json").write_text(json.dumps(PoisonStrategy(density=patch).to_json_dict()))
     search = ["search", "--delta", "3", "--h", "0.1", "--iterations", "2000", "--seed", "1"]
     assert cli.run([*search, "--region-out", "best.json", "--out", "search.json"]) == 0
     poison = ["poison", "--R", "3", "--h-available", "1", "--strategy", "patch.json", "--samples", "20000"]
@@ -349,18 +364,27 @@ def test_the_benchmark_oracles_read_the_cli_outputs(capsys, tmp_path, monkeypatc
 
 def test_circle_small_radius_skips_check(capsys, tmp_path):
     arcs_path = tmp_path / "arcs.json"
-    ArcSet.from_intervals(1.0, [(0.0, 1.0)]).save(arcs_path)
+    arcs_path.write_text(json.dumps({"r": 1.0, "arcs": [[0.0, 1.0]]}))
     payload = run_json(capsys, ["circle", str(arcs_path)])
     rep = payload["report"]
     assert rep["bound"] is None and rep["holds"] is None
     assert rep["measure"] == pytest.approx(1.0)
 
 
-def test_exit_codes_for_bad_input(capsys, pts_csv):
+def test_exit_codes_for_bad_input(capsys, pts_csv, tmp_path):
     assert cli.run(["diameters", "definitely-missing.csv"]) == 2
     assert cli.run(["diameters", pts_csv, "--ab", "nonsense"]) == 2
+    assert cli.run(["diameters", pts_csv, "--ab", "4,x"]) == 2
+    assert "argument --ab: expected a,b (two comma separated integers)" in capsys.readouterr().err
     assert cli.run(["check", pts_csv, "--a", "2", "--b", "3", "--threshold", "1"]) == 2
     assert cli.run([]) == 2  # no subcommand
+    empty, same = tmp_path / "empty.csv", tmp_path / "same.csv"
+    empty.write_text("# no points\n")
+    same.write_text("1,1\n1,1\n")
+    capsys.readouterr()
+    assert cli.run(["diameters", str(empty)]) == 2
+    assert cli.run(["jung", str(same)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no points\nerror: need at least two distinct points\n"
 
 
 def test_exit_code_budget(capsys, pts_csv):
@@ -436,6 +460,8 @@ PINNED_STRATEGY = {
     },
 }
 
+PINNED_ARCS = {"r": 2.0, "arcs": [[0.0, 1.4], [2.2, 3.6], [4.4, 5.8]]}
+
 # 1,200 points, above diameters._PREFILTER_MIN, so diam3 takes its
 # sub-sampled floor and its banded pair build
 PINNED_LARGE = np.random.default_rng(13).uniform(-1.5, 1.5, size=(1200, 2))
@@ -451,6 +477,10 @@ PINNED_ARGV = {
     "search": ["search", "--delta", "3", "--h", "0.15"],
     "poison-svg": ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "strategy.json", "--samples", "20000",
                    "--grid", "0.1", "--seed", "3", "--svg", "out.svg"],
+    "search-svg": ["search", "--delta", "3", "--h", "0.15", "--svg", "out.svg"],
+    "conjecture-svg": ["conjecture", "--steps", "9", "--svg", "out.svg"],
+    "check": ["check", "pts.csv", "--a", "3", "--b", "2", "--threshold", "0.9"],
+    "circle": ["circle", "arcs.json"],
 }
 
 # sha256 of json.dumps(report, sort_keys=True) for each run, and of the CSV
@@ -471,6 +501,16 @@ PINNED_DIGESTS = {
         "138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e",
         "d2467c38eef01d7601d3a03cc3e4f7748e745d37b82f360e185a041368e6dafa",
     ),
+    "search-svg": (
+        "5d44549087ea61ff894898d6df5ced242bd21f54f2fe34c7c001bd4c71ecddd2",
+        "624d431d8d1cc0d8e14a0b940a83c89dc1c88ad752bed3541c3ffed649b854e2",
+    ),
+    "conjecture-svg": (
+        "5186d3aafe847b8a0a4ccaff7ca6b5a48008f637bd17764b9209e5188051cb95",
+        "614fd7a8a6129cf9b40b6ba8f9682d4302788c070bfb437254b89fe59c406298",
+    ),
+    "check": ("8169395472ce0c83052549a8dc7c7097330fc2b28d35e32e3db15c6f811c87b9", None),
+    "circle": ("795cbfac6db45f325e1ee3d1fd8e30215a79ee66861f37030c69f1f1165371fb", None),
 }
 
 # sha256 of each report file as written, with the timestamp pinned: a change
@@ -484,15 +524,20 @@ PINNED_FILE_DIGESTS = {
     "poison": "5afe614cff504c80b616cc85414ae4ef79daf98b8d992feb45610f5f86f244ba",
     "search": "5f5eab080554a4bf492e9c68a018a2cbe6582463a3c714c2616c2001d7bec91d",
     "poison-svg": "fd33d51172c4608f0605744eaaf11ca1e8371398aadf70e120737af6ba6c6ba6",
+    "search-svg": "90a1678f38dcd1d59a8addb90f3eabf569d12dc426446ba35d4254e90b977fcc",
+    "conjecture-svg": "ee7866873163f4ca4a27cea6c31ca92ede86e8015d7e33ddf95096f0e17bedd1",
+    "check": "315c85e00dcaa700216baf02236bb56bc7f7dea1cb0ff2ba9c300833bb20859f",
+    "circle": "61e3615195f476595cdd8026b18508585a5890a45dd3984c8c115a927abad613",
 }
 
 
 @pytest.mark.parametrize("name", list(PINNED_ARGV))
 def test_report_bytes_are_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    save_points_csv(PointSet.from_xy(PINNED_POINTS), "pts.csv")
-    save_points_csv(PointSet.from_xy(map(tuple, PINNED_LARGE)), "large.csv")
+    save_points_csv(PointSet(PINNED_POINTS), "pts.csv")
+    save_points_csv(PointSet(PINNED_LARGE), "large.csv")
     Path("strategy.json").write_text(json.dumps(PINNED_STRATEGY))
+    Path("arcs.json").write_text(json.dumps(PINNED_ARCS))
     argv = PINNED_ARGV[name]
     assert cli.run([*argv, "--out", "report.json", "--timestamp", "2026-01-01T00:00:00Z"]) == 0
     written = Path("report.json").read_bytes()
@@ -605,7 +650,7 @@ def test_diam3_of_100k_points_is_refused_under_a_2gib_address_space(tmp_path):
     would need 5e9 pairs, is refused by its pair cap before any pair is
     built: exit 3 with a one-line error, not a traceback."""
     rng = np.random.default_rng(0)
-    save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (100_000, 2)))), tmp_path / "big.csv")
+    save_points_csv(PointSet(map(tuple, rng.uniform(-1.0, 1.0, (100_000, 2)))), tmp_path / "big.csv")
     out = run_capped(["diameters", "big.csv"], tmp_path)
     assert out.returncode == 3, out.stderr
     assert out.stderr == "error: diam3 of 100000 points needs 4999950000 pairs, more than the cap of 25000000\n"
@@ -635,7 +680,7 @@ def test_oversized_diam3_is_refused_before_allocating(tmp_path):
     """diam3 of 20,000 points would measure 2e8 pairs, eight times the
     cap on its work."""
     rng = np.random.default_rng(1)
-    save_points_csv(PointSet.from_xy(map(tuple, rng.uniform(-1.0, 1.0, (20_000, 2)))), tmp_path / "big.csv")
+    save_points_csv(PointSet(map(tuple, rng.uniform(-1.0, 1.0, (20_000, 2)))), tmp_path / "big.csv")
     out = run_capped(["diameters", "big.csv"], tmp_path)
     assert out.returncode == 3, out.stderr
     assert out.stderr == "error: diam3 of 20000 points needs 199990000 pairs, more than the cap of 25000000\n"
@@ -645,7 +690,7 @@ def test_triameter_of_a_large_hull_is_refused(capsys, tmp_path):
     """Every one of 2,000 points on a circle is a hull vertex, and
     triameter would measure 1.3e9 triples of them, five times its cap."""
     t = np.arange(2000) * (2.0 * math.pi / 2000)
-    save_points_csv(PointSet.from_xy(np.column_stack([np.cos(t), np.sin(t)])), tmp_path / "ring.csv")
+    save_points_csv(PointSet(np.column_stack([np.cos(t), np.sin(t)])), tmp_path / "ring.csv")
     assert cli.run(["diameters", str(tmp_path / "ring.csv")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -658,7 +703,7 @@ def test_an_over_cap_hull_is_refused_before_diam3(monkeypatch, capsys, tmp_path)
     """1,200 cocircular points give triameter 2.9e8 hull triples, over its
     cap, and diameters refuses them before it measures diam3."""
     t = np.arange(1200) * (2.0 * math.pi / 1200)
-    save_points_csv(PointSet.from_xy(np.column_stack([np.cos(t), np.sin(t)])), tmp_path / "ring.csv")
+    save_points_csv(PointSet(np.column_stack([np.cos(t), np.sin(t)])), tmp_path / "ring.csv")
     calls = []
     monkeypatch.setattr(cli, "diam3", lambda points: calls.append(points))
     assert cli.run(["diameters", str(tmp_path / "ring.csv")]) == 3

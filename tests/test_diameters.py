@@ -25,19 +25,14 @@ from isodiam.regions import _corner_hull, rasterize, u_delta_shape
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False).filter(
     lambda v: v == 0.0 or abs(v) >= 2.0**-250
 )
-small_sets = st.lists(st.tuples(coord, coord), min_size=3, max_size=8).map(PointSet.from_xy)
+small_sets = st.lists(st.tuples(coord, coord), min_size=3, max_size=8).map(PointSet)
 
 
 def brute_diam3(s: PointSet) -> float:
     """sup over triples of the min pairwise distance, by full enumeration."""
     best = 0.0
-    pts = list(s)
-    for a, b, c in itertools.combinations(pts, 3):
-        m = min(
-            math.dist((a.x, a.y), (b.x, b.y)),
-            math.dist((a.x, a.y), (c.x, c.y)),
-            math.dist((b.x, b.y), (c.x, c.y)),
-        )
+    for a, b, c in itertools.combinations(s.to_array().tolist(), 3):
+        m = min(math.dist(a, b), math.dist(a, c), math.dist(b, c))
         best = max(best, m)
     return best
 
@@ -64,7 +59,7 @@ def sorted_pair_diam3(s: PointSet) -> float:
 
 
 def brute_diam_ab(s: PointSet, a: int, b: int) -> float:
-    pts = [(p.x, p.y) for p in s]
+    pts = s.to_array().tolist()
     if len(pts) < a:
         return 0.0
     best = 0.0
@@ -157,27 +152,27 @@ def generic_first_violating(s: PointSet, a: int, b: int, t: float) -> tuple[int,
 
 
 def test_diam_basics():
-    assert diam(PointSet.from_xy([(0, 0)])) == 0.0
-    assert diam(PointSet.from_xy([(0, 0), (3, 4)])) == 5.0
+    assert diam(PointSet([(0, 0)])) == 0.0
+    assert diam(PointSet([(0, 0), (3, 4)])) == 5.0
     with pytest.raises(ValueError):
         diam(PointSet([]))
 
 
 def test_diam3_unit_square():
-    s = PointSet.from_xy([(0, 0), (1, 0), (1, 1), (0, 1)])
+    s = PointSet([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert diam3(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diam3_pair_cap_is_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(diameters_mod, "_MAX_PAIRS", 10)
-    assert diam3(PointSet.from_xy([(k, k * k) for k in range(5)])) > 0.0  # 10 pairs
+    assert diam3(PointSet([(k, k * k) for k in range(5)])) > 0.0  # 10 pairs
     with pytest.raises(MemoryError, match="diam3 of 6 points needs 15 pairs"):
-        diam3(PointSet.from_xy([(k, k * k) for k in range(6)]))
+        diam3(PointSet([(k, k * k) for k in range(6)]))
 
 
 def test_diam3_small_sets():
-    assert diam3(PointSet.from_xy([(0, 0), (5, 5)])) == 0.0
-    s = PointSet.from_xy([(0, 0), (2, 0), (1, math.sqrt(3))])  # equilateral side 2
+    assert diam3(PointSet([(0, 0), (5, 5)])) == 0.0
+    s = PointSet([(0, 0), (2, 0), (1, math.sqrt(3))])  # equilateral side 2
     assert diam3(s) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -185,7 +180,7 @@ def test_diam3_matches_bruteforce_seeded():
     rng = np.random.default_rng(11)
     for _ in range(150):
         n = int(rng.integers(3, 10))
-        s = PointSet.from_xy([tuple(r) for r in rng.uniform(-4, 4, size=(n, 2))])
+        s = PointSet([tuple(r) for r in rng.uniform(-4, 4, size=(n, 2))])
         assert diam3(s) == pytest.approx(brute_diam3(s), abs=1e-9)
 
 
@@ -208,7 +203,7 @@ def _diam3_equivalence_inputs() -> dict[str, PointSet]:
     cases["collinear"] = np.stack([1.0 - 3.0 * t, 2.0 + 1.5 * t], axis=1)
     # n - 1 rows have partners, so the last band is a full one
     cases["full-last-band"] = rng.uniform(-3, 3, size=(10 * diameters_mod._BAND + 1, 2))
-    return {name: PointSet.from_xy(map(tuple, pts)) for name, pts in cases.items()}
+    return {name: PointSet(pts) for name, pts in cases.items()}
 
 
 @pytest.mark.parametrize("name", sorted(_diam3_equivalence_inputs()))
@@ -225,7 +220,7 @@ def test_diam3_prefilter_and_blocks_on_small_sets(pairs, block, band):
     small sets exercises the prefilter, block boundaries, the replay,
     single-row bands, a short last band and a band wider than the set
     against both oracles."""
-    s = PointSet.from_xy(pairs)
+    s = PointSet(pairs)
     with (
         mock.patch.object(diameters_mod, "_PREFILTER_MIN", 2),
         mock.patch.object(diameters_mod, "_SUBSAMPLE", 3),
@@ -243,7 +238,7 @@ def test_diam3_peak_memory_is_banded():
     rng = np.random.default_rng(2)
     r = 1.5 * np.sqrt(rng.uniform(0, 1, 2000))
     t = rng.uniform(0, 2 * np.pi, 2000)
-    s = PointSet.from_xy(zip(r * np.cos(t), r * np.sin(t)))
+    s = PointSet(zip(r * np.cos(t), r * np.sin(t)))
     tracemalloc.start()
     try:
         value = diam3(s)
@@ -263,7 +258,7 @@ def test_diam3_at_most_diam(s):
 def test_diam_ab_32_is_diam3():
     rng = np.random.default_rng(3)
     for _ in range(40):
-        s = PointSet.from_xy([tuple(r) for r in rng.uniform(0, 3, size=(7, 2))])
+        s = PointSet([tuple(r) for r in rng.uniform(0, 3, size=(7, 2))])
         assert diam_ab(s, 3, 2) == pytest.approx(diam3(s), abs=1e-12)
 
 
@@ -272,32 +267,32 @@ def test_diam_ab_matches_bruteforce():
     for a, b in ((3, 2), (4, 2), (4, 3), (5, 3)):
         for _ in range(25):
             n = int(rng.integers(a, 9))
-            s = PointSet.from_xy([tuple(r) for r in rng.uniform(-2, 2, size=(n, 2))])
+            s = PointSet([tuple(r) for r in rng.uniform(-2, 2, size=(n, 2))])
             assert diam_ab(s, a, b) == pytest.approx(brute_diam_ab(s, a, b), abs=1e-9)
 
 
 def test_diam_ab_short_set_is_zero():
-    s = PointSet.from_xy([(0, 0), (1, 0)])
+    s = PointSet([(0, 0), (1, 0)])
     assert diam_ab(s, 4, 2) == 0.0
 
 
 def test_diam_ab_monotone_in_b():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        s = PointSet.from_xy([tuple(r) for r in rng.uniform(0, 4, size=(8, 2))])
+        s = PointSet([tuple(r) for r in rng.uniform(0, 4, size=(8, 2))])
         assert diam_ab(s, 5, 2) <= diam_ab(s, 5, 3) + 1e-12
         assert diam_ab(s, 5, 3) <= diam_ab(s, 5, 4) + 1e-12
 
 
 def test_validate_ab():
-    s = PointSet.from_xy([(0, 0), (1, 0), (2, 0)])
+    s = PointSet([(0, 0), (1, 0), (2, 0)])
     for a, b in ((2, 2), (3, 1), (2, 3), (3, 3)):
         with pytest.raises(ValueError):
             diam_ab(s, a, b)
 
 
 def test_budget_guard():
-    s = PointSet.from_xy([(i, 0) for i in range(30)])
+    s = PointSet([(i, 0) for i in range(30)])
     with pytest.raises(BudgetExceededError) as exc:
         diam_ab(s, 10, 2, budget=1000)
     assert exc.value.required == math.comb(30, 10)
@@ -310,7 +305,7 @@ def test_tab_check_agrees_with_diam_ab():
     rng = np.random.default_rng(31)
     for _ in range(60):
         n = int(rng.integers(4, 9))
-        s = PointSet.from_xy([tuple(r) for r in rng.uniform(0, 4, size=(n, 2))])
+        s = PointSet([tuple(r) for r in rng.uniform(0, 4, size=(n, 2))])
         a, b = (3, 2) if rng.integers(0, 2) else (4, 3)
         value = diam_ab(s, a, b)
         for t in (value - 1e-6, value + 1e-6):
@@ -320,17 +315,14 @@ def test_tab_check_agrees_with_diam_ab():
             assert res.holds == (value <= t)
             if not res.holds:
                 assert res.witness is not None
-                pts = res.witness_points(s)
+                pts = s.to_array()[list(res.witness)].tolist()
                 # every b-subset of the witness realises a distance beyond t
                 for bsub in itertools.combinations(pts, b):
-                    assert max(
-                        math.dist((p.x, p.y), (q.x, q.y))
-                        for p, q in itertools.combinations(bsub, 2)
-                    ) > t
+                    assert max(math.dist(p, q) for p, q in itertools.combinations(bsub, 2)) > t
 
 
 def test_tab_check_vacuous_when_short():
-    s = PointSet.from_xy([(0, 0), (10, 0)])
+    s = PointSet([(0, 0), (10, 0)])
     assert tab_check(s, 3, 2, 0.1).holds
 
 
@@ -340,7 +332,7 @@ def test_tab_check_fast_path_matches_generic():
     rng = np.random.default_rng(41)
     for _ in range(40):
         n = int(rng.integers(4, 10))
-        s = PointSet.from_xy([tuple(r) for r in rng.uniform(0, 4, size=(n, 2))])
+        s = PointSet([tuple(r) for r in rng.uniform(0, 4, size=(n, 2))])
         t = float(rng.uniform(0.5, 4.0))
         a = int(rng.integers(3, 5))
         res = tab_check(s, a, 2, t)
@@ -366,7 +358,7 @@ def scan_cases(draw):
     if draw(st.booleans()):
         picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
         pts = pts + [pts[i] for i in picks]
-    return PointSet.from_xy(pts), draw(st.integers(3, 6))
+    return PointSet(pts), draw(st.integers(3, 6))
 
 
 @settings(max_examples=250, deadline=None)
@@ -398,7 +390,7 @@ def _u3_points() -> PointSet:
     rng = np.random.default_rng(7)
     pts = rng.uniform([-1.5, -1.0], [1.5, 1.0], size=(400, 2))
     inside = np.minimum(np.hypot(pts[:, 0] + 0.5, pts[:, 1]), np.hypot(pts[:, 0] - 0.5, pts[:, 1])) <= 1.0
-    return PointSet.from_xy(map(tuple, pts[inside][:50]))
+    return PointSet(pts[inside][:50])
 
 
 @pytest.mark.parametrize("a,b", [(4, 2), (5, 3)])
@@ -416,7 +408,7 @@ def test_tab_check_holds_on_50_points():
 
 
 def test_tab_check_threshold_validation():
-    s = PointSet.from_xy([(0, 0), (1, 0), (2, 0)])
+    s = PointSet([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError):
         tab_check(s, 3, 2, -1.0)
     with pytest.raises(ValueError):
@@ -424,19 +416,19 @@ def test_tab_check_threshold_validation():
 
 
 def test_triameter_known_values():
-    equi = PointSet.from_xy([(0, 0), (2, 0), (1, math.sqrt(3))])
+    equi = PointSet([(0, 0), (2, 0), (1, math.sqrt(3))])
     assert triameter(equi) == pytest.approx(math.sqrt(3), abs=1e-12)
-    line = PointSet.from_xy([(0, 0), (1, 0), (2, 0), (3, 0)])
+    line = PointSet([(0, 0), (1, 0), (2, 0), (3, 0)])
     assert triameter(line) == 0.0
-    assert triameter(PointSet.from_xy([(0, 0), (1, 0)])) == 0.0
+    assert triameter(PointSet([(0, 0), (1, 0)])) == 0.0
 
 
 def test_triameter_triple_cap_counts_hull_vertices(monkeypatch):
     monkeypatch.setattr(diameters_mod, "_MAX_TRIPLES", 10)
     # an interior point adds no triple: 5 hull vertices have 10
-    assert triameter(PointSet.from_xy([(k, k * k) for k in range(5)] + [(2, 5)])) > 0.0
+    assert triameter(PointSet([(k, k * k) for k in range(5)] + [(2, 5)])) > 0.0
     with pytest.raises(MemoryError, match="triameter of 6 hull vertices needs 20 triples"):
-        triameter(PointSet.from_xy([(k, k * k) for k in range(6)]))
+        triameter(PointSet([(k, k * k) for k in range(6)]))
 
 
 def test_triameter_matches_bruteforce():
@@ -444,7 +436,7 @@ def test_triameter_matches_bruteforce():
     for _ in range(50):
         n = int(rng.integers(3, 10))
         pts = rng.uniform(-3, 3, size=(n, 2))
-        s = PointSet.from_xy([tuple(r) for r in pts])
+        s = PointSet([tuple(r) for r in pts])
         best = 0.0
         for i, j, k in itertools.combinations(range(n), 3):
             ab = pts[j] - pts[i]

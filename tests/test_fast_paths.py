@@ -50,9 +50,9 @@ def point_set(coords: np.ndarray) -> PointSet | None:
     with a nonzero magnitude outside [2^-250, 2^250]."""
     a = np.abs(coords)
     if np.all((a == 0.0) | ((a >= 2.0**-250) & (a <= 2.0**250))):
-        return PointSet.from_xy(coords)
+        return PointSet(coords)
     with pytest.raises(ValueError, match="nonzero coordinates must have magnitudes in"):
-        PointSet.from_xy(coords)
+        PointSet(coords)
     return None
 
 
@@ -151,4 +151,4 @@ def test_sets_whose_squares_would_overflow_are_refused():
     refuses the set, at its first point."""
     coords = np.random.default_rng(1).uniform(-1.0, 1.0, size=(50, 2)) * 1e200
     with pytest.raises(ValueError, match="point 0: nonzero coordinates must have magnitudes in"):
-        PointSet.from_xy(coords)
+        PointSet(coords)

@@ -101,7 +101,7 @@ def test_strategy_json_round_trip(tmp_path):
         density=patch,
     )
     path = tmp_path / "strategy.json"
-    strat.save(path)
+    path.write_text(json.dumps(strat.to_json_dict()))
     back = PoisonStrategy.load(path)
     assert back == strat
     assert back.total_grams == pytest.approx(1.5)
@@ -468,6 +468,32 @@ def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
     assert got == whole_round_batch_hits(strategy, _patch_rows(strategy), config, batch_index, quota)
 
 
+def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
+    """A 316-cell patch, like the pie workload's, sets aside at most about
+    two thousand uncertain bites a batch, fewer than _CHUNK, so they are
+    scored once, at the end of the batch. With _CHUNK at 64 or 257 they
+    are flushed mid-batch, and the sub-draws take other sizes: neither
+    moves a hit."""
+    patch = DensityPatch(region=rasterize(DiskUnion(((0.0, 0.0, 0.5),)), 0.05), grams=1.5)
+    strat = PoisonStrategy(density=patch)
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=200_000, seed=4)
+    batches = -(-cfg.samples // _BATCH)
+    want = kill_probability(strat, cfg).hits
+    exact = _VerdictTable.exact
+    for chunk in (64, 257):
+        scored = []
+
+        def spy(table, x, y):
+            scored.append(len(x))
+            return exact(table, x, y)
+
+        monkeypatch.setattr(poisoning, "_CHUNK", chunk)
+        monkeypatch.setattr(_VerdictTable, "exact", spy)
+        assert kill_probability(strat, cfg).hits == want
+        # one scoring at the end of each batch, and the flushes before it
+        assert len(scored) > batches
+
+
 @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])
 def test_uniform_is_the_affine_map_of_random(radius):
     """_VerdictTable reads the cell of a bite center from the raw doubles
@@ -680,7 +706,7 @@ def test_hits_are_a_python_int_and_the_report_is_written(tmp_path):
     hits = kill_probability(tour_hexagon(), cfg).hits
     assert type(hits) is int
     strat_path, out = tmp_path / "hexagon.json", tmp_path / "poison.json"
-    tour_hexagon().save(strat_path)
+    strat_path.write_text(json.dumps(tour_hexagon().to_json_dict()))
     argv = ["poison", "--R", "3", "--h-available", "1.5", "--strategy", str(strat_path), "--samples", "20000",
             "--seed", "4", "--out", str(out)]
     assert cli.run(argv) == 0

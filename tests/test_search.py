@@ -379,6 +379,9 @@ def test_anneal_stops_once_frozen():
     assert dataclasses.replace(huge, iterations=short.iterations) == short
 
 
+FROZEN_AT_COOLING_1 = dict(delta=3.0, h=0.5, seed=0, t0_in_h2=None, cooling=1.0, iterations=3000)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(DISK_REGIME_MAX, 4.0, exclude_min=True, exclude_max=True),
@@ -389,12 +392,22 @@ def test_anneal_stops_once_frozen():
     st.integers(0, 3000),
 )
 @example(delta=2.5, h=0.5, seed=0, t0_in_h2=1.0, cooling=0.9995, iterations=3000)
+@example(**FROZEN_AT_COOLING_1)
 def test_anneal_stop_equals_the_step_by_step_loop(delta, h, seed, t0_in_h2, cooling, iterations):
     """With the frozen check patched to find a live word at every call,
-    the loop runs every iteration; the result is the same."""
+    the loop runs every iteration; the result is the same. Cooling 1.0
+    never lowers the temperature, so the frozen check takes no bound on
+    the warm iterations: FROZEN_AT_COOLING_1 freezes with p > 0 there."""
     t0 = None if t0_in_h2 is None else t0_in_h2 * h * h
     cfg = SearchConfig(delta=delta, h=h, iterations=iterations, seed=seed, temperature_init=t0, cooling=cooling)
-    out = anneal(cfg)
+    bounds = []
+    warm = search._warm_iterations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_warm_iterations", lambda *args: bounds.append(warm(*args)) or bounds[-1])
+        out = anneal(cfg)
+    assert all((bound == math.inf) == (cooling == 1.0) for bound in bounds)
+    case = dict(delta=delta, h=h, seed=seed, t0_in_h2=t0_in_h2, cooling=cooling, iterations=iterations)
+    assert bounds or case != FROZEN_AT_COOLING_1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_first_live_word", lambda moves, *args: moves.position)
         assert anneal(cfg) == out
@@ -510,9 +523,8 @@ def refile_each(region) -> tuple[_IndexedSet, _IndexedSet]:
 def assert_same_frontiers(cells: np.ndarray) -> None:
     add, remove = _seed_frontiers(cells)
     want_add, want_remove = refile_each(dict.fromkeys(map(tuple, cells.tolist())))
-    assert add._items == want_add._items
-    assert remove._items == want_remove._items
-    assert add._pos == want_add._pos and remove._pos == want_remove._pos
+    assert (add.listed, add) == (want_add.listed, want_add)
+    assert (remove.listed, remove) == (want_remove.listed, want_remove)
 
 
 @pytest.mark.parametrize("delta,h", [(3.0, 0.1), (2.5, 0.1), (3.6, 0.1), (2.8, 0.6), (2.6, 0.025), (3.0, 0.05)])
