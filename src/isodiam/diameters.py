@@ -13,11 +13,17 @@ tab_check  decision form: among any a points, some b of them are pairwise
 
 All routines are pure and operate on immutable PointSet values, whose
 coordinates were checked against the coordinate window once, when the set
-was built, so their squared differences stay normal floats. diam_ab
-and tab_check share one exact subset search over Python-int bitmasks of
-the "within the threshold" graph. Both still guard up front on C(n, a)
-against a configurable budget and raise BudgetExceededError naming the
-budget a call would need.
+was built, so their squared differences stay normal floats; diam, diam3
+and triameter share the set's one convex hull. diam_ab and tab_check share
+one exact subset search over Python-int bitmasks of the "within the
+threshold" graph. A search that runs long partitions the points into
+cliques of that graph, in coordinate order, and cuts by pigeonhole: a
+violating a-subset holds at most b - 1 points of a clique, so a partial
+that cannot reach a points that way has no violating subset below it, and
+cliques whose capacities sum below a prove the property outright. Both
+still guard up front on C(n, a) against a configurable budget and raise
+BudgetExceededError naming the budget a call would need, before any
+distance is computed.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Callable
 
 import numpy as np
 
-from .geometry import PointSet, convex_hull_indices, hull_diameter
+from .geometry import PointSet, hull_diameter
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -73,7 +80,7 @@ def diam(s: PointSet) -> float:
     coords = s.to_array()
     if len(coords) == 0:
         raise ValueError("diam of an empty point set")
-    return hull_diameter(coords)
+    return hull_diameter(coords[s.hull()])
 
 
 def diam3(s: PointSet) -> float:
@@ -124,7 +131,7 @@ def diam3(s: PointSet) -> float:
     _check_pairs(f"diam3 of {n} points", n)
     floor2 = 0.0
     if n > _PREFILTER_MIN:
-        hull = convex_hull_indices(coords)
+        hull = s.hull()
         floor2 = _first_triangle_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0)
         coords = coords[_farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)]
     return float(np.sqrt(_first_triangle_d2(coords, floor2)))
@@ -228,8 +235,13 @@ def _first_triangle_d2(coords: np.ndarray, floor2: float) -> float:
 
 
 def _distance_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Pairwise distances sqrt(dx * dx + dy * dy), from (n, n) arrays."""
+    dx = coords[:, :1] - coords[:, 0]
+    dx *= dx
+    dy = coords[:, 1:] - coords[:, 1]
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _check_budget(n: int, a: int, budget: int) -> None:
@@ -260,7 +272,10 @@ def diam_ab(
     most the value. When the search finds no violating subset, t is the
     value. Every t is an entry of the distance matrix, so the result is the
     pair distance itself, bit for bit. Each step is one search that stops
-    at its first witness; only the last one explores a whole tree.
+    at its first witness; only the last one explores a whole tree. A
+    search that runs long builds its clique partition at its own t: one
+    built at an earlier, smaller t would still be valid, but has more
+    cliques and prunes less.
     """
     _validate_ab(a, b)
     coords = s.to_array()
@@ -270,7 +285,11 @@ def diam_ab(
         return 0.0
     D = _distance_matrix(coords)
     value = 0.0
-    while (w := _first_violating(_close_masks(D, value), n, a, b)) is not None:
+
+    def cliques() -> _Partition:
+        return _clique_partition(coords, D, value)
+
+    while (w := _first_violating(_close_masks(D, value), n, a, b, cliques)) is not None:
         value = min(max(D[u, v] for u, v in combinations(sub, 2)) for sub in combinations(w, b))
     return float(value)
 
@@ -296,7 +315,10 @@ def tab_check(
     _check_budget(n, a, budget)
     if n < a:
         return TabCheckResult(holds=True)
-    witness = _first_violating(_close_masks(_distance_matrix(coords), threshold), n, a, b)
+    D = _distance_matrix(coords)
+    witness = _first_violating(
+        _close_masks(D, threshold), n, a, b, lambda: _clique_partition(coords, D, threshold)
+    )
     if witness is None:
         return TabCheckResult(holds=True)
     return TabCheckResult(holds=False, witness=witness)
@@ -304,12 +326,84 @@ def tab_check(
 
 def _close_masks(D: np.ndarray, t: float) -> list[int]:
     """Bit j of entry i is set when j > i and D[i, j] <= t. The subset
-    search only ever looks at points above the last one chosen."""
-    packed = np.packbits(np.triu(D <= t, k=1), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    search only ever looks at points above the last one chosen, so each
+    packed row of D <= t has its bits up to i shifted out."""
+    packed = np.packbits(D <= t, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") >> i + 1 << i + 1 for i in range(len(D))]
 
 
-def _first_violating(close: list[int], n: int, a: int, b: int) -> tuple[int, ...] | None:
+# a partition of the points into cliques: the clique masks, and the index
+# of each point's clique
+_Partition = tuple[list[int], list[int]]
+
+
+def _clique_partition(coords: np.ndarray, D: np.ndarray, t: float) -> _Partition:
+    """A partition of the points into cliques of the close graph D <= t.
+
+    Grown greedily in coordinate order (x, then y): each clique starts at
+    the first point left and takes, in that order, every point left that is
+    close to all its members. The rows are those of the close masks' own
+    test, D <= t, packed in coordinate order, so each member costs one
+    big-int AND. A clique at t is a clique at any larger t.
+    """
+    n = len(coords)
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    packed = np.packbits((D <= t).take(order, 0).take(order, 1), axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    rows = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    order = order.tolist()
+    masks: list[int] = []
+    label = [0] * n
+    left = (1 << n) - 1
+    while left:
+        # the first point left is close to itself: it joins first
+        common = rows[(left & -left).bit_length() - 1] & left
+        mask = 0
+        while common:
+            low = common & -common
+            common = (common ^ low) & rows[low.bit_length() - 1]
+            left ^= low
+            i = order[low.bit_length() - 1]
+            mask |= 1 << i
+            label[i] = len(masks)
+        masks.append(mask)
+    return masks, label
+
+
+def _fits(partition: _Partition, b: int, taken: int, nxt: int, want: int) -> bool:
+    """Whether the pigeonhole bound lets a partial of the points taken add
+    want points from the candidates nxt: the sum over the cliques C of the
+    partition of min(|nxt in C|, b - 1 - |taken in C|) reaches want. The
+    cliques holding candidates are visited lowest candidate first, and the
+    sum stops once it reaches want."""
+    masks, label = partition
+    got = 0
+    while nxt and got < want:
+        m = masks[label[(nxt & -nxt).bit_length() - 1]]
+        got += min((nxt & m).bit_count(), b - 1 - (taken & m).bit_count())
+        nxt &= ~m
+    return got >= want
+
+
+# Candidates handed to a subset search, per point, before it builds its
+# clique partition. The build costs about 2 to 5 times n candidate tries
+# (n = 50 and 600), so a search that gets this far has spent about as much
+# as the build will cost.
+_PARTITION_AFTER = 4
+
+
+class _Proved(Exception):
+    """The pigeonhole bound leaves no violating subset anywhere."""
+
+
+def _first_violating(
+    close: list[int],
+    n: int,
+    a: int,
+    b: int,
+    cliques: Callable[[], _Partition],
+) -> tuple[int, ...] | None:
     """Lexicographically first a-subset with no b points pairwise close.
 
     A b-subset is pairwise within the threshold exactly when it is a
@@ -321,15 +415,34 @@ def _first_violating(close: list[int], n: int, a: int, b: int) -> tuple[int, ...
     Those neighbourhoods are ORed into the forbid mask. The cliques of 1 to
     b - 2 chosen points are kept level by level, as the masks of their
     common neighbourhoods, so that the (b - 1)-cliques can be grown as
-    points join. A partial whose remaining candidates are too few for the
-    points it still needs is not extended; that cuts only subtrees with no
-    full subset in them, so the witness is unchanged.
+    points join.
+
+    Two bounds cut subtrees with no full subset in them, so the witness is
+    unchanged. A partial whose remaining candidates are too few for the
+    points it still needs is not extended. And by pigeonhole: a violating
+    subset holds at most b - 1 points of any clique C of the close graph,
+    so given a partition of the points into cliques (cliques() builds one,
+    see _clique_partition), the points a partial can still add are at most
+    the sum over C of min(|candidates in C|, b - 1 - |chosen in C|). A
+    partial whose sum falls short of what it needs is not extended, and a
+    partition whose sum of min(|C|, b - 1) is below a proves that no
+    a-subset violates. The partition is built only once the search has
+    been handed _PARTITION_AFTER * n candidates, so the build costs about
+    what the search has already spent, and a search that stops earlier
+    pays nothing for it.
     """
     above = [((1 << n) - 1) ^ ((1 << (i + 1)) - 1) for i in range(n)]
-    chosen: list[int] = []
+    partition: _Partition | None = None
+    handed = 0
 
-    def extend(cand: int, forbid: int, levels: list[list[int]]) -> tuple[int, ...] | None:
-        need = a - len(chosen)
+    def extend(cand: int, forbid: int, levels: list[list[int]], taken: int, need: int) -> int | None:
+        nonlocal partition, handed
+        if partition is None:
+            handed += cand.bit_count()
+            if handed >= _PARTITION_AFTER * n:
+                partition = cliques()
+                if sum(min(m.bit_count(), b - 1) for m in partition[0]) < a:
+                    raise _Proved
         while cand:
             low = cand & -cand
             j = low.bit_length() - 1
@@ -337,7 +450,7 @@ def _first_violating(close: list[int], n: int, a: int, b: int) -> tuple[int, ...
             if n - j < need:
                 return None
             if need == 1:
-                return (*chosen, j)
+                return taken | low
             cj = close[j]
             grown = []
             prev = [-1]  # the empty clique: every point is its neighbour
@@ -349,16 +462,18 @@ def _first_violating(close: list[int], n: int, a: int, b: int) -> tuple[int, ...
                 if m & low:
                     grown_forbid |= m & cj
             nxt = above[j] & ~grown_forbid
-            if nxt.bit_count() < need - 1:
+            if nxt.bit_count() < need - 1 or partition and not _fits(partition, b, taken | low, nxt, need - 1):
                 continue
-            chosen.append(j)
-            got = extend(nxt, grown_forbid, grown)
+            got = extend(nxt, grown_forbid, grown, taken | low, need - 1)
             if got is not None:
                 return got
-            chosen.pop()
         return None
 
-    return extend((1 << n) - 1, 0, [[] for _ in range(b - 2)])
+    try:
+        witness = extend((1 << n) - 1, 0, [[] for _ in range(b - 2)], 0, a)
+    except _Proved:
+        return None
+    return None if witness is None else tuple(i for i in range(n) if witness >> i & 1)
 
 
 def triameter(s: PointSet) -> float:
@@ -372,7 +487,7 @@ def triameter(s: PointSet) -> float:
     coords = s.to_array()
     if len(coords) < 3:
         return 0.0
-    hull = convex_hull_indices(coords)
+    hull = s.hull()
     if len(hull) < 3:
         return 0.0
     triples = comb(len(hull), 3)

@@ -115,15 +115,26 @@ class PointSet:
     the coordinate window [2^-250, 2^250], raises ValueError.
     """
 
-    __slots__ = ("_xy",)
+    __slots__ = ("_xy", "_hull")
 
     def __init__(self, pairs: Iterable[tuple[float, float]] | np.ndarray):
         """The set of (x, y) pairs, or of the rows of an (n, 2) array."""
         self._xy = _checked(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        self._hull: np.ndarray | None = None
 
     def to_array(self) -> np.ndarray:
         """Coordinates as a read-only (n, 2) float64 array."""
         return self._xy
+
+    def hull(self) -> np.ndarray:
+        """Indices of the convex hull's vertices (convex_hull_indices) as a
+        read-only array, computed on the first call: the set cannot change,
+        so diam, diam3 and triameter share one hull."""
+        if self._hull is None:
+            hull = np.array(convex_hull_indices(self._xy), dtype=np.intp)
+            hull.flags.writeable = False
+            self._hull = hull
+        return self._hull
 
     def __len__(self) -> int:
         return len(self._xy)
@@ -400,15 +411,13 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def hull_diameter(coords: np.ndarray) -> float:
-    """Largest pairwise distance of an (n, 2) float64 array; 0.0 for fewer
-    than two distinct points.
+def hull_diameter(pts: np.ndarray) -> float:
+    """Largest pairwise distance of a point set, given the (m, 2) float64
+    array of its convex hull vertices; 0.0 for fewer than two.
 
-    The largest distance is attained at convex hull vertices, so only those
-    pairs are compared, on squared distances, with one square root at the
-    end.
+    The largest distance is attained at hull vertices, so only their pairs
+    are compared, on squared distances, with one square root at the end.
     """
-    pts = coords[convex_hull_indices(coords)]
     best = 0.0
     for i in range(len(pts) - 1):
         d2 = float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max())

@@ -529,10 +529,13 @@ def _batch_hits(table: _VerdictTable, batch_index: int, quota: int) -> int:
     _PENDING of them wait, or no pair may be drawn before they are scored,
     they take the verdict of their cell, found from the same cast of
     _TABLE * u, and are mapped to their bite centers for the exact disk
-    test. Those whose cell is uncertain are set aside and scored with the
-    exact dose, _CHUNK points or fewer at a time, and once more at the end
-    of the batch. The table's verdicts are the exact dose's, so the hits
-    are those of scoring every bite.
+    test. Those whose cell is uncertain are set aside, one group per
+    round, and scored with the exact dose, and once more at the end of the
+    batch. The points waiting are scored before a group that would take
+    them past _CHUNK joins; the group joins whole, and it comes from at
+    most _PENDING - 1 + _CHUNK gathered pairs, so one scoring holds at most
+    _PENDING + _CHUNK - 1 points, about 10k. The table's verdicts are the
+    exact dose's, so the hits are those of scoring every bite.
     """
     rng = np.random.default_rng([table.config.seed, batch_index])
     buffer = np.empty((_CHUNK, 2))

@@ -291,7 +291,7 @@ def region_diam(r: PixelRegion) -> float:
     the corner set, which the rows' extreme corners hold. Raises
     ValueError on an empty region.
     """
-    return hull_diameter(_row_extreme_corners(r))
+    return hull_diameter(_corner_hull(r))
 
 
 def _corner_hull(r: PixelRegion) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geometry_oracles import save_points_csv
-from isodiam import cli
+from isodiam import cli, geometry
 from isodiam.bounds import bound_profile
 from isodiam.geometry import DiskUnion, PointSet
 from isodiam.poisoning import DensityPatch, PoisonStrategy
@@ -102,6 +102,26 @@ def test_jung_covered_does_not_depend_on_scale(capsys, tmp_path, scale):
     path.write_text("".join(f"{x * scale!r},{y * scale!r}\n" for x, y in pts))
     rep = run_json(capsys, ["jung", str(path), "--ab", "4,2"])["report"]
     assert (rep["covered"], rep["ab"][0]["covered"]) == (True, False)
+
+
+@pytest.mark.parametrize("command", ["diameters", "jung"])
+def test_one_hull_per_point_set_command(capsys, monkeypatch, tmp_path, command):
+    """diam, diam3's prefilter (above 400 points) and triameter, or diam and
+    diam3, share the point set's one hull."""
+    rng = np.random.default_rng(12)
+    r, t = 1.5 * np.sqrt(rng.uniform(0, 1, 600)), rng.uniform(0, 2 * np.pi, 600)
+    path = tmp_path / "disk.csv"
+    save_points_csv(PointSet(np.stack([r * np.cos(t), r * np.sin(t)], axis=1)), path)
+    hull = geometry.convex_hull_indices
+    calls = []
+
+    def spy(coords):
+        calls.append(len(coords))
+        return hull(coords)
+
+    monkeypatch.setattr(geometry, "convex_hull_indices", spy)
+    run_json(capsys, [command, str(path)])
+    assert calls == [600]
 
 
 def test_bounds_csv_and_svg(capsys, tmp_path):

@@ -407,6 +407,136 @@ def test_tab_check_holds_on_50_points():
     assert tab_check(s, 5, 3, 2.0) == TabCheckResult(holds=True)
 
 
+def _is_partition_into_cliques(masks: list[int], label: list[int], D: np.ndarray, t: float) -> bool:
+    """masks are disjoint, cover every point, label names each point's
+    mask, and every pair inside a mask has D <= t."""
+    n = len(D)
+    members = [[i for i in range(n) if m >> i & 1] for m in masks]
+    return (
+        sorted(i for ms in members for i in ms) == list(range(n))
+        and all(label[i] == k for k, ms in enumerate(members) for i in ms)
+        and all(D[i, j] <= t for ms in members for i, j in itertools.combinations(ms, 2))
+    )
+
+
+def test_u3_points_are_two_cliques_at_2_and_proved_at_the_root():
+    """Coordinate order splits the 50 points of U_3 into its two disks at
+    t = 2, each a clique, so a 5-subset holds at most 2 + 2 points with no
+    3 pairwise close: the search proves T(5, 3) before it reads a row."""
+    s = _u3_points()
+    coords = s.to_array()
+    D = distance_matrix(coords)
+    masks, label = diameters_mod._clique_partition(coords, D, 2.0)
+    assert len(masks) == 2
+    assert _is_partition_into_cliques(masks, label, D, 2.0)
+    reads = []
+
+    class Rows(list):
+        def __getitem__(self, j):
+            reads.append(j)
+            return super().__getitem__(j)
+
+    close = Rows(diameters_mod._close_masks(D, 2.0))
+    with mock.patch.object(diameters_mod, "_PARTITION_AFTER", 0):
+        got = diameters_mod._first_violating(close, 50, 5, 3, lambda: (masks, label))
+    assert got is None
+    assert reads == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases(), st.randoms(use_true_random=False))
+def test_clique_partition_takes_no_pair_beyond_t(case, rnd):
+    """At a pair distance and one ulp to either side of it, every part is
+    a clique of the exact D <= t test, lattice ties included."""
+    s, _ = case
+    coords = s.to_array()
+    D = distance_matrix(coords)
+    d = rnd.choice(sorted(set(D[np.triu_indices(len(s), k=1)].tolist())))
+    for t in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)):
+        if t >= 0:
+            assert _is_partition_into_cliques(*diameters_mod._clique_partition(coords, D, float(t)), D, float(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fits_is_the_pigeonhole_sum(data):
+    """_fits says whether sum over the parts C of min(|nxt in C|, b - 1 -
+    |taken in C|) reaches want, for partials that hold at most b - 1
+    points of each part."""
+    n = data.draw(st.integers(1, 12))
+    b = data.draw(st.integers(2, 4))
+    label = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    parts = sorted(set(label))
+    label = [parts.index(k) for k in label]
+    masks = [sum(1 << i for i in range(n) if label[i] == k) for k in range(len(parts))]
+    taken = 0
+    for m in masks:
+        inside = [i for i in range(n) if m >> i & 1]
+        for i in data.draw(st.lists(st.sampled_from(inside), max_size=b - 1, unique=True)):
+            taken |= 1 << i
+    nxt = data.draw(st.integers(0, (1 << n) - 1)) & ~taken
+    want = data.draw(st.integers(1, n))
+    room = sum(min((nxt & m).bit_count(), b - 1 - (taken & m).bit_count()) for m in masks)
+    assert diameters_mod._fits((masks, label), b, taken, nxt, want) == (room >= want)
+
+
+@st.composite
+def clustered_cases(draw):
+    """k tight clusters on a half-grid, so the clique partition prunes:
+    points on a quarter-grid around each centre (tied distances) or
+    jittered by at most 0.05, and any of them repeated."""
+    k = draw(st.integers(1, 4))
+    half = st.integers(0, 8).map(lambda v: 0.5 * v)
+    centres = draw(st.lists(st.tuples(half, half), min_size=k, max_size=k))
+    n = draw(st.integers(4, 13))
+    which = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        step = st.integers(-1, 1).map(lambda v: 0.25 * v)
+    else:
+        step = st.floats(-0.05, 0.05).filter(lambda v: v == 0.0 or abs(v) >= 2.0**-250)
+    offsets = draw(st.lists(st.tuples(step, step), min_size=n, max_size=n))
+    pts = [(centres[c][0] + dx, centres[c][1] + dy) for c, (dx, dy) in zip(which, offsets)]
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return PointSet(pts + [pts[i] for i in picks]), draw(st.integers(3, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clustered_cases(), st.sampled_from([0, 1, diameters_mod._PARTITION_AFTER]), st.randoms(use_true_random=False))
+def test_pigeonhole_bound_keeps_witnesses_and_values(case, after, rnd):
+    """With the partition built at once, after n candidates or at its
+    default point, tab_check witnesses equal the generic walk's and
+    diam_ab values the depth-first scan's, at a pair distance and one ulp
+    to either side of it."""
+    s, a = case
+    D = distance_matrix(s.to_array())
+    pair_distances = sorted(set(D[np.triu_indices(len(s), k=1)].tolist()))
+    with mock.patch.object(diameters_mod, "_PARTITION_AFTER", after):
+        for b in range(2, a):
+            value = diam_ab(s, a, b)
+            assert value == dfs_diam_ab(s, a, b)
+            for d in {value, rnd.choice(pair_distances)}:
+                for t in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)):
+                    if t < 0:
+                        continue
+                    want = generic_first_violating(s, a, b, float(t)) if len(s) >= a else None
+                    assert tab_check(s, a, b, float(t)).witness == want
+
+
+@pytest.mark.parametrize("scan", [lambda s: diam_ab(s, 5, 3), lambda s: tab_check(s, 5, 3, 2.0)])
+def test_budget_refusal_comes_before_any_matrix_or_partition(scan):
+    """2,000 points hold C(2000, 5) 5-subsets, far over the default
+    budget: the refusal comes before D or a clique partition is built."""
+    s = PointSet(np.random.default_rng(9).uniform(-1.5, 1.5, size=(2000, 2)))
+    boom = AssertionError("built past the budget guard")
+    with (
+        mock.patch.object(diameters_mod, "_distance_matrix", side_effect=boom) as matrix,
+        mock.patch.object(diameters_mod, "_clique_partition", side_effect=boom) as partition,
+        pytest.raises(BudgetExceededError),
+    ):
+        scan(s)
+    assert matrix.call_count == partition.call_count == 0
+
+
 def test_tab_check_threshold_validation():
     s = PointSet([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError):

@@ -492,6 +492,8 @@ def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
         assert kill_probability(strat, cfg).hits == want
         # one scoring at the end of each batch, and the flushes before it
         assert len(scored) > batches
+        # a flush comes before a sub-batch joins, which it does whole
+        assert max(scored) <= poisoning._PENDING + chunk - 1
 
 
 @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])

@@ -221,8 +221,10 @@ def first_violating_ok(cells, h: float) -> bool:
     """diam3_ok by the subset search of diameters over the boundary cells."""
     boundary = _boundary_cells(np.array(sorted(cells), dtype=np.int64))
     bi, bj = boundary.T
-    close = diameters._close_masks(_corner_k(bi[:, None] - bi, bj[:, None] - bj), _caps(3.0, h)[1])
-    return diameters._first_violating(close, len(boundary), 3, 2) is None
+    k, cap = _corner_k(bi[:, None] - bi, bj[:, None] - bj), _caps(3.0, h)[1]
+    close = diameters._close_masks(k, cap)
+    witness = diameters._first_violating(close, len(boundary), 3, 2, lambda: diameters._clique_partition(boundary, k, cap))
+    return witness is None
 
 
 U3_AT_H01 = frozenset(map(tuple, inner_raster(u_delta_shape(3.0), 0.1).cells.tolist()))
