@@ -218,13 +218,14 @@ def cmd_jung(ns: argparse.Namespace) -> int:
     delta = diam(points)
     if delta <= 0.0:
         raise ValueError("need at least two distinct points")
+    # an over-budget --ab is refused before diam3 and the circle run
+    ab_values = [diam_ab(points, a, b, budget=ns.budget) for a, b in ns.ab]
     d3 = diam3(points)
     tau = min(d3, delta)
     rho = gen_jung_radius(delta, tau)
     mec = min_enclosing_circle(points)
     ab_rows = []
-    for a, b in ns.ab:
-        value = diam_ab(points, a, b, budget=ns.budget)
+    for (a, b), value in zip(ns.ab, ab_values):
         row: dict = {"a": a, "b": b, "value": value}
         if 0.0 < value <= delta:
             row["rho"] = gen_jung_radius(delta, value)

@@ -4,7 +4,9 @@ Everything in this module is a pure function over immutable values.
 Coordinates are float64 throughout and all tolerances are documented at the
 definition site. A PointSet checks its coordinates once, when it is built:
 each must be finite, and each nonzero one must lie in the coordinate window
-[2^-250, 2^250], so the array scans over it need no fallback.
+[2^-250, 2^250], so the array scans over it need no fallback. Each
+PointSet computes its convex hull once; min_enclosing_circle runs Welzl's
+construction on the hull's vertices.
 """
 
 from __future__ import annotations
@@ -43,13 +45,8 @@ _CONTAINS_EPS = 1 + 1e-14
 # 2^251] (floats above 2^-250 are multiples of 2^-302), so the squares and
 # cubes of differences that the circumcircle terms take stay normal floats
 # and nothing overflows. A PointSet holds only coordinates inside it, so
-# the array scans of min_enclosing_circle and diameters.diam3 may rely on
-# it.
+# circumcircle and the array scans of diameters.diam3 may rely on it.
 _WINDOW = (2.0**-250, 2.0**250)
-
-# Relative margin of the array scans' certain verdicts: it dwarfs the few
-# ulps by which their squared terms can differ from the exact tests'.
-_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class PointSet:
     def hull(self) -> np.ndarray:
         """Indices of the convex hull's vertices (convex_hull_indices) as a
         read-only array, computed on the first call: the set cannot change,
-        so diam, diam3 and triameter share one hull."""
+        so diam, diam3, triameter and min_enclosing_circle share one hull."""
         if self._hull is None:
             hull = np.array(convex_hull_indices(self._xy), dtype=np.intp)
             hull.flags.writeable = False
@@ -233,135 +230,60 @@ def _circle_two(p: Point, q: Point) -> Disk:
 def min_enclosing_circle(s: PointSet) -> Disk:
     """Smallest closed disk containing every point of s.
 
-    Incremental Welzl-style construction in expected linear time. The input
-    order is shuffled with a fixed-seed generator so results are deterministic
-    for identical inputs while still defeating adversarial orderings. Raises
-    ValueError on an empty set.
-
-    The scans are array passes that give the disk of the per-point loops
-    bit for bit: _first_outside finds the next point outside a disk, and
-    _mec_with_two picks the two circumcircles the per-point loop would keep.
+    Welzl's incremental construction, in expected linear time, on the
+    vertices of the set's cached hull (PointSet.hull): the smallest disk
+    that holds the hull vertices holds their convex hull. A point the hull
+    drops lies inside it, or on one of its edges up to the rounding of the
+    hull's cross products, a few ulps of the set's diameter. That is far
+    below the relative slack of 1e-14 on the radius that Disk.contains
+    allows, so the disk contains every point of s. The vertices are
+    shuffled with a fixed-seed generator, so results are deterministic for
+    identical inputs while adversarial orderings are still defeated.
+    Raises ValueError on an empty set.
     """
-    xy = s.to_array()
-    if not len(xy):
+    pts = [Point(x, y) for x, y in s.to_array()[s.hull()].tolist()]
+    if not pts:
         raise ValueError("min_enclosing_circle of an empty point set")
-    # random.shuffle permutes by length alone, so the indices take the
-    # order that shuffling the points themselves would give them
-    order = list(range(len(xy)))
-    random.Random(0x1D0D1A).shuffle(order)
-    x, y = xy[order, 0], xy[order, 1]
-
-    def with_one(hi: int) -> Disk:
-        # the disk of the first hi points with the last of them on its boundary
-        p = _point(x, y, hi - 1)
-        disk = Disk(p, 0.0)
-        j = _first_outside(disk, x, y, 0, hi)
-        while j < hi:
-            q = _point(x, y, j)
-            if disk.radius == 0.0:
-                disk = _circle_two(p, q)
-            else:
-                disk = _mec_with_two(x[: j + 1], y[: j + 1], p, q)
-            j = _first_outside(disk, x, y, j + 1, hi)
-        return disk
-
-    disk = with_one(1)
-    i = _first_outside(disk, x, y, 1, len(x))
-    while i < len(x):
-        disk = with_one(i + 1)
-        i = _first_outside(disk, x, y, i + 1, len(x))
+    random.Random(0x1D0D1A).shuffle(pts)
+    disk = Disk(pts[0], 0.0)
+    for i, p in enumerate(pts):
+        if not disk.contains(p):
+            disk = _mec_with_one(pts[: i + 1], p)
     return disk
 
 
-def _point(x: np.ndarray, y: np.ndarray, k: int) -> Point:
-    return Point(float(x[k]), float(y[k]))
+def _mec_with_one(pts: Sequence[Point], p: Point) -> Disk:
+    """The smallest disk of pts with p, the last of them, on its boundary."""
+    disk = Disk(p, 0.0)
+    for i, q in enumerate(pts):
+        if not disk.contains(q):
+            disk = _circle_two(p, q) if disk.radius == 0.0 else _mec_with_two(pts[: i + 1], p, q)
+    return disk
 
 
-def _sure_sides(disk: Disk, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the points (x, y) that Disk.contains certainly puts inside,
-    and certainly outside, decided on squared distances.
-
-    In the coordinate window a disk's radius is 0 or at least 2^-303, half
-    the distance of two points, and the degeneracy test keeps circumcentres
-    within 2^292 of the origin. So the squared slackened radius r2 and each
-    squared distance d2 are within a few ulps of their exact values, with no
-    overflow and any underflow far below r2 * _MARGIN, and hypot is within
-    an ulp of the true length: d2 <= r2 * (1 - _MARGIN) means contained and
-    d2 > r2 * (1 + _MARGIN) means not. At r2 = 0 they read d2 == 0 and
-    d2 > 0, exact, as the points' nonzero differences square to normals.
-    """
-    reach = disk.radius * _CONTAINS_EPS
-    r2 = reach * reach
-    dx = x - disk.center.x
-    dy = y - disk.center.y
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx <= r2 * (1 - _MARGIN), dx > r2 * (1 + _MARGIN)
-
-
-def _first_outside(disk: Disk, x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int:
-    """Index of the first of the points lo..hi-1 of (x, y) that disk does
-    not contain, or hi. Points not certainly inside go through
-    Disk.contains in order."""
-    inside, outside = _sure_sides(disk, x[lo:hi], y[lo:hi])
-    for k in np.flatnonzero(~inside).tolist():
-        if outside[k] or not disk.contains(_point(x, y, lo + k)):
-            return lo + k
-    return hi
-
-
-def _mec_with_two(x: np.ndarray, y: np.ndarray, p: Point, q: Point) -> Disk:
-    """The disk of the points (x, y) with p and q on its boundary, in array
-    passes that give the disk of the per-point loop.
-
-    The points outside the circle on pq come from _sure_sides, with
-    Disk.contains deciding the uncertain ones. For each, cross, the
-    circumcentre and ccross are the expressions of the per-point loop and
-    circumcircle, elementwise, so they are the same floats. Twice the
-    triangle's area is |cross|. _is_degenerate squares by pow, which can
-    differ from a product by an ulp, so a triangle is flat or not by the
-    array test only outside a relative margin of _MARGIN, and by
-    _is_degenerate inside it. The loop keeps the first strict maximum of
-    ccross among cross > 0 and the first strict minimum among cross < 0:
-    argmax and argmin. Only those two circles are built, by circumcircle.
-    """
+def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
+    """The smallest disk of pts with p and q on its boundary: the circle on
+    pq, or the smaller of the two circumcircles through p, q and a point
+    outside it whose centres lie farthest to the left and to the right of
+    pq (the left one on a tie)."""
     circ = _circle_two(p, q)
-    inside, outside = _sure_sides(circ, x, y)
-    unsure = np.flatnonzero(~(inside | outside))
-    outside[unsure] = [not circ.contains(_point(x, y, k)) for k in unsure.tolist()]
-    idx = np.flatnonzero(outside)
     px, py = p.x, p.y
     dx, dy = q.x - px, q.y - py
-    rx, ry = x[idx] - px, y[idx] - py
-    cross = dx * ry - dy * rx
-    twice_area = np.abs(cross)
-    # circumcircle's b2 and c2 are two of the squared sides _is_degenerate
-    # takes, here as products
-    b2 = dx * dx + dy * dy
-    c2 = rx * rx + ry * ry
-    qx, qy = q.x - x[idx], q.y - y[idx]
-    tol = DEGENERACY_REL_TOL * np.maximum(np.maximum(b2, qx * qx + qy * qy), c2)
-    flat = twice_area < tol * (1 - _MARGIN)
-    unsure = np.flatnonzero(~flat & (twice_area < tol * (1 + _MARGIN)))
-    flat[unsure] = [_is_degenerate(p, q, _point(x, y, k)) for k in idx[unsure].tolist()]
-    keep = ~flat
-    idx, rx, ry, c2, cross = idx[keep], rx[keep], ry[keep], c2[keep], cross[keep]
-    # circumcircle(p, q, r) with a = p, b = q, c = r, whose
-    # d is 2 * cross; the loop takes ccross on the centre (px + ux, py + uy)
-    d = 2.0 * cross
-    ux = (ry * b2 - dy * c2) / d
-    uy = (dx * c2 - rx * b2) / d
-    ccross = dx * ((py + uy) - py) - dy * ((px + ux) - px)
-
-    def circle(side: np.ndarray, best) -> Disk | None:
-        k = np.flatnonzero(side)
-        if not len(k):
-            return None
-        return circumcircle(p, q, _point(x, y, int(idx[k[best(ccross[k])]])))
-
-    # the smaller of the two side circles, the left one on a tie
-    sides = [c for c in (circle(cross > 0.0, np.argmax), circle(cross < 0.0, np.argmin)) if c is not None]
+    left: tuple[float, Disk] | None = None
+    right: tuple[float, Disk] | None = None
+    for r in pts:
+        if circ.contains(r):
+            continue
+        c = circumcircle(p, q, r)
+        if c is None:
+            continue
+        cross = dx * (r.y - py) - dy * (r.x - px)
+        ccross = dx * (c.center.y - py) - dy * (c.center.x - px)
+        if cross > 0.0 and (left is None or ccross > left[0]):
+            left = (ccross, c)
+        elif cross < 0.0 and (right is None or ccross < right[0]):
+            right = (ccross, c)
+    sides = [side[1] for side in (left, right) if side is not None]
     return min(sides, key=lambda c: c.radius) if sides else circ
 
 

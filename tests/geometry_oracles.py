@@ -1,12 +1,15 @@
 """Per-point oracles for the array fast paths of geometry, diameters and
-poisoning, and the CSV writer for point-set fixtures.
+poisoning, the reference enclosing circle, and the CSV writer for
+point-set fixtures.
 
-convex_hull_indices reads numpy scalars one at a time, min_enclosing_circle
-tests every point with Disk.contains and builds every circumcircle, diam3
-sorts the pairs of the whole set above a stride-sample floor, and
-triameter makes one pass per pair of hull vertices. These
-are the routines the fast paths replaced, kept as they were so the tests
-can require equal results, not close ones. diam3_brute takes the maximum
+convex_hull_indices reads numpy scalars one at a time, diam3 sorts the
+pairs of the whole set above a stride-sample floor, and triameter makes one
+pass per pair of hull vertices. These are the routines the fast paths
+replaced, kept as they were so the tests can require equal results, not
+close ones. min_enclosing_circle is the seeded Welzl loop over every point
+of a set: the library runs the same loop on the hull vertices alone, so on
+those it gives the library's disk bit for bit, and on the whole set a
+radius within rounding of it. diam3_brute takes the maximum
 over all triples directly. is_lethal scores one bite by its exact dose,
 the verdict that the Monte Carlo's table must reproduce. save_points_csv
 writes what load_points_csv reads.

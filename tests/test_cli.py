@@ -106,8 +106,8 @@ def test_jung_covered_does_not_depend_on_scale(capsys, tmp_path, scale):
 
 @pytest.mark.parametrize("command", ["diameters", "jung"])
 def test_one_hull_per_point_set_command(capsys, monkeypatch, tmp_path, command):
-    """diam, diam3's prefilter (above 400 points) and triameter, or diam and
-    diam3, share the point set's one hull."""
+    """diam, diam3's prefilter (above 400 points) and triameter, or diam,
+    diam3 and the enclosing circle, share the point set's one hull."""
     rng = np.random.default_rng(12)
     r, t = 1.5 * np.sqrt(rng.uniform(0, 1, 600)), rng.uniform(0, 2 * np.pi, 600)
     path = tmp_path / "disk.csv"
@@ -510,7 +510,7 @@ PINNED_DIGESTS = {
     "diameters": ("a64e63cb59eb7a8364759018469bed3ba440a948dcff691bce092f0f3050dce0", None),
     "jung": ("5e06fa83ad8ce1718b298d2fd9b66f3b8117e8ce833990e55c2ed403fca38147", None),
     "diameters-1200": ("ee4f27d778100b7cda8145f106655ad8ee9ef9851bc10a4fc405bda0d90f4582", None),
-    "jung-1200": ("271e8356f5d0def5daa1edc7859ccfdf09f12e5749e6d65ef931ed62fe40fe69", None),
+    "jung-1200": ("36e7ecaf5d4836abd5350e0be9e2e91c26a5257b8524f3be015165b4d294c070", None),
     "bounds": (
         "018405177d3339d900bb4a171fc592d2306b0cdf753e19a186e9f8d0421113b1",
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
@@ -533,13 +533,17 @@ PINNED_DIGESTS = {
     "circle": ("795cbfac6db45f325e1ee3d1fd8e30215a79ee66861f37030c69f1f1165371fb", None),
 }
 
+# the Jung verdicts of the pinned jung runs, (covered, covered of each --ab
+# row): a re-pin that moves the circle's floats must leave them as they are
+PINNED_COVERED = {"jung": (True, [True]), "jung-1200": (True, [])}
+
 # sha256 of each report file as written, with the timestamp pinned: a change
 # of the writer's indentation, key order or float text fails here
 PINNED_FILE_DIGESTS = {
     "diameters": "4c010dd2fc0e10f9b3fa0b6a71c8857ed50b36cc6251017bd798b820c055a296",
     "jung": "3e4e058d4a1d07afe7659e3b606c0f2b39be2dfd01694b10c8dc093e0aae77a9",
     "diameters-1200": "b284eb0dc6e3e1b0febd17c0ef7c2f3c2957bcfe6f3702af2ed867c2d4979c28",
-    "jung-1200": "08c178dd5a9f101939bd92ffa054fc6f0dc8280bfd1c923e84e76915bde5fc8b",
+    "jung-1200": "8de699ff027fe3fe200da24bdc3a17a92bea8c82f1d81566e9b76e2e7966d566",
     "bounds": "ae7c1883731a22a901edbe14498b1500d722244f846cc3ec277f52d461988279",
     "poison": "5afe614cff504c80b616cc85414ae4ef79daf98b8d992feb45610f5f86f244ba",
     "search": "5f5eab080554a4bf492e9c68a018a2cbe6582463a3c714c2616c2001d7bec91d",
@@ -565,6 +569,8 @@ def test_report_bytes_are_pinned(name, tmp_path, monkeypatch):
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     side = next((argv[k + 1] for k, flag in enumerate(argv) if flag in ("--csv", "--svg")), None)
     side_digest = hashlib.sha256(Path(side).read_bytes()).hexdigest() if side else None
+    if name in PINNED_COVERED:
+        assert (report["covered"], [row["covered"] for row in report["ab"]]) == PINNED_COVERED[name]
     assert (digest, side_digest) == PINNED_DIGESTS[name]
     assert hashlib.sha256(written).hexdigest() == PINNED_FILE_DIGESTS[name]
 
@@ -727,6 +733,18 @@ def test_an_over_cap_hull_is_refused_before_diam3(monkeypatch, capsys, tmp_path)
     calls = []
     monkeypatch.setattr(cli, "diam3", lambda points: calls.append(points))
     assert cli.run(["diameters", str(tmp_path / "ring.csv")]) == 3
+    assert capsys.readouterr().out == ""
+    assert calls == []
+
+
+def test_an_over_budget_ab_is_refused_before_jung_measures(monkeypatch, capsys, tmp_path):
+    """jung refuses --ab 5,3 on 8 points, 56 subsets over a budget of 1,
+    before diam3 and the enclosing circle run, as diameters does."""
+    save_points_csv(PointSet(PINNED_POINTS), tmp_path / "pts.csv")
+    calls = []
+    monkeypatch.setattr(cli, "diam3", lambda points: calls.append("diam3"))
+    monkeypatch.setattr(cli, "min_enclosing_circle", lambda points: calls.append("mec"))
+    assert cli.run(["jung", str(tmp_path / "pts.csv"), "--ab", "5,3", "--budget", "1"]) == 3
     assert capsys.readouterr().out == ""
     assert calls == []
 

@@ -1,8 +1,9 @@
-"""The array fast paths of convex_hull_indices, min_enclosing_circle, diam3
-and triameter against the per-point routines they replaced
-(geometry_oracles). Every comparison is ==: the fast paths compute the same
-floats. Sets outside the coordinate window never reach them: PointSet
-refuses those."""
+"""The array fast paths of convex_hull_indices, diam3 and triameter against
+the per-point routines they replaced (geometry_oracles): every comparison
+is ==, as the fast paths compute the same floats. And min_enclosing_circle,
+the per-point Welzl loop run on the hull's vertices, against the same loop
+run on every point. Sets outside the coordinate window never reach them:
+PointSet refuses those."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import geometry_oracles as oracle
 from isodiam.diameters import _PREFILTER_MIN, diam3, triameter
-from isodiam.geometry import Point, PointSet, _mec_with_two, convex_hull_indices, min_enclosing_circle
+from isodiam.geometry import PointSet, convex_hull_indices, min_enclosing_circle
 
 KINDS = ("normal", "uniform", "grid", "kgon", "collinear")
 # powers of two scale exactly; the base sets stay inside the coordinate
@@ -29,9 +30,9 @@ def base_set(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "grid":
         # few distinct values: ties in x, in y and in distance, and duplicates
         return rng.integers(-4, 5, size=(n, 2)) * 0.25
-    # relative offsets off the circle or the line, around the margins of
-    # the exact tests: the 1e-14 slack of Disk.contains, the 1e-12
-    # degeneracy tolerance and the 1e-9 margin of the array scans
+    # relative offsets off the circle or the line, around the tolerances of
+    # the exact tests: the 1e-14 slack of Disk.contains and the 1e-12
+    # degeneracy tolerance
     wobble = rng.choice([0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 1e-8]) * rng.choice([-1.0, 0.0, 1.0], size=n)
     if kind == "kgon":
         # cocircular under a few rotations, with repeated vertices
@@ -57,11 +58,11 @@ def point_set(coords: np.ndarray) -> PointSet | None:
 
 
 @st.composite
-def coordinate_sets(draw, sizes=st.integers(1, 60)):
-    kind = draw(st.sampled_from(KINDS))
+def coordinate_sets(draw, sizes=st.integers(1, 60), kinds=st.sampled_from(KINDS), scales=st.sampled_from(SCALES)):
+    kind = draw(kinds)
     n = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return base_set(kind, n, rng) * draw(st.sampled_from(SCALES))
+    return base_set(kind, n, rng) * draw(scales)
 
 
 @settings(max_examples=300, deadline=None)
@@ -70,11 +71,20 @@ def test_hull_matches_the_numpy_scalar_chain(coords):
     assert convex_hull_indices(coords) == oracle.convex_hull_indices(coords)
 
 
-@settings(max_examples=300, deadline=None)
-@given(coordinate_sets())
-def test_welzl_array_scans_match_the_per_point_loops(coords):
-    s = point_set(coords)
-    assert s is None or min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
+@pytest.mark.parametrize("scale", SCALES[:3], ids=["1", "2^-200", "2^200"])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_circle_of_the_hull_covers_every_point(kind, scale, data):
+    """At each scale whose sets stay inside the coordinate window: the
+    circle contains every point under Disk.contains, its radius is
+    within 1e-12 relative of the loop over all points, and it is the loop's
+    disk, bit for bit, on the hull vertices in the library's order."""
+    s = PointSet(data.draw(coordinate_sets(kinds=st.just(kind), scales=st.just(scale))))
+    disk = min_enclosing_circle(s)
+    assert all(disk.contains(p) for p in oracle.points(s))
+    assert math.isclose(disk.radius, oracle.min_enclosing_circle(s).radius, rel_tol=1e-12)
+    assert disk == oracle.min_enclosing_circle(PointSet(s.to_array()[s.hull()]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,7 +114,6 @@ def test_large_sets_match(kind):
     coords = base_set(kind, 2000, rng)
     s = point_set(coords)
     assert convex_hull_indices(coords) == oracle.convex_hull_indices(coords)
-    assert min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
     assert diam3(s) == oracle.diam3(s)
 
 
@@ -120,7 +129,7 @@ def test_large_sets_match(kind):
 )
 def test_fast_paths_at_the_window_edges(low, scale, inside):
     """Magnitudes in [low, 2 * low) scaled to either side of each edge:
-    inside the window the array scans give the oracles' results, and
+    inside the window diam3's array scans give the oracle's result, and
     outside it PointSet refuses the set."""
     rng = np.random.default_rng(3)
     shape = (_PREFILTER_MIN + 1, 2)
@@ -128,22 +137,7 @@ def test_fast_paths_at_the_window_edges(low, scale, inside):
     s = point_set(coords)
     assert (s is not None) is inside
     if inside:
-        assert min_enclosing_circle(s) == oracle.min_enclosing_circle(s)
         assert diam3(s) == oracle.diam3(s)
-
-
-@pytest.mark.parametrize("delta", [-1e-4, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-4])
-def test_the_three_point_step_at_the_degeneracy_tolerance(delta):
-    """Points off the line pq by twice-area / longest-side^2 within a
-    relative delta of DEGENERACY_REL_TOL: the flattest triangle that is not
-    degenerate has the farthest circumcentre, so its circle is the one
-    kept, and only the exact test tells it from a degenerate one."""
-    p, q = Point(0.0, 0.0), Point(1.0, 0.0)
-    # twice the area of (p, q, (2, h)) is |h|, its longest squared side 4 + h^2
-    rs = [Point(2.0, sign * 4e-12 * (1.0 + delta) * (1.0 + k * 1e-3)) for k in range(3) for sign in (1.0, -1.0)]
-    pts = [p, *rs, q]
-    x, y = np.array([r.x for r in pts]), np.array([r.y for r in pts])
-    assert _mec_with_two(x, y, p, q) == oracle._mec_with_two(pts, p, q)
 
 
 def test_sets_whose_squares_would_overflow_are_refused():

@@ -135,6 +135,22 @@ def test_mec_covers_and_is_minimal(pairs):
     assert fast.radius <= slow.radius + 1e-7 * max(1.0, slow.radius)
 
 
+@pytest.mark.parametrize("delta", [-1e-4, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-4])
+def test_mec_at_the_degeneracy_tolerance_matches_bruteforce(delta):
+    """Points off the line pq by twice-area / longest-side^2 within a
+    relative delta of DEGENERACY_REL_TOL, where circumcircle starts to
+    refuse the flattest triangles."""
+    p, q = (0.0, 0.0), (1.0, 0.0)
+    # twice the area of (p, q, (2, h)) is |h|, its longest squared side 4 + h^2
+    rs = [(2.0, sign * 4e-12 * (1.0 + delta) * (1.0 + k * 1e-3)) for k in range(3) for sign in (1.0, -1.0)]
+    s = PointSet([p, *rs, q])
+    fast = min_enclosing_circle(s)
+    slow = min_enclosing_circle_bruteforce(s)
+    assert fast.radius == pytest.approx(slow.radius, abs=1e-9)
+    for pt in points(s):
+        assert fast.contains(pt)
+
+
 def test_hull_square_with_interior_point():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
     hull = convex_hull_indices(coords)
