@@ -6,24 +6,22 @@ diam3    largest t such that three points are pairwise at distance >= t
          distance inside the triple). A set satisfies the T(3,2) property
          with threshold 2 exactly when diam3 <= 2.
 diam_ab  sup over a-subsets of the min over b-subsets of the largest
-         pairwise distance inside the b-subset. diam_ab(s, 3, 2) coincides
-         with diam3 by definition.
+         pairwise distance inside the b-subset; at b = 2, of the smallest
+         pairwise distance, so diam_ab(s, 3, 2) is diam3 by definition.
 tab_check  decision form: among any a points, some b of them are pairwise
          within the threshold.
 
 All routines are pure and operate on immutable PointSet values, whose
 coordinates were checked against the coordinate window once, when the set
 was built, so their squared differences stay normal floats; diam, diam3
-and triameter share the set's one convex hull. diam_ab and tab_check share
-one exact subset search over Python-int bitmasks of the "within the
-threshold" graph. A search that runs long partitions the points into
-cliques of that graph, in coordinate order, and cuts by pigeonhole: a
-violating a-subset holds at most b - 1 points of a clique, so a partial
-that cannot reach a points that way has no violating subset below it, and
-cliques whose capacities sum below a prove the property outright. Both
-still guard up front on C(n, a) against a configurable budget and raise
-BudgetExceededError naming the budget a call would need, before any
-distance is computed.
+and triameter share the set's one convex hull. diam3 and diam_ab at b = 2
+are one sweep that inserts pairs longest first until a clique of a points
+closes. diam_ab at b >= 3 climbs through, and tab_check runs, one exact
+subset search over Python-int bitmasks of the "within the threshold"
+graph, pruned by pigeonhole on a partition of that graph into cliques.
+diam_ab and tab_check guard up front on C(n, a) against a configurable
+budget and raise BudgetExceededError naming the budget a call would need,
+before any distance is computed.
 """
 
 from __future__ import annotations
@@ -84,61 +82,49 @@ def diam(s: PointSet) -> float:
 
 
 def diam3(s: PointSet) -> float:
-    """Sup over triples of the smallest pairwise distance in the triple.
+    """Sup over triples of their smallest pairwise distance: _clique_diam at a = 3."""
+    return _clique_diam(s, 3, "diam3")
 
-    Zero for fewer than three points. Computed by inserting pairs in order
-    of decreasing distance until the first triangle closes; that edge is
-    the smallest edge of the best triple, so its length is the answer. The
-    closing length is max over triples of the min side whatever the order
-    among tied pairs, so the result is exact, with no tolerance, and does
-    not depend on how ties are broken.
 
-    Three shortcuts keep it exact. Above _PREFILTER_MIN points, diam3 of a
-    stride sub-sample of about _SUBSAMPLE points joined with the convex
-    hull's vertices is a lower bound L: its best triple is a triple of the
-    full set. The best triple of the full set has every side >= L, so only
-    pairs at squared distance >= L^2 are sorted; squared distances are
-    computed the same way for the sample and the full set, so the bound
-    holds bit for bit. The pairs are then inserted _BLOCK at a time into
-    bit-packed adjacency rows: if no edge of a block has a common neighbour
-    afterwards, no triangle has closed yet (a triangle closed in the block
-    would show on its last edge), and only the block where one first closes
-    is replayed pair by pair.
+def _clique_diam(s: PointSet, a: int, what: str) -> float:
+    """Largest t such that some a points are pairwise at distance >= t,
+    zero below a points: the length of the pair that closes the first
+    a-clique when pairs go in longest first (_first_clique), exactly and
+    whatever the order among tied pairs.
 
-    The points that cannot be in the best triple are dropped first: those
-    whose largest squared distance to a hull vertex is below
-    L^2 * (1 - 1e-9). The farthest point from any point p is a vertex of
-    the exact hull, and its distance from p is at least half the diameter
-    D. The computed hull drops only points within a few ulps of D of its
-    boundary, and the squared distances, normal floats inside the
-    coordinate window, are within a few ulps of exact, so each vertex of
-    the best triple reaches a hull vertex at squared distance
-    >= L^2 * (1 - 1e-12): the 1e-9 margin dwarfs the rounding. The
-    survivors keep their order, so each of their pairs has the squared
-    distance the full set computes for it, from the same expression on the
-    same floats; every triangle among them is one of the full set, and the
-    best triple is among them. So the closing pair is the same float.
+    Above _PREFILTER_MIN points, the value L of a stride sample of about
+    _SUBSAMPLE points joined with the hull vertices is a lower bound: its
+    best a points are points of the full set, pairwise at squared distance
+    >= L^2 by the same expression on the same floats. So only those pairs
+    are sorted, among the points whose largest squared distance to a hull
+    vertex is at least L^2 * (1 - 1e-9). Each of the best a points has a
+    partner at least L away, and the farthest point from any point is a
+    vertex of the exact hull, at least half the diameter D away. The
+    computed hull drops only points within a few ulps of D of its
+    boundary, and squared distances inside the coordinate window are
+    within a few ulps of exact, so the margin dwarfs the rounding. The
+    survivors keep their order and their pairs' floats, so the sweep
+    closes on the unpruned sweep's float.
 
-    Pairs are built _BAND rows at a time and only those above the floor
-    are kept, so memory grows as _BAND * n plus the kept pairs, not as
-    n^2. The work still grows as n^2: a set of more than _MAX_PAIRS pairs
-    raises MemoryError before any pair is built.
+    Pairs are built _BAND rows at a time, keeping those above the floor,
+    so memory grows as _BAND * n plus the kept pairs; more than _MAX_PAIRS
+    pairs raise MemoryError before any is built.
     """
     coords = s.to_array()
     n = len(coords)
-    if n < 3:
+    if n < a:
         return 0.0
-    _check_pairs(f"diam3 of {n} points", n)
+    _check_pairs(f"{what} of {n} points", n)
     floor2 = 0.0
     if n > _PREFILTER_MIN:
         hull = s.hull()
-        floor2 = _first_triangle_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0)
+        floor2 = _first_clique_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0, a)
         coords = coords[_farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)]
-    return float(np.sqrt(_first_triangle_d2(coords, floor2)))
+    return float(np.sqrt(_first_clique_d2(coords, floor2, a)))
 
 
-# See diam3: sub-sample size and threshold of the prefilter, and the
-# number of pairs inserted per vectorized triangle test.
+# See _clique_diam: sub-sample size and threshold of the prefilter; and
+# the number of pairs _first_clique inserts per vectorized test.
 _PREFILTER_MIN = 400
 _SUBSAMPLE = 200
 _BLOCK = 512
@@ -146,10 +132,9 @@ _BLOCK = 512
 # _BAND * n floats, whatever n is
 _BAND = 64
 
-# Cap on the pairs diam3 measures and search verifies, the raster cap of
-# regions: up to 7,071 points. It bounds the work; the bands bound the
-# memory. The kept pairs can still approach the cap on sets whose pairs are
-# nearly all equally long.
+# Cap on the pairs of diam3, diam_ab, tab_check and search's verifier, the
+# raster cap of regions: up to 7,071 points. It bounds the work; the bands
+# bound the sweep's memory, unless nearly all its pairs are equally long.
 _MAX_PAIRS = 25_000_000
 
 # Cap on the hull-vertex triples triameter measures: up to 1,145 vertices,
@@ -189,9 +174,9 @@ def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:
         np.bitwise_xor.at(adj, (a, b >> 6), bits)
 
 
-def _first_triangle_d2(coords: np.ndarray, floor2: float) -> float:
-    """Squared length of the first pair that closes a triangle when pairs
-    at squared distance >= floor2 are inserted longest first."""
+def _first_clique_d2(coords: np.ndarray, floor2: float, a: int) -> float:
+    """Squared length of the pair that closes the first a-clique when pairs
+    of squared length >= floor2 go in longest first; 0.0 if none does."""
     n = len(coords)
     x, y = coords[:, 0], coords[:, 1]
     iu, ju, d2 = [], [], []
@@ -213,25 +198,60 @@ def _first_triangle_d2(coords: np.ndarray, floor2: float) -> float:
     # kept pairs in triu row-major order, as one flat triu layout would list them
     iu, ju, d2 = np.concatenate(iu), np.concatenate(ju), np.concatenate(d2)
     order = np.argsort(-d2)
-    iu, ju, d2 = iu[order], ju[order], d2[order]
-    # little-endian words, so a row's bytes read as one Python int below
+    k = _first_clique(n, iu[order], ju[order], a)
+    return 0.0 if k is None else float(d2[order[k]])
+
+
+class _Rows(dict):
+    """Python-int copies of the packed rows of adj, made on first use."""
+
+    def __init__(self, adj: np.ndarray):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, r: int) -> int:
+        self[r] = row = int.from_bytes(self.adj[r].tobytes(), "little")
+        return row
+
+    def has_clique(self, cand: int, k: int) -> bool:
+        """Whether the points of mask cand hold a k-clique (k >= 1), trying a
+        point only with k - 1 points left and as many later neighbours."""
+        while cand.bit_count() >= k:
+            low = cand & -cand
+            cand ^= low
+            if k == 1:
+                return True
+            nbrs = cand & self[low.bit_length() - 1]
+            if nbrs.bit_count() >= k - 1 and (k == 2 or self.has_clique(nbrs, k - 1)):
+                return True
+        return False
+
+
+def _first_clique(n: int, iu: np.ndarray, ju: np.ndarray, a: int) -> int | None:
+    """Index of the first pair (iu[k], ju[k]) that closes an a-clique of n
+    points when the pairs go in in order, or None. They go into bit-packed
+    adjacency rows _BLOCK at a time, and a block in which no pair's ends
+    share a neighbour closes no clique (one would show on its last pair).
+    Any other block is replayed pair by pair on Python-int rows, testing
+    each pair's common neighbourhood for an (a - 2)-clique; a replayed
+    block that closes none (only possible for a > 3) stays in.
+    """
+    # little-endian words, so a row's bytes read as one Python int
     adj = np.zeros((n, (n + 63) >> 6), dtype="<u8")
-    for lo in range(0, len(d2), _BLOCK):
+    for lo in range(0, len(iu), _BLOCK):
         bi, bj = iu[lo : lo + _BLOCK], ju[lo : lo + _BLOCK]
-        if lo + _BLOCK < len(d2):
-            _toggle_edges(adj, bi, bj)
-            if not (adj[bi] & adj[bj]).any():
-                continue
-            _toggle_edges(adj, bi, bj)
-        # a triangle closes in this block (the last block always closes
-        # one): replay it pair by pair on Python-int copies of its rows
-        rows = {r: int.from_bytes(adj[r].tobytes(), "little") for r in {*bi.tolist(), *bj.tolist()}}
-        for i, j, dd in zip(bi.tolist(), bj.tolist(), d2[lo : lo + _BLOCK].tolist()):
-            if rows[i] & rows[j]:
-                return dd
+        _toggle_edges(adj, bi, bj)
+        if not (adj[bi] & adj[bj]).any():
+            continue
+        _toggle_edges(adj, bi, bj)
+        rows = _Rows(adj)
+        for k, (i, j) in enumerate(zip(bi.tolist(), bj.tolist()), lo):
+            if rows.has_clique(rows[i] & rows[j], a - 2):
+                return k
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    raise AssertionError("no triangle among the pairs above the floor")
+        _toggle_edges(adj, bi, bj)
+    return None
 
 
 def _distance_matrix(coords: np.ndarray) -> np.ndarray:
@@ -267,22 +287,24 @@ def diam_ab(
     Returns 0 when the set has fewer than a points. The value is the max
     over a-subsets W of v(W), the min over b-subsets of W of the largest
     pair distance, and T(a, b) holds at threshold t exactly when the value
-    is <= t. Starting at t = 0, while the subset search finds a violating
-    W at t, t moves up to v(W): v(W) > t because W violates, and v(W) is at
-    most the value. When the search finds no violating subset, t is the
-    value. Every t is an entry of the distance matrix, so the result is the
-    pair distance itself, bit for bit. Each step is one search that stops
-    at its first witness; only the last one explores a whole tree. A
-    search that runs long builds its clique partition at its own t: one
-    built at an earlier, smaller t would still be valid, but has more
-    cliques and prunes less.
+    is <= t. At b = 2, v(W) is the smallest pair distance in W, and the
+    value is one clique sweep (_clique_diam). At b >= 3, starting at t = 0,
+    while the subset search finds a violating W at t, t moves up to v(W):
+    v(W) > t because W violates, and v(W) is at most the value. When the
+    search finds no violating subset, t is the value. Every t is an entry
+    of the distance matrix, so the result is the pair distance itself, bit
+    for bit. Only the last search explores a whole tree, and each builds
+    its clique partition at its own t, not at an earlier, smaller one.
     """
     _validate_ab(a, b)
     coords = s.to_array()
     n = len(coords)
     _check_budget(n, a, budget)
+    if b == 2:
+        return _clique_diam(s, a, "diam_ab")
     if n < a:
         return 0.0
+    _check_pairs(f"diam_ab of {n} points", n)
     D = _distance_matrix(coords)
     value = 0.0
 
@@ -315,13 +337,10 @@ def tab_check(
     _check_budget(n, a, budget)
     if n < a:
         return TabCheckResult(holds=True)
+    _check_pairs(f"tab_check of {n} points", n)
     D = _distance_matrix(coords)
-    witness = _first_violating(
-        _close_masks(D, threshold), n, a, b, lambda: _clique_partition(coords, D, threshold)
-    )
-    if witness is None:
-        return TabCheckResult(holds=True)
-    return TabCheckResult(holds=False, witness=witness)
+    witness = _first_violating(_close_masks(D, threshold), n, a, b, lambda: _clique_partition(coords, D, threshold))
+    return TabCheckResult(holds=witness is None, witness=witness)
 
 
 def _close_masks(D: np.ndarray, t: float) -> list[int]:
@@ -419,12 +438,10 @@ def _first_violating(
 
     Two bounds cut subtrees with no full subset in them, so the witness is
     unchanged. A partial whose remaining candidates are too few for the
-    points it still needs is not extended. And by pigeonhole: a violating
-    subset holds at most b - 1 points of any clique C of the close graph,
-    so given a partition of the points into cliques (cliques() builds one,
-    see _clique_partition), the points a partial can still add are at most
-    the sum over C of min(|candidates in C|, b - 1 - |chosen in C|). A
-    partial whose sum falls short of what it needs is not extended, and a
+    points it still needs is not extended. And by pigeonhole (_fits): a
+    violating subset holds at most b - 1 points of each clique C of the
+    partition cliques() builds (_clique_partition), so a partial whose
+    candidates cannot supply what it needs that way is not extended, and a
     partition whose sum of min(|C|, b - 1) is below a proves that no
     a-subset violates. The partition is built only once the search has
     been handed _PARTITION_AFTER * n candidates, so the build costs about

@@ -311,14 +311,15 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
 
     diam_ok compares the largest corner metric, over the rows' extreme
     cells, with diam_cap. diam3_ok holds when no three boundary cells are
-    pairwise far (_far_triangle_free). That makes the region a
-    T(3,2)-set: three of its points pairwise farther than 2 can each move
-    away from the other two until they meet the boundary
-    (diam3(S) = diam3(boundary of S)), where they lie in three boundary
-    cells that are then pairwise far; three, because two points of one
-    cell are at most h*sqrt(2) <= 2 apart whenever a cell fits in a unit
-    disk. The boundary k matrix grows as n^2: more boundary-cell pairs
-    than the pair cap of diameters raises MemoryError before it is built.
+    pairwise far: when no far pair of them closes a triangle in the clique
+    sweep of diameters._first_clique. That makes the region a T(3,2)-set:
+    three of its points pairwise farther than 2 can each move away from
+    the other two until they meet the boundary (diam3(S) = diam3(boundary
+    of S)), where they lie in three boundary cells that are then pairwise
+    far; three, because two points of one cell are at most h*sqrt(2) <= 2
+    apart whenever a cell fits in a unit disk. The boundary pairs grow as
+    n^2: more of them than the pair cap of diameters raises MemoryError
+    before they are built.
     """
     diam_cap, far_cap = _caps(delta, region.h)
     idx = region.cells
@@ -326,30 +327,12 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     n = len(boundary)
     diameters._check_pairs(f"verifying {n} boundary cells", n)
     bi, bj = boundary.T
-    far = _corner_k(bi[:, None] - bi, bj[:, None] - bj) > far_cap
-    np.fill_diagonal(far, False)
+    iu, ju = np.triu_indices(n, 1)
+    far = _corner_k(bi[iu] - bi[ju], bj[iu] - bj[ju]) > far_cap
     return FeasibilityReport(
         diam_corners=region_diam(region),
         diam_ok=_largest_k(idx[:, 0], idx[:, 1]) <= diam_cap,
-        diam3_ok=_far_triangle_free(far),
-    )
-
-
-def _far_triangle_free(far: np.ndarray) -> bool:
-    """Whether no three of n items are pairwise far, given their symmetric
-    (n, n) far matrix with a false diagonal.
-
-    A far triangle is a far edge (a, b) whose two ends share a far
-    neighbour, so the test ANDs the bit-packed far rows of the ends of
-    every edge of the upper triangle, diameters._BLOCK edges at a time so
-    that no temporary holds more than 2 * _BLOCK packed rows.
-    """
-    rows = np.packbits(far, axis=1)
-    a, b = np.nonzero(np.triu(far, 1))
-    block = diameters._BLOCK
-    return not any(
-        (rows.take(a[lo : lo + block], axis=0) & rows.take(b[lo : lo + block], axis=0)).any()
-        for lo in range(0, len(a), block)
+        diam3_ok=diameters._first_clique(n, iu[far], ju[far], 3) is None,
     )
 
 

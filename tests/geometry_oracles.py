@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from isodiam.diameters import _PREFILTER_MIN, _SUBSAMPLE, _first_triangle_d2
+from isodiam.diameters import _PREFILTER_MIN, _SUBSAMPLE, _first_clique_d2
 from isodiam.geometry import Disk, Point, PointSet, _circle_two, circumcircle
 from isodiam.poisoning import _TOL, PoisonConfig, PoisonStrategy, _dose_at, _is_lethal_dose, _patch_rows
 
@@ -127,8 +127,8 @@ def diam3(s: PointSet) -> float:
         return 0.0
     floor2 = 0.0
     if n > _PREFILTER_MIN:
-        floor2 = _first_triangle_d2(coords[:: n // _SUBSAMPLE], 0.0)
-    return float(np.sqrt(_first_triangle_d2(coords, floor2)))
+        floor2 = _first_clique_d2(coords[:: n // _SUBSAMPLE], 0.0, 3)
+    return float(np.sqrt(_first_clique_d2(coords, floor2, 3)))
 
 
 def diam3_brute(s: PointSet) -> float:

@@ -170,6 +170,15 @@ def test_diam3_pair_cap_is_checked_before_allocating(monkeypatch):
         diam3(PointSet([(k, k * k) for k in range(6)]))
 
 
+@pytest.mark.parametrize("scan", [lambda s: diam_ab(s, 4, 3), lambda s: tab_check(s, 4, 3, 1.0)], ids=["diam_ab", "tab_check"])
+def test_subset_scan_pair_cap_is_checked_before_the_distance_matrix(monkeypatch, scan):
+    monkeypatch.setattr(diameters_mod, "_MAX_PAIRS", 10)
+    assert scan(PointSet([(k, k * k) for k in range(5)])) is not None  # 10 pairs
+    monkeypatch.setattr(diameters_mod, "_distance_matrix", mock.Mock(side_effect=AssertionError("built D")))
+    with pytest.raises(MemoryError, match="of 6 points needs 15 pairs"):
+        scan(PointSet([(k, k * k) for k in range(6)]))
+
+
 def test_diam3_small_sets():
     assert diam3(PointSet([(0, 0), (5, 5)])) == 0.0
     s = PointSet([(0, 0), (2, 0), (1, math.sqrt(3))])  # equilateral side 2
@@ -259,7 +268,60 @@ def test_diam_ab_32_is_diam3():
     rng = np.random.default_rng(3)
     for _ in range(40):
         s = PointSet([tuple(r) for r in rng.uniform(0, 3, size=(7, 2))])
-        assert diam_ab(s, 3, 2) == pytest.approx(diam3(s), abs=1e-12)
+        assert diam_ab(s, 3, 2) == diam3(s)
+
+
+def test_b2_sweep_above_the_prefilter_equals_the_unpruned_sweep():
+    """Above _PREFILTER_MIN, diam_ab(s, 3, 2) is diam3, and at a = 3, 4
+    and 5 the sample floor and hull prune give the unpruned sweep's float."""
+    n = 450
+    s = PointSet(np.random.default_rng(n).uniform(-3, 3, size=(n, 2)))
+    assert n > diameters_mod._PREFILTER_MIN
+    assert diam_ab(s, 3, 2) == diam3(s)
+    for a in (3, 4, 5):
+        value = diam_ab(s, a, 2, budget=10**15)
+        with mock.patch.object(diameters_mod, "_PREFILTER_MIN", n):
+            assert value == diam_ab(s, a, 2, budget=10**15)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_b2_sweep_replays_blocks_that_close_no_clique(block):
+    """With blocks of 1 and 3 pairs, a pair whose ends share a neighbour
+    but no (a - 2)-clique makes a replayed block that closes nothing and
+    stays in; diam_ab(s, a, 2) still equals the depth-first scan."""
+    rng = np.random.default_rng(17)
+    replays = []
+
+    class Rows(diameters_mod._Rows):
+        def __init__(self, adj):
+            super().__init__(adj)
+            replays.append(1)
+
+    with mock.patch.object(diameters_mod, "_BLOCK", block), mock.patch.object(diameters_mod, "_Rows", Rows):
+        for _ in range(30):
+            n = int(rng.integers(5, 13))
+            s = PointSet(np.round(rng.uniform(-2, 2, size=(n, 2)), int(rng.integers(0, 3))))
+            for a in (4, 5):
+                assert diam_ab(s, a, 2) == dfs_diam_ab(s, a, 2)
+    # each of the 60 sweeps replays one block that closes its clique; the
+    # other replays closed none
+    assert len(replays) > 2 * 60
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+def test_b2_runs_no_subset_search_and_no_diam3(a):
+    """diam_ab(s, a, 2) is the clique sweep alone: diam3 (which the
+    benchmark counts), the subset search and its masks are never called."""
+    s = _u3_points()
+    want = dfs_diam_ab(s, a, 2)
+    boom = AssertionError("b = 2 reached the subset search or diam3")
+    with (
+        mock.patch.object(diameters_mod, "diam3", side_effect=boom),
+        mock.patch.object(diameters_mod, "_first_violating", side_effect=boom),
+        mock.patch.object(diameters_mod, "_close_masks", side_effect=boom),
+        mock.patch.object(diameters_mod, "_clique_partition", side_effect=boom),
+    ):
+        assert diam_ab(s, a, 2) == want
 
 
 def test_diam_ab_matches_bruteforce():

@@ -23,7 +23,6 @@ from isodiam.search import (
     _boundary_cells,
     _caps,
     _corner_k,
-    _far_triangle_free,
     _feasibility,
     _IndexedSet,
     _largest_k,
@@ -258,10 +257,12 @@ def test_packed_verifier_ties_and_blocks():
     far_cap = _caps(3.0, h)[1]
     boundary = _boundary_cells(np.array(sorted(U3_AT_H01), dtype=np.int64))
     bi, bj = boundary.T
-    far = _corner_k(bi[:, None] - bi, bj[:, None] - bj) > far_cap
-    assert np.count_nonzero(np.triu(far, 1)) == 810 > diameters._BLOCK
-    assert _far_triangle_free(far) and not oracle_diam3_ok(U3_AT_H01 | {(26, 0)}, h)
-    assert _far_triangle_free(np.zeros((0, 0), dtype=bool)) and _far_triangle_free(np.zeros((1, 1), dtype=bool))
+    iu, ju = np.nonzero(np.triu(_corner_k(bi[:, None] - bi, bj[:, None] - bj) > far_cap, 1))
+    assert len(iu) == 810 > diameters._BLOCK
+    assert diameters._first_clique(len(boundary), iu, ju, 3) is None and not oracle_diam3_ok(U3_AT_H01 | {(26, 0)}, h)
+    # no pairs, on zero points and on one
+    none = np.zeros(0, dtype=np.int64)
+    assert diameters._first_clique(0, none, none, 3) is None and diameters._first_clique(1, none, none, 3) is None
     late = frozenset({(0, 0), (5, -6), (5, 6), (10, 0), (15, 0)})
     # all five are boundary cells, in the sorted order of corner_k
     assert len(_boundary_cells(np.array(sorted(late), dtype=np.int64))) == 5
