@@ -29,7 +29,7 @@ from itertools import chain
 from . import __version__
 from .bounds import CIRCLE_LEMMA_MIN_RADIUS, bound_profile, circle_bound, gen_jung_radius
 from .diameters import BudgetExceededError, DEFAULT_SUBSET_BUDGET, diam, diam3, diam_ab, tab_check, triameter
-from .geometry import Disk, DiskUnion, Point, PointSet, load_points_csv, min_enclosing_circle
+from .geometry import Disk, DiskUnion, Point, PointSet, load_points_csv
 from .poisoning import (
     PointMass,
     PoisonConfig,
@@ -223,7 +223,7 @@ def cmd_jung(ns: argparse.Namespace) -> int:
     d3 = diam3(points)
     tau = min(d3, delta)
     rho = gen_jung_radius(delta, tau)
-    mec = min_enclosing_circle(points)
+    mec = points.enclosing_circle()
     ab_rows = []
     for (a, b), value in zip(ns.ab, ab_values):
         row: dict = {"a": a, "b": b, "value": value}

@@ -16,9 +16,13 @@ coordinates were checked against the coordinate window once, when the set
 was built, so their squared differences stay normal floats; diam, diam3
 and triameter share the set's one convex hull. diam3 and diam_ab at b = 2
 are one sweep that inserts pairs longest first until a clique of a points
-closes. diam_ab at b >= 3 climbs through, and tab_check runs, one exact
-subset search over Python-int bitmasks of the "within the threshold"
-graph, pruned by pigeonhole on a partition of that graph into cliques.
+closes. Above 400 points the sweep keeps only the points that can be in a
+far clique: those with a hull vertex beyond a sampled floor L, and room
+in the set's enclosing disk for two partners at least L from them and
+from each other. diam_ab at b >= 3 climbs through, and tab_check runs,
+one exact subset search over Python-int bitmasks of the "within the
+threshold" graph, pruned by pigeonhole on a partition of that graph into
+cliques; the climb adds each pair to the masks once.
 diam_ab and tab_check guard up front on C(n, a) against a configurable
 budget and raise BudgetExceededError naming the budget a call would need,
 before any distance is computed.
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PointSet, hull_diameter
+from .geometry import Point, PointSet, hull_diameter
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -96,15 +100,17 @@ def _clique_diam(s: PointSet, a: int, what: str) -> float:
     _SUBSAMPLE points joined with the hull vertices is a lower bound: its
     best a points are points of the full set, pairwise at squared distance
     >= L^2 by the same expression on the same floats. So only those pairs
-    are sorted, among the points whose largest squared distance to a hull
-    vertex is at least L^2 * (1 - 1e-9). Each of the best a points has a
+    are sorted, among the points that pass two tests which every point of
+    a best a-subset passes. First, its largest squared distance to a hull
+    vertex is at least L^2 * (1 - 1e-9): each of the best a points has a
     partner at least L away, and the farthest point from any point is a
     vertex of the exact hull, at least half the diameter D away. The
     computed hull drops only points within a few ulps of D of its
     boundary, and squared distances inside the coordinate window are
-    within a few ulps of exact, so the margin dwarfs the rounding. The
-    survivors keep their order and their pairs' floats, so the sweep
-    closes on the unpruned sweep's float.
+    within a few ulps of exact, so the margin dwarfs the rounding. Second,
+    where L > 0, the enclosing disk leaves room for two partners at least
+    L apart (_room_for_two). The survivors keep their order and their
+    pairs' floats, so the sweep closes on the unpruned sweep's float.
 
     Pairs are built _BAND rows at a time, keeping those above the floor,
     so memory grows as _BAND * n plus the kept pairs; more than _MAX_PAIRS
@@ -119,7 +125,10 @@ def _clique_diam(s: PointSet, a: int, what: str) -> float:
     if n > _PREFILTER_MIN:
         hull = s.hull()
         floor2 = _first_clique_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0, a)
-        coords = coords[_farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)]
+        keep = _farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)
+        if floor2 > 0.0:
+            keep &= _room_for_two(coords, coords[hull], s.enclosing_circle().center, floor2)
+        coords = coords[keep]
     return float(np.sqrt(_first_clique_d2(coords, floor2, a)))
 
 
@@ -165,6 +174,44 @@ def _farthest_d2(coords: np.ndarray, ends: np.ndarray) -> np.ndarray:
         dx += dy
         np.maximum(best, dx.max(axis=1), out=best)
     return best
+
+
+def _room_for_two(coords: np.ndarray, hull: np.ndarray, center: Point, floor2: float) -> np.ndarray:
+    """Whether the part of the disk D(c, rho) at least L = sqrt(floor2)
+    from each point p of coords may hold two points at least L apart.
+
+    rho^2 is the largest squared distance from c to a hull vertex, so the
+    disk holds every point whatever c is, and in a best a-subset (a >= 3)
+    with pairs at least L long, the other points of p's subset lie in that
+    part, two of them at least L apart. The part lies in the cap of the
+    disk beyond the chord where the circle of radius L around p crosses
+    the disk's circle: with c at the origin and p on the positive x axis,
+    |x - p|^2 >= L^2 and |x|^2 <= rho^2 give x_1 <= (rho^2 + |p|^2 - L^2)
+    / (2 |p|). In units of rho^2, with t = |p - c|^2, lambda = L^2 and
+    g = t + 1 - lambda, that cap is smaller than a half disk exactly when
+    g < 0, and its diameter is then its chord, of squared length
+    (4t - g^2) / t. So p is dropped when g < 0 and 4t - g^2 < lambda * t.
+    An empty part (sqrt(t) + 1 < sqrt(lambda)) is among these: then
+    g < -2 sqrt(t), and 4t - g^2 is negative.
+
+    Each margin, a relative 1e-9, only keeps more points. rho^2 is grown:
+    the disk then also holds the points the computed hull drops within a
+    few ulps of its edges, and a larger disk leaves a larger part. L^2 is
+    shrunk: the part at least L from p grows and the partners need less
+    room. The right-hand side is shrunk: a p within rounding of the
+    boundary stays. The ratios keep t, lambda and g of order 1 (t is at
+    most 1 up to rounding), so each is within a few ulps of 1 of exact,
+    far inside the margins, and no term overflows or underflows anywhere
+    in the coordinate window. floor2 must be > 0, so that rho^2 is.
+    """
+    cx, cy = center.x, center.y
+    rho2 = float(_farthest_d2(np.array([[cx, cy]]), hull)[0]) * (1 + 1e-9)
+    lam = floor2 * (1 - 1e-9) / rho2
+    dx = coords[:, 0] - cx
+    dy = coords[:, 1] - cy
+    t = (dx * dx + dy * dy) / rho2
+    g = t + (1.0 - lam)
+    return (g >= 0.0) | (4.0 * t - g * g >= lam * (1 - 1e-9) * t)
 
 
 def _toggle_edges(adj: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> None:
@@ -294,7 +341,9 @@ def diam_ab(
     search finds no violating subset, t is the value. Every t is an entry
     of the distance matrix, so the result is the pair distance itself, bit
     for bit. Only the last search explores a whole tree, and each builds
-    its clique partition at its own t, not at an earlier, smaller one.
+    its clique partition at its own t, not at an earlier, smaller one. The
+    close masks only gain bits as t rises, so the pairs are sorted by
+    distance once, and each step ORs in those that t has passed.
     """
     _validate_ab(a, b)
     coords = s.to_array()
@@ -311,9 +360,21 @@ def diam_ab(
     def cliques() -> _Partition:
         return _clique_partition(coords, D, value)
 
-    while (w := _first_violating(_close_masks(D, value), n, a, b, cliques)) is not None:
+    # the pairs i < j by distance: close[i] gets bit j once D[i, j] <= value
+    iu, ju = np.triu_indices(n, 1)
+    d = D[iu, ju]
+    order = np.argsort(d)
+    iu, ju, d = iu[order], ju[order], d[order]
+    close = [0] * n
+    done = 0
+    while True:
+        upto = int(np.searchsorted(d, value, side="right"))
+        for i, j in zip(iu[done:upto].tolist(), ju[done:upto].tolist()):
+            close[i] |= 1 << j
+        done = upto
+        if (w := _first_violating(close, n, a, b, cliques)) is None:
+            return float(value)
         value = min(max(D[u, v] for u, v in combinations(sub, 2)) for sub in combinations(w, b))
-    return float(value)
 
 
 def tab_check(

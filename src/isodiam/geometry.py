@@ -5,8 +5,8 @@ Coordinates are float64 throughout and all tolerances are documented at the
 definition site. A PointSet checks its coordinates once, when it is built:
 each must be finite, and each nonzero one must lie in the coordinate window
 [2^-250, 2^250], so the array scans over it need no fallback. Each
-PointSet computes its convex hull once; min_enclosing_circle runs Welzl's
-construction on the hull's vertices.
+PointSet computes its convex hull and its enclosing circle once;
+min_enclosing_circle runs Welzl's construction on the hull's vertices.
 """
 
 from __future__ import annotations
@@ -112,12 +112,13 @@ class PointSet:
     the coordinate window [2^-250, 2^250], raises ValueError.
     """
 
-    __slots__ = ("_xy", "_hull")
+    __slots__ = ("_xy", "_hull", "_disk")
 
     def __init__(self, pairs: Iterable[tuple[float, float]] | np.ndarray):
         """The set of (x, y) pairs, or of the rows of an (n, 2) array."""
         self._xy = _checked(pairs if isinstance(pairs, np.ndarray) else list(pairs))
         self._hull: np.ndarray | None = None
+        self._disk: Disk | None = None
 
     def to_array(self) -> np.ndarray:
         """Coordinates as a read-only (n, 2) float64 array."""
@@ -132,6 +133,13 @@ class PointSet:
             hull.flags.writeable = False
             self._hull = hull
         return self._hull
+
+    def enclosing_circle(self) -> Disk:
+        """min_enclosing_circle of the set, computed on the first call, so
+        diam3's prune and the jung report share one Welzl run."""
+        if self._disk is None:
+            self._disk = min_enclosing_circle(self)
+        return self._disk
 
     def __len__(self) -> int:
         return len(self._xy)

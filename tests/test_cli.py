@@ -107,21 +107,28 @@ def test_jung_covered_does_not_depend_on_scale(capsys, tmp_path, scale):
 @pytest.mark.parametrize("command", ["diameters", "jung"])
 def test_one_hull_per_point_set_command(capsys, monkeypatch, tmp_path, command):
     """diam, diam3's prefilter (above 400 points) and triameter, or diam,
-    diam3 and the enclosing circle, share the point set's one hull."""
+    diam3 and the enclosing circle, share the point set's one hull; and
+    diam3's prune and the jung report share one run of the Welzl loop."""
     rng = np.random.default_rng(12)
     r, t = 1.5 * np.sqrt(rng.uniform(0, 1, 600)), rng.uniform(0, 2 * np.pi, 600)
     path = tmp_path / "disk.csv"
     save_points_csv(PointSet(np.stack([r * np.cos(t), r * np.sin(t)], axis=1)), path)
-    hull = geometry.convex_hull_indices
-    calls = []
+    hull, welzl = geometry.convex_hull_indices, geometry.min_enclosing_circle
+    calls, circles = [], []
 
     def spy(coords):
         calls.append(len(coords))
         return hull(coords)
 
+    def circle_spy(points):
+        circles.append(len(points))
+        return welzl(points)
+
     monkeypatch.setattr(geometry, "convex_hull_indices", spy)
+    monkeypatch.setattr(geometry, "min_enclosing_circle", circle_spy)
     run_json(capsys, [command, str(path)])
     assert calls == [600]
+    assert circles == [600]
 
 
 def test_bounds_csv_and_svg(capsys, tmp_path):
@@ -743,7 +750,7 @@ def test_an_over_budget_ab_is_refused_before_jung_measures(monkeypatch, capsys, 
     save_points_csv(PointSet(PINNED_POINTS), tmp_path / "pts.csv")
     calls = []
     monkeypatch.setattr(cli, "diam3", lambda points: calls.append("diam3"))
-    monkeypatch.setattr(cli, "min_enclosing_circle", lambda points: calls.append("mec"))
+    monkeypatch.setattr(geometry, "min_enclosing_circle", lambda points: calls.append("mec"))
     assert cli.run(["jung", str(tmp_path / "pts.csv"), "--ab", "5,3", "--budget", "1"]) == 3
     assert capsys.readouterr().out == ""
     assert calls == []

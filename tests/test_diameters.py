@@ -258,6 +258,36 @@ def test_diam3_peak_memory_is_banded():
     assert value == sorted_pair_diam3(s)
 
 
+def test_room_test_drops_most_of_a_uniform_disk():
+    """On 2,000 points uniform in a disk, the farthest-vertex test keeps
+    the points of an outer ring, and the enclosing disk's room test drops
+    at least 80% of those: on the ring's near side, two far partners of a
+    point would have to sit in a cap narrower than the floor."""
+    rng = np.random.default_rng(3)
+    r, t = 1.5 * np.sqrt(rng.uniform(0, 1, 2000)), rng.uniform(0, 2 * np.pi, 2000)
+    s = PointSet(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+    first = diameters_mod._first_clique_d2
+
+    def survivors(room):
+        sizes = []
+
+        def spy(coords, floor2, a):
+            sizes.append(len(coords))
+            return first(coords, floor2, a)
+
+        with (
+            mock.patch.object(diameters_mod, "_first_clique_d2", spy),
+            mock.patch.object(diameters_mod, "_room_for_two", room),
+        ):
+            value = diam3(s)
+        return sizes[-1], value
+
+    kept, value = survivors(diameters_mod._room_for_two)
+    far, same = survivors(lambda coords, *rest: np.ones(len(coords), dtype=bool))
+    assert value == same == sorted_pair_diam3(s)
+    assert kept <= 0.2 * far
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_sets)
 def test_diam3_at_most_diam(s):

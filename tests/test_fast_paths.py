@@ -1,18 +1,21 @@
 """The array fast paths of convex_hull_indices, diam3 and triameter against
 the per-point routines they replaced (geometry_oracles): every comparison
-is ==, as the fast paths compute the same floats. And min_enclosing_circle,
-the per-point Welzl loop run on the hull's vertices, against the same loop
-run on every point. Sets outside the coordinate window never reach them:
-PointSet refuses those."""
+is ==, as the fast paths compute the same floats. The clique sweep's
+prefilter against the sweep with no point dropped. And
+min_enclosing_circle, the per-point Welzl loop run on the hull's vertices,
+against the same loop run on every point. Sets outside the coordinate
+window never reach them: PointSet refuses those."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import geometry_oracles as oracle
-from isodiam.diameters import _PREFILTER_MIN, diam3, triameter
+from isodiam import diameters
+from isodiam.diameters import _PREFILTER_MIN, _clique_diam, diam3, triameter
 from isodiam.geometry import PointSet, convex_hull_indices, min_enclosing_circle
 
 KINDS = ("normal", "uniform", "grid", "kgon", "collinear")
@@ -101,6 +104,67 @@ def test_diam3_around_the_prefilter_threshold_matches_the_unpruned_scan(coords):
     assert s is None or diam3(s) == oracle.diam3(s)
 
 
+def unpruned(s: PointSet, a: int) -> float:
+    """The clique sweep at a with no sample floor and no point dropped."""
+    with mock.patch.object(diameters, "_PREFILTER_MIN", len(s)):
+        return _clique_diam(s, a, "unpruned")
+
+
+# The sizes at which each a's sweep stays cheap. At a >= 4 on rings and
+# lines nearly every block is replayed, seconds per set, so those kinds
+# run at a = 3 and 4 only.
+_LARGEST = {3: 700, 4: 550, 5: 450}
+_REPLAYED = ("kgon", "collinear")
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=["1", "2^-200", "2^200", "2^-250", "2^250"])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_the_prefilter_keeps_the_unpruned_sweep(kind, scale, data):
+    """Above _PREFILTER_MIN, at a = 3, 4 and 5, the sample floor, the
+    farthest-vertex test and the enclosing disk's room test give the float
+    of the sweep with no point dropped."""
+    a = data.draw(st.sampled_from((3, 4) if kind in _REPLAYED else (3, 4, 5)))
+    sizes = st.integers(_PREFILTER_MIN + 1, _LARGEST[a])
+    s = point_set(data.draw(coordinate_sets(sizes, st.just(kind), st.just(scale))))
+    assert s is None or _clique_diam(s, a, "pruned") == unpruned(s, a)
+
+
+def test_the_room_test_keeps_equilateral_triples_on_its_boundary():
+    """p, q and r pairwise at the floor, q and r on the enclosing circle:
+    the circle of radius L around p cuts the chord qr from the disk, of
+    length L, so p sits on the room test's boundary (and on the circle
+    too when the angle at the centre is 60 degrees). On 3,000 such
+    triples, turned, moved, scaled and rounded to floats, the margins keep
+    all three at the floor of the triple's shortest side."""
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        half = rng.uniform(math.radians(5), math.radians(60))
+        c, s = math.cos(half), math.sin(half)
+        # (-1, 0) makes the unit circle the enclosing one
+        pts = np.array([[c - math.sqrt(3) * s, 0.0], [c, s], [c, -s], [-1.0, 0.0]])
+        turn = rng.uniform(0, 2 * math.pi)
+        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        xy = (pts @ rot.T + rng.uniform(2, 3, 2)) * rng.choice([1.0, 3.0, 0.1, 2.0**-240, 2.0**240])
+        d = xy[:3] - np.roll(xy[:3], 1, axis=0)
+        floor2 = float((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).min())
+        points = PointSet(xy)
+        hull = xy[points.hull()]
+        assert diameters._room_for_two(xy[:3], hull, points.enclosing_circle().center, floor2).all()
+
+
+def test_coincident_points_skip_the_room_test():
+    """Where every sampled triple holds a coincident pair the floor is 0
+    and the room test, whose disk may have radius 0, is not run."""
+    boom = AssertionError("room test at a zero floor")
+    cases = [[(1.0, -2.0)] * 450, [(0.0, 0.0)] * 300 + [(3.0, 4.0)] * 150]
+    with mock.patch.object(diameters, "_room_for_two", side_effect=boom):
+        for pairs in cases:
+            s = PointSet(pairs)
+            assert diam3(s) == unpruned(s, 3) == 0.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(coordinate_sets(st.integers(0, 60)))
 def test_triameter_matches_the_pair_loop(coords):
@@ -129,8 +193,9 @@ def test_large_sets_match(kind):
 )
 def test_fast_paths_at_the_window_edges(low, scale, inside):
     """Magnitudes in [low, 2 * low) scaled to either side of each edge:
-    inside the window diam3's array scans give the oracle's result, and
-    outside it PointSet refuses the set."""
+    inside the window diam3's array scans give the oracle's result, the
+    prefilter at a = 4 and 5 the unpruned sweep's, and outside it PointSet
+    refuses the set."""
     rng = np.random.default_rng(3)
     shape = (_PREFILTER_MIN + 1, 2)
     coords = rng.uniform(low, 2.0 * low, size=shape) * rng.choice([-1.0, 1.0], size=shape) * scale
@@ -138,6 +203,10 @@ def test_fast_paths_at_the_window_edges(low, scale, inside):
     assert (s is not None) is inside
     if inside:
         assert diam3(s) == oracle.diam3(s)
+        assert _clique_diam(s, 4, "pruned") == unpruned(s, 4)
+        # one quadrant: on all four the sweep at a = 5 replays for seconds
+        quadrant = PointSet(np.abs(coords))
+        assert _clique_diam(quadrant, 5, "pruned") == unpruned(quadrant, 5)
 
 
 def test_sets_whose_squares_would_overflow_are_refused():
