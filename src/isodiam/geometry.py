@@ -361,16 +361,63 @@ def hull_diameter(pts: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Bytes that a file parsed in bulk by load_points_csv holds only as its
+# separators are those kept here: the ASCII controls, among them every line
+# break but "\n", the comma, DEL and every byte of a non-ASCII character.
+_CSV_FIELD_BYTES = bytes(b for b in range(32, 127) if b != ord(","))
+
+
 def load_points_csv(path: str | Path) -> PointSet:
     """Read a point set from CSV: one `x,y` pair per line.
 
     Blank lines and lines starting with `#` are ignored. Decimal separator
     is the dot; the file must be UTF-8. Malformed lines, and coordinates
     that PointSet refuses, raise ValueError with the offending line number.
+
+    A file of `x,y` lines and nothing else, as save_points_csv writes it,
+    is parsed in bulk (_bulk_pairs); any other file, or one whose bulk
+    parse fails, is read line by line (_csv_lines), which gives the same
+    values and raises the errors.
     """
+    text = Path(path).read_text(encoding="utf-8")
+    xy = _bulk_pairs(text)
+    if xy is not None:
+        try:
+            return PointSet(xy)
+        except ValueError:
+            pass
+    return _csv_lines(path, text)
+
+
+def _bulk_pairs(text: str) -> np.ndarray | None:
+    """The (n, 2) array of text's `x,y` lines, or None where text is not
+    lines of exactly one comma each, ended by "\n" (the last end optional)
+    and holding no other control character or non-ASCII character, or
+    where a field is not a float.
+
+    One bytes.translate keeps the separators: they must alternate "," and
+    "\n". Then every line holds one comma, and "\n" is its only line
+    break, so it is a line of the loop, and its fields are the loop's up
+    to the whitespace that float ignores. A blank line breaks the
+    alternation, and a `#` line, like every other malformed field, fails
+    float.
+    """
+    ended = text.endswith("\n")
+    data = text.encode() if ended else (text + "\n").encode()
+    if data.translate(None, _CSV_FIELD_BYTES) != b",\n" * data.count(b"\n"):
+        return None
+    body = text[:-1] if ended else text
+    try:
+        values = np.fromiter(map(float, body.replace("\n", ",").split(",")), np.float64)
+    except ValueError:
+        return None
+    return values.reshape(-1, 2)
+
+
+def _csv_lines(path: str | Path, text: str) -> PointSet:
+    """load_points_csv's line loop over the file's text."""
     pairs: list[tuple[float, float]] = []
     linenos: list[int] = []
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -13,16 +13,19 @@ are the cells whose column lies in one range, and the ends of that range
 follow from the bite's half-width at the row (see _PatchRows).
 
 Most bites are decided without computing their dose. A verdict table
-(_VerdictTable) cuts the sampling square into 128 x 128 cells and marks
+(_VerdictTable) cuts the sampling square into 256 x 256 cells and marks
 each cell certainly lethal, certainly safe or uncertain, from bounds that
 hold for every point of the cell under the float arithmetic of _dose_at.
-A bite in a certain cell takes its cell's verdict; only the few bites in
-cells the lethal boundary crosses get the exact dose. The Monte Carlo
-finds a draw's cell from the generator's raw doubles, and the cells whose
-draws are all rejected, or all accepted with a certain verdict, decide
-acceptance and verdict with that one lookup. Every verdict is the one the
-dose would give, so hit counts and lethal regions are those of scoring
-every bite.
+It is built coarse to fine: the cells near the poison are bounded 32 to
+a side first, and only the 8 x 8 children of the uncertain ones again.
+The bounds are monotone in the box, so that gives the verdicts of
+bounding every cell on its own. A bite in a certain cell takes its
+cell's verdict; only the few bites in cells the lethal boundary crosses
+get the exact dose. The Monte Carlo finds a draw's cell from the
+generator's raw doubles, and the cells whose draws are all rejected, or
+all accepted with a certain verdict, decide acceptance and verdict with
+that one lookup. Every verdict is the one the dose would give, so hit
+counts and lethal regions are those of scoring every bite.
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -55,7 +58,8 @@ __all__ = [
 _BATCH = 1 << 17
 _CHUNK = 8192  # pairs per sub-draw of a batch (see _batch_hits)
 _PENDING = 2048  # _SLOW pairs gathered before they are scored (see _batch_hits)
-_TABLE = 128  # cells per side of the verdict table (see _VerdictTable)
+_TABLE = 256  # cells per side of the verdict table: the uint8 range (see _VerdictTable)
+_COARSE = 32  # cells per side of the table's first, coarse bound; divides _TABLE
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
 # total and placement in validate_strategy, and the dose in _is_lethal_dose,
 # so that k masses of 1/k g, which sum to 1 - 1e-16 for k = 6, kill like
@@ -63,6 +67,7 @@ _TABLE = 128  # cells per side of the verdict table (see _VerdictTable)
 _TOL = 1e-9
 _SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the table's cells
 _OUT, _SLOW, _IN_SAFE, _IN_LETHAL = 0, 1, 2, 3  # codes of the table's cells for the Monte Carlo
+_IN_CODE = np.array([_IN_SAFE, _IN_LETHAL, _SLOW], dtype=np.uint8)  # an in cell's code, by its verdict
 
 
 @dataclass(frozen=True)
@@ -281,16 +286,16 @@ class _PatchRows:
         self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bounds lo <= counts(x, y) <= hi for every point (x, y) of each
-        box [xa[k], xb[k]] x [ya[l], yb[l]], as two (len(xa), len(ya))
-        float arrays: per row, the cells of the inner and of the outer
-        range of ranks. xa and xb must be sorted.
+        box [xa[k], xb[k]] x [ya[k], yb[k]], as two float arrays: per row,
+        the cells of the inner and of the outer range of ranks. The four
+        arrays are parallel, and xa and xb must be sorted.
         """
-        in_min = np.zeros((xa.size, ya.size))
-        in_max = np.zeros((xa.size, ya.size))
+        in_min = np.zeros(xa.size)
+        in_max = np.zeros(xa.size)
         ya, yb = ya - self.y0, yb - self.y0
         for r, cx, s in self._near_rows(xa, xb):
             far, near = _far_near(xa[s], xb[s], cx)
-            a_out, a_in, b_in, b_out = self.ranks(r, (far * far)[:, None], (near * near)[:, None], ya, yb)
+            a_out, a_in, b_in, b_out = self.ranks(r, far * far, near * near, ya[s], yb[s])
             in_min[s] += b_in - a_in
             in_max[s] += b_out - a_out
         return in_min, in_max
@@ -387,16 +392,33 @@ class _VerdictTable:
 
     Verdicts. A cell whose box stays more than 1 + 2 eps from all poison
     in x or in y holds bites of dose exactly 0, and takes that dose's
-    verdict. Over the box of every other cell a mass certainly counts when
-    its farthest corner is within 1 - eps and may count when its nearest
-    point is within 1 + eps, and eps dwarfs the rounding of the test
+    verdict. Every other cell, in the near-poison block, is bounded as a
+    box (_verdicts): a mass certainly counts when the box's farthest
+    corner is within 1 - eps and may count when its nearest point is
+    within 1 + eps, and eps dwarfs the rounding of the test
     dx*dx + dy*dy <= 1.0. The patch cells certainly and possibly inside
     come from the row runs, within the patch's own margin
     (_PatchRows.box_counts). Float + and * round monotonically, so the
     mass terms summed in mass order, plus per_cell times a count, bound
     the dose _dose_at gives at any point of the box: dose_min <= dose <=
-    dose_max. The cell is _LETHAL when dose_min passes the lethal test,
+    dose_max. The box is _LETHAL when dose_min passes the lethal test,
     _SAFE when dose_max fails it, and _UNSURE otherwise.
+
+    Coarse to fine. The near-poison block is bounded first at _COARSE
+    cells a side. With s = _TABLE / _COARSE, coarse cell k spans the
+    grown edges e[s k] - eps to e[s k + s] + eps: the union of the grown
+    boxes of its s x s children, the table cells it covers. A child's box
+    lies in its parent's, and every step of the bound is monotone in the
+    box: the corner distances and their squares and sums, sqrt, the
+    column bounds and the ranks of the row runs, and the dose's sums and
+    products. A patch row out of a child's reach is more than 1 + eps
+    from the child, so from the parent too, and adds no cell to the
+    parent's lower count. So a child's dose_min is at least its parent's
+    and its dose_max at most, and a certain coarse verdict is the one the
+    child gets bounded on its own. Only the children in the block of the
+    uncertain coarse cells are bounded again, one box per table cell: the
+    table is that of bounding every cell of the block at _TABLE a side,
+    cell for cell, from a fraction of the boxes.
 
     Codes. A cell is _OUT when every point of its box fails the disk test
     and in when every point passes it: the nearest and the farthest corner
@@ -404,10 +426,11 @@ class _VerdictTable:
     every other cell is _SLOW, and its pairs take the disk test, and the
     exact dose where the verdict is _UNSURE, as _batch_hits gives them.
 
-    verdict and code hold cell (i, j) at [j, i] of a (_TABLE, 256) array,
-    so their ravel() is indexed by i + 256 j: the little-endian uint16 that
-    the uint8 pair (i, j) reads as. Their columns from _TABLE on are never
-    read.
+    verdict and code hold cell (i, j) at [j, i] of a (_TABLE, _TABLE)
+    array, so their ravel() is indexed by i + 256 j: the little-endian
+    uint16 that the uint8 pair (i, j) reads as. That is why _TABLE is 256,
+    the size of the uint8 range: the largest table that index addresses,
+    and one with no unused entries.
     """
 
     def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
@@ -421,7 +444,7 @@ class _VerdictTable:
         if patch is not None:
             px += [float(patch.cx.min()), float(patch.cx.max())]
             py += [float(patch.cy.min()), float(patch.cy.max())]
-        eps = _EPS * (2.0 + config.R + max(map(abs, px + py)))
+        self.eps = eps = _EPS * (2.0 + config.R + max(map(abs, px + py)))
         edges = self.low + self.span * (np.arange(_TABLE + 1) / _TABLE)
         lo, hi = edges[:-1] - eps, edges[1:] + eps
 
@@ -429,33 +452,54 @@ class _VerdictTable:
         reach = 1.0 + 2.0 * eps
         ia, ib = np.searchsorted(hi, min(px) - reach), np.searchsorted(lo, max(px) + reach, "right")
         ja, jb = np.searchsorted(hi, min(py) - reach), np.searchsorted(lo, max(py) + reach, "right")
-        xa, xb, ya, yb = lo[ia:ib], hi[ia:ib], lo[ja:jb], hi[ja:jb]
-        dose_min = np.zeros((xa.size, ya.size))
-        dose_max = np.zeros((xa.size, ya.size))
-        for m in strategy.point_masses:
-            far_x, near_x = _far_near(xa, xb, m.position.x)
-            far_y, near_y = _far_near(ya, yb, m.position.y)
-            dose_min += m.grams * ((far_x * far_x)[:, None] + (far_y * far_y)[None, :] <= 1.0 - eps)
-            dose_max += m.grams * ((near_x * near_x)[:, None] + (near_y * near_y)[None, :] <= 1.0 + eps)
-        if patch is not None:
-            in_min, in_max = patch.box_counts(xa, xb, ya, yb)
-            dose_min += patch.per_cell * in_min
-            dose_max += patch.per_cell * in_max
         dose_0 = _is_lethal_dose(np.zeros(1), config)[0]
-        self.verdict = np.full((_TABLE, 256), _LETHAL if dose_0 else _SAFE, dtype=np.uint8)
-        self.code = np.full((_TABLE, 256), _SLOW, dtype=np.uint8)
-        verdict, code = self.verdict[:, :_TABLE].T, self.code[:, :_TABLE].T  # cell (i, j) at [i, j]
-        near_poison = verdict[ia:ib, ja:jb]
-        near_poison[:] = _UNSURE
-        near_poison[_is_lethal_dose(dose_min, config)] = _LETHAL
-        near_poison[~_is_lethal_dose(dose_max, config)] = _SAFE
+        self.verdict = np.full((_TABLE, _TABLE), _LETHAL if dose_0 else _SAFE, dtype=np.uint8)
+        verdict = self.verdict.T  # cell (i, j) at [i, j]
 
+        # the coarse cells over the block, i-major so that their x edges
+        # are sorted; each verdict is copied to its step x step children
+        step = _TABLE // _COARSE
+        ci = np.arange(ia // step, -(-ib // step)) * step
+        cj = np.arange(ja // step, -(-jb // step)) * step
+        ii, jj = np.repeat(ci, cj.size), np.tile(cj, ci.size)
+        coarse = self._verdicts(lo[ii], hi[ii + step - 1], lo[jj], hi[jj + step - 1])
+        fine = coarse.reshape(ci.size, cj.size).repeat(step, axis=0).repeat(step, axis=1)
+        i0, j0 = ia // step * step, ja // step * step
+        near_poison = verdict[ia:ib, ja:jb]
+        near_poison[:] = fine[ia - i0 : ib - i0, ja - j0 : jb - j0]
+        # children of the uncertain coarse cells, bounded one table cell each
+        i, j = np.nonzero(near_poison == _UNSURE)
+        i += ia
+        j += ja
+        verdict[i, j] = self._verdicts(lo[i], hi[i], lo[j], hi[j])
+
+        # the corner sums are symmetric in (i, j), so they index either layout
         far, near = _far_near(lo, hi, 0.0)
         far, near = far * far, near * near
-        inside = far[:, None] + far[None, :] <= self.r2
-        code[inside & (verdict == _SAFE)] = _IN_SAFE
-        code[inside & (verdict == _LETHAL)] = _IN_LETHAL
-        code[near[:, None] + near[None, :] > self.r2] = _OUT
+        self.code = _IN_CODE.take(self.verdict)
+        self.code[far[:, None] + far[None, :] > self.r2] = _SLOW
+        self.code[near[:, None] + near[None, :] > self.r2] = _OUT
+
+    def _verdicts(self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
+        """The verdict of each box [xa[k], xb[k]] x [ya[k], yb[k]], from
+        bounds on the dose at every point of it. The arrays are parallel,
+        and xa and xb must be sorted."""
+        eps, config = self.eps, self.config
+        dose_min = np.zeros(xa.size)
+        dose_max = np.zeros(xa.size)
+        for m in self.strategy.point_masses:
+            far_x, near_x = _far_near(xa, xb, m.position.x)
+            far_y, near_y = _far_near(ya, yb, m.position.y)
+            dose_min += m.grams * (far_x * far_x + far_y * far_y <= 1.0 - eps)
+            dose_max += m.grams * (near_x * near_x + near_y * near_y <= 1.0 + eps)
+        if self.patch is not None:
+            in_min, in_max = self.patch.box_counts(xa, xb, ya, yb)
+            dose_min += self.patch.per_cell * in_min
+            dose_max += self.patch.per_cell * in_max
+        verdict = np.full(xa.size, _UNSURE, dtype=np.uint8)
+        verdict[_is_lethal_dose(dose_min, config)] = _LETHAL
+        verdict[~_is_lethal_dose(dose_max, config)] = _SAFE
+        return verdict
 
     def index(self, t: np.ndarray) -> np.ndarray:
         """The table's cell index of each coordinate t, clamped to the

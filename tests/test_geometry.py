@@ -11,7 +11,9 @@ from isodiam.geometry import (
     DiskUnion,
     Point,
     PointSet,
+    _bulk_pairs,
     _circle_two,
+    _csv_lines,
     circumcircle,
     convex_hull_indices,
     distance,
@@ -205,6 +207,87 @@ def test_csv_refuses_coordinates_outside_the_window(tmp_path, value, ok):
     else:
         with pytest.raises(ValueError, match=r"pts.csv:2: nonzero coordinates must have magnitudes in"):
             load_points_csv(path)
+
+
+# Fields of generated CSV lines: floats as save_points_csv writes them,
+# among them refused ones, and fields that float reads unlike repr.
+csv_fields = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e200", "2e-76", "-0.0", "1_0", "+.5", "\u0661"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text and whether it is `x,y` lines of floats ended by "\n"
+    and nothing else. The text is pair lines ended by "\n", some with
+    refused numbers, and in half the texts up to three flaws: a comment,
+    a blank line, a line of 1 or 3 fields, a bad number, padding (spaces,
+    tabs, CR, form feeds, NEL) at a line's edge or around its comma, or a
+    line end of CRLF, CR, form feed, NEL or U+2028."""
+    lines, clean = [], True
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(csv_fields), draw(csv_fields)
+        lines.append(f"{x},{y}")
+        clean = clean and _is_float(x) and _is_float(y)
+    ends = ["\n"] * len(lines)
+    if lines and draw(st.booleans()):
+        clean = False
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(0, len(lines) - 1))
+            flaw = draw(st.sampled_from(["comment", "blank", "one", "three", "bad", "edge", "comma", "end"]))
+            pad = draw(st.sampled_from([" ", "\t", "\r", "\x0c", "\x85"]))
+            if flaw == "edge":
+                lines[k] = pad + lines[k] + pad
+            elif flaw == "comma":
+                lines[k] = lines[k].replace(",", pad + "," + pad, 1)
+            elif flaw == "bad":
+                lines[k] = lines[k].replace(",", "," + draw(st.sampled_from(["oops", "", "1..2", "#3", "0x10"])), 1)
+            elif flaw == "end":
+                ends[k] = draw(st.sampled_from(["\r\n", "\r", "\x0c", "\x85", "\u2028"]))
+            else:
+                lines[k] = {"comment": "# x,y", "blank": "", "one": "1.5", "three": "1,2,3"}[flaw]
+    clean = clean and bool(lines)
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), clean
+
+
+def _is_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and field.strip() == field
+
+
+def csv_outcome(parse):
+    """The coordinates' bytes of what parse returns, or its error message."""
+    try:
+        return "ok", parse().to_array().tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+def test_bulk_csv_parse_equals_the_line_loop(tmp_path_factory, case):
+    """load_points_csv gives the values and the path:lineno errors of its
+    line loop; its bulk parse takes every clean file, refuses every other
+    line break, and where it takes a text, gives the loop's values."""
+    text, clean = case
+    path = tmp_path_factory.getbasetemp() / "bulk.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = csv_outcome(lambda: _csv_lines(path, path.read_text(encoding="utf-8")))
+    assert csv_outcome(lambda: load_points_csv(path)) == want
+    xy = _bulk_pairs(text)
+    if clean:
+        assert xy is not None
+    if any(c in text for c in "\r\x0c\x85\u2028"):
+        assert xy is None
+    if xy is not None:
+        kind, got = csv_outcome(lambda: _csv_lines(path, text))
+        assert got == xy.tobytes() if kind == "ok" else "coordinates" in got
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
+import importlib.util
 import json
 import math
+import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from isodiam.poisoning import (
     _LETHAL,
     _OUT,
     _SAFE,
+    _SLOW,
     _TABLE,
     _UNSURE,
     _VerdictTable,
@@ -470,7 +475,7 @@ def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
 
 def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
     """A 316-cell patch, like the pie workload's, sets aside at most about
-    two thousand uncertain bites a batch, fewer than _CHUNK, so they are
+    a thousand uncertain bites a batch, fewer than _CHUNK, so they are
     scored once, at the end of the batch. With _CHUNK at 64 or 257 they
     are flushed mid-batch, and the sub-draws take other sizes: neither
     moves a hit."""
@@ -563,28 +568,123 @@ def test_table_is_sound_on_a_huge_pie(lethal_dose):
 @pytest.mark.parametrize("lethal_dose", [1.0, 1e-10])
 def test_grid_is_capped_on_a_huge_pie(lethal_dose):
     """Masses on opposite rims of a pie of radius 1e6: the verdict table
-    stays _TABLE cells a side, each about 15,625 wide, and the hits are
-    still those of scoring every bite."""
+    stays 256 cells a side, each about 7,812 wide, and the hits are still
+    those of scoring every bite."""
     R = 1e6
     rim = R * math.sqrt(0.5)
     strat = PoisonStrategy(point_masses=(PointMass(Point(rim, rim), 0.5), PointMass(Point(-rim, -rim), 0.5)))
     cfg = PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose, samples=20_000, seed=3)
     table = _VerdictTable(strat, cfg)
-    assert table.verdict.shape == table.code.shape == (_TABLE, 256)
-    assert table.span / _TABLE > 2e6 / 256
+    assert table.verdict.shape == table.code.shape == (256, 256)
+    assert table.span / _TABLE > 7800
     hits = kill_probability(strat, cfg).hits
     assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)
     assert hits == (cfg.samples if lethal_dose < poisoning._TOL else 0)
 
 
 def test_table_decides_most_of_the_disk_at_radius_7_3():
-    """At R = 7.3 a table cell is 12.6 / 128 = 0.098 wide, and the table
+    """At R = 7.3 a table cell is 12.6 / 256 = 0.049 wide, and the table
     still decides most of the disk."""
     cfg = PoisonConfig(R=7.3, h_available=1.5)
-    code = _VerdictTable(tour_hexagon(), cfg).code[:, :_TABLE]
+    code = _VerdictTable(tour_hexagon(), cfg).code
     assert np.count_nonzero(code >= _IN_SAFE) > 0.7 * code.size
     assert np.count_nonzero(code == _IN_LETHAL) > 0
     assert_table_is_sound(tour_hexagon(), cfg)
+
+
+def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The verdict and code arrays of _VerdictTable, built flat: every cell
+    of the near-poison block is bounded as one box of a _TABLE x _TABLE
+    grid, the masses by axis and the patch rows by _PatchRows.ranks over
+    the grid, with no coarse pass. The oracle for the coarse-to-fine
+    build, which must equal it cell for cell."""
+    patch = _patch_rows(strategy)
+    radius = config.R - 1.0
+    low, span = -radius, 2.0 * radius
+    px = [m.position.x for m in strategy.point_masses]
+    py = [m.position.y for m in strategy.point_masses]
+    if patch is not None:
+        px += [float(patch.cx.min()), float(patch.cx.max())]
+        py += [float(patch.cy.min()), float(patch.cy.max())]
+    eps = poisoning._EPS * (2.0 + config.R + max(map(abs, px + py)))
+    edges = low + span * (np.arange(_TABLE + 1) / _TABLE)
+    lo, hi = edges[:-1] - eps, edges[1:] + eps
+    reach = 1.0 + 2.0 * eps
+    ia, ib = np.searchsorted(hi, min(px) - reach), np.searchsorted(lo, max(px) + reach, "right")
+    ja, jb = np.searchsorted(hi, min(py) - reach), np.searchsorted(lo, max(py) + reach, "right")
+    xa, xb, ya, yb = lo[ia:ib], hi[ia:ib], lo[ja:jb], hi[ja:jb]
+    dose_min = np.zeros((xa.size, ya.size))
+    dose_max = np.zeros((xa.size, ya.size))
+    for m in strategy.point_masses:
+        far_x, near_x = poisoning._far_near(xa, xb, m.position.x)
+        far_y, near_y = poisoning._far_near(ya, yb, m.position.y)
+        dose_min += m.grams * ((far_x * far_x)[:, None] + (far_y * far_y)[None, :] <= 1.0 - eps)
+        dose_max += m.grams * ((near_x * near_x)[:, None] + (near_y * near_y)[None, :] <= 1.0 + eps)
+    if patch is not None:
+        in_min = np.zeros((xa.size, ya.size))
+        in_max = np.zeros((xa.size, ya.size))
+        for r, cx, rows in patch._near_rows(xa, xb):
+            far, near = poisoning._far_near(xa[rows], xb[rows], cx)
+            a_out, a_in, b_in, b_out = patch.ranks(
+                r, (far * far)[:, None], (near * near)[:, None], ya - patch.y0, yb - patch.y0
+            )
+            in_min[rows] += b_in - a_in
+            in_max[rows] += b_out - a_out
+        dose_min += patch.per_cell * in_min
+        dose_max += patch.per_cell * in_max
+    dose_0 = poisoning._is_lethal_dose(np.zeros(1), config)[0]
+    verdict = np.full((_TABLE, _TABLE), _LETHAL if dose_0 else _SAFE, dtype=np.uint8)  # cell (i, j) at [i, j]
+    near_poison = verdict[ia:ib, ja:jb]
+    near_poison[:] = _UNSURE
+    near_poison[poisoning._is_lethal_dose(dose_min, config)] = _LETHAL
+    near_poison[~poisoning._is_lethal_dose(dose_max, config)] = _SAFE
+    far, near = poisoning._far_near(lo, hi, 0.0)
+    inside = (far * far)[:, None] + (far * far)[None, :] <= radius * radius
+    code = np.full((_TABLE, _TABLE), _SLOW, dtype=np.uint8)
+    code[inside & (verdict == _SAFE)] = _IN_SAFE
+    code[inside & (verdict == _LETHAL)] = _IN_LETHAL
+    code[(near * near)[:, None] + (near * near)[None, :] > radius * radius] = _OUT
+    return verdict.T, code.T
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_workloads = _load_bench_workloads()
+
+
+@st.composite
+def bench_cases(draw):
+    """The pie and tour workloads' strategies at their R = 3, from a drawn
+    bench seed: the turned hexagon, the 316-cell patch and the mixed one."""
+    make = draw(st.sampled_from(["masses_strategy", "patch_strategy", "mixed_strategy"]))
+    data = getattr(bench_workloads, make)(random.Random(draw(st.integers(0, 2**32 - 1))))
+    grams = bench_workloads.PIE_GRAMS
+    config = PoisonConfig(R=bench_workloads.PIE_R, h_available=grams, seed=draw(st.integers(0, 2**32 - 1)))
+    return PoisonStrategy.from_json_dict(data), config
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(stream_cases(), bench_cases()))
+def test_coarse_to_fine_table_equals_the_flat_build(case):
+    table = _VerdictTable(*case)
+    verdict, code = flat_table(*case)
+    assert np.array_equal(table.verdict, verdict)
+    assert np.array_equal(table.code, code)
+
+
+def test_slow_cells_cover_under_3_percent_of_the_tour_table():
+    """On the tour hexagon at R = 3 a table cell is 4 / 256 wide, and the
+    _SLOW cells, the ones that lethal boundary or the disk's rim crosses,
+    cover 2.2% of the table (4.4% at 128 a side)."""
+    code = _VerdictTable(tour_hexagon(), PoisonConfig(R=3.0, h_available=1.5)).code
+    assert np.count_nonzero(code == _SLOW) < 0.03 * code.size
 
 
 def ulp_ring(cx: float, cy: float) -> tuple[np.ndarray, np.ndarray]:
