@@ -360,7 +360,8 @@ def cmd_poison(ns: argparse.Namespace) -> int:
         inputs.append(ns.strategy)
     else:
         strategy = PoisonStrategy(point_masses=(PointMass(Point(0.0, 0.0), ns.h_available),))
-    kill = kill_probability(strategy, config)
+    kill = asdict(kill_probability(strategy, config))
+    stats = kill.pop("stats")
     lethal = None
     if ns.grid is not None or ns.svg:
         grid_h = ns.grid if ns.grid is not None else 0.05
@@ -382,8 +383,9 @@ def cmd_poison(ns: argparse.Namespace) -> int:
                 )
     report = {
         "config": asdict(config),
-        "kill": asdict(kill),
+        "kill": kill,
         "lethal": lethal,
+        "stats": stats,
         "strategy": strategy.to_json_dict(),
     }
     _emit(ns, report, seed=config.seed, inputs=inputs)

@@ -21,11 +21,12 @@ a side first, and only the 8 x 8 children of the uncertain ones again.
 The bounds are monotone in the box, so that gives the verdicts of
 bounding every cell on its own. A bite in a certain cell takes its
 cell's verdict; only the few bites in cells the lethal boundary crosses
-get the exact dose. The Monte Carlo finds a draw's cell from the
-generator's raw doubles, and the cells whose draws are all rejected, or
-all accepted with a certain verdict, decide acceptance and verdict with
-that one lookup. Every verdict is the one the dose would give, so hit
-counts and lethal regions are those of scoring every bite.
+get the exact dose. The Monte Carlo draws a bite as a uniform table
+cell, four cells to each raw word of the generator, and a uniform point
+in the cell only where the cell's code leaves acceptance or verdict
+open: every other cell decides both with that one lookup. Every verdict
+is the one the dose would give, so hit counts and lethal regions are
+those of scoring every bite.
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -49,6 +50,7 @@ __all__ = [
     "DensityPatch",
     "PoisonStrategy",
     "PoisonConfig",
+    "DrawStats",
     "KillReport",
     "validate_strategy",
     "kill_probability",
@@ -56,9 +58,8 @@ __all__ = [
 ]
 
 _BATCH = 1 << 17
-_CHUNK = 8192  # pairs per sub-draw of a batch (see _batch_hits)
-_PENDING = 2048  # _SLOW pairs gathered before they are scored (see _batch_hits)
-_TABLE = 256  # cells per side of the verdict table: the uint8 range (see _VerdictTable)
+_BLOCK = 16384  # raw words, four table cells each, that _batch_hits reads at most at a time
+_TABLE = 256  # cells per side of the verdict table: a uint16 indexes a cell (see _VerdictTable)
 _COARSE = 32  # cells per side of the table's first, coarse bound; divides _TABLE
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
 # total and placement in validate_strategy, and the dose in _is_lethal_dose,
@@ -376,12 +377,12 @@ class _VerdictTable:
     cell (i, j) spanning [e[i], e[i + 1]] x [e[j], e[j + 1]] with the
     edges e[k] = low + span * (k / _TABLE), low = -r and span = 2r. Each
     cell is taken as that box grown by eps = _EPS times the coordinates'
-    size. The Monte Carlo draws a bite center as a pair of the generator's
-    doubles u in [0, 1), mapped to low + span * u, which is
-    Generator.uniform(-r, r) bit for bit: numpy computes
-    low + (high - low) * u, and high - low = 2r is exact. The product
-    _TABLE * u is exact, so its integer cast is the cell, and the map is
-    monotone, so the center lies in the cell's box. lethal_region's raster
+    size. The Monte Carlo draws a cell (i, j) and, where it needs the
+    center, an offset pair v in [0, 1)^2, and maps them to
+    low + (span / _TABLE) * ((i, j) + v). The division by _TABLE is exact,
+    so that is e[i] at v = 0; i + v rounds into [i, i + 1] and the map is
+    monotone, so the center lies in [e[i], e[i + 1]] x [e[j], e[j + 1]],
+    the cell's box (_batch_hits). lethal_region's raster
     points find their cell by index: floor((x - low) * _TABLE / span),
     clamped to the table. It does not decrease as x grows, and its
     rounding moves x by a few ulps of r, far less than eps, so a point
@@ -427,10 +428,10 @@ class _VerdictTable:
     exact dose where the verdict is _UNSURE, as _batch_hits gives them.
 
     verdict and code hold cell (i, j) at [j, i] of a (_TABLE, _TABLE)
-    array, so their ravel() is indexed by i + 256 j: the little-endian
-    uint16 that the uint8 pair (i, j) reads as. That is why _TABLE is 256,
-    the size of the uint8 range: the largest table that index addresses,
-    and one with no unused entries.
+    array, so their ravel() is indexed by i + 256 j, a uint16, and a raw
+    64-bit word of the generator holds four of them. That is why _TABLE
+    is 256: every uint16 indexes one cell and every cell one uint16, so a
+    uniform uint16 is a uniform cell.
     """
 
     def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
@@ -544,95 +545,89 @@ def _verdict_table(strategy: PoisonStrategy, config: PoisonConfig) -> _VerdictTa
 
 
 @dataclass(frozen=True)
+class DrawStats:
+    """The work of a Monte Carlo run, summed over its batches (_batch_hits)."""
+
+    pairs_drawn: int
+    pairs_disk_tested: int
+    bites_exact_dose: int
+
+
+@dataclass(frozen=True)
 class KillReport:
     estimate: float
     ci95: tuple[float, float]
     samples: int
     hits: int
+    stats: DrawStats
 
 
-def _batch_hits(table: _VerdictTable, batch_index: int, quota: int) -> int:
-    """Accepted-sample hits for one seeded batch.
+def _batch_hits(table: _VerdictTable, batch_index: int, quota: int) -> tuple[int, int, int, int]:
+    """Hits of one seeded batch of quota accepted bites, and its pairs
+    drawn, pairs disk-tested and bites given the exact dose.
 
-    Bite centers are drawn by rejection from the bounding square of the
-    radius R - 1 disk until quota of them are accepted: the accepted stream
-    is the first quota accepted pairs of the batch's generator, a
-    deterministic function of (seed, batch_index).
+    A bite is a uniform table cell, then a uniform point in it.
+    SeedSequence([seed, batch_index]) spawns two PCG64 streams. The cell
+    stream's raw words are read as four little-endian uint16 cells
+    i + 256 j each, the values Generator.integers(0, 65536, dtype=np.uint16)
+    gives in draws of a multiple of 4. A certain code holds at every point
+    of the cell's grown box, so its cell takes the code's acceptance and
+    verdict and draws no point. A _SLOW cell takes the offset stream's next
+    pair v, and its center low + (span / _TABLE) * (i + v) gets the disk
+    test, the cell's verdict, and the exact dose where that is _UNSURE.
+    The centers are uniform on the sampling square, like those of
+    Generator.uniform(-r, r).
 
-    Pairs are drawn into one buffer, at most _CHUNK at a time. PCG64 gives
-    one double per 64-bit output and buffers none, so sub-draws of any
-    sizes yield the generator's doubles in the same order. remaining
-    counts the pairs still to accept, the pending _SLOW pairs among them,
-    and a sub-draw holds at most remaining - pending pairs: every pair it
-    accepts counts, whatever becomes of the pending ones, and no pair is
-    drawn past the quota. The largest array a sub-draw allocates is the
-    64 KiB of take's intp indices, and none is sized by the batch.
-
-    Each pair takes the code of its table cell: one take, then two counts
-    for the pairs the cell decides. The _SLOW pairs are gathered; once
-    _PENDING of them wait, or no pair may be drawn before they are scored,
-    they take the verdict of their cell, found from the same cast of
-    _TABLE * u, and are mapped to their bite centers for the exact disk
-    test. Those whose cell is uncertain are set aside, one group per
-    round, and scored with the exact dose, and once more at the end of the
-    batch. The points waiting are scored before a group that would take
-    them past _CHUNK joins; the group joins whole, and it comes from at
-    most _PENDING - 1 + _CHUNK gathered pairs, so one scoring holds at most
-    _PENDING + _CHUNK - 1 points, about 10k. The table's verdicts are the
-    exact dose's, so the hits are those of scoring every bite.
+    Cells are read in blocks of at most _BLOCK words, sized from the bites
+    still to accept, and those past the quota-th accepted one are dropped,
+    so the results do not depend on the block sizes. The accepted _UNSURE
+    bites are scored at the end of the batch, or once more than a block's
+    cells wait: no array is sized by the batch.
     """
-    rng = np.random.default_rng([table.config.seed, batch_index])
-    buffer = np.empty((_CHUNK, 2))
-    buffer_cells = np.empty((_CHUNK, 2), dtype=np.uint8)
-    hits = 0
+    cell_seed, offset_seed = np.random.SeedSequence([table.config.seed, batch_index]).spawn(2)
+    words = np.random.PCG64(cell_seed)
+    offsets = np.random.Generator(np.random.PCG64(offset_seed))
+    step = table.span / _TABLE
+    hits = drawn = tested = exact = 0
     remaining = quota
-    slow: list[np.ndarray] = []
-    pending = 0
-    unsure_x: list[np.ndarray] = []
-    unsure_y: list[np.ndarray] = []
-    unsure = 0
-
-    def flush() -> int:
-        if not unsure_x:
-            return 0
-        lethal = table.exact(np.concatenate(unsure_x), np.concatenate(unsure_y))
-        unsure_x.clear()
-        unsure_y.clear()
-        return int(np.count_nonzero(lethal))
-
+    unsure: list[np.ndarray] = []
+    waiting = 0
     while remaining > 0:
-        size = min(_CHUNK, remaining - pending)
-        if size > 0 and pending < _PENDING:
-            draws, cells = buffer[:size], buffer_cells[:size]
-            rng.random(out=draws)
-            np.multiply(draws, _TABLE, out=cells, casting="unsafe")
-            code = table.code.take(cells.view("<u2").ravel())
-            gathered = draws.compress(code == _SLOW, axis=0)
-            slow.append(gathered)
-            pending += len(gathered)
-            hits += int(np.count_nonzero(code == _IN_LETHAL))
-            # accepted: every pair not _OUT, less the _SLOW ones still pending
-            remaining -= int(np.count_nonzero(code)) - len(gathered)
-            continue
-        xy = np.concatenate(slow)
-        slow.clear()
-        pending = 0
-        verdict = table.verdict.take((xy * _TABLE).astype(np.uint8).view("<u2").ravel())
-        xy *= table.span
+        cells = words.random_raw(min(_BLOCK, remaining // 3 + 1)).view("<u2")
+        code = table.code.take(cells)
+        slow = np.flatnonzero(code == _SLOW)
+        cell = cells[slow]
+        xy = offsets.random((slow.size, 2))
+        xy[:, 0] += cell & 255
+        xy[:, 1] += cell >> 8
+        xy *= step
         xy += table.low
         x, y = xy.T
         inside = x * x + y * y <= table.r2
-        remaining -= int(np.count_nonzero(inside))
-        hits += int(np.count_nonzero(inside & (verdict == _LETHAL)))
-        who = np.flatnonzero(inside & (verdict == _UNSURE))
-        if who.size:
-            if unsure + who.size > _CHUNK:
-                hits += flush()
-                unsure = 0
-            unsure_x.append(x[who])
-            unsure_y.append(y[who])
-            unsure += who.size
-    return hits + flush()
+        accepted = np.count_nonzero(code > _SLOW) + np.count_nonzero(inside)
+        if accepted > remaining:
+            # keep the cells up to the remaining-th accepted one
+            mask = code > _SLOW
+            mask[slow] = inside
+            end = np.flatnonzero(mask)[remaining - 1] + 1
+            code = code[:end]
+            k = np.searchsorted(slow, end)
+            slow, cell, xy, inside = slow[:k], cell[:k], xy[:k], inside[:k]
+            accepted = remaining
+        remaining -= accepted
+        drawn += code.size
+        tested += slow.size
+        verdict = table.verdict.take(cell)
+        hits += np.count_nonzero(code == _IN_LETHAL) + np.count_nonzero(inside & (verdict == _LETHAL))
+        unsure.append(xy[inside & (verdict == _UNSURE)])
+        waiting += len(unsure[-1])
+        if waiting and (remaining == 0 or waiting > 4 * _BLOCK):
+            xy = np.concatenate(unsure)
+            hits += np.count_nonzero(table.exact(xy[:, 0], xy[:, 1]))
+            exact += waiting
+            unsure.clear()
+            waiting = 0
+    return int(hits), drawn, tested, exact
 
 
 def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillReport:
@@ -644,18 +639,20 @@ def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillRepo
     normal-approximation 95% band.
 
     One verdict table (_VerdictTable), read by every batch, decides most
-    bites without their dose; the rest get the exact dose. Its verdicts
-    are certified, and the draws, batches and seeds are those of scoring
-    every bite, so the hits are too.
+    bites from their cell alone (_batch_hits). Its verdicts are certified,
+    so the hits are those of scoring every bite at a uniform point of its
+    cell. stats counts that work.
     """
     validate_strategy(strategy, config)
     n = config.samples
     table = _verdict_table(strategy, config)
-    hits = sum(_batch_hits(table, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH)))
+    hits, drawn, tested, exact = map(
+        sum, zip(*(_batch_hits(table, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH))))
+    )
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     ci = (max(0.0, p_hat - 1.96 * se), min(1.0, p_hat + 1.96 * se))
-    return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits)
+    return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits, stats=DrawStats(drawn, tested, exact))
 
 
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:

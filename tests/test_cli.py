@@ -522,10 +522,10 @@ PINNED_DIGESTS = {
         "018405177d3339d900bb4a171fc592d2306b0cdf753e19a186e9f8d0421113b1",
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
     ),
-    "poison": ("138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e", None),
+    "poison": ("2013177970c264be2b518da6ed7e5bb19baf00d752335d47465ab6b5f184775f", None),
     "search": ("5d44549087ea61ff894898d6df5ced242bd21f54f2fe34c7c001bd4c71ecddd2", None),
     "poison-svg": (
-        "138a41a5b3d0fd7b79b1d81698103d56670f7cf1e376820e9d184bddf041622e",
+        "2013177970c264be2b518da6ed7e5bb19baf00d752335d47465ab6b5f184775f",
         "d2467c38eef01d7601d3a03cc3e4f7748e745d37b82f360e185a041368e6dafa",
     ),
     "search-svg": (
@@ -552,9 +552,9 @@ PINNED_FILE_DIGESTS = {
     "diameters-1200": "b284eb0dc6e3e1b0febd17c0ef7c2f3c2957bcfe6f3702af2ed867c2d4979c28",
     "jung-1200": "8de699ff027fe3fe200da24bdc3a17a92bea8c82f1d81566e9b76e2e7966d566",
     "bounds": "ae7c1883731a22a901edbe14498b1500d722244f846cc3ec277f52d461988279",
-    "poison": "5afe614cff504c80b616cc85414ae4ef79daf98b8d992feb45610f5f86f244ba",
+    "poison": "16091e4fc7d3b683dc56090de1afa9dc77b260ec5df9fd358e686e275d5c0b7b",
     "search": "5f5eab080554a4bf492e9c68a018a2cbe6582463a3c714c2616c2001d7bec91d",
-    "poison-svg": "fd33d51172c4608f0605744eaaf11ca1e8371398aadf70e120737af6ba6c6ba6",
+    "poison-svg": "ed3a6292d0c8c37e6f529e13448c4b3f13adf16a86f1a0a52077517047d486bd",
     "search-svg": "90a1678f38dcd1d59a8addb90f3eabf569d12dc426446ba35d4254e90b977fcc",
     "conjecture-svg": "ee7866873163f4ca4a27cea6c31ca92ede86e8015d7e33ddf95096f0e17bedd1",
     "check": "315c85e00dcaa700216baf02236bb56bc7f7dea1cb0ff2ba9c300833bb20859f",

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from isodiam import cli, poisoning
 from isodiam.geometry import DiskUnion, Point
 from isodiam.poisoning import (
     _BATCH,
-    _CHUNK,
     DensityPatch,
     _batch_hits,
     _dose_at,
@@ -391,9 +391,10 @@ def whole_round_dose_at(strategy, patch, xs, ys):
     return dose
 
 
-def whole_round_batch_hits(strategy, patch, config, batch_index, quota):
-    """The batch loop that _batch_hits replaced: each rejection round is
-    one (draw, 2) array, filtered by a boolean mask."""
+def uniform_batch_hits(strategy, patch, config, batch_index, quota):
+    """The batch loop of the earlier stream, kept as an independent
+    estimator of the same law: each rejection round is one (draw, 2)
+    array of Generator.uniform(-r, r), filtered by a boolean mask."""
     rng = np.random.default_rng([config.seed, batch_index])
     radius = config.R - 1.0
     hits = 0
@@ -409,6 +410,43 @@ def whole_round_batch_hits(strategy, patch, config, batch_index, quota):
         hits += int(np.sum(dose >= config.lethal_dose - poisoning._TOL))
         remaining -= len(accepted)
     return hits
+
+
+def whole_round_batch_hits(strategy, patch, config, batch_index, quota, tables=None):
+    """The batch's stream scored whole, round by round, with _batch_hits's
+    hits and counts. A round draws its cells at once with
+    Generator.integers(0, 65536, dtype=np.uint16), in a multiple of 4, and
+    gives each a point in its cell: the offset stream's next pair where
+    the code says _SLOW, and an independent seeded point elsewhere. Every
+    bite takes the disk test, and every accepted one whole_round_dose_at;
+    the first quota accepted count. tables is the (verdict, code) pair,
+    flat_table's by default."""
+    verdict, code = (a.ravel() for a in tables or flat_table(strategy, config))
+    cell_seed, offset_seed = np.random.SeedSequence([config.seed, batch_index]).spawn(2)
+    cell_rng = np.random.Generator(np.random.PCG64(cell_seed))
+    offset_rng = np.random.Generator(np.random.PCG64(offset_seed))
+    elsewhere = np.random.default_rng([config.seed, batch_index, 1])
+    radius = config.R - 1.0
+    low, step = -radius, 2.0 * radius / _TABLE
+    hits = drawn = tested = exact = 0
+    remaining = quota
+    while remaining > 0:
+        draw = 4 * (int(remaining / math.pi * 1.05) + 4)
+        cells = cell_rng.integers(0, 65536, size=draw, dtype=np.uint16).astype(np.intp)
+        slow = code[cells] == _SLOW
+        v = elsewhere.random((draw, 2))
+        v[slow] = offset_rng.random((np.count_nonzero(slow), 2))
+        x = low + step * (cells % 256 + v[:, 0])
+        y = low + step * (cells // 256 + v[:, 1])
+        keep = np.flatnonzero(x * x + y * y <= radius * radius)[:remaining]
+        end = keep[-1] + 1 if keep.size == remaining else draw
+        drawn += int(end)
+        tested += int(np.count_nonzero(slow[:end]))
+        exact += int(np.count_nonzero(verdict[cells[keep]] == _UNSURE))
+        dose = whole_round_dose_at(strategy, patch, x[keep], y[keep])
+        hits += int(np.count_nonzero(dose >= config.lethal_dose - poisoning._TOL))
+        remaining -= keep.size
+    return hits, drawn, tested, exact
 
 
 @st.composite
@@ -463,62 +501,62 @@ def stream_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     stream_cases(),
-    st.sampled_from([1, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, _BATCH]),
+    st.sampled_from([1, 17, 8191, 8192, 8193, 24581, _BATCH]),
     st.integers(0, 40),
 )
 def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
     strategy, config = case
     got = _batch_hits(_VerdictTable(strategy, config), batch_index, quota)
-    assert type(got) is int
+    assert all(type(n) is int for n in got)
     assert got == whole_round_batch_hits(strategy, _patch_rows(strategy), config, batch_index, quota)
+    hits, drawn, tested, exact = got
+    assert hits <= quota <= drawn and exact <= tested <= drawn
 
 
 def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
-    """A 316-cell patch, like the pie workload's, sets aside at most about
-    a thousand uncertain bites a batch, fewer than _CHUNK, so they are
-    scored once, at the end of the batch. With _CHUNK at 64 or 257 they
-    are flushed mid-batch, and the sub-draws take other sizes: neither
-    moves a hit."""
+    """A 316-cell patch, like the pie workload's, sets aside about a
+    thousand uncertain bites a batch, fewer than a block's cells, so they
+    are scored once, at the end of the batch. Blocks of 1, 3 or 257 words
+    flush them mid-batch, and read the stream in other pieces: neither
+    moves a hit or a count."""
     patch = DensityPatch(region=rasterize(DiskUnion(((0.0, 0.0, 0.5),)), 0.05), grams=1.5)
     strat = PoisonStrategy(density=patch)
-    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=200_000, seed=4)
-    batches = -(-cfg.samples // _BATCH)
-    want = kill_probability(strat, cfg).hits
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=_BATCH + 20_000, seed=4)
+    want = kill_probability(strat, cfg)
+    assert want.stats.bites_exact_dose > 0
     exact = _VerdictTable.exact
-    for chunk in (64, 257):
+    for block in (1, 3, 257):
         scored = []
 
         def spy(table, x, y):
             scored.append(len(x))
             return exact(table, x, y)
 
-        monkeypatch.setattr(poisoning, "_CHUNK", chunk)
+        monkeypatch.setattr(poisoning, "_BLOCK", block)
         monkeypatch.setattr(_VerdictTable, "exact", spy)
-        assert kill_probability(strat, cfg).hits == want
+        assert kill_probability(strat, cfg) == want
         # one scoring at the end of each batch, and the flushes before it
-        assert len(scored) > batches
-        # a flush comes before a sub-batch joins, which it does whole
-        assert max(scored) <= poisoning._PENDING + chunk - 1
+        assert len(scored) > 2
+        # a flush comes once more than one block's cells wait
+        assert max(scored) <= 8 * block
 
 
 @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])
 def test_uniform_is_the_affine_map_of_random(radius):
-    """_VerdictTable reads the cell of a bite center from the raw doubles
-    of Generator.random and maps the few it must to -r + 2r u: that is what
-    Generator.uniform(-r, r) returns, bit for bit, in sub-draws of any size
-    from one buffer."""
-    want = np.random.default_rng([5, 3]).uniform(-radius, radius, size=(3000, 2))
-    rng = np.random.default_rng([5, 3])
-    buf = np.empty((1024, 2))
-    got = []
-    for size in (1, 1023, 1024, 7, 945):
-        u = buf[:size]
-        rng.random(out=u)
-        got.append(-radius + 2.0 * radius * u)
-        u *= 2.0 * radius
-        u += -radius
-        assert np.array_equal(u, got[-1])
-    assert np.array_equal(np.concatenate(got), want)
+    """A _SLOW cell i's bite center is the affine map
+    low + (span / _TABLE) * (i + v) of its uniform offset v in [0, 1). At
+    the first, second, middle and last cell, and at the offsets 0, 2^-53,
+    1/2 and 1 - 2^-53, it lies in [e[i], e[i + 1]], inside the cell's
+    grown box, also where i + v rounds up to i + 1."""
+    low, span = -radius, 2.0 * radius
+    e = low + span * (np.arange(_TABLE + 1) / _TABLE)
+    i = np.array([0, 1, 127, 255])[:, None]
+    v = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])[None, :]
+    t = low + (span / _TABLE) * (i + v)
+    assert np.all((e[i] <= t) & (t <= e[i + 1]))
+    assert np.array_equal(t[:, 0], e[i[:, 0]])
+    assert np.array_equal(i[1:, 0] + v[0, 3], i[1:, 0] + 1.0)  # rounds up
+    assert np.array_equal(t[1:, 3], e[i[1:, 0] + 1])
 
 
 def sampling_probes() -> np.ndarray:
@@ -578,7 +616,7 @@ def test_grid_is_capped_on_a_huge_pie(lethal_dose):
     assert table.verdict.shape == table.code.shape == (256, 256)
     assert table.span / _TABLE > 7800
     hits = kill_probability(strat, cfg).hits
-    assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)
+    assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)[0]
     assert hits == (cfg.samples if lethal_dose < poisoning._TOL else 0)
 
 
@@ -795,10 +833,12 @@ def tour_hexagon() -> PoisonStrategy:
 
 
 def test_hexagon_hits_are_pinned():
-    """300,000 samples are three batches, the last one partial. The count
-    was recorded from the whole-round kernel."""
+    """300,000 samples are three batches, the last one partial. The counts
+    were recorded from whole_round_batch_hits."""
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=300_000, seed=7)
-    assert kill_probability(tour_hexagon(), cfg).hits == 33441
+    rep = kill_probability(tour_hexagon(), cfg)
+    assert rep.hits == 33539
+    assert astuple(rep.stats) == (382047, 8386, 2429)
 
 
 def test_hits_are_a_python_int_and_the_report_is_written(tmp_path):
@@ -812,7 +852,9 @@ def test_hits_are_a_python_int_and_the_report_is_written(tmp_path):
     argv = ["poison", "--R", "3", "--h-available", "1.5", "--strategy", str(strat_path), "--samples", "20000",
             "--seed", "4", "--out", str(out)]
     assert cli.run(argv) == 0
-    assert json.loads(out.read_text())["report"]["kill"]["hits"] == hits
+    report = json.loads(out.read_text())["report"]
+    assert report["kill"]["hits"] == hits
+    assert report["stats"] == asdict(kill_probability(tour_hexagon(), cfg).stats)
 
 
 def test_poison_run_builds_one_verdict_table(tmp_path, monkeypatch):
@@ -840,8 +882,8 @@ def test_calls_on_one_strategy_keep_their_own_seeds():
     strat = mixed_strategy()
     for seed in (11, 12, 11):
         cfg = PoisonConfig(R=3.0, h_available=1.5, samples=5000, seed=seed)
-        hits = kill_probability(strat, cfg).hits
-        assert hits == whole_round_batch_hits(strat, _patch_rows(strat), cfg, 0, cfg.samples)
+        rep = kill_probability(strat, cfg)
+        assert (rep.hits, *astuple(rep.stats)) == whole_round_batch_hits(strat, _patch_rows(strat), cfg, 0, cfg.samples)
 
 
 def mixed_strategy() -> PoisonStrategy:
@@ -856,7 +898,8 @@ def mixed_strategy() -> PoisonStrategy:
 
 def test_point_mass_batches_stay_cache_sized():
     """The whole-round kernel peaked at about 8 MiB of temporaries on the
-    hexagon. The mixed strategy peaks at about 0.8 MiB here."""
+    hexagon. With the table's build, the hexagon peaks at about 1.5 MiB
+    here and the mixed strategy at about 0.9 MiB."""
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=3 * _BATCH + 5, seed=1)
     for strat in (tour_hexagon(), mixed_strategy()):
         tracemalloc.start()
@@ -880,3 +923,67 @@ def test_lethal_region_scans_the_grid_in_bands():
         tracemalloc.stop()
     assert len(region.cells) == 196364
     assert peak < 20 << 20
+
+
+def test_all_slow_uncertain_batches_stay_block_sized(monkeypatch):
+    """A table whose every cell is _SLOW and _UNSURE sends every bite to
+    the disk test and every accepted one to the exact dose. With batches
+    of 2^20 bites, scoring them a batch at a time held 16 MiB of centers
+    alone; they are scored a few blocks' cells at a time, and the hits
+    are still those of the exact dose."""
+    monkeypatch.setattr(poisoning, "_BATCH", 1 << 20)
+    strat = tour_hexagon()
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=1 << 20, seed=2)
+    table = _VerdictTable(strat, cfg)
+    table.code[:] = _SLOW
+    table.verdict[:] = _UNSURE
+    monkeypatch.setattr(poisoning, "_last_table", table)
+    want = whole_round_batch_hits(strat, None, cfg, 0, cfg.samples, (table.verdict, table.code))
+    tracemalloc.start()
+    try:
+        rep = kill_probability(strat, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.hits, *astuple(rep.stats)) == want
+    assert rep.stats.bites_exact_dose == cfg.samples
+    assert rep.stats.pairs_disk_tested == rep.stats.pairs_drawn
+    assert peak < 12 << 20
+
+
+@pytest.mark.parametrize("kind", ["masses_strategy", "patch_strategy", "mixed_strategy"])
+def test_cell_stream_estimates_agree_with_uniform_draws(kind):
+    """The cell-then-offset stream and Generator.uniform draw bite centers
+    from one law: on the bench's strategies, over fixed seeds, the two
+    estimates agree within 4 standard errors of their difference."""
+    grams = bench_workloads.PIE_GRAMS
+    n = 200_000
+    for seed in (1, 2, 3):
+        strat = PoisonStrategy.from_json_dict(getattr(bench_workloads, kind)(random.Random(seed)))
+        cfg = PoisonConfig(R=bench_workloads.PIE_R, h_available=grams, samples=n, seed=seed)
+        p_new = kill_probability(strat, cfg).estimate
+        old = sum(
+            uniform_batch_hits(strat, _patch_rows(strat), cfg, k, min(_BATCH, n - start))
+            for k, start in enumerate(range(0, n, _BATCH))
+        )
+        p = (p_new + old / n) / 2.0
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(p_new - old / n) <= 4.0 * se * math.sqrt(2.0)
+
+
+def test_stats_count_the_work_and_not_the_blocks(monkeypatch):
+    """Each batch draws at least its quota of pairs, disk-tests some of
+    them and gives the exact dose to fewer still; how many words a block
+    reads moves none of the counts."""
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=2 * _BATCH + 7, seed=5)
+    for strat in (tour_hexagon(), mixed_strategy()):
+        want = kill_probability(strat, cfg)
+        s = want.stats
+        assert s.pairs_drawn >= cfg.samples
+        assert 0 < s.bites_exact_dose <= s.pairs_disk_tested <= s.pairs_drawn
+        # the table decides most draws from their cell
+        assert s.pairs_disk_tested < 0.1 * s.pairs_drawn
+        for block in (7, 1000):
+            monkeypatch.setattr(poisoning, "_BLOCK", block)
+            assert kill_probability(strat, cfg) == want
+        monkeypatch.undo()
