@@ -605,7 +605,7 @@ def _batch_hits(table: _VerdictTable, batch_index: int, quota: int) -> tuple[int
         x, y = xy.T
         inside = x * x + y * y <= table.r2
         accepted = np.count_nonzero(code > _SLOW) + np.count_nonzero(inside)
-        if accepted > remaining:
+        if accepted >= remaining:
             # keep the cells up to the remaining-th accepted one
             mask = code > _SLOW
             mask[slow] = inside

@@ -513,6 +513,25 @@ def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
     assert hits <= quota <= drawn and exact <= tested <= drawn
 
 
+@pytest.mark.parametrize("quota", [1, 17])
+def test_a_block_accepting_exactly_the_quota_is_cut_at_its_last_bite(quota):
+    """When a block accepts exactly the bites still to accept, the cells
+    after the last of them are not drawn: they count neither as drawn nor
+    as disk-tested. Batches 0-79 of the hexagon reach that case in their
+    first block: the quota-th accepted bite comes before the block's last
+    cell, and the (quota + 1)-th after it."""
+    strat, patch = tour_hexagon(), None
+    cfg = PoisonConfig(R=3.0, h_available=1.5, seed=7)
+    table, tables = _VerdictTable(strat, cfg), flat_table(strat, cfg)
+    cells = 4 * min(poisoning._BLOCK, quota // 3 + 1)
+    reached = 0
+    for k in range(80):
+        want = whole_round_batch_hits(strat, patch, cfg, k, quota, tables)
+        assert _batch_hits(table, k, quota) == want
+        reached += want[1] < cells < whole_round_batch_hits(strat, patch, cfg, k, quota + 1, tables)[1]
+    assert reached >= 2
+
+
 def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
     """A 316-cell patch, like the pie workload's, sets aside about a
     thousand uncertain bites a batch, fewer than a block's cells, so they
@@ -544,14 +563,16 @@ def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
 @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])
 def test_uniform_is_the_affine_map_of_random(radius):
     """A _SLOW cell i's bite center is the affine map
-    low + (span / _TABLE) * (i + v) of its uniform offset v in [0, 1). At
-    the first, second, middle and last cell, and at the offsets 0, 2^-53,
-    1/2 and 1 - 2^-53, it lies in [e[i], e[i + 1]], inside the cell's
-    grown box, also where i + v rounds up to i + 1."""
+    low + (span / _TABLE) * (i + v) of its offset v, a double of
+    Generator.random in [0, 1). At the first, second, middle and last
+    cell, and at the offsets 0, 2^-53, 1/2 and 1 - 2^-53 and a few drawn
+    ones, it lies in [e[i], e[i + 1]], inside the cell's grown box, also
+    where i + v rounds up to i + 1."""
     low, span = -radius, 2.0 * radius
     e = low + span * (np.arange(_TABLE + 1) / _TABLE)
     i = np.array([0, 1, 127, 255])[:, None]
-    v = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])[None, :]
+    drawn = np.random.default_rng(0).random(16)
+    v = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], drawn])[None, :]
     t = low + (span / _TABLE) * (i + v)
     assert np.all((e[i] <= t) & (t <= e[i + 1]))
     assert np.array_equal(t[:, 0], e[i[:, 0]])
