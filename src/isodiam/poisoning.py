@@ -13,20 +13,18 @@ are the cells whose column lies in one range, and the ends of that range
 follow from the bite's half-width at the row (see _PatchRows).
 
 Most bites are decided without computing their dose. A verdict table
-(_VerdictTable) cuts the sampling square into 256 x 256 cells and marks
-each cell certainly lethal, certainly safe or uncertain, from bounds that
-hold for every point of the cell under the float arithmetic of _dose_at.
-It is built coarse to fine: the cells near the poison are bounded 32 to
-a side first, and only the 8 x 8 children of the uncertain ones again.
-The bounds are monotone in the box, so that gives the verdicts of
-bounding every cell on its own. A bite in a certain cell takes its
-cell's verdict; only the few bites in cells the lethal boundary crosses
-get the exact dose. The Monte Carlo draws a bite as a uniform table
-cell, four cells to each raw word of the generator, and a uniform point
-in the cell only where the cell's code leaves acceptance or verdict
-open: every other cell decides both with that one lookup. Every verdict
-is the one the dose would give, so hit counts and lethal regions are
-those of scoring every bite.
+(_VerdictTable) cuts the sampling square into _TABLE x _TABLE cells and
+marks each cell certainly lethal, certainly safe or uncertain, from
+bounds that hold for every point of the cell under the float arithmetic
+of _dose_at. It is built coarse to fine: the cells near the poison are
+bounded 32 to a side first, and only the 8 x 8 children of the uncertain
+ones again. The bounds are monotone in the box, so that gives the
+verdicts of bounding every cell on its own. The Monte Carlo counts the
+bites in the cells that lie in the disk with a certain verdict with one
+multinomial draw, and draws points only in the slow cells, the others
+that meet it, giving the exact dose where their verdict is uncertain.
+Every verdict is the one the dose would give, so hit counts follow the
+law of scoring every bite, and lethal regions are those of the dose.
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -57,9 +55,8 @@ __all__ = [
     "lethal_region",
 ]
 
-_BATCH = 1 << 17
-_BLOCK = 16384  # raw words, four table cells each, that _batch_hits reads at most at a time
-_TABLE = 256  # cells per side of the verdict table: a uint16 indexes a cell (see _VerdictTable)
+_BLOCK = 16384  # points drawn in slow cells at most at a time (_slow_hits)
+_TABLE = 256  # cells per side of the verdict table
 _COARSE = 32  # cells per side of the table's first, coarse bound; divides _TABLE
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
 # total and placement in validate_strategy, and the dose in _is_lethal_dose,
@@ -67,8 +64,6 @@ _COARSE = 32  # cells per side of the table's first, coarse bound; divides _TABL
 # the 1 g they were validated as.
 _TOL = 1e-9
 _SAFE, _LETHAL, _UNSURE = 0, 1, 2  # verdicts of the table's cells
-_OUT, _SLOW, _IN_SAFE, _IN_LETHAL = 0, 1, 2, 3  # codes of the table's cells for the Monte Carlo
-_IN_CODE = np.array([_IN_SAFE, _IN_LETHAL, _SLOW], dtype=np.uint8)  # an in cell's code, by its verdict
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ class _PatchRows:
     column 0. All sizes are
     O(cells), none follows the patch's bounding box, and the floats are
     those cell_centers() gives. Built once per call and read by every
-    batch. A point costs O(rows + runs) work near the patch, against
+    block. A point costs O(rows + runs) work near the patch, against
     O(cells) for testing every cell. eps, _EPS times the coordinates'
     size, exceeds the rounding of the test dx*dx + dy*dy <= 1.0 and of the
     column bounds by a factor of about a million.
@@ -369,22 +364,21 @@ def _is_lethal_dose(dose: np.ndarray, config: PoisonConfig) -> np.ndarray:
 class _VerdictTable:
     """What becomes of the bite centers in each cell of the sampling
     square, for one strategy and config: which certainly kill, which
-    certainly do not, and, for the Monte Carlo, which are drawn and
-    rejected. kill_probability and lethal_region share one table per
-    strategy and config (_verdict_table).
+    certainly do not, and, for the Monte Carlo, which lie in the sampling
+    disk and which only meet it. kill_probability and lethal_region share
+    one table per strategy and config (_verdict_table).
 
     The square [-r, r]^2, r = R - 1, is cut into _TABLE x _TABLE cells,
     cell (i, j) spanning [e[i], e[i + 1]] x [e[j], e[j + 1]] with the
     edges e[k] = low + span * (k / _TABLE), low = -r and span = 2r. Each
     cell is taken as that box grown by eps = _EPS times the coordinates'
-    size. The Monte Carlo draws a cell (i, j) and, where it needs the
-    center, an offset pair v in [0, 1)^2, and maps them to
-    low + (span / _TABLE) * ((i, j) + v). The division by _TABLE is exact,
-    so that is e[i] at v = 0; i + v rounds into [i, i + 1] and the map is
-    monotone, so the center lies in [e[i], e[i + 1]] x [e[j], e[j + 1]],
-    the cell's box (_batch_hits). lethal_region's raster
-    points find their cell by index: floor((x - low) * _TABLE / span),
-    clamped to the table. It does not decrease as x grows, and its
+    size. The Monte Carlo draws a slow cell (i, j) and an offset pair v in
+    [0, 1)^2, and maps them to low + (span / _TABLE) * ((i, j) + v). The
+    division by _TABLE, a power of 2, is exact, so that is e[i] at v = 0;
+    i + v rounds into [i, i + 1] and the map is monotone, so the center
+    lies in [e[i], e[i + 1]] x [e[j], e[j + 1]], the cell's box
+    (_slow_hits). lethal_region's raster points find their cell by index:
+    floor((x - low) * _TABLE / span), clamped to the table. It does not decrease as x grows, and its
     rounding moves x by a few ulps of r, far less than eps, so a point
     whose index is k lies in cell k's grown box. A clamped point that lies
     outside the grown box of its edge cell is more than eps outside the
@@ -421,17 +415,12 @@ class _VerdictTable:
     table is that of bounding every cell of the block at _TABLE a side,
     cell for cell, from a fraction of the boxes.
 
-    Codes. A cell is _OUT when every point of its box fails the disk test
-    and in when every point passes it: the nearest and the farthest corner
-    decide. An in cell with a certain verdict is _IN_SAFE or _IN_LETHAL;
-    every other cell is _SLOW, and its pairs take the disk test, and the
-    exact dose where the verdict is _UNSURE, as _batch_hits gives them.
-
-    verdict and code hold cell (i, j) at [j, i] of a (_TABLE, _TABLE)
-    array, so their ravel() is indexed by i + 256 j, a uint16, and a raw
-    64-bit word of the generator holds four of them. That is why _TABLE
-    is 256: every uint16 indexes one cell and every cell one uint16, so a
-    uniform uint16 is a uniform cell.
+    Strata. A cell is in when the farthest corner of its grown box passes
+    the disk test, so that its whole box lies in the disk, and it meets the
+    disk when the nearest corner passes it. in_lethal and in_safe count the
+    in cells with a certain verdict. slow holds every other cell that meets
+    the disk, by its index i + _TABLE j into verdict.ravel(): verdict holds
+    cell (i, j) at [j, i] of a (_TABLE, _TABLE) array.
     """
 
     def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
@@ -477,9 +466,10 @@ class _VerdictTable:
         # the corner sums are symmetric in (i, j), so they index either layout
         far, near = _far_near(lo, hi, 0.0)
         far, near = far * far, near * near
-        self.code = _IN_CODE.take(self.verdict)
-        self.code[far[:, None] + far[None, :] > self.r2] = _SLOW
-        self.code[near[:, None] + near[None, :] > self.r2] = _OUT
+        certain = (far[:, None] + far[None, :] <= self.r2) & (self.verdict != _UNSURE)
+        self.in_lethal = int(np.count_nonzero(certain & (self.verdict == _LETHAL)))
+        self.in_safe = int(np.count_nonzero(certain)) - self.in_lethal
+        self.slow = np.flatnonzero((near[:, None] + near[None, :] <= self.r2) & ~certain)
 
     def _verdicts(self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
         """The verdict of each box [xa[k], xb[k]] x [ya[k], yb[k]], from
@@ -523,7 +513,7 @@ class _VerdictTable:
         the cell's verdict, and the exact one where it is uncertain."""
         inside = x * x + y * y <= self.r2
         cell = self.index(y)
-        cell *= 256
+        cell *= _TABLE
         cell += self.index(x)
         verdict = self.verdict.take(cell)
         lethal = verdict == _LETHAL
@@ -546,10 +536,12 @@ def _verdict_table(strategy: PoisonStrategy, config: PoisonConfig) -> _VerdictTa
 
 @dataclass(frozen=True)
 class DrawStats:
-    """The work of a Monte Carlo run, summed over its batches (_batch_hits)."""
+    """The work of a Monte Carlo run (kill_probability): the bites counted
+    in certain cells, the points drawn in slow cells up to the last needed
+    bite, and the bites given the exact dose."""
 
-    pairs_drawn: int
-    pairs_disk_tested: int
+    bites_decided: int
+    points_drawn: int
     bites_exact_dose: int
 
 
@@ -562,97 +554,65 @@ class KillReport:
     stats: DrawStats
 
 
-def _batch_hits(table: _VerdictTable, batch_index: int, quota: int) -> tuple[int, int, int, int]:
-    """Hits of one seeded batch of quota accepted bites, and its pairs
-    drawn, pairs disk-tested and bites given the exact dose.
+def _slow_hits(
+    table: _VerdictTable, cells: np.random.Generator, offsets: np.random.Generator, quota: int
+) -> tuple[int, int, int]:
+    """Hits of quota bites uniform on the slow cells' part of the disk,
+    the points drawn up to the last of them, and the bites given the exact
+    dose.
 
-    A bite is a uniform table cell, then a uniform point in it.
-    SeedSequence([seed, batch_index]) spawns two PCG64 streams. The cell
-    stream's raw words are read as four little-endian uint16 cells
-    i + 256 j each, the values Generator.integers(0, 65536, dtype=np.uint16)
-    gives in draws of a multiple of 4. A certain code holds at every point
-    of the cell's grown box, so its cell takes the code's acceptance and
-    verdict and draws no point. A _SLOW cell takes the offset stream's next
-    pair v, and its center low + (span / _TABLE) * (i + v) gets the disk
-    test, the cell's verdict, and the exact dose where that is _UNSURE.
-    The centers are uniform on the sampling square, like those of
-    Generator.uniform(-r, r).
-
-    Cells are read in blocks of at most _BLOCK words, sized from the bites
-    still to accept, and those past the quota-th accepted one are dropped,
-    so the results do not depend on the block sizes. The accepted _UNSURE
-    bites are scored at the end of the batch, or once more than a block's
-    cells wait: no array is sized by the batch.
+    A point is a slow cell (i, j) from cells.integers and an offset pair v
+    from offsets.random, at low + (span / _TABLE) * ((i, j) + v). Points
+    failing the disk test are redrawn; the rest take their cell's verdict,
+    or the exact dose where that is _UNSURE, a block of at most _BLOCK
+    points at a time. Points past the quota-th accepted one are dropped,
+    and integers and random draws split across calls equal one whole call
+    (PCG64 keeps its unused half word), so no result depends on the block
+    sizes.
     """
-    cell_seed, offset_seed = np.random.SeedSequence([table.config.seed, batch_index]).spawn(2)
-    words = np.random.PCG64(cell_seed)
-    offsets = np.random.Generator(np.random.PCG64(offset_seed))
     step = table.span / _TABLE
-    hits = drawn = tested = exact = 0
+    hits = drawn = exact = 0
     remaining = quota
-    unsure: list[np.ndarray] = []
-    waiting = 0
     while remaining > 0:
-        cells = words.random_raw(min(_BLOCK, remaining // 3 + 1)).view("<u2")
-        code = table.code.take(cells)
-        slow = np.flatnonzero(code == _SLOW)
-        cell = cells[slow]
-        xy = offsets.random((slow.size, 2))
-        xy[:, 0] += cell & 255
-        xy[:, 1] += cell >> 8
-        xy *= step
-        xy += table.low
-        x, y = xy.T
-        inside = x * x + y * y <= table.r2
-        accepted = np.count_nonzero(code > _SLOW) + np.count_nonzero(inside)
-        if accepted >= remaining:
-            # keep the cells up to the remaining-th accepted one
-            mask = code > _SLOW
-            mask[slow] = inside
-            end = np.flatnonzero(mask)[remaining - 1] + 1
-            code = code[:end]
-            k = np.searchsorted(slow, end)
-            slow, cell, xy, inside = slow[:k], cell[:k], xy[:k], inside[:k]
-            accepted = remaining
-        remaining -= accepted
-        drawn += code.size
-        tested += slow.size
-        verdict = table.verdict.take(cell)
-        hits += np.count_nonzero(code == _IN_LETHAL) + np.count_nonzero(inside & (verdict == _LETHAL))
-        unsure.append(xy[inside & (verdict == _UNSURE)])
-        waiting += len(unsure[-1])
-        if waiting and (remaining == 0 or waiting > 4 * _BLOCK):
-            xy = np.concatenate(unsure)
-            hits += np.count_nonzero(table.exact(xy[:, 0], xy[:, 1]))
-            exact += waiting
-            unsure.clear()
-            waiting = 0
-    return int(hits), drawn, tested, exact
+        size = min(_BLOCK, 2 * remaining)
+        j, i = np.divmod(table.slow[cells.integers(table.slow.size, size=size)], _TABLE)
+        v = offsets.random((size, 2))
+        x = table.low + step * (i + v[:, 0])
+        y = table.low + step * (j + v[:, 1])
+        accepted = np.flatnonzero(x * x + y * y <= table.r2)[:remaining]
+        drawn += accepted[-1] + 1 if accepted.size == remaining else size
+        remaining -= accepted.size
+        verdict = table.verdict[j[accepted], i[accepted]]
+        unsure = accepted[verdict == _UNSURE]
+        hits += np.count_nonzero(verdict == _LETHAL) + np.count_nonzero(table.exact(x[unsure], y[unsure]))
+        exact += unsure.size
+    return int(hits), int(drawn), exact
 
 
 def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillReport:
     """Seeded Monte Carlo estimate of the probability a random bite kills.
 
-    Samples are split into fixed batches with independent per-batch seed
-    streams, run in order; the merge is a plain hit count, so the estimate
-    is identical for identical seeds. The interval is the
-    normal-approximation 95% band.
-
-    One verdict table (_VerdictTable), read by every batch, decides most
-    bites from their cell alone (_batch_hits). Its verdicts are certified,
-    so the hits are those of scoring every bite at a uniform point of its
-    cell. stats counts that work.
+    Each in cell of certain verdict (_VerdictTable) holds 4 / (_TABLE^2 pi)
+    of the disk, so one multinomial draw counts the bites in the lethal and
+    in the safe ones and leaves the rest to the slow cells, the only ones
+    that get points (_slow_hits). So hits follow the law of n uniform bites
+    scored with the exact dose. SeedSequence(seed) spawns the two PCG64
+    streams, so identical seeds give identical results. The interval is
+    the normal-approximation 95% band; stats counts the work.
     """
     validate_strategy(strategy, config)
     n = config.samples
     table = _verdict_table(strategy, config)
-    hits, drawn, tested, exact = map(
-        sum, zip(*(_batch_hits(table, k, min(_BATCH, n - start)) for k, start in enumerate(range(0, n, _BATCH))))
-    )
+    cells, offsets = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+    share = 4.0 / (_TABLE * _TABLE * math.pi)
+    certain = [table.in_lethal * share, table.in_safe * share]
+    lethal, safe, quota = cells.multinomial(n, [*certain, 1.0 - sum(certain)]).tolist()
+    hits, drawn, exact = _slow_hits(table, cells, offsets, quota)
+    hits += lethal
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     ci = (max(0.0, p_hat - 1.96 * se), min(1.0, p_hat + 1.96 * se))
-    return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits, stats=DrawStats(drawn, tested, exact))
+    return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits, stats=DrawStats(lethal + safe, drawn, exact))
 
 
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:

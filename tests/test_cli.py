@@ -256,21 +256,31 @@ def test_poison_default_strategy(capsys):
 
 
 def test_poison_strategy_file(capsys, tmp_path):
+    """Two 1 g masses 3 apart on a pie of radius 4 kill 2/9 of the bites.
+    Over seeds 0-99, the 95% band holds 2/9 in at least 88 runs, and the
+    mean estimate lies within 3 standard errors of it."""
     strat_path = tmp_path / "strategy.json"
     strat_path.write_text(json.dumps({"masses": [[-1.5, 0.0, 1.0], [1.5, 0.0, 1.0]]}))
-    payload = run_json(
-        capsys,
-        [
-            "poison",
-            "--R", "4",
-            "--h-available", "2",
-            "--samples", "50000",
-            "--strategy", str(strat_path),
-        ],
-    )
-    lo, hi = payload["report"]["kill"]["ci95"]
-    assert lo <= 2 / 9 <= hi
-    assert str(strat_path) in payload["manifest"]["input_digests"]
+    covered = 0
+    estimates = []
+    for seed in range(100):
+        payload = run_json(
+            capsys,
+            [
+                "poison",
+                "--R", "4",
+                "--h-available", "2",
+                "--samples", "50000",
+                "--strategy", str(strat_path),
+                "--seed", str(seed),
+            ],
+        )
+        lo, hi = payload["report"]["kill"]["ci95"]
+        covered += lo <= 2 / 9 <= hi
+        estimates.append(payload["report"]["kill"]["estimate"])
+        assert str(strat_path) in payload["manifest"]["input_digests"]
+    assert covered >= 88
+    assert abs(np.mean(estimates) - 2 / 9) <= 3.0 * math.sqrt(2 / 9 * 7 / 9 / (100 * 50_000))
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "2", "-4"])
@@ -384,9 +394,15 @@ def test_the_benchmark_oracles_read_the_cli_outputs(capsys, tmp_path, monkeypatc
     assert cli.run([*search, "--region-out", "best.json", "--out", "search.json"]) == 0
     poison = ["poison", "--R", "3", "--h-available", "1", "--strategy", "patch.json", "--samples", "20000"]
     assert cli.run([*poison, "--grid", "0.05", "--out", "poison.json"]) == 0
+    # point masses only: six 0.25 g masses on a hexagon, like the tour's
+    hexagon = [[0.6 * math.cos(math.pi * k / 3), 0.6 * math.sin(math.pi * k / 3), 0.25] for k in range(6)]
+    Path("masses.json").write_text(json.dumps({"masses": hexagon}))
+    masses = ["poison", "--R", "3", "--h-available", "1.5", "--strategy", "masses.json", "--samples", "20000"]
+    assert cli.run([*masses, "--grid", "0.05", "--out", "masses-report.json"]) == 0
     assert capsys.readouterr().out == ""
     assert oracles.check_search(tmp_path, ("search.json", "best.json"), 3.0, 0.1, 2000, "best.json") == []
     assert oracles.check_poison(tmp_path, ("poison.json",)) == []
+    assert oracles.check_poison(tmp_path, ("masses-report.json",)) == []
 
 
 def test_circle_small_radius_skips_check(capsys, tmp_path):
@@ -522,10 +538,10 @@ PINNED_DIGESTS = {
         "018405177d3339d900bb4a171fc592d2306b0cdf753e19a186e9f8d0421113b1",
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
     ),
-    "poison": ("2013177970c264be2b518da6ed7e5bb19baf00d752335d47465ab6b5f184775f", None),
+    "poison": ("df39bbac9b9bcba27d26ecd8d4603f2e74423c0980c02f4ed636fb28b9cf1781", None),
     "search": ("5d44549087ea61ff894898d6df5ced242bd21f54f2fe34c7c001bd4c71ecddd2", None),
     "poison-svg": (
-        "2013177970c264be2b518da6ed7e5bb19baf00d752335d47465ab6b5f184775f",
+        "df39bbac9b9bcba27d26ecd8d4603f2e74423c0980c02f4ed636fb28b9cf1781",
         "d2467c38eef01d7601d3a03cc3e4f7748e745d37b82f360e185a041368e6dafa",
     ),
     "search-svg": (
@@ -552,9 +568,9 @@ PINNED_FILE_DIGESTS = {
     "diameters-1200": "b284eb0dc6e3e1b0febd17c0ef7c2f3c2957bcfe6f3702af2ed867c2d4979c28",
     "jung-1200": "8de699ff027fe3fe200da24bdc3a17a92bea8c82f1d81566e9b76e2e7966d566",
     "bounds": "ae7c1883731a22a901edbe14498b1500d722244f846cc3ec277f52d461988279",
-    "poison": "16091e4fc7d3b683dc56090de1afa9dc77b260ec5df9fd358e686e275d5c0b7b",
+    "poison": "e2186db48d6d7a3fa6b464fd9dbc634ee5c04c6c58c2fceeec3a8d319c765b84",
     "search": "5f5eab080554a4bf492e9c68a018a2cbe6582463a3c714c2616c2001d7bec91d",
-    "poison-svg": "ed3a6292d0c8c37e6f529e13448c4b3f13adf16a86f1a0a52077517047d486bd",
+    "poison-svg": "f4f062c8ab8cb70752f3cdf9fa84864c58154f263c60be9258dbf8e90274a015",
     "search-svg": "90a1678f38dcd1d59a8addb90f3eabf569d12dc426446ba35d4254e90b977fcc",
     "conjecture-svg": "ee7866873163f4ca4a27cea6c31ca92ede86e8015d7e33ddf95096f0e17bedd1",
     "check": "315c85e00dcaa700216baf02236bb56bc7f7dea1cb0ff2ba9c300833bb20859f",

@@ -4,7 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +16,12 @@ from geometry_oracles import is_lethal
 from isodiam import cli, poisoning
 from isodiam.geometry import DiskUnion, Point
 from isodiam.poisoning import (
-    _BATCH,
     DensityPatch,
-    _batch_hits,
     _dose_at,
     _patch_rows,
     _PatchRows,
-    _IN_LETHAL,
-    _IN_SAFE,
     _LETHAL,
-    _OUT,
     _SAFE,
-    _SLOW,
     _TABLE,
     _UNSURE,
     _VerdictTable,
@@ -160,12 +154,20 @@ def test_patch_summing_to_the_dose_kills():
 
 
 def test_kill_probability_central_quarter():
-    cfg = PoisonConfig(R=3.0, h_available=1.0, samples=200_000, seed=0)
-    rep = kill_probability(central(1.0), cfg)
-    lo, hi = rep.ci95
-    assert lo <= 0.25 <= hi
-    assert rep.samples == 200_000
-    assert rep.estimate == pytest.approx(0.25, abs=0.01)
+    """A central 1 g mass kills the bites within 1 of it, 1/4 of the disk
+    of radius 2. Over seeds 0-99, the 95% band holds 1/4 in at least 88
+    runs, and the mean estimate lies within 3 standard errors of it."""
+    covered = 0
+    estimates = []
+    for seed in range(100):
+        rep = kill_probability(central(1.0), PoisonConfig(R=3.0, h_available=1.0, samples=200_000, seed=seed))
+        lo, hi = rep.ci95
+        covered += lo <= 0.25 <= hi
+        estimates.append(rep.estimate)
+        assert rep.samples == 200_000
+        assert rep.estimate == pytest.approx(0.25, abs=0.01)
+    assert covered >= 88
+    assert abs(np.mean(estimates) - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / (100 * 200_000))
 
 
 def test_kill_probability_two_masses():
@@ -178,7 +180,7 @@ def test_kill_probability_two_masses():
     assert lo <= 2.0 / 9.0 <= hi
 
 
-def test_kill_probability_deterministic_and_thread_invariant():
+def test_kill_probability_is_deterministic_per_seed():
     cfg = PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=11)
     a = kill_probability(central(1.0), cfg)
     b = kill_probability(central(1.0), cfg)
@@ -381,7 +383,7 @@ def test_density_patch_bite_boundary_is_closed():
 
 def whole_round_dose_at(strategy, patch, xs, ys):
     """The mass-by-mass dose expression, frozen here as the oracle for
-    _dose_at and for whole_round_batch_hits."""
+    _dose_at and for split_hits."""
     dose = np.zeros(xs.shape, dtype=np.float64)
     for m in strategy.point_masses:
         hit = (xs - m.position.x) ** 2 + (ys - m.position.y) ** 2 <= 1.0
@@ -412,41 +414,49 @@ def uniform_batch_hits(strategy, patch, config, batch_index, quota):
     return hits
 
 
-def whole_round_batch_hits(strategy, patch, config, batch_index, quota, tables=None):
-    """The batch's stream scored whole, round by round, with _batch_hits's
-    hits and counts. A round draws its cells at once with
-    Generator.integers(0, 65536, dtype=np.uint16), in a multiple of 4, and
-    gives each a point in its cell: the offset stream's next pair where
-    the code says _SLOW, and an independent seeded point elsewhere. Every
-    bite takes the disk test, and every accepted one whole_round_dose_at;
-    the first quota accepted count. tables is the (verdict, code) pair,
-    flat_table's by default."""
-    verdict, code = (a.ravel() for a in tables or flat_table(strategy, config))
-    cell_seed, offset_seed = np.random.SeedSequence([config.seed, batch_index]).spawn(2)
-    cell_rng = np.random.Generator(np.random.PCG64(cell_seed))
-    offset_rng = np.random.Generator(np.random.PCG64(offset_seed))
-    elsewhere = np.random.default_rng([config.seed, batch_index, 1])
+def slow_replay(strategy, patch, config, verdict, slow, cells, offsets, quota):
+    """_slow_hits's draw replayed in whole rounds, one call of each stream
+    per round: a round of m points takes m slow cells from
+    cells.integers(len(slow), size=m) and m offset pairs from
+    offsets.random((m, 2)). Every accepted point is scored with
+    whole_round_dose_at; the first quota accepted count. Returns the hits,
+    the points drawn up to the last of them, and those accepted in
+    _UNSURE cells. The table size is read at call time, so a patched
+    poisoning._TABLE reaches it."""
+    side = poisoning._TABLE
     radius = config.R - 1.0
-    low, step = -radius, 2.0 * radius / _TABLE
-    hits = drawn = tested = exact = 0
+    low, step = -radius, 2.0 * radius / side
+    hits = drawn = exact = 0
     remaining = quota
     while remaining > 0:
-        draw = 4 * (int(remaining / math.pi * 1.05) + 4)
-        cells = cell_rng.integers(0, 65536, size=draw, dtype=np.uint16).astype(np.intp)
-        slow = code[cells] == _SLOW
-        v = elsewhere.random((draw, 2))
-        v[slow] = offset_rng.random((np.count_nonzero(slow), 2))
-        x = low + step * (cells % 256 + v[:, 0])
-        y = low + step * (cells // 256 + v[:, 1])
+        draw = min(2 * remaining + 64, 1 << 18)
+        cell = slow[cells.integers(slow.size, size=draw)]
+        v = offsets.random((draw, 2))
+        x = low + step * (cell % side + v[:, 0])
+        y = low + step * (cell // side + v[:, 1])
         keep = np.flatnonzero(x * x + y * y <= radius * radius)[:remaining]
-        end = keep[-1] + 1 if keep.size == remaining else draw
-        drawn += int(end)
-        tested += int(np.count_nonzero(slow[:end]))
-        exact += int(np.count_nonzero(verdict[cells[keep]] == _UNSURE))
+        drawn += int(keep[-1]) + 1 if keep.size == remaining else draw
+        exact += int(np.count_nonzero(verdict.ravel()[cell[keep]] == _UNSURE))
         dose = whole_round_dose_at(strategy, patch, x[keep], y[keep])
         hits += int(np.count_nonzero(dose >= config.lethal_dose - poisoning._TOL))
         remaining -= keep.size
-    return hits, drawn, tested, exact
+    return hits, drawn, exact
+
+
+def split_hits(strategy, patch, config, tables=None):
+    """kill_probability's two streams replayed whole, with its hits and
+    stats. SeedSequence(seed) spawns the two PCG64 streams; the first gives
+    the multinomial counts of bites in the certain in cells, each holding
+    4 / (_TABLE^2 pi) of the disk, and in the slow cells, and then
+    slow_replay draws the slow bites. tables is (verdict, in_lethal,
+    in_safe, slow), flat_table's by default."""
+    verdict, in_lethal, in_safe, slow = tables or flat_table(strategy, config)
+    cells, offsets = streams(config.seed)
+    share = 4.0 / (poisoning._TABLE**2 * math.pi)
+    certain = [in_lethal * share, in_safe * share]
+    lethal, safe, quota = cells.multinomial(config.samples, [*certain, 1.0 - sum(certain)]).tolist()
+    hits, drawn, exact = slow_replay(strategy, patch, config, verdict, slow, cells, offsets, quota)
+    return lethal + hits, lethal + safe, drawn, exact
 
 
 @st.composite
@@ -498,49 +508,64 @@ def stream_cases(draw):
     return PoisonStrategy(point_masses=masses, density=density), config
 
 
+def streams(seed):
+    """kill_probability's two generators for a seed, PCG64 each."""
+    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    stream_cases(),
-    st.sampled_from([1, 17, 8191, 8192, 8193, 24581, _BATCH]),
-    st.integers(0, 40),
-)
-def test_streamed_batch_equals_the_whole_round_draw(case, quota, batch_index):
+@given(stream_cases(), st.sampled_from([1, 17, poisoning._BLOCK - 1, poisoning._BLOCK + 1]))
+def test_streamed_batch_equals_the_whole_round_draw(case, n):
+    """kill_probability's hits and stats are those of split_hits, which
+    scores every slow bite with the exact dose, for n samples. So are
+    those of the slow stratum alone with a quota of n: at n either side of
+    _BLOCK, its first block of _BLOCK points falls short of the quota and
+    more blocks follow. The cases need not place h_available, so
+    validation is bypassed."""
     strategy, config = case
-    got = _batch_hits(_VerdictTable(strategy, config), batch_index, quota)
-    assert all(type(n) is int for n in got)
-    assert got == whole_round_batch_hits(strategy, _patch_rows(strategy), config, batch_index, quota)
-    hits, drawn, tested, exact = got
-    assert hits <= quota <= drawn and exact <= tested <= drawn
+    config = replace(config, samples=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisoning, "validate_strategy", lambda *_: None)
+        rep = kill_probability(strategy, config)
+    got = (rep.hits, *astuple(rep.stats))
+    assert all(type(k) is int for k in got)
+    patch = _patch_rows(strategy)
+    assert got == split_hits(strategy, patch, config)
+    hits, decided, drawn, exact = got
+    assert hits <= n and exact <= n - decided <= drawn
+    table = _VerdictTable(strategy, config)
+    got = poisoning._slow_hits(table, *streams(config.seed), n)
+    assert got == slow_replay(strategy, patch, config, table.verdict, table.slow, *streams(config.seed), n)
 
 
 @pytest.mark.parametrize("quota", [1, 17])
 def test_a_block_accepting_exactly_the_quota_is_cut_at_its_last_bite(quota):
-    """When a block accepts exactly the bites still to accept, the cells
-    after the last of them are not drawn: they count neither as drawn nor
-    as disk-tested. Batches 0-79 of the hexagon reach that case in their
-    first block: the quota-th accepted bite comes before the block's last
-    cell, and the (quota + 1)-th after it."""
-    strat, patch = tour_hexagon(), None
+    """When a block accepts exactly the slow bites still to accept, the
+    points after the last of them are not drawn: they count neither as
+    drawn nor as scored. Stream pairs 0-399 on the hexagon reach that case
+    in the first block: the quota-th accepted point comes before the
+    block's last point, and the (quota + 1)-th after it."""
+    strat = tour_hexagon()
     cfg = PoisonConfig(R=3.0, h_available=1.5, seed=7)
-    table, tables = _VerdictTable(strat, cfg), flat_table(strat, cfg)
-    cells = 4 * min(poisoning._BLOCK, quota // 3 + 1)
+    table = _VerdictTable(strat, cfg)
+    first_block = min(poisoning._BLOCK, 2 * quota)
     reached = 0
-    for k in range(80):
-        want = whole_round_batch_hits(strat, patch, cfg, k, quota, tables)
-        assert _batch_hits(table, k, quota) == want
-        reached += want[1] < cells < whole_round_batch_hits(strat, patch, cfg, k, quota + 1, tables)[1]
+    for k in range(400):
+        want = slow_replay(strat, None, cfg, table.verdict, table.slow, *streams(k), quota)
+        assert poisoning._slow_hits(table, *streams(k), quota) == want
+        reached += want[1] < first_block < slow_replay(strat, None, cfg, table.verdict, table.slow, *streams(k), quota + 1)[1]
     assert reached >= 2
 
 
 def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
-    """A 316-cell patch, like the pie workload's, sets aside about a
-    thousand uncertain bites a batch, fewer than a block's cells, so they
-    are scored once, at the end of the batch. Blocks of 1, 3 or 257 words
-    flush them mid-batch, and read the stream in other pieces: neither
-    moves a hit or a count."""
+    """A 316-cell patch, like the pie workload's, sends a few thousand
+    bites of a 150,000-bite run to the exact dose, a block at a time.
+    Blocks of 1, 3 or 257 points score them in other pieces and read the
+    streams in other pieces: neither moves a hit or a count, no scoring
+    holds more than a block, and the scorings add up to the count."""
     patch = DensityPatch(region=rasterize(DiskUnion(((0.0, 0.0, 0.5),)), 0.05), grams=1.5)
     strat = PoisonStrategy(density=patch)
-    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=_BATCH + 20_000, seed=4)
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=150_000, seed=4)
     want = kill_probability(strat, cfg)
     assert want.stats.bites_exact_dose > 0
     exact = _VerdictTable.exact
@@ -554,15 +579,14 @@ def test_uncertain_bites_flushed_mid_batch_score_the_same_hits(monkeypatch):
         monkeypatch.setattr(poisoning, "_BLOCK", block)
         monkeypatch.setattr(_VerdictTable, "exact", spy)
         assert kill_probability(strat, cfg) == want
-        # one scoring at the end of each batch, and the flushes before it
         assert len(scored) > 2
-        # a flush comes once more than one block's cells wait
-        assert max(scored) <= 8 * block
+        assert max(scored) <= block
+        assert sum(scored) == want.stats.bites_exact_dose
 
 
 @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 1.5, 2.0, 6.3, 1234.5678, 1e6 - 1.0, 1e6])
-def test_uniform_is_the_affine_map_of_random(radius):
-    """A _SLOW cell i's bite center is the affine map
+def test_cell_offset_center_lies_in_its_cell(radius):
+    """A slow cell i's bite center is the affine map
     low + (span / _TABLE) * (i + v) of its offset v, a double of
     Generator.random in [0, 1). At the first, second, middle and last
     cell, and at the offsets 0, 2^-53, 1/2 and 1 - 2^-53 and a few drawn
@@ -570,7 +594,7 @@ def test_uniform_is_the_affine_map_of_random(radius):
     where i + v rounds up to i + 1."""
     low, span = -radius, 2.0 * radius
     e = low + span * (np.arange(_TABLE + 1) / _TABLE)
-    i = np.array([0, 1, 127, 255])[:, None]
+    i = np.array([0, 1, _TABLE // 2 - 1, _TABLE - 1])[:, None]
     drawn = np.random.default_rng(0).random(16)
     v = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], drawn])[None, :]
     t = low + (span / _TABLE) * (i + v)
@@ -590,21 +614,28 @@ def sampling_probes() -> np.ndarray:
 
 
 def assert_table_is_sound(strategy: PoisonStrategy, config: PoisonConfig) -> None:
-    """At every probe pair (u, v): a certain code gives the disk test's
-    answer and the cell's verdict, and a certain verdict, the one
-    _batch_hits gives a _SLOW pair, is that of the exact dose."""
+    """At every probe pair (u, v): a cell outside the slow set has its
+    probes all in the disk or all out of it; the cells with all in hold
+    certain verdicts and are the in_lethal and in_safe ones; and a certain
+    verdict, the one _slow_hits gives a slow bite, is that of the exact
+    dose."""
     table = _VerdictTable(strategy, config)
     u = sampling_probes()
     uu, vv = np.meshgrid(u, u, indexing="ij")
     uu, vv = uu.ravel(), vv.ravel()
-    cell = (_TABLE * vv).astype(np.intp), (_TABLE * uu).astype(np.intp)
-    code, verdict = table.code[cell], table.verdict[cell]
+    flat = (_TABLE * uu).astype(np.intp) + _TABLE * (_TABLE * vv).astype(np.intp)
+    verdict = table.verdict.ravel()[flat]
     x = table.low + table.span * uu
     y = table.low + table.span * vv
     inside = x * x + y * y <= table.r2
-    assert not inside[code == _OUT].any()
-    assert inside[code == _IN_SAFE].all() and (verdict[code == _IN_SAFE] == _SAFE).all()
-    assert inside[code == _IN_LETHAL].all() and (verdict[code == _IN_LETHAL] == _LETHAL).all()
+    fast = ~np.isin(flat, table.slow)
+    probes = np.bincount(flat[fast], minlength=_TABLE**2)
+    in_disk = np.bincount(flat[fast & inside], minlength=_TABLE**2)
+    assert np.all((in_disk == 0) | (in_disk == probes))
+    in_cells = np.flatnonzero((probes > 0) & (in_disk == probes))
+    in_verdict = table.verdict.ravel()[in_cells]
+    assert not np.any(in_verdict == _UNSURE)
+    assert (table.in_lethal, table.in_safe) == (np.count_nonzero(in_verdict == _LETHAL), np.count_nonzero(in_verdict == _SAFE))
     certain = inside & (verdict != _UNSURE)
     exact = poisoning._is_lethal_dose(_dose_at(strategy, _patch_rows(strategy), x[certain], y[certain]), config)
     assert np.array_equal(verdict[certain] == _LETHAL, exact)
@@ -634,10 +665,10 @@ def test_grid_is_capped_on_a_huge_pie(lethal_dose):
     strat = PoisonStrategy(point_masses=(PointMass(Point(rim, rim), 0.5), PointMass(Point(-rim, -rim), 0.5)))
     cfg = PoisonConfig(R=R, h_available=1.0, lethal_dose=lethal_dose, samples=20_000, seed=3)
     table = _VerdictTable(strat, cfg)
-    assert table.verdict.shape == table.code.shape == (256, 256)
+    assert table.verdict.shape == (256, 256)
     assert table.span / _TABLE > 7800
     hits = kill_probability(strat, cfg).hits
-    assert hits == whole_round_batch_hits(strat, None, cfg, 0, cfg.samples)[0]
+    assert hits == split_hits(strat, None, cfg)[0]
     assert hits == (cfg.samples if lethal_dose < poisoning._TOL else 0)
 
 
@@ -645,18 +676,20 @@ def test_table_decides_most_of_the_disk_at_radius_7_3():
     """At R = 7.3 a table cell is 12.6 / 256 = 0.049 wide, and the table
     still decides most of the disk."""
     cfg = PoisonConfig(R=7.3, h_available=1.5)
-    code = _VerdictTable(tour_hexagon(), cfg).code
-    assert np.count_nonzero(code >= _IN_SAFE) > 0.7 * code.size
-    assert np.count_nonzero(code == _IN_LETHAL) > 0
+    table = _VerdictTable(tour_hexagon(), cfg)
+    assert table.in_lethal + table.in_safe > 0.7 * _TABLE**2
+    assert table.in_lethal > 0
     assert_table_is_sound(tour_hexagon(), cfg)
 
 
-def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The verdict and code arrays of _VerdictTable, built flat: every cell
-    of the near-poison block is bounded as one box of a _TABLE x _TABLE
-    grid, the masses by axis and the patch rows by _PatchRows.ranks over
-    the grid, with no coarse pass. The oracle for the coarse-to-fine
-    build, which must equal it cell for cell."""
+def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """The verdict array, in_lethal, in_safe and slow of _VerdictTable,
+    built flat: every cell of the near-poison block is bounded as one box
+    of a _TABLE x _TABLE grid, the masses by axis and the patch rows by
+    _PatchRows.ranks over the grid, with no coarse pass. The oracle for
+    the coarse-to-fine build, which must equal it cell for cell. The table
+    size is read at call time, so a patched poisoning._TABLE reaches it."""
+    _TABLE = poisoning._TABLE
     patch = _patch_rows(strategy)
     radius = config.R - 1.0
     low, span = -radius, 2.0 * radius
@@ -699,11 +732,11 @@ def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple[np.ndarr
     near_poison[~poisoning._is_lethal_dose(dose_max, config)] = _SAFE
     far, near = poisoning._far_near(lo, hi, 0.0)
     inside = (far * far)[:, None] + (far * far)[None, :] <= radius * radius
-    code = np.full((_TABLE, _TABLE), _SLOW, dtype=np.uint8)
-    code[inside & (verdict == _SAFE)] = _IN_SAFE
-    code[inside & (verdict == _LETHAL)] = _IN_LETHAL
-    code[(near * near)[:, None] + (near * near)[None, :] > radius * radius] = _OUT
-    return verdict.T, code.T
+    meets = (near * near)[:, None] + (near * near)[None, :] <= radius * radius
+    in_lethal = int(np.count_nonzero(inside & (verdict == _LETHAL)))
+    in_safe = int(np.count_nonzero(inside & (verdict == _SAFE)))
+    slow = np.flatnonzero((meets & ~(inside & (verdict != _UNSURE))).T)  # at i + _TABLE j
+    return verdict.T, in_lethal, in_safe, slow
 
 
 def _load_bench_workloads():
@@ -733,17 +766,18 @@ def bench_cases(draw):
 @given(st.one_of(stream_cases(), bench_cases()))
 def test_coarse_to_fine_table_equals_the_flat_build(case):
     table = _VerdictTable(*case)
-    verdict, code = flat_table(*case)
+    verdict, in_lethal, in_safe, slow = flat_table(*case)
     assert np.array_equal(table.verdict, verdict)
-    assert np.array_equal(table.code, code)
+    assert (table.in_lethal, table.in_safe) == (in_lethal, in_safe)
+    assert np.array_equal(table.slow, slow)
 
 
 def test_slow_cells_cover_under_3_percent_of_the_tour_table():
     """On the tour hexagon at R = 3 a table cell is 4 / 256 wide, and the
-    _SLOW cells, the ones that lethal boundary or the disk's rim crosses,
+    slow cells, the ones that lethal boundary or the disk's rim crosses,
     cover 2.2% of the table (4.4% at 128 a side)."""
-    code = _VerdictTable(tour_hexagon(), PoisonConfig(R=3.0, h_available=1.5)).code
-    assert np.count_nonzero(code == _SLOW) < 0.03 * code.size
+    table = _VerdictTable(tour_hexagon(), PoisonConfig(R=3.0, h_available=1.5))
+    assert table.slow.size < 0.03 * _TABLE**2
 
 
 def ulp_ring(cx: float, cy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -808,7 +842,7 @@ def test_certain_grid_cells_give_the_verdict_of_the_dose(case):
     strategy, config = case
     table = _VerdictTable(strategy, config)
     xs, ys = raster_probes(table, strategy)
-    verdict = table.verdict.take(table.index(ys) * 256 + table.index(xs))
+    verdict = table.verdict.take(table.index(ys) * _TABLE + table.index(xs))
     inside = xs * xs + ys * ys <= table.r2
     exact = poisoning._is_lethal_dose(_dose_at(strategy, _patch_rows(strategy), xs, ys), config)
     certain = inside & (verdict != _UNSURE)
@@ -830,18 +864,24 @@ def test_lethal_region_equals_the_dose_raster(kind):
         ),
     }[kind]
     cfg = PoisonConfig(R=3.0, h_available=1.5)
+    got = lethal_region(strat, cfg, 0.03)
+    assert not got.is_empty()
+    assert got == dose_raster(strat, cfg, 0.03)
+
+
+def dose_raster(strategy: PoisonStrategy, config: PoisonConfig, h: float) -> PixelRegion:
+    """The raster of the exact dose at every cell center of the sampling
+    disk, for a pie of radius 3."""
 
     class ExactLethalSet:
         def bbox(self):
             return (-2.0, -2.0, 2.0, 2.0)
 
         def contains_xy(self, x, y):
-            dose = _dose_at(strat, _patch_rows(strat), x, y)
-            return (x * x + y * y <= 4.0) & poisoning._is_lethal_dose(dose, cfg)
+            dose = _dose_at(strategy, _patch_rows(strategy), x, y)
+            return (x * x + y * y <= 4.0) & poisoning._is_lethal_dose(dose, config)
 
-    got = lethal_region(strat, cfg, 0.03)
-    assert not got.is_empty()
-    assert got == rasterize(ExactLethalSet(), 0.03)
+    return rasterize(ExactLethalSet(), h)
 
 
 def tour_hexagon() -> PoisonStrategy:
@@ -854,12 +894,11 @@ def tour_hexagon() -> PoisonStrategy:
 
 
 def test_hexagon_hits_are_pinned():
-    """300,000 samples are three batches, the last one partial. The counts
-    were recorded from whole_round_batch_hits."""
+    """The hits and counts were recorded from split_hits."""
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=300_000, seed=7)
     rep = kill_probability(tour_hexagon(), cfg)
-    assert rep.hits == 33539
-    assert astuple(rep.stats) == (382047, 8386, 2429)
+    assert rep.hits == 33405
+    assert astuple(rep.stats) == (294345, 8381, 2493)
 
 
 def test_hits_are_a_python_int_and_the_report_is_written(tmp_path):
@@ -904,7 +943,7 @@ def test_calls_on_one_strategy_keep_their_own_seeds():
     for seed in (11, 12, 11):
         cfg = PoisonConfig(R=3.0, h_available=1.5, samples=5000, seed=seed)
         rep = kill_probability(strat, cfg)
-        assert (rep.hits, *astuple(rep.stats)) == whole_round_batch_hits(strat, _patch_rows(strat), cfg, 0, cfg.samples)
+        assert (rep.hits, *astuple(rep.stats)) == split_hits(strat, _patch_rows(strat), cfg)
 
 
 def mixed_strategy() -> PoisonStrategy:
@@ -919,9 +958,9 @@ def mixed_strategy() -> PoisonStrategy:
 
 def test_point_mass_batches_stay_cache_sized():
     """The whole-round kernel peaked at about 8 MiB of temporaries on the
-    hexagon. With the table's build, the hexagon peaks at about 1.5 MiB
-    here and the mixed strategy at about 0.9 MiB."""
-    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=3 * _BATCH + 5, seed=1)
+    hexagon. With the table's build, the hexagon peaks at about 1.4 MiB
+    here and the mixed strategy at about 1.1 MiB."""
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=400_000, seed=1)
     for strat in (tour_hexagon(), mixed_strategy()):
         tracemalloc.start()
         try:
@@ -947,19 +986,19 @@ def test_lethal_region_scans_the_grid_in_bands():
 
 
 def test_all_slow_uncertain_batches_stay_block_sized(monkeypatch):
-    """A table whose every cell is _SLOW and _UNSURE sends every bite to
-    the disk test and every accepted one to the exact dose. With batches
-    of 2^20 bites, scoring them a batch at a time held 16 MiB of centers
-    alone; they are scored a few blocks' cells at a time, and the hits
-    are still those of the exact dose."""
-    monkeypatch.setattr(poisoning, "_BATCH", 1 << 20)
+    """A table whose every cell is slow and _UNSURE sends every bite to
+    the disk test and every accepted one to the exact dose. Scoring 2^20
+    such bites at once would hold 16 MiB of centers alone; they are scored
+    a block at a time, at a peak of about 1.2 MiB, and the hits are still
+    those of the exact dose."""
     strat = tour_hexagon()
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=1 << 20, seed=2)
     table = _VerdictTable(strat, cfg)
-    table.code[:] = _SLOW
     table.verdict[:] = _UNSURE
+    table.in_lethal = table.in_safe = 0
+    table.slow = np.arange(_TABLE**2)
     monkeypatch.setattr(poisoning, "_last_table", table)
-    want = whole_round_batch_hits(strat, None, cfg, 0, cfg.samples, (table.verdict, table.code))
+    want = split_hits(strat, None, cfg, (table.verdict, 0, 0, table.slow))
     tracemalloc.start()
     try:
         rep = kill_probability(strat, cfg)
@@ -967,44 +1006,72 @@ def test_all_slow_uncertain_batches_stay_block_sized(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (rep.hits, *astuple(rep.stats)) == want
-    assert rep.stats.bites_exact_dose == cfg.samples
-    assert rep.stats.pairs_disk_tested == rep.stats.pairs_drawn
-    assert peak < 12 << 20
+    assert rep.stats.bites_decided == 0
+    assert rep.stats.bites_exact_dose == cfg.samples < rep.stats.points_drawn
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("kind", ["masses_strategy", "patch_strategy", "mixed_strategy"])
 def test_cell_stream_estimates_agree_with_uniform_draws(kind):
-    """The cell-then-offset stream and Generator.uniform draw bite centers
-    from one law: on the bench's strategies, over fixed seeds, the two
-    estimates agree within 4 standard errors of their difference."""
+    """The split draw and Generator.uniform draw bite centers from one
+    law: on the bench's strategies, over fixed seeds, the two estimates
+    agree within 4 standard errors of their difference."""
     grams = bench_workloads.PIE_GRAMS
     n = 200_000
     for seed in (1, 2, 3):
         strat = PoisonStrategy.from_json_dict(getattr(bench_workloads, kind)(random.Random(seed)))
         cfg = PoisonConfig(R=bench_workloads.PIE_R, h_available=grams, samples=n, seed=seed)
         p_new = kill_probability(strat, cfg).estimate
-        old = sum(
-            uniform_batch_hits(strat, _patch_rows(strat), cfg, k, min(_BATCH, n - start))
-            for k, start in enumerate(range(0, n, _BATCH))
-        )
+        old = uniform_batch_hits(strat, _patch_rows(strat), cfg, 0, n)
         p = (p_new + old / n) / 2.0
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(p_new - old / n) <= 4.0 * se * math.sqrt(2.0)
 
 
 def test_stats_count_the_work_and_not_the_blocks(monkeypatch):
-    """Each batch draws at least its quota of pairs, disk-tests some of
-    them and gives the exact dose to fewer still; how many words a block
-    reads moves none of the counts."""
-    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=2 * _BATCH + 7, seed=5)
+    """Every bite the table does not decide from its cell is a point drawn
+    in a slow cell, and some of those get the exact dose; how many points
+    a block draws moves none of the counts. A run whose bites all land in
+    certain cells draws no point and scores none."""
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=262_151, seed=5)
     for strat in (tour_hexagon(), mixed_strategy()):
         want = kill_probability(strat, cfg)
         s = want.stats
-        assert s.pairs_drawn >= cfg.samples
-        assert 0 < s.bites_exact_dose <= s.pairs_disk_tested <= s.pairs_drawn
-        # the table decides most draws from their cell
-        assert s.pairs_disk_tested < 0.1 * s.pairs_drawn
+        assert 0 < s.bites_exact_dose <= cfg.samples - s.bites_decided <= s.points_drawn
+        # the table decides most bites from their cell
+        assert s.points_drawn < 0.1 * cfg.samples
         for block in (7, 1000):
             monkeypatch.setattr(poisoning, "_BLOCK", block)
             assert kill_probability(strat, cfg) == want
         monkeypatch.undo()
+    scored = []
+    exact = _VerdictTable.exact
+    monkeypatch.setattr(_VerdictTable, "exact", lambda table, x, y: scored.append(len(x)) or exact(table, x, y))
+    certain = 0
+    for seed in range(20):
+        scored.clear()
+        stats = kill_probability(tour_hexagon(), replace(cfg, samples=1, seed=seed)).stats
+        if stats.bites_decided == 1:
+            certain += 1
+            assert astuple(stats) == (1, 0, 0) and scored == []
+    assert certain > 10
+
+
+def test_a_table_of_128_a_side_gives_the_same_results(monkeypatch):
+    """Nothing ties the table to 256 cells a side: at 128 the raster is
+    still that of the exact dose, and the Monte Carlo still that of the
+    split draw."""
+    monkeypatch.setattr(poisoning, "_TABLE", 128)
+    monkeypatch.setattr(poisoning, "_last_table", None)
+    strat = mixed_strategy()
+    cfg = PoisonConfig(R=3.0, h_available=1.5, samples=20_000, seed=6)
+    table = poisoning._verdict_table(strat, cfg)
+    assert table.verdict.shape == (128, 128)
+    verdict, in_lethal, in_safe, slow = flat_table(strat, cfg)
+    assert np.array_equal(table.verdict, verdict) and np.array_equal(table.slow, slow)
+    assert (table.in_lethal, table.in_safe) == (in_lethal, in_safe)
+    got = lethal_region(strat, cfg, 0.03)
+    assert not got.is_empty()
+    assert got == dose_raster(strat, cfg, 0.03)
+    rep = kill_probability(strat, cfg)
+    assert (rep.hits, *astuple(rep.stats)) == split_hits(strat, _patch_rows(strat), cfg)
