@@ -45,6 +45,8 @@ SCHEMA = 1
 _TOOL = "isodiam"
 # the thread-count flag is kept only so invocations that pass 1 still parse
 _ONE_THREAD = "isodiam runs on one thread: runs are seeded and deterministic, and a thread pool made them slower"
+# the most rows bounds and conjecture build, one per step
+_MAX_STEPS = 100_000
 
 
 def _sha256(path: str) -> str:
@@ -251,6 +253,8 @@ def cmd_jung(ns: argparse.Namespace) -> int:
 def _bounds_rows(delta_min: float, delta_max: float, steps: int) -> list[dict]:
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if steps > _MAX_STEPS:
+        raise MemoryError(f"--steps {steps} is over the cap of {_MAX_STEPS} rows")
     if not (0.0 < delta_min < delta_max < math.inf):
         raise ValueError(f"need 0 < --delta-min < --delta-max < inf, got {delta_min} and {delta_max}")
     rows = []

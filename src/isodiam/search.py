@@ -131,9 +131,9 @@ def best_known_measure(delta: float) -> float:
 
 
 class _IndexedSet(dict):
-    """Set with O(1) membership, insert, discard, and uniform choice: each
-    item maps to its slot in the list listed (not items, which would hide
-    dict.items)."""
+    """Set with O(1) membership, insert and discard, whose items a move
+    picks by slot: each item maps to its slot in the list listed (not
+    items, which would hide dict.items)."""
 
     __slots__ = ("listed",)
 
@@ -159,70 +159,43 @@ class _IndexedSet(dict):
             self[last] = slot
         return slot
 
-    def choose(self, integers) -> tuple[int, int]:
-        return self.listed[integers(len(self))]
-
 
 class _MoveStream:
-    """The draws of np.random.default_rng(seed), integers(n) and random(),
-    read from blocks of raw PCG64 words at a fraction of the cost of a
-    scalar Generator call.
+    """The raw words of np.random.PCG64(seed), in order, one per move.
 
-    default_rng(seed) is Generator(PCG64(seed)), and for 1 < n <= 2^32 its
-    integers(n) is Lemire's bounded draw on 32-bit words: the low half of
-    a 64-bit word first, with the high half kept for the next 32-bit draw.
-    A word w is taken as (w * n) >> 32 unless its low 32 bits fall below
-    2^32 mod n, in which case another is drawn. integers(1) draws nothing,
-    and random() takes a whole word, (w >> 11) * 2^-53, and leaves the kept
-    half alone. Outside 1 <= n <= 2^32 numpy takes another path, so those
-    n raise ValueError.
+    A move reads one word w; its frontier item is ((w & 0xFFFFFFFF) * n)
+    >> 32 of n items, Lemire's multiply-shift without the rejection step,
+    which biases a frontier item by under n * 2^-32. When a removal is
+    possible bit 32 picks addition (1) or removal (0), and a removal is
+    taken iff (w >> 33) * 2^-31 < p. Words are drawn in blocks; drawing
+    ahead into the buffer does not change which word a move reads.
     """
 
-    __slots__ = ("_bitgen", "_ahead", "_words", "_next", "position", "_half")
+    __slots__ = ("_bitgen", "_words", "_next", "position")
     BLOCK = 1024
 
     def __init__(self, seed: int) -> None:
-        self._bitgen, self._ahead = np.random.PCG64(seed), np.random.PCG64(seed)
-        self._words: list[int] = []
+        self._bitgen = np.random.PCG64(seed)
+        self._words = np.empty(0, dtype=np.uint64)
         # the index in _words of the next word, and the words read so far
         self._next = self.position = 0
-        self._half: int | None = None
 
-    def _word(self) -> int:
+    def word(self) -> int:
         if self._next == len(self._words):
-            self._words, self._next = self._bitgen.random_raw(self.BLOCK).tolist(), 0
+            self._words, self._next = self._bitgen.random_raw(self.BLOCK), 0
         self._next += 1
         self.position += 1
-        return self._words[self._next - 1]
+        return self._words.item(self._next - 1)
 
-    def peek(self, k: int, skip: int = 0) -> np.ndarray:
-        """The k words that draws read after the next skip, as uint64: the
-        rest of the block, then words _ahead draws from a copy of the state."""
-        start = self._next + skip
-        held = np.array(self._words[start : start + k], dtype=np.uint64)
-        self._ahead.state = self._bitgen.state
-        self._ahead.advance(max(0, start - len(self._words)))
-        return np.concatenate([held, self._ahead.random_raw(k - len(held))])
-
-    def integers(self, n: int) -> int:
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"the move stream draws integers(n) for 1 <= n <= 2**32, got {n}")
-        if n == 1:
-            return 0
-        while True:
-            if self._half is None:
-                word = self._word()
-                self._half = word >> 32
-                m = (word & 0xFFFFFFFF) * n
-            else:
-                m = self._half * n
-                self._half = None
-            low = m & 0xFFFFFFFF
-            if low >= n or low >= (1 << 32) % n:
-                return m >> 32
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
+    def ahead(self, k: int, skip: int = 0) -> np.ndarray:
+        """A view of the k words that the moves after the next skip read. A
+        buffer short of them drops the words already read and draws the
+        rest."""
+        short = self._next + skip + k - len(self._words)
+        if short > 0:
+            fresh = self._bitgen.random_raw(max(short, self.BLOCK))
+            self._words, self._next = np.concatenate([self._words[self._next :], fresh]), 0
+        return self._words[self._next + skip : self._next + skip + k]
 
 
 def _warm_iterations(hh: float, temperature: float, cooling: float) -> float:
@@ -238,24 +211,25 @@ def _warm_iterations(hh: float, temperature: float, cooling: float) -> float:
     return math.ceil((math.log(temperature) - math.log(cold)) / -step * (1.0 + 1e-9)) + 2
 
 
-def _first_live_word(moves: _MoveStream, words: int, p: float, sizes: tuple[int, int]) -> int | None:
-    """The stream position of the first live word among the next words, or
-    None. A word is live when random() on it is below 2p (p doubled in case
-    a later p rounds above it; the cutoff is >= 1, as u = 0.0 < p), or a
-    half of it makes integers(n) redraw for a frontier size n. R moves read
-    2R halves and R words for random(): with no live word among the next
-    2R only the kept half can redraw, once, so they read no other word."""
-    cutoff = math.ceil(2.0 * p * 2.0**53)
-    wraps = [(n, (1 << 32) % n) for n in sizes if n > 1 and (1 << 32) % n]
-    for skip in range(0, words, moves.BLOCK):
-        w = moves.peek(min(moves.BLOCK, words - skip), skip)
-        live = (w >> 11) < cutoff
-        for n, r in wraps:
-            live |= ((w & 0xFFFFFFFF) * n & 0xFFFFFFFF) < r
-            live |= ((w >> 32) * n & 0xFFFFFFFF) < r
+# the most words one frozen check draws ahead into the move buffer
+_SCAN = 64 * _MoveStream.BLOCK
+
+
+def _first_live_word(moves: _MoveStream, words: int, p: float) -> int | None:
+    """The stream position of the first live word among the next words,
+    one per move, or None. A word is live when its move would take a
+    removal at probability 2p (p doubled in case a later p rounds above
+    it): bit 32 is clear and w >> 33 is below ceil(2p * 2^31), which is
+    >= 1 as 0 < p. With more than _SCAN words and none of the first _SCAN
+    live, the answer is the last of those, so that the loop checks again
+    there and the buffer stays small."""
+    cutoff = math.ceil(2.0 * p * 2.0**31)
+    for skip in range(0, min(words, _SCAN), moves.BLOCK):
+        w = moves.ahead(min(moves.BLOCK, words - skip), skip)
+        live = (w >> 32 & 1 == 0) & (w >> 33 < cutoff)
         if live.any():
             return moves.position + skip + int(live.argmax())
-    return None
+    return None if words <= _SCAN else moves.position + _SCAN - 1
 
 
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -381,21 +355,17 @@ def _refile(center: tuple[int, int], region, add_frontier: _IndexedSet, remove_f
 
 def _seed_frontiers(cells: np.ndarray) -> tuple[_IndexedSet, _IndexedSet]:
     """The (add, remove) frontiers of the region of the distinct rows of a
-    nonempty (n, 2) cell array, filed in the order that _refile on each of
-    its cells, in array order, would give.
+    nonempty (n, 2) cell array, filed in cell key order (_cell_keys).
 
-    The region does not change while it is filed, so every visit to a cell
-    gives the same verdict, the discards are no-ops, and each frontier
-    lists its cells in the order of their first visit among (cell, +i, -i,
-    +j, -j). Every visited cell outside the region neighbours the cell it
-    was visited from. The visits are the cell keys (_cell_keys) plus
-    (0, w, -w, 1, -1), so the first visit to each cell is the first index
-    of its key in that flat order. Only the frontier cells become tuples.
+    Every cell of a frontier is a region cell or one of its 4-neighbours,
+    whose keys are the region keys plus (0, w, -w, 1, -1). Only the
+    frontier cells become tuples.
     """
     keys, w, i0, j0 = _cell_keys(cells)
-    visits = (keys[:, None] + np.array([0, w, -w, 1, -1])).ravel()
-    _, first = np.unique(visits, return_index=True)
-    visited = visits[np.sort(first)]
+    # sorted and deduplicated here: np.unique (numpy >= 2.3) imports
+    # numpy.ma, some 15 ms, to rule out a masked array
+    visits = np.sort(keys[:, None] + np.array([0, w, -w, 1, -1]), axis=None)
+    visited = visits[np.diff(visits, prepend=-1) != 0]
     held = np.isin(visited, keys)
     kept = visited[held]
     inner = np.isin(kept + w, keys) & np.isin(kept - w, keys) & np.isin(kept + 1, keys) & np.isin(kept - 1, keys)
@@ -490,18 +460,18 @@ def anneal(config: SearchConfig) -> SearchResult:
     And the loop stops once nothing can change. With every frontier cell
     memo-rejected only an accepted removal can, in one of the R iterations
     before the falling removal probability p is 0.0 (_warm_iterations).
-    They read at most 2R words; the loop stops when none is live
-    (_first_live_word). A check moves no draw, the next one waits until the
-    region changes or the loop reads past the live word it found, and none
-    starts while p * 2R >= 1. The report gives the requested iterations.
+    They read the next R words; the loop stops when none is live
+    (_first_live_word). A check changes no move's word, the next one waits
+    until the region changes or the loop reads past the live word it
+    found, and none starts while p * R >= 1. The report gives the
+    requested iterations.
 
-    Deterministic for a given config: the proposal stream is the draws of
-    np.random.default_rng(seed), read from raw PCG64 words by _MoveStream.
-    A move on a region of more than one cell with a removable one draws
-    integers(2) to pick addition (1) or removal (0), and any other move
-    adds; the cell is frontier item integers(len(frontier)), and a
-    removal then draws random() against its probability. A longer run
-    extends a shorter one's trajectory.
+    Deterministic for a given config: every move reads the next raw word of
+    np.random.PCG64(seed), laid out as in _MoveStream. A move on a region
+    of more than one cell, with a removable one, picks addition or removal
+    by bit 32, and any other move adds; the cell is the frontier item
+    of the low 32 bits, and a removal is taken by the top 31 bits. A
+    longer run extends a shorter one's trajectory.
     """
     delta, h = config.delta, config.h
     if not (bounds.DISK_REGIME_MAX < delta < 4.0):
@@ -553,7 +523,7 @@ def anneal(config: SearchConfig) -> SearchResult:
             I[slot], J[slot] = I[last], J[last]
         _refile(cell, region, add_frontier, remove_frontier)
 
-    hh, cooling, integers, uniform = h * h, config.cooling, moves.integers, moves.random
+    hh, cooling, word = h * h, config.cooling, moves.word
     for left in range(config.iterations, 0, -1):
         remove_probability = math.exp(-hh / temperature) if temperature > 0.0 else 0.0
         # Between accepted removals every rejected cell stays outside the
@@ -561,15 +531,14 @@ def anneal(config: SearchConfig) -> SearchResult:
         # sizes mean every add is memo-rejected (see the docstring).
         if len(rejected) == len(add_frontier) and moves.position > recheck:
             warm = min(left, _warm_iterations(hh, temperature, cooling)) if remove_probability else 0
-            if remove_probability * 2 * warm < 1.0:
-                sizes = len(add_frontier), len(remove_frontier)
-                recheck = _first_live_word(moves, 2 * warm, remove_probability, sizes)
+            if remove_probability * warm < 1.0:
+                recheck = _first_live_word(moves, warm, remove_probability)
                 if recheck is None:
                     break
+        w = word()
         # a nonempty finite region always has a cell to add beside it
-        adding = not (len(remove_frontier) > 0 and len(region) > 1) or bool(integers(2))
-        if adding:
-            cell = add_frontier.choose(integers)
+        if not (len(remove_frontier) > 0 and len(region) > 1) or w >> 32 & 1:
+            cell = add_frontier.listed[(w & 0xFFFFFFFF) * len(add_frontier) >> 32]
             if cell in rejected or not _addition_is_feasible(I, J, len(region), cell, caps, witnesses):
                 rejected.add(cell)
             else:
@@ -580,8 +549,8 @@ def anneal(config: SearchConfig) -> SearchResult:
                     best_measure = measure
                     at_best = True
         else:
-            cell = remove_frontier.choose(integers)
-            if uniform() < remove_probability:
+            cell = remove_frontier.listed[(w & 0xFFFFFFFF) * len(remove_frontier) >> 32]
+            if (w >> 33) * 2.0**-31 < remove_probability:
                 if at_best:
                     best_cells = np.column_stack([I[: len(region)], J[: len(region)]])
                     at_best = False

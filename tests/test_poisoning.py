@@ -170,16 +170,6 @@ def test_kill_probability_central_quarter():
     assert abs(np.mean(estimates) - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / (100 * 200_000))
 
 
-def test_kill_probability_two_masses():
-    cfg = PoisonConfig(R=4.0, h_available=2.0, samples=200_000, seed=3)
-    strat = PoisonStrategy(
-        point_masses=(PointMass(Point(-1.5, 0.0), 1.0), PointMass(Point(1.5, 0.0), 1.0))
-    )
-    rep = kill_probability(strat, cfg)
-    lo, hi = rep.ci95
-    assert lo <= 2.0 / 9.0 <= hi
-
-
 def test_kill_probability_is_deterministic_per_seed():
     cfg = PoisonConfig(R=3.0, h_available=1.0, samples=300_000, seed=11)
     a = kill_probability(central(1.0), cfg)
