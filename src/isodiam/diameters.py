@@ -124,7 +124,10 @@ def _clique_diam(s: PointSet, a: int, what: str) -> float:
     floor2 = 0.0
     if n > _PREFILTER_MIN:
         hull = s.hull()
-        floor2 = _first_clique_d2(coords[np.union1d(np.arange(0, n, n // _SUBSAMPLE), hull)], 0.0, a)
+        # sorted and deduplicated here: np.union1d (numpy >= 2.3) imports
+        # numpy.ma, some 15 ms, to rule out a masked array
+        picks = np.sort(np.concatenate([np.arange(0, n, n // _SUBSAMPLE), hull]))
+        floor2 = _first_clique_d2(coords[picks[np.diff(picks, prepend=-1) != 0]], 0.0, a)
         keep = _farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)
         if floor2 > 0.0:
             keep &= _room_for_two(coords, coords[hull], s.enclosing_circle().center, floor2)

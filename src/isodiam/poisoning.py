@@ -19,12 +19,13 @@ bounds that hold for every point of the cell under the float arithmetic
 of _dose_at. It is built coarse to fine: the cells near the poison are
 bounded 32 to a side first, and only the 8 x 8 children of the uncertain
 ones again. The bounds are monotone in the box, so that gives the
-verdicts of bounding every cell on its own. The Monte Carlo counts the
-bites in the cells that lie in the disk with a certain verdict with one
-multinomial draw, and draws points only in the slow cells, the others
-that meet it, giving the exact dose where their verdict is uncertain.
-Every verdict is the one the dose would give, so hit counts follow the
-law of scoring every bite, and lethal regions are those of the dose.
+verdicts of bounding every cell on its own. Each cell holds a share of
+the sampling disk: its cell area where it lies inside, its exact area in
+the disk on the rim. The Monte Carlo counts the bites in the cells of
+certain verdict with one multinomial draw over those shares, and draws
+points only in the uncertain cells, giving each the exact dose. Every
+verdict is the one the dose would give, so hit counts follow the law of
+scoring every bite, and lethal regions are those of the dose.
 
 With a single gram to place, any lethal bite-center set has diameter at
 most 2: two lethal centers more than 2 apart would need disjoint unit
@@ -55,7 +56,7 @@ __all__ = [
     "lethal_region",
 ]
 
-_BLOCK = 16384  # points drawn in slow cells at most at a time (_slow_hits)
+_BLOCK = 16384  # points drawn in unsure cells at most at a time (_unsure_hits)
 _TABLE = 256  # cells per side of the verdict table
 _COARSE = 32  # cells per side of the table's first, coarse bound; divides _TABLE
 # Grams and lengths within _TOL of a limit count as at it: the strategy's
@@ -191,6 +192,24 @@ _EPS = 1e-9
 def _far_near(a: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Largest and smallest |t - c| over t in [a[k], b[k]], for each k."""
     return np.maximum(np.abs(a - c), np.abs(b - c)), np.maximum(np.maximum(a - c, c - b), 0.0)
+
+
+def _disk_areas(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray, r: float) -> np.ndarray:
+    """Area of each rectangle [x0[k], x1[k]] x [y0[k], y1[k]] inside the
+    disk of radius r about the origin, in closed form: the areas of the
+    disk within the rectangles spanned by the origin and each corner,
+    signed by the corner's quadrant and added with the signs of inclusion
+    and exclusion. Rounding leaves a few ulps of r^2, never a negative
+    area."""
+    x, y = np.stack([x1, x0, x1, x0]), np.stack([y1, y1, y0, y0])
+    a, b = np.minimum(np.abs(x), r), np.minimum(np.abs(y), r)
+    # the columns [0, u] of the corner's rectangle hold its full height b,
+    # the columns [u, a] the disk's: the integrals of sqrt(r^2 - s^2) from 0
+    u = np.minimum(a, np.sqrt(r * r - b * b))
+    t = np.stack([a, u])
+    arc = 0.5 * (t * np.sqrt(r * r - t * t) + r * r * np.arcsin(t / r))
+    q = np.sign(x) * np.sign(y) * (b * u + arc[0] - arc[1])
+    return np.maximum(q[0] - q[1] - q[2] + q[3], 0.0)
 
 
 class _PatchRows:
@@ -372,12 +391,12 @@ class _VerdictTable:
     cell (i, j) spanning [e[i], e[i + 1]] x [e[j], e[j + 1]] with the
     edges e[k] = low + span * (k / _TABLE), low = -r and span = 2r. Each
     cell is taken as that box grown by eps = _EPS times the coordinates'
-    size. The Monte Carlo draws a slow cell (i, j) and an offset pair v in
+    size. The Monte Carlo draws an unsure cell (i, j) and an offset pair v in
     [0, 1)^2, and maps them to low + (span / _TABLE) * ((i, j) + v). The
     division by _TABLE, a power of 2, is exact, so that is e[i] at v = 0;
     i + v rounds into [i, i + 1] and the map is monotone, so the center
     lies in [e[i], e[i + 1]] x [e[j], e[j + 1]], the cell's box
-    (_slow_hits). lethal_region's raster points find their cell by index:
+    (_unsure_hits). lethal_region's raster points find their cell by index:
     floor((x - low) * _TABLE / span), clamped to the table. It does not decrease as x grows, and its
     rounding moves x by a few ulps of r, far less than eps, so a point
     whose index is k lies in cell k's grown box. A clamped point that lies
@@ -418,9 +437,15 @@ class _VerdictTable:
     Strata. A cell is in when the farthest corner of its grown box passes
     the disk test, so that its whole box lies in the disk, and it meets the
     disk when the nearest corner passes it. in_lethal and in_safe count the
-    in cells with a certain verdict. slow holds every other cell that meets
-    the disk, by its index i + _TABLE j into verdict.ravel(): verdict holds
-    cell (i, j) at [j, i] of a (_TABLE, _TABLE) array.
+    in cells with a certain verdict; each holds 4 / (_TABLE^2 pi) of the
+    disk. Every other cell that meets the disk, a rim cell or an uncertain
+    one, holds its box's area in the disk over pi r^2, in closed form
+    (_disk_areas). lethal_share adds up the lethal cells' shares and
+    unsure_share the uncertain cells', so an empty stratum has share 0;
+    both are clipped so that they add up to at most 1. unsure holds the
+    uncertain cells that meet the disk, by their index i + _TABLE j into
+    verdict.ravel(): verdict holds cell (i, j) at [j, i] of a
+    (_TABLE, _TABLE) array.
     """
 
     def __init__(self, strategy: PoisonStrategy, config: PoisonConfig) -> None:
@@ -451,8 +476,8 @@ class _VerdictTable:
         step = _TABLE // _COARSE
         ci = np.arange(ia // step, -(-ib // step)) * step
         cj = np.arange(ja // step, -(-jb // step)) * step
-        ii, jj = np.repeat(ci, cj.size), np.tile(cj, ci.size)
-        coarse = self._verdicts(lo[ii], hi[ii + step - 1], lo[jj], hi[jj + step - 1])
+        ii, jj = np.divmod(np.arange(ci.size * cj.size), cj.size)
+        coarse = self._verdicts((lo[ci], hi[ci + step - 1]), (lo[cj], hi[cj + step - 1]), ii, jj)
         fine = coarse.reshape(ci.size, cj.size).repeat(step, axis=0).repeat(step, axis=1)
         i0, j0 = ia // step * step, ja // step * step
         near_poison = verdict[ia:ib, ja:jb]
@@ -461,7 +486,7 @@ class _VerdictTable:
         i, j = np.nonzero(near_poison == _UNSURE)
         i += ia
         j += ja
-        verdict[i, j] = self._verdicts(lo[i], hi[i], lo[j], hi[j])
+        verdict[i, j] = self._verdicts((lo, hi), (lo, hi), i, j)
 
         # the corner sums are symmetric in (i, j), so they index either layout
         far, near = _far_near(lo, hi, 0.0)
@@ -469,25 +494,33 @@ class _VerdictTable:
         certain = (far[:, None] + far[None, :] <= self.r2) & (self.verdict != _UNSURE)
         self.in_lethal = int(np.count_nonzero(certain & (self.verdict == _LETHAL)))
         self.in_safe = int(np.count_nonzero(certain)) - self.in_lethal
-        self.slow = np.flatnonzero((near[:, None] + near[None, :] <= self.r2) & ~certain)
+        other = np.flatnonzero((near[:, None] + near[None, :] <= self.r2) & ~certain)
+        j, i = np.divmod(other, _TABLE)
+        share = _disk_areas(edges[i], edges[i + 1], edges[j], edges[j + 1], radius) / (math.pi * self.r2)
+        kind = self.verdict.ravel()[other]
+        self.unsure = other[kind == _UNSURE]
+        lethal = self.in_lethal * (4.0 / (_TABLE * _TABLE * math.pi)) + float(share[kind == _LETHAL].sum())
+        self.lethal_share = min(lethal, 1.0)
+        self.unsure_share = min(float(share[kind == _UNSURE].sum()), 1.0 - self.lethal_share)
 
-    def _verdicts(self, xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
-        """The verdict of each box [xa[k], xb[k]] x [ya[k], yb[k]], from
-        bounds on the dose at every point of it. The arrays are parallel,
-        and xa and xb must be sorted."""
+    def _verdicts(self, cols: tuple, rows: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The verdict of each box [xa[i[k]], xb[i[k]]] x [ya[j[k]], yb[j[k]]],
+        with (xa, xb) = cols and (ya, yb) = rows, from bounds on the dose at
+        every point of it. Each mass's terms are computed once per column
+        and per row. xa, xb and i must be sorted."""
         eps, config = self.eps, self.config
-        dose_min = np.zeros(xa.size)
-        dose_max = np.zeros(xa.size)
+        dose_min = np.zeros(i.size)
+        dose_max = np.zeros(i.size)
         for m in self.strategy.point_masses:
-            far_x, near_x = _far_near(xa, xb, m.position.x)
-            far_y, near_y = _far_near(ya, yb, m.position.y)
-            dose_min += m.grams * (far_x * far_x + far_y * far_y <= 1.0 - eps)
-            dose_max += m.grams * (near_x * near_x + near_y * near_y <= 1.0 + eps)
+            far_x, near_x = _far_near(*cols, m.position.x)
+            far_y, near_y = _far_near(*rows, m.position.y)
+            dose_min += m.grams * ((far_x * far_x)[i] + (far_y * far_y)[j] <= 1.0 - eps)
+            dose_max += m.grams * ((near_x * near_x)[i] + (near_y * near_y)[j] <= 1.0 + eps)
         if self.patch is not None:
-            in_min, in_max = self.patch.box_counts(xa, xb, ya, yb)
+            in_min, in_max = self.patch.box_counts(cols[0][i], cols[1][i], rows[0][j], rows[1][j])
             dose_min += self.patch.per_cell * in_min
             dose_max += self.patch.per_cell * in_max
-        verdict = np.full(xa.size, _UNSURE, dtype=np.uint8)
+        verdict = np.full(i.size, _UNSURE, dtype=np.uint8)
         verdict[_is_lethal_dose(dose_min, config)] = _LETHAL
         verdict[~_is_lethal_dose(dose_max, config)] = _SAFE
         return verdict
@@ -537,8 +570,9 @@ def _verdict_table(strategy: PoisonStrategy, config: PoisonConfig) -> _VerdictTa
 @dataclass(frozen=True)
 class DrawStats:
     """The work of a Monte Carlo run (kill_probability): the bites counted
-    in certain cells, the points drawn in slow cells up to the last needed
-    bite, and the bites given the exact dose."""
+    in cells of certain verdict, in the disk or on its rim; the points
+    drawn in unsure cells up to the last needed bite; and the bites given
+    the exact dose, all the others (samples - bites_decided)."""
 
     bites_decided: int
     points_drawn: int
@@ -554,65 +588,60 @@ class KillReport:
     stats: DrawStats
 
 
-def _slow_hits(
+def _unsure_hits(
     table: _VerdictTable, cells: np.random.Generator, offsets: np.random.Generator, quota: int
-) -> tuple[int, int, int]:
-    """Hits of quota bites uniform on the slow cells' part of the disk,
-    the points drawn up to the last of them, and the bites given the exact
-    dose.
+) -> tuple[int, int]:
+    """Hits of quota bites uniform on the unsure cells' part of the disk,
+    and the points drawn up to the last of them.
 
-    A point is a slow cell (i, j) from cells.integers and an offset pair v
-    from offsets.random, at low + (span / _TABLE) * ((i, j) + v). Points
-    failing the disk test are redrawn; the rest take their cell's verdict,
-    or the exact dose where that is _UNSURE, a block of at most _BLOCK
-    points at a time. Points past the quota-th accepted one are dropped,
-    and integers and random draws split across calls equal one whole call
-    (PCG64 keeps its unused half word), so no result depends on the block
-    sizes.
+    A point is an unsure cell (i, j) from cells.integers and an offset pair
+    v from offsets.random, at low + (span / _TABLE) * ((i, j) + v). Points
+    failing the disk test are redrawn; the rest get the exact dose, a
+    block of at most _BLOCK points at a time. Points past the quota-th
+    accepted one are dropped, and integers and random draws split across
+    calls equal one whole call (PCG64 keeps its unused half word), so no
+    result depends on the block sizes.
     """
     step = table.span / _TABLE
-    hits = drawn = exact = 0
+    hits = drawn = 0
     remaining = quota
     while remaining > 0:
         size = min(_BLOCK, 2 * remaining)
-        j, i = np.divmod(table.slow[cells.integers(table.slow.size, size=size)], _TABLE)
+        j, i = np.divmod(table.unsure[cells.integers(table.unsure.size, size=size)], _TABLE)
         v = offsets.random((size, 2))
         x = table.low + step * (i + v[:, 0])
         y = table.low + step * (j + v[:, 1])
         accepted = np.flatnonzero(x * x + y * y <= table.r2)[:remaining]
         drawn += accepted[-1] + 1 if accepted.size == remaining else size
         remaining -= accepted.size
-        verdict = table.verdict[j[accepted], i[accepted]]
-        unsure = accepted[verdict == _UNSURE]
-        hits += np.count_nonzero(verdict == _LETHAL) + np.count_nonzero(table.exact(x[unsure], y[unsure]))
-        exact += unsure.size
-    return int(hits), int(drawn), exact
+        hits += np.count_nonzero(table.exact(x[accepted], y[accepted]))
+    return int(hits), int(drawn)
 
 
 def kill_probability(strategy: PoisonStrategy, config: PoisonConfig) -> KillReport:
     """Seeded Monte Carlo estimate of the probability a random bite kills.
 
-    Each in cell of certain verdict (_VerdictTable) holds 4 / (_TABLE^2 pi)
-    of the disk, so one multinomial draw counts the bites in the lethal and
-    in the safe ones and leaves the rest to the slow cells, the only ones
-    that get points (_slow_hits). So hits follow the law of n uniform bites
-    scored with the exact dose. SeedSequence(seed) spawns the two PCG64
-    streams, so identical seeds give identical results. The interval is
-    the normal-approximation 95% band; stats counts the work.
+    Each cell of the verdict table holds its share of the disk
+    (_VerdictTable), so one multinomial draw counts the bites in the
+    lethal cells, in the unsure ones and, the rest, in the safe ones. Only
+    the unsure cells' bites get points (_unsure_hits). So hits follow the
+    law of n uniform bites scored with the exact dose. SeedSequence(seed)
+    spawns the two PCG64 streams, so identical seeds give identical
+    results. The interval is the normal-approximation 95% band; stats
+    counts the work.
     """
     validate_strategy(strategy, config)
     n = config.samples
     table = _verdict_table(strategy, config)
     cells, offsets = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
-    share = 4.0 / (_TABLE * _TABLE * math.pi)
-    certain = [table.in_lethal * share, table.in_safe * share]
-    lethal, safe, quota = cells.multinomial(n, [*certain, 1.0 - sum(certain)]).tolist()
-    hits, drawn, exact = _slow_hits(table, cells, offsets, quota)
+    shares = [table.lethal_share, table.unsure_share]
+    lethal, quota, safe = cells.multinomial(n, [*shares, 1.0 - shares[0] - shares[1]]).tolist()
+    hits, drawn = _unsure_hits(table, cells, offsets, quota)
     hits += lethal
     p_hat = hits / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     ci = (max(0.0, p_hat - 1.96 * se), min(1.0, p_hat + 1.96 * se))
-    return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits, stats=DrawStats(lethal + safe, drawn, exact))
+    return KillReport(estimate=p_hat, ci95=ci, samples=n, hits=hits, stats=DrawStats(lethal + safe, drawn, quota))
 
 
 def lethal_region(strategy: PoisonStrategy, config: PoisonConfig, h_grid: float) -> PixelRegion:

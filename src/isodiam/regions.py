@@ -118,9 +118,13 @@ class PixelRegion:
         return self._xy(self.cells + 0.5)
 
     def corner_points(self) -> np.ndarray:
-        """Unique cell corners as an (m, 2) float64 array."""
+        """Unique cell corners as an (m, 2) float64 array, sorted by (i, j).
+        Deduplicated by a sort, as np.unique (numpy >= 2.3) imports
+        numpy.ma."""
         idx = self.cells
-        return self._xy(np.unique(np.concatenate([idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]]), axis=0))
+        c = np.concatenate([idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]])
+        c = c[np.lexsort((c[:, 1], c[:, 0]))]
+        return self._xy(c[np.append(True, np.any(c[1:] != c[:-1], axis=1))])
 
     def to_json_dict(self) -> dict:
         return {"origin": [self.origin.x, self.origin.y], "h": self.h, "cells": self.cells.tolist()}

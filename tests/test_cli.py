@@ -550,10 +550,10 @@ PINNED_DIGESTS = {
         "018405177d3339d900bb4a171fc592d2306b0cdf753e19a186e9f8d0421113b1",
         "44114ca5e90caade60235ca4c9c38869356469104284fef3721cf69cf11181a7",
     ),
-    "poison": ("df39bbac9b9bcba27d26ecd8d4603f2e74423c0980c02f4ed636fb28b9cf1781", None),
+    "poison": ("18f1c96887a6e96ee56460ba0baa0be575dd5b709663c3d80b5754254c3acc9a", None),
     "search": ("06990049293a95c0f3b1328d38790dae20a6bc9f4ffacbaf3f399bbf2eaa4cf4", None),
     "poison-svg": (
-        "df39bbac9b9bcba27d26ecd8d4603f2e74423c0980c02f4ed636fb28b9cf1781",
+        "18f1c96887a6e96ee56460ba0baa0be575dd5b709663c3d80b5754254c3acc9a",
         "d2467c38eef01d7601d3a03cc3e4f7748e745d37b82f360e185a041368e6dafa",
     ),
     "search-svg": (
@@ -580,9 +580,9 @@ PINNED_FILE_DIGESTS = {
     "diameters-1200": "b284eb0dc6e3e1b0febd17c0ef7c2f3c2957bcfe6f3702af2ed867c2d4979c28",
     "jung-1200": "8de699ff027fe3fe200da24bdc3a17a92bea8c82f1d81566e9b76e2e7966d566",
     "bounds": "ae7c1883731a22a901edbe14498b1500d722244f846cc3ec277f52d461988279",
-    "poison": "e2186db48d6d7a3fa6b464fd9dbc634ee5c04c6c58c2fceeec3a8d319c765b84",
+    "poison": "a5db973567eadefaa51a8078e2f701fe761ccddcd09de5c35a9264a012f42999",
     "search": "6982265639f18f9f278c746ce23bf62deac981232d2ffd171c25b85ff16bf25d",
-    "poison-svg": "f4f062c8ab8cb70752f3cdf9fa84864c58154f263c60be9258dbf8e90274a015",
+    "poison-svg": "0dbd597e4939e2b14dd9f1da4d00871897ea6238d44a5841ffe1c2d7079b35aa",
     "search-svg": "6493adca8224c1bb3dcea0286a4456f32d93e139f25ec95254cf981b83a96947",
     "conjecture-svg": "ee7866873163f4ca4a27cea6c31ca92ede86e8015d7e33ddf95096f0e17bedd1",
     "check": "315c85e00dcaa700216baf02236bb56bc7f7dea1cb0ff2ba9c300833bb20859f",
@@ -682,6 +682,31 @@ def test_cli_import_loads_no_scipy():
     code = "import isodiam.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diameters", "disk.csv"],
+        ["jung", "disk.csv"],
+        ["poison", "--R", "3", "--h-available", "1.5", "--samples", "20000", "--grid", "0.05"],
+        ["search", "--delta", "3", "--h", "0.15"],
+    ],
+    ids=["diameters", "jung", "poison-grid", "search"],
+)
+def test_cli_calls_never_import_numpy_ma(argv, tmp_path):
+    """np.unique and np.union1d (numpy >= 2.3) import numpy.ma the first
+    time in a process, which took 11-17 ms. A fresh process that runs
+    diameters or jung on 1,000 points, where diam3 takes its prefilter,
+    poison with a lethal grid, or search never imports it."""
+    rng = np.random.default_rng(0)
+    save_points_csv(PointSet(map(tuple, rng.uniform(-1.5, 1.5, (1000, 2)))), tmp_path / "disk.csv")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from isodiam.cli import run; code = run(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out", "out.json"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def run_capped(argv, cwd):

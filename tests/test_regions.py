@@ -153,6 +153,17 @@ def test_region_diam_disk():
         region_diam(PixelRegion(origin=Point(0, 0), h=0.1, cells=frozenset()))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=60))
+def test_corner_points_are_the_unique_corners_in_index_order(cells):
+    """corner_points deduplicates by a sort; its rows are those of
+    np.unique over the four corners of every cell, in the same order."""
+    r = PixelRegion(origin=Point(0.3, -0.7), h=0.05, cells=frozenset(cells))
+    idx = r.cells
+    grid = np.unique(np.concatenate([idx, idx + [1, 0], idx + [0, 1], idx + [1, 1]]), axis=0)
+    assert np.array_equal(r.corner_points(), grid * r.h + [r.origin.x, r.origin.y])
+
+
 def test_region_diam_single_cell():
     r = PixelRegion(origin=Point(0, 0), h=0.5, cells=frozenset({(0, 0)}))
     assert region_diam(r) == pytest.approx(0.5 * math.sqrt(2))
