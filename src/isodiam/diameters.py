@@ -19,10 +19,11 @@ are one sweep that inserts pairs longest first until a clique of a points
 closes. Above 400 points the sweep keeps only the points that can be in a
 far clique: those with a hull vertex beyond a sampled floor L, and room
 in the set's enclosing disk for two partners at least L from them and
-from each other. diam_ab at b >= 3 climbs through, and tab_check runs,
-one exact subset search over Python-int bitmasks of the "within the
-threshold" graph, pruned by pigeonhole on a partition of that graph into
-cliques; the climb adds each pair to the masks once.
+from each other. tab_check runs one exact subset search over Python-int
+bitmasks of the "within the threshold" graph, pruned by pigeonhole on a
+partition of that graph into cliques; diam_ab at b >= 3 climbs from
+witness to witness, resuming each search at the last witness and adding
+each pair to the masks once.
 diam_ab and tab_check guard up front on C(n, a) against a configurable
 budget and raise BudgetExceededError naming the budget a call would need,
 before any distance is computed.
@@ -343,7 +344,9 @@ def diam_ab(
     v(W) > t because W violates, and v(W) is at most the value. When the
     search finds no violating subset, t is the value. Every t is an entry
     of the distance matrix, so the result is the pair distance itself, bit
-    for bit. Only the last search explores a whole tree, and each builds
+    for bit. Raising t only adds close pairs, so neither W nor a subset
+    before it violates at v(W), and each search starts at W (the floor of
+    _first_violating): together they walk the a-subsets once. Each builds
     its clique partition at its own t, not at an earlier, smaller one. The
     close masks only gain bits as t rises, so the pairs are sorted by
     distance once, and each step ORs in those that t has passed.
@@ -369,13 +372,13 @@ def diam_ab(
     order = np.argsort(d)
     iu, ju, d = iu[order], ju[order], d[order]
     close = [0] * n
-    done = 0
+    done, w = 0, None
     while True:
         upto = int(np.searchsorted(d, value, side="right"))
         for i, j in zip(iu[done:upto].tolist(), ju[done:upto].tolist()):
             close[i] |= 1 << j
         done = upto
-        if (w := _first_violating(close, n, a, b, cliques)) is None:
+        if (w := _first_violating(close, n, a, b, cliques, w)) is None:
             return float(value)
         value = min(max(D[u, v] for u, v in combinations(sub, 2)) for sub in combinations(w, b))
 
@@ -486,6 +489,7 @@ def _first_violating(
     a: int,
     b: int,
     cliques: Callable[[], _Partition],
+    floor: tuple[int, ...] | None = None,
 ) -> tuple[int, ...] | None:
     """Lexicographically first a-subset with no b points pairwise close.
 
@@ -510,14 +514,18 @@ def _first_violating(
     a-subset violates. The partition is built only once the search has
     been handed _PARTITION_AFTER * n candidates, so the build costs about
     what the search has already spent, and a search that stops earlier
-    pays nothing for it.
+    pays nothing for it. A floor W, an a-subset, starts the search at W:
+    while the partial is W's prefix of d points, the candidates below W[d]
+    are dropped, and a pick above W[d] leaves the prefix and the floor.
     """
-    above = [((1 << n) - 1) ^ ((1 << (i + 1)) - 1) for i in range(n)]
     partition: _Partition | None = None
     handed = 0
+    prefix = [sum(1 << i for i in floor[:d]) for d in range(a)] if floor else []  # floor[:d] as masks
 
     def extend(cand: int, forbid: int, levels: list[list[int]], taken: int, need: int) -> int | None:
         nonlocal partition, handed
+        if prefix and taken == prefix[a - need]:
+            cand &= -1 << floor[a - need]
         if partition is None:
             handed += cand.bit_count()
             if handed >= _PARTITION_AFTER * n:
@@ -542,7 +550,7 @@ def _first_violating(
             for m in prev:
                 if m & low:
                     grown_forbid |= m & cj
-            nxt = above[j] & ~grown_forbid
+            nxt = cand & ~grown_forbid  # cand: the candidates above j, none in forbid
             if nxt.bit_count() < need - 1 or partition and not _fits(partition, b, taken | low, nxt, need - 1):
                 continue
             got = extend(nxt, grown_forbid, grown, taken | low, need - 1)

@@ -200,16 +200,31 @@ def _disk_areas(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray, 
     disk within the rectangles spanned by the origin and each corner,
     signed by the corner's quadrant and added with the signs of inclusion
     and exclusion. Rounding leaves a few ulps of r^2, never a negative
-    area."""
+    area. Heights sqrt((r - s)(r + s)) and angles by atan2 keep the digits
+    that arcsin(s / r) loses within ulps of the circle (up to 1e-9 r^2)."""
     x, y = np.stack([x1, x0, x1, x0]), np.stack([y1, y1, y0, y0])
     a, b = np.minimum(np.abs(x), r), np.minimum(np.abs(y), r)
-    # the columns [0, u] of the corner's rectangle hold its full height b,
-    # the columns [u, a] the disk's: the integrals of sqrt(r^2 - s^2) from 0
-    u = np.minimum(a, np.sqrt(r * r - b * b))
-    t = np.stack([a, u])
-    arc = 0.5 * (t * np.sqrt(r * r - t * t) + r * r * np.arcsin(t / r))
-    q = np.sign(x) * np.sign(y) * (b * u + arc[0] - arc[1])
+    # the columns [0, u] of the corner's rectangle hold its full height b, the
+    # columns [u, a] the disk's, h at u = a or at the circle's point (u, b)
+    ha, hb = np.sqrt((r - a) * (r + a)), np.sqrt((r - b) * (r + b))
+    t, h = np.stack([a, np.where(hb < a, hb, a)]), np.stack([ha, np.where(hb < a, b, ha)])
+    arc = 0.5 * (t * h + r * r * np.arctan2(t, h))
+    q = np.sign(x) * np.sign(y) * (b * t[1] + arc[0] - arc[1])
     return np.maximum(q[0] - q[1] - q[2] + q[3], 0.0)
+
+
+def _disk_runs(sq: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each j, the int16 run [start, stop) of the i with sq[i] + sq[j] <= r2,
+    for sq that falls, then rises with i: a float sum does not fall as one term
+    grows, so those i hold the k smallest sq. k is read off r2 - sq[j], then
+    moved past rounding to the exact boundary. An empty run is [0, 0)."""
+    order = np.argsort(sq, kind="stable")
+    s = np.concatenate([[-np.inf], sq[order], [np.inf]])  # s[k]: the k-th smallest
+    k = np.searchsorted(s, r2 - sq, "right") - 1
+    while (step := (s[k + 1] + sq <= r2).astype(np.intp) - (s[k] + sq > r2)).any():
+        k += step
+    first, last = np.minimum.accumulate(order), np.maximum.accumulate(order)
+    return np.append(0, first)[k].astype(np.int16), np.append(0, last + 1)[k].astype(np.int16)
 
 
 class _PatchRows:
@@ -488,13 +503,14 @@ class _VerdictTable:
         j += ja
         verdict[i, j] = self._verdicts((lo, hi), (lo, hi), i, j)
 
-        # the corner sums are symmetric in (i, j), so they index either layout
+        # the cells [in_a, in_b) of row j lie in the disk, and [a, b) meet it
         far, near = _far_near(lo, hi, 0.0)
-        far, near = far * far, near * near
-        certain = (far[:, None] + far[None, :] <= self.r2) & (self.verdict != _UNSURE)
+        (in_a, in_b), (a, b) = _disk_runs(far * far, self.r2), _disk_runs(near * near, self.r2)
+        cols = np.arange(_TABLE, dtype=np.int16)
+        certain = (cols >= in_a[:, None]) & (cols < in_b[:, None]) & (self.verdict != _UNSURE)
         self.in_lethal = int(np.count_nonzero(certain & (self.verdict == _LETHAL)))
         self.in_safe = int(np.count_nonzero(certain)) - self.in_lethal
-        other = np.flatnonzero((near[:, None] + near[None, :] <= self.r2) & ~certain)
+        other = np.flatnonzero((cols >= a[:, None]) & (cols < b[:, None]) & ~certain)
         j, i = np.divmod(other, _TABLE)
         share = _disk_areas(edges[i], edges[i + 1], edges[j], edges[j + 1], radius) / (math.pi * self.r2)
         kind = self.verdict.ravel()[other]

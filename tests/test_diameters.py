@@ -475,6 +475,93 @@ def test_subset_scans_equal_dfs_oracles(case, rnd):
                 assert res.holds == (want is None) == (value <= t)
 
 
+def witness_value(D: np.ndarray, w: tuple[int, ...], b: int) -> float:
+    """v(W): the min over b-subsets of W of the largest pair distance."""
+    return min(max(D[u, v] for u, v in itertools.combinations(sub, 2)) for sub in itertools.combinations(w, b))
+
+
+def restart_climb(s: PointSet, a: int, b: int) -> list[tuple[int, ...] | None]:
+    """The results of the witness climb that searches from the root at
+    every t: the generic walk's first violating a-subset at t = 0, then at
+    each witness's value, up to the None that ends the climb."""
+    D = distance_matrix(s.to_array())
+    found: list[tuple[int, ...] | None] = [generic_first_violating(s, a, b, 0.0)]
+    while found[-1] is not None:
+        found.append(generic_first_violating(s, a, b, witness_value(D, found[-1], b)))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_diam_ab_searches_equal_a_restart_from_the_root(case):
+    """diam_ab's subset searches, each floored at the last witness, return
+    the witnesses of the climb that restarts every search at the root, in
+    strictly increasing lexicographic order."""
+    s, a = case
+    if len(s) < a:
+        return
+    real = diameters_mod._first_violating
+    for b in range(3, a):
+        got = []
+
+        def spy(*args):
+            got.append(real(*args))
+            return got[-1]
+
+        with mock.patch.object(diameters_mod, "_first_violating", spy):
+            diam_ab(s, a, b)
+        assert got == restart_climb(s, a, b)
+        assert all(u < v for u, v in zip(got[:-2], got[1:-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases(), st.sampled_from([0, diameters_mod._PARTITION_AFTER]), st.randoms(use_true_random=False))
+def test_a_floor_at_the_witness_keeps_the_next_search(case, after, rnd):
+    """For W the first violating a-subset at t (a pair distance or one ulp
+    to either side of it), the search floored at W at t' = v(W) returns
+    what the unfloored search returns at t', with the clique partition
+    built at once or at its default point."""
+    s, a = case
+    coords = s.to_array()
+    n = len(coords)
+    if n < a:
+        return
+    D = diameters_mod._distance_matrix(coords)
+    d = rnd.choice(sorted(set(D[np.triu_indices(n, k=1)].tolist())))
+
+    def search(t: float, b: int, floor: tuple[int, ...] | None) -> tuple[int, ...] | None:
+        close = diameters_mod._close_masks(D, t)
+        return diameters_mod._first_violating(close, n, a, b, lambda: diameters_mod._clique_partition(coords, D, t), floor)
+
+    with mock.patch.object(diameters_mod, "_PARTITION_AFTER", after):
+        for b in range(3, a):
+            for t in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)):
+                if t < 0 or (w := search(float(t), b, None)) is None:
+                    continue
+                t2 = float(witness_value(D, w, b))
+                assert search(t2, b, w) == search(t2, b, None)
+
+
+@functools.cache
+def _600_points(kind: str) -> PointSet:
+    """600 uniform points in [0, 4]^2 sorted by (x, y), or 600 points of
+    the line (1 + 2u, -0.5 + 0.75u), u sorted uniform in [-3, 3]."""
+    if kind == "uniform":
+        pts = np.random.default_rng(0).uniform(0.0, 4.0, size=(600, 2))
+        return PointSet(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+    u = np.sort(np.random.default_rng(1).uniform(-3.0, 3.0, 600))
+    return PointSet(np.column_stack([1.0 + 2.0 * u, -0.5 + 0.75 * u]))
+
+
+@pytest.mark.parametrize(
+    "kind,a,value",
+    [("uniform", 4, 5.43216703998894), ("collinear", 4, 12.740190576586466), ("collinear", 5, 6.386210315042843)],
+)
+def test_diam_ab_at_b3_on_600_points_is_pinned(kind, a, value):
+    """Values recorded when every witness search started at the root."""
+    assert diam_ab(_600_points(kind), a, 3, budget=math.comb(600, a)) == value
+
+
 @functools.cache
 def _u3_points() -> PointSet:
     """50 points of U_3 (unit disks centred at (-0.5, 0) and (0.5, 0)), the

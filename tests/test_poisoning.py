@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cell_oracles import cell_set
 from geometry_oracles import is_lethal
@@ -778,6 +778,23 @@ def test_coarse_to_fine_table_equals_the_flat_build(case):
     assert (table.lethal_share, table.unsure_share) == shares
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_disk_runs_are_the_rows_of_the_full_mask(data):
+    """For sq that falls, then rises, each row of the full mask
+    sq[i] + sq[j] <= r2 is the run _disk_runs gives, with r2 on a pair sum
+    or one ulp to either side of it, tied values and empty runs included."""
+    value = st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.25, 1.0, 2.0])
+    left = sorted(data.draw(st.lists(value, max_size=12)), reverse=True)
+    sq = np.array(left + sorted(data.draw(st.lists(value, min_size=1, max_size=12))))
+    sums = sq[:, None] + sq[None, :]
+    r2 = data.draw(st.sampled_from(sums.ravel().tolist()))
+    cols = np.arange(sq.size)
+    for t in (np.nextafter(r2, -np.inf), r2, np.nextafter(r2, np.inf)):
+        start, stop = poisoning._disk_runs(sq, float(t))
+        assert np.array_equal((cols >= start[:, None]) & (cols < stop[:, None]), sums <= t)
+
+
 def test_unsure_cells_cover_under_1_percent_of_the_tour_table():
     """On the tour hexagon at R = 3 a table cell is 4 / 256 wide, and the
     unsure cells, the ones that the lethal boundary crosses, cover 0.65%
@@ -828,6 +845,7 @@ def disk_rectangles(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(disk_rectangles())
+@example((0.0, 1.875, 0.0, 2.23517418e-07, 1.875))  # a strip along the x axis up to the circle
 def test_rectangle_area_in_the_disk_equals_the_integral(case):
     assert disk_area(*case) == pytest.approx(integrated_disk_area(*case), rel=0.0, abs=1e-12 * case[-1] ** 2)
 
