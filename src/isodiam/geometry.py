@@ -300,11 +300,45 @@ def _mec_with_two(pts: Sequence[Point], p: Point, q: Point) -> Disk:
 # ---------------------------------------------------------------------------
 
 
+# Above this many distinct points, convex_hull_indices runs its chain only
+# on the points that _outside_octagon keeps.
+_OCTAGON_MIN = 32
+
+
+def _outside_octagon(c: np.ndarray) -> np.ndarray:
+    """Mask of the rows of c, an (n, 2) array, that are not strictly inside
+    the octagon of its extreme points along x, y, x + y and x - y (Akl and
+    Toussaint, Inf. Process. Lett. 7(5), 1978); no hull vertex is.
+
+    A point is dropped when it lies left of every edge of the
+    counterclockwise octagon by a cross product above 1e-9 s^2, s the
+    largest coordinate magnitude: some million times the rounding of the
+    chain's cross products, so no rounding puts a dropped point on the
+    hull. Outside s in (1e-150, 1e150) every point is kept.
+    """
+    x, y = c[:, 0], c[:, 1]
+    scale = max(float(np.abs(x).max()), float(np.abs(y).max()))
+    if not 1e-150 < scale < 1e150:
+        return np.ones(len(c), dtype=bool)
+    s, d = x + y, x - y
+    corners = c[[x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]]
+    edges = np.roll(corners, -1, axis=0) - corners
+    margin = 1e-9 * scale * scale
+    inside = np.ones(len(c), dtype=bool)
+    for (ax, ay), (ex, ey) in zip(corners.tolist(), edges.tolist()):
+        # an extreme point shared by two directions makes a zero edge
+        if ex or ey:
+            inside &= ex * (y - ay) - ey * (x - ax) > margin
+    return ~inside
+
+
 def convex_hull_indices(coords: np.ndarray) -> list[int]:
     """Indices of hull vertices in counterclockwise order (monotone chain).
 
     Collinear boundary points are dropped. For fewer than three distinct
-    points the result simply lists the distinct extremes.
+    points the result simply lists the distinct extremes. Above
+    _OCTAGON_MIN distinct points, those inside the octagon of the extremes
+    are dropped first (_outside_octagon); the rest keep their order.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
@@ -315,7 +349,10 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
     sx, sy = coords[order, 0], coords[order, 1]
     first = np.ones(n, dtype=bool)
     first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    uniq: list[int] = order[first].tolist()
+    kept = order[first]
+    if len(kept) > _OCTAGON_MIN:
+        kept = kept[_outside_octagon(coords[kept])]
+    uniq: list[int] = kept.tolist()
     if len(uniq) <= 2:
         return uniq
     # the chain reads single coordinates: as Python floats, not numpy scalars

@@ -246,13 +246,14 @@ class _PatchRows:
         region = patch.region
         centers = region.cell_centers()
         self.starts = region.row_starts
-        self.runs: list[list[tuple[int, int]]] = []
-        for lo, hi in zip(self.starts[:-1], self.starts[1:]):
-            cols = region.cells[lo:hi, 1]
-            breaks = np.flatnonzero(np.diff(cols) != 1) + 1
-            firsts = cols[np.concatenate([[0], breaks])]
-            lengths = np.diff(np.concatenate([[0], breaks, [len(cols)]]))
-            self.runs.append(list(zip(firsts.tolist(), lengths.tolist())))
+        # every row start is a run start: row k holds runs bounds[k]:bounds[k + 1]
+        runs = region.runs
+        firsts = region.cells[runs[:-1], 1].tolist()
+        lengths = np.diff(runs).tolist()
+        bounds = np.searchsorted(runs, self.starts).tolist()
+        self.runs: list[list[tuple[int, int]]] = [
+            list(zip(firsts[lo:hi], lengths[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
         self.cx = centers[self.starts[:-1], 0]
         self.cy = centers[:, 1]
         self.h = region.h

@@ -114,6 +114,17 @@ class PixelRegion:
         i = self.cells[:, 0]
         return np.append(np.flatnonzero(np.diff(i, prepend=i[:1] - 1)), len(i))
 
+    @property
+    def runs(self) -> np.ndarray:
+        """Index in cells of each run's first cell, then len(cells): a run
+        is a longest block of one row's cells on consecutive columns, so
+        run k is cells[runs[k]:runs[k + 1]] and every row start is a run
+        start. An empty region has no runs: [0]."""
+        i, j = self.cells[:, 0], self.cells[:, 1]
+        new = np.ones(len(i), dtype=bool)
+        new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1] + 1)
+        return np.append(np.flatnonzero(new), len(i))
+
     def cell_centers(self) -> np.ndarray:
         return self._xy(self.cells + 0.5)
 

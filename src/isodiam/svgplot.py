@@ -99,7 +99,8 @@ def curves_svg(
 
 
 def region_svg(region: PixelRegion, outline: DiskUnion | None = None, title: str = "") -> str:
-    """Region cells as filled squares, optional analytic outline on top.
+    """Region cells as filled rectangles, one per run of a row's consecutive
+    cells, optional analytic outline on top.
 
     Drawn in data coordinates with the y axis flipped.
     """
@@ -130,11 +131,14 @@ def region_svg(region: PixelRegion, outline: DiskUnion | None = None, title: str
         f'height="{_fmt(y_hi - y_lo)}" fill="white"/>',
         '<g transform="scale(1,-1)">',
     ]
-    # a lethal region has thousands of cells on a few dozen rows and columns
-    xs = {i: _fmt(ox + i * h) for i in set(idx[:, 0].tolist())}
-    ys = {j: _fmt(oy + j * h) for j in set(idx[:, 1].tolist())}
-    tail = f'" width="{_fmt(h)}" height="{_fmt(h)}" fill="#1f77b4" fill-opacity="0.85"/>'
-    parts += [f'<rect x="{xs[i]}" y="{ys[j]}{tail}' for i, j in idx.tolist()]
+    # a lethal region has thousands of cells on a few dozen runs
+    runs = region.runs
+    width = _fmt(h)
+    parts += [
+        f'<rect x="{_fmt(ox + i * h)}" y="{_fmt(oy + j * h)}" width="{width}" '
+        f'height="{_fmt(n * h)}" fill="#1f77b4" fill-opacity="0.85"/>'
+        for (i, j), n in zip(idx[runs[:-1]].tolist(), (runs[1:] - runs[:-1]).tolist())
+    ]
     for cx, cy, r in circles:
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '

@@ -554,11 +554,11 @@ PINNED_DIGESTS = {
     "search": ("06990049293a95c0f3b1328d38790dae20a6bc9f4ffacbaf3f399bbf2eaa4cf4", None),
     "poison-svg": (
         "18f1c96887a6e96ee56460ba0baa0be575dd5b709663c3d80b5754254c3acc9a",
-        "d2467c38eef01d7601d3a03cc3e4f7748e745d37b82f360e185a041368e6dafa",
+        "16aa35cd7151e44a22c4e773e88fbbfda721e4a467c9f506a97e39375d0dec6c",
     ),
     "search-svg": (
         "06990049293a95c0f3b1328d38790dae20a6bc9f4ffacbaf3f399bbf2eaa4cf4",
-        "74836642fbf46643e8c83599dbbc11e36e0570774566bc67db12026005c88df6",
+        "4512b94ca5b6c783253f9ff7ad4f75b3f09812a536544319c3e8d8fb49c90cf1",
     ),
     "conjecture-svg": (
         "5186d3aafe847b8a0a4ccaff7ca6b5a48008f637bd17764b9209e5188051cb95",

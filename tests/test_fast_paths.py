@@ -1,7 +1,8 @@
 """The array fast paths of convex_hull_indices, diam3 and triameter against
 the per-point routines they replaced (geometry_oracles): every comparison
-is ==, as the fast paths compute the same floats. The clique sweep's
-prefilter against the sweep with no point dropped. And
+is ==, as the fast paths compute the same floats. The hull's octagon
+prefilter and the clique sweep's prefilter against the chain and the
+sweep with no point dropped. And
 min_enclosing_circle, the per-point Welzl loop run on the hull's vertices,
 against the same loop run on every point. Sets outside the coordinate
 window never reach them: PointSet refuses those."""
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import geometry_oracles as oracle
 from isodiam import diameters
 from isodiam.diameters import _PREFILTER_MIN, _clique_diam, diam3, triameter
-from isodiam.geometry import PointSet, convex_hull_indices, min_enclosing_circle
+from isodiam.geometry import PointSet, _outside_octagon, convex_hull_indices, min_enclosing_circle
 
 KINDS = ("normal", "uniform", "grid", "kgon", "collinear")
 # powers of two scale exactly; the base sets stay inside the coordinate
@@ -69,8 +70,21 @@ def coordinate_sets(draw, sizes=st.integers(1, 60), kinds=st.sampled_from(KINDS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(coordinate_sets(st.integers(0, 80)))
-def test_hull_matches_the_numpy_scalar_chain(coords):
+@given(coordinate_sets(st.integers(0, 300)), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_hull_matches_the_numpy_scalar_chain(coords, copies, seed):
+    """Each point repeated up to three times, in a shuffled order: the
+    chain, run above _OCTAGON_MIN distinct points on those outside the
+    octagon of the extremes, picks the same vertices, each the first of
+    its equal points, as the chain over every point."""
+    coords = np.random.default_rng(seed).permutation(np.concatenate([coords] * copies))
+    assert convex_hull_indices(coords) == oracle.convex_hull_indices(coords)
+
+
+def test_octagon_prefilter_drops_the_inside_of_a_disk():
+    rng = np.random.default_rng(2000)
+    r, t = 1.5 * np.sqrt(rng.uniform(size=2000)), rng.uniform(0.0, 2.0 * math.pi, 2000)
+    coords = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    assert _outside_octagon(coords).sum() < len(coords) // 4
     assert convex_hull_indices(coords) == oracle.convex_hull_indices(coords)
 
 

@@ -295,6 +295,29 @@ def test_row_counts_equal_the_pairwise_loop(cells, h, ox, oy, seed):
     assert np.array_equal(got, brute_cell_counts(region, xs, ys))
 
 
+def per_row_runs(region: PixelRegion) -> list[list[tuple[int, int]]]:
+    """_PatchRows.runs as it was built, row by row: each row's (first
+    column, length) runs from the breaks in its columns."""
+    starts = region.row_starts
+    runs = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        cols = region.cells[lo:hi, 1]
+        breaks = np.flatnonzero(np.diff(cols) != 1) + 1
+        firsts = cols[np.concatenate([[0], breaks])]
+        lengths = np.diff(np.concatenate([[0], breaks, [len(cols)]]))
+        runs.append(list(zip(firsts.tolist(), lengths.tolist())))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cell_sets, st.lists(st.tuples(st.integers(-3, 3), st.integers(-40, 40)), min_size=1, max_size=60)))
+@example([(0, 0)])
+@example([(0, 0), (0, 1), (0, 5), (0, 9), (0, 10), (3, -4)])
+def test_patch_runs_equal_the_per_row_split(cells):
+    region = PixelRegion(origin=Point(0.37, -1.21), h=0.05, cells=frozenset(cells))
+    assert _PatchRows(DensityPatch(region=region, grams=1.0)).runs == per_row_runs(region)
+
+
 @pytest.mark.parametrize(
     "cells",
     [
@@ -833,13 +856,24 @@ def disk_area(x0: float, x1: float, y0: float, y1: float, r: float) -> float:
 @st.composite
 def disk_rectangles(draw):
     """A radius r and a rectangle around its disk, its sides anywhere
-    within 1.5 r of the center, on an axis, tangent to the circle (at
-    +-r), or through the points of the circle at 30 and 45 degrees."""
+    within 1.5 r of the center, or on or one to three ulps off a mark: an
+    axis, the circle's tangents (at +-r), or its points at 30 and 45
+    degrees. Sides a few ulps inside the circle are where a formula that
+    loses digits near it, as arcsin(s / r) does, shows its error."""
     r = draw(st.floats(0.5, 8.0))
     marks = [0.0, 0.5, math.sqrt(0.5), math.sqrt(0.75), 1.0]
-    side = st.one_of(st.floats(-1.5, 1.5), st.sampled_from(marks + [-t for t in marks]))
-    x0, x1 = sorted((draw(side) * r, draw(side) * r))
-    y0, y1 = sorted((draw(side) * r, draw(side) * r))
+    mark = st.sampled_from(marks + [-t for t in marks])
+
+    def side() -> float:
+        if draw(st.booleans()):
+            return draw(st.floats(-1.5, 1.5)) * r
+        s, toward = draw(mark) * r, draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(0, 3))):
+            s = float(np.nextafter(s, toward))
+        return s
+
+    x0, x1 = sorted((side(), side()))
+    y0, y1 = sorted((side(), side()))
     return x0, x1, y0, y1, r
 
 

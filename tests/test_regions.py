@@ -105,33 +105,34 @@ def test_inner_raster_keeps_corners_on_the_circle(h, m, n):
 # sha256 of the cells rasterize gives at the pitches RASTER_PITCHES, one
 # after another, and of region_svg with the shape as outline, recorded when
 # each shape computed its own bbox and containment; the pitch 0.004 grid
-# spans several scan bands
+# spans several scan bands. The svg digests were recorded again when
+# region_svg came to draw one rect per run of a row's cells
 RASTER_PITCHES = (0.05, 0.004)
 DISK_UNION_PINS = {
     "disk": (
         DiskUnion(((0.3, -0.1, 0.9),)),
         "5140ecfcb790cd8560900d2262003d2dcff8ae719b15fe1dffc822956ba094eb",
-        "bd73e7c4fffc59bf497ac9aa30cf6659edae9b2de0dddba1360ea41d94b6527b",
+        "c8fc2d8566b4046e0ebebb78ddba2070221a7a96add975a8e0a71b1c4135cfd9",
     ),
     "two-0": (
         DiskUnion(((-0.0, 0.0, 1.0), (0.0, 0.0, 1.0))),
         "60dc57dd5b42f79eb4df026c44c38aac7be20aa706e5eb3b0071e33de94906b6",
-        "43aae4e40e693093339ef51ad4d1d0b27901ec754eda93a333cfeecd3301fb71",
+        "2e1e83eb98ddf63df8bad51d518d215a65e9958b3e35135873bbab2f626fb927",
     ),
     "two-1": (
         DiskUnion(((-0.5, 0.0, 1.0), (0.5, 0.0, 1.0))),
         "5a696b44fa5828255b8640089f63d6c17e3328d0e1a79c9d984858a1b40415d4",
-        "d2049ec34a99282a7f4bcaaf62b279d8ff878278cf28465661174aa1303f03f0",
+        "7dde39b77116eaccc299f08bcb1cb90fe69f0ba4327670d158a9c3c687cecf9f",
     ),
     "two-2.5": (
         DiskUnion(((-1.25, 0.0, 1.0), (1.25, 0.0, 1.0))),
         "8151b4ac6c4956d8908038d1c9792f6adcfe64835234194db7070ee7e5567c43",
-        "5df696ebc8b6b169fc9dd045875a11887896f9c07d3f930a9c7f51e3320f5021",
+        "74d67657ecd3644149b9661c94e1067a154304d9fd5e62e79c5db2a47b543d78",
     ),
     "disjoint-3": (
         DiskUnion(((0.0, 0.0, 1.0), (4.5, 0.0, 1.0), (9.0, 0.0, 1.0))),
         "39e63ae8ee9a4e47e5c684965d05af02a4f2f686f737b0b4797219b45876f931",
-        "e9cf37e399a7ce40663319f6acacd7b70398cecf39f6e204eb43f69dcad7f48d",
+        "f793cc6b6d17fc7a5cf00dcc36e4faefe731dc12358415e37275c5988bb09644",
     ),
 }
 
@@ -234,6 +235,31 @@ def test_row_starts_match_the_unique_rows(cells):
     region = PixelRegion(origin=Point(0.0, 0.0), h=0.5, cells=cells)
     _, first = np.unique(region.cells[:, 0], return_index=True)
     assert region.row_starts.tolist() == first.tolist() + [len(cells)]
+
+
+def brute_runs(cells: list[list[int]]) -> list[int]:
+    """Run starts found cell by cell: a cell starts a run unless the cell
+    before it is in the same row, one column below."""
+    starts = [k for k, (i, j) in enumerate(cells) if k == 0 or cells[k - 1] != [i, j - 1]]
+    return starts + [len(cells)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.frozensets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=120),  # holes
+        st.frozensets(st.tuples(st.integers(-40, 40), st.integers(-3, 3)), max_size=30),  # one-cell rows
+        st.frozensets(st.tuples(st.integers(-2**62, 2**62), st.integers(-2**62, 2**62)), max_size=10),
+    )
+)
+@example(frozenset())
+@example(frozenset({(0, 0), (0, 1), (1, 2), (1, 3), (2, -5)}))
+@example(frozenset({(0, 2**63 - 1), (1, -(2**63))}))  # j + 1 wraps onto the next row's j
+def test_runs_match_the_cell_by_cell_split(cells):
+    region = PixelRegion(origin=Point(0.0, 0.0), h=0.5, cells=cells)
+    runs = region.runs
+    assert runs.tolist() == brute_runs(region.cells.tolist())
+    assert set(region.row_starts.tolist()) <= set(runs.tolist())
 
 
 def test_rasterize_holds_its_cells_at_most_three_times():

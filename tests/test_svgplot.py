@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,8 +45,8 @@ def test_curves_svg_marks():
 def test_region_svg_counts_cells():
     region = PixelRegion(origin=Point(0, 0), h=0.5, cells=frozenset({(0, 0), (1, 0), (0, 1)}))
     svg = region_svg(region)
-    # one background rect plus one per cell
-    assert svg.count("<rect") == 4
+    # one background rect plus one per run: column 0 holds a run of two cells
+    assert svg.count("<rect") == 3
     assert svg.endswith("</svg>")
 
 
@@ -61,9 +63,16 @@ def test_region_svg_disk_outline():
     assert svg.count("<circle") == 1
 
 
-def per_cell_region_svg(region, outline=None, title=""):
-    """region_svg as it was written with four _fmt calls per cell: the
-    reference for the writer that formats each row and column once."""
+# a run rect's x, y, width and height
+_RUN = re.compile(
+    r'<rect x="(-?[0-9.]+)" y="(-?[0-9.]+)" width="([0-9.]+)" height="([0-9.]+)" fill="#1f77b4" fill-opacity="0.85"/>'
+)
+
+
+def per_cell_frame(region, outline=None, title=""):
+    """The lines of region_svg as it was written with one rect per cell,
+    less those rects: the frame and outline that drawing runs leaves as
+    they were."""
     idx = region.cells
     h = region.h
     ox, oy = region.origin.x, region.origin.y
@@ -91,11 +100,6 @@ def per_cell_region_svg(region, outline=None, title=""):
         f'height="{_fmt(y_hi - y_lo)}" fill="white"/>',
         '<g transform="scale(1,-1)">',
     ]
-    for i, j in idx.tolist():
-        parts.append(
-            f'<rect x="{_fmt(ox + i * h)}" y="{_fmt(oy + j * h)}" width="{_fmt(h)}" '
-            f'height="{_fmt(h)}" fill="#1f77b4" fill-opacity="0.85"/>'
-        )
     for cx, cy, r in circles:
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
@@ -103,7 +107,7 @@ def per_cell_region_svg(region, outline=None, title=""):
         )
     parts.append("</g>")
     parts.append("</svg>")
-    return "\n".join(parts)
+    return parts
 
 
 _OUTLINES = {"none": None, "disk": DiskUnion(((0.4, -0.3, 2.0),)), "u3": u_delta_shape(3.0)}
@@ -120,8 +124,22 @@ _OUTLINES = {"none": None, "disk": DiskUnion(((0.4, -0.3, 2.0),)), "u3": u_delta
 @example(cells=frozenset(), h=1 / 3, origin=(0.25, -1.5), outline="u3")
 @example(cells=frozenset({(-7, 3)}), h=0.1, origin=(0.0, 0.0), outline="none")
 @example(cells=frozenset({(-7, 3)}), h=1 / 3, origin=(0.004, -0.007), outline="disk")
-def test_region_svg_equals_the_per_cell_reference(cells, h, origin, outline):
+def test_region_svg_runs_decode_to_the_cells(cells, h, origin, outline):
+    """Read back, the run rects cover exactly the region's cells, in order,
+    no two of them could be one, and everything else is the per-cell
+    writer's frame and outline."""
     region = PixelRegion(origin=Point(*origin), h=h, cells=cells)
     shape = _OUTLINES[outline]
-    assert region_svg(region, outline=shape, title=outline) == per_cell_region_svg(region, outline=shape, title=outline)
+    svg = region_svg(region, outline=shape, title=outline)
+    lines = [line for line in svg.split("\n") if 'fill="#1f77b4"' in line]
+    runs = []
+    for line in lines:
+        x, y, width, height = (float(v) for v in _RUN.fullmatch(line).groups())
+        assert width == float(_fmt(h))
+        runs.append((round((x - region.origin.x) / h), round((y - region.origin.y) / h), round(height / h)))
+    assert [[i, j + k] for i, j, n in runs for k in range(n)] == region.cells.tolist()
+    assert all(n >= 1 for _, _, n in runs)
+    assert not any(i == i2 and j + n == j2 for (i, j, n), (i2, j2, _) in zip(runs, runs[1:]))
+    frame = [line for line in svg.split("\n") if line not in lines]
+    assert frame == per_cell_frame(region, outline=shape, title=outline)
 
