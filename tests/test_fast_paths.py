@@ -69,21 +69,39 @@ def coordinate_sets(draw, sizes=st.integers(1, 60), kinds=st.sampled_from(KINDS)
     return base_set(kind, n, rng) * draw(scales)
 
 
+# the octagon filter keeps every point unless the set's extent is above
+# 1e-140 and its magnitudes below 1e140: these scales put the sets on both
+# sides of each edge
+HULL_SCALES = SCALES + (1e-160, 1e-139, 1e139, 1e160)
+
+
 @settings(max_examples=300, deadline=None)
-@given(coordinate_sets(st.integers(0, 300)), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(
+    coordinate_sets(st.integers(0, 300), scales=st.sampled_from(HULL_SCALES)),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
 def test_hull_matches_the_numpy_scalar_chain(coords, copies, seed):
     """Each point repeated up to three times, in a shuffled order: the
     chain, run above _OCTAGON_MIN distinct points on those outside the
     octagon of the extremes, picks the same vertices, each the first of
-    its equal points, as the chain over every point."""
+    its equal points, as the chain over every point. The filter warns of
+    no overflow or underflow at any scale; the chain's own cross products
+    overflow at 1e160, the same floats on both sides, and the oracle's
+    numpy scalars warn of it."""
     coords = np.random.default_rng(seed).permutation(np.concatenate([coords] * copies))
-    assert convex_hull_indices(coords) == oracle.convex_hull_indices(coords)
+    hull = convex_hull_indices(coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert hull == oracle.convex_hull_indices(coords)
 
 
-def test_octagon_prefilter_drops_the_inside_of_a_disk():
+@pytest.mark.parametrize("shift", [0.0, 1e5, 1e9])
+def test_octagon_prefilter_drops_the_inside_of_a_disk(shift):
+    """The margin scales with the set's extent, not with its distance from
+    the origin: a shifted disk loses as many points as one about it."""
     rng = np.random.default_rng(2000)
     r, t = 1.5 * np.sqrt(rng.uniform(size=2000)), rng.uniform(0.0, 2.0 * math.pi, 2000)
-    coords = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    coords = np.column_stack([r * np.cos(t), r * np.sin(t)]) + shift
     assert _outside_octagon(coords).sum() < len(coords) // 4
     assert convex_hull_indices(coords) == oracle.convex_hull_indices(coords)
 
