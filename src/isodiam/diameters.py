@@ -100,9 +100,12 @@ def _clique_diam(s: PointSet, a: int, what: str) -> float:
     Above _PREFILTER_MIN points, the value L of a stride sample of about
     _SUBSAMPLE points joined with the hull vertices is a lower bound: its
     best a points are points of the full set, pairwise at squared distance
-    >= L^2 by the same expression on the same floats. So only those pairs
-    are sorted, among the points that pass two tests which every point of
-    a best a-subset passes. First, its largest squared distance to a hull
+    >= L^2 by the same expression on the same floats. The sample's sweep
+    keeps only the pairs at or above a first floor, the value of at most
+    _HULL_SAMPLE hull vertices taken at a stride, a lower bound on L for
+    the same reason. Then only the pairs at or above L^2 are sorted,
+    among the points that pass two tests which every point of a best
+    a-subset passes. First, its largest squared distance to a hull
     vertex is at least L^2 * (1 - 1e-9): each of the best a points has a
     partner at least L away, and the farthest point from any point is a
     vertex of the exact hull, at least half the diameter D away. The
@@ -125,10 +128,13 @@ def _clique_diam(s: PointSet, a: int, what: str) -> float:
     floor2 = 0.0
     if n > _PREFILTER_MIN:
         hull = s.hull()
+        tops = hull[:: -(-len(hull) // _HULL_SAMPLE)]
+        if len(tops) >= a:
+            floor2 = _first_clique_d2(coords[tops], 0.0, a)
         # sorted and deduplicated here: np.union1d (numpy >= 2.3) imports
         # numpy.ma, some 15 ms, to rule out a masked array
         picks = np.sort(np.concatenate([np.arange(0, n, n // _SUBSAMPLE), hull]))
-        floor2 = _first_clique_d2(coords[picks[np.diff(picks, prepend=-1) != 0]], 0.0, a)
+        floor2 = _first_clique_d2(coords[picks[np.diff(picks, prepend=-1) != 0]], floor2, a)
         keep = _farthest_d2(coords, coords[hull]) >= floor2 * (1 - 1e-9)
         if floor2 > 0.0:
             keep &= _room_for_two(coords, coords[hull], s.enclosing_circle().center, floor2)
@@ -136,10 +142,12 @@ def _clique_diam(s: PointSet, a: int, what: str) -> float:
     return float(np.sqrt(_first_clique_d2(coords, floor2, a)))
 
 
-# See _clique_diam: sub-sample size and threshold of the prefilter; and
-# the number of pairs _first_clique inserts per vectorized test.
+# See _clique_diam: sub-sample size, threshold and hull sample size of the
+# prefilter (the whole hull of points on a circle costs more than it
+# saves); and the number of pairs _first_clique inserts per vectorized test.
 _PREFILTER_MIN = 400
 _SUBSAMPLE = 200
+_HULL_SAMPLE = 64
 _BLOCK = 512
 # rows per band of the pair build: the band's distance arrays take
 # _BAND * n floats, whatever n is

@@ -254,38 +254,60 @@ def _caps(delta: float, h: float) -> tuple[int, int]:
     return math.floor(Fraction(delta) ** 2 / h2), math.floor(4 / h2)
 
 
-def _row_extremes(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The min-j and max-j cell of each row i of an integer cell set.
+# beyond any column index: the fill of a row with no cell in _row_spans
+_NO_COLUMN = 1 << 62
 
-    The largest corner metric of a cell set is its corner diameter^2 / h^2,
-    attained at two hull vertices of its corners. Each hull vertex is the
-    lowest or highest corner on its vertical grid line, a corner of an
-    extreme cell of a row beside that line, so the largest corner metric
-    over these at most 2 * rows cells equals that of the whole set.
-    """
+
+def _row_spans(ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied rows of a nonempty integer cell set, ascending, with
+    each row's least and greatest column (rows, lo, hi), scattered into
+    arrays as long as the set's row range."""
     base = ci.min()
     row = ci - base
-    lo = np.full(int(row.max()) + 1, np.iinfo(np.int64).max)
-    hi = np.full_like(lo, np.iinfo(np.int64).min)
+    lo = np.full(int(row.max()) + 1, _NO_COLUMN)
+    hi = np.full_like(lo, -_NO_COLUMN)
     np.minimum.at(lo, row, cj)
     np.maximum.at(hi, row, cj)
     rows = np.flatnonzero(hi >= lo)
-    return np.concatenate([rows, rows]) + base, np.concatenate([lo[rows], hi[rows]])
+    return rows + base, lo[rows], hi[rows]
+
+
+def _span_k(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The r x r matrix K[a, b] = (|rows_a - rows_b| + 1)^2 +
+    (max(hi_a - lo_b, hi_b - lo_a) + 1)^2 of r row spans.
+
+    K[a, b] is the largest corner metric between a cell of row a and a
+    cell of row b, whatever cells lie between the ends: their columns
+    differ by at most max(hi_a - lo_b, hi_b - lo_a), which is >= 0 and
+    reached by the ends. The diagonal holds each row's widest pair, 2 for a
+    one-cell row. So K.max() is the largest corner metric of the cells,
+    self-pairs included.
+    """
+    k = hi[:, None] - lo
+    np.maximum(k, k.T, out=k)
+    k += 1
+    k *= k
+    di = rows[:, None] - rows
+    np.abs(di, out=di)
+    di += 1
+    di *= di
+    k += di
+    return k
 
 
 def _largest_k(ci: np.ndarray, cj: np.ndarray) -> int:
-    """Largest corner metric over pairs of the cells, self-pairs (k = 2)
-    included."""
-    ci, cj = _row_extremes(ci, cj)
-    return int(_corner_k(ci[:, None] - ci, cj[:, None] - cj).max())
+    """Largest corner metric over pairs of a nonempty set of cells,
+    self-pairs (k = 2) included."""
+    return int(_span_k(*_row_spans(ci, cj)).max())
 
 
 def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     """Verify a nonempty region against the exact caps of _caps.
 
-    diam_ok compares the largest corner metric, over the rows' extreme
-    cells, with diam_cap. diam3_ok holds when no three boundary cells are
-    pairwise far: when no far pair of them closes a triangle in the clique
+    diam_ok compares the largest corner metric, over the row spans read
+    from the sorted cells (_span_k), with diam_cap. diam3_ok holds when no
+    three boundary cells are pairwise far: when no far pair of them closes
+    a triangle in the clique
     sweep of diameters._first_clique. That makes the region a T(3,2)-set:
     three of its points pairwise farther than 2 can each move away from
     the other two until they meet the boundary (diam3(S) = diam3(boundary
@@ -303,9 +325,11 @@ def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     bi, bj = boundary.T
     iu, ju = np.triu_indices(n, 1)
     far = _corner_k(bi[iu] - bi[ju], bj[iu] - bj[ju]) > far_cap
+    starts = region.row_starts
+    first, last = idx[starts[:-1]], idx[starts[1:] - 1]
     return FeasibilityReport(
         diam_corners=region_diam(region),
-        diam_ok=_largest_k(idx[:, 0], idx[:, 1]) <= diam_cap,
+        diam_ok=int(_span_k(first[:, 0], first[:, 1], last[:, 1]).max()) <= diam_cap,
         diam3_ok=diameters._first_clique(n, iu[far], ju[far], 3) is None,
     )
 
@@ -391,13 +415,15 @@ def _addition_is_feasible(
 
     A new far triple must pass through the new cell, so the addition is
     rejected iff a region cell lies beyond diam_cap from it, or two region
-    cells far from it are far from each other. Each rejection found by a
-    scan appends its witness to witnesses as (cap, ai, aj, bi, bj): a cell
-    beyond diam_cap is (diam_cap, a, a), and a far pair is (far_cap, a,
-    b). A later candidate beyond cap from both cells of a witness is
-    rejected without a scan, most recent witness first. That is exact
-    while every witness cell stays in the region: the caller clears
-    witnesses whenever it removes a cell.
+    cells far from it are far from each other: iff the row spans of the
+    far cells hold a corner metric above far_cap (_span_k). Each rejection
+    found by a scan appends its witness to witnesses as (cap, ai, aj, bi,
+    bj): a cell beyond diam_cap is (diam_cap, a, a), and a far pair is
+    (far_cap, a, b), the ends of two row spans that attain it. A later
+    candidate beyond cap from both cells of a witness is rejected without
+    a scan, most recent witness first. That is exact while every witness
+    cell stays in the region: the caller clears witnesses whenever it
+    removes a cell.
     """
     diam_cap, far_cap = caps
     ci, cj = cell
@@ -405,26 +431,33 @@ def _addition_is_feasible(
         if (abs(ai - ci) + 1) ** 2 + (abs(aj - cj) + 1) ** 2 > cap and (abs(bi - ci) + 1) ** 2 + (abs(bj - cj) + 1) ** 2 > cap:
             return False
     I, J = I[:count], J[:count]
-    k = _corner_k(I - ci, J - cj)
+    # the corner metric of each region cell to the new one, in place
+    k = I - ci
+    np.abs(k, out=k)
+    k += 1
+    k *= k
+    dj = J - cj
+    np.abs(dj, out=dj)
+    dj += 1
+    dj *= dj
+    k += dj
     top = int(k.argmax())
     if k[top] > diam_cap:
         ti, tj = int(I[top]), int(J[top])
         witnesses.append((diam_cap, ti, tj, ti, tj))
         return False
-    far = k > far_cap
-    if np.count_nonzero(far) < 2:
+    far = np.flatnonzero(k > far_cap)
+    if len(far) < 2:
         return True
-    fi, fj = I[far], J[far]
-    # two far cells are far from each other only if their bounding box is
-    if _corner_k(fi.max() - fi.min(), fj.max() - fj.min()) <= far_cap:
-        return True
-    # otherwise the farthest pair is among the rows' extreme cells
-    ri, rj = _row_extremes(fi, fj)
-    k = _corner_k(ri[:, None] - ri, rj[:, None] - rj)
-    a, b = divmod(int(k.argmax()), len(ri))
+    rows, lo, hi = _row_spans(I[far], J[far])
+    k = _span_k(rows, lo, hi)
+    a, b = divmod(int(k.argmax()), len(rows))
     if k[a, b] <= far_cap:
         return True
-    witnesses.append((far_cap, int(ri[a]), int(rj[a]), int(ri[b]), int(rj[b])))
+    # the pair of row ends that attains k[a, b]: row a's last cell and row b's first
+    if hi[a] - lo[b] < hi[b] - lo[a]:
+        a, b = b, a
+    witnesses.append((far_cap, int(rows[a]), int(hi[a]), int(rows[b]), int(lo[b])))
     return False
 
 
@@ -453,10 +486,10 @@ def anneal(config: SearchConfig) -> SearchResult:
     every later candidate beyond the cap from it (from both cells of a
     pair) for as long as its cells stay in the region, that is until a
     removal is accepted; those candidates skip the scan
-    (_addition_is_feasible). Two cells far from the new one are far from
-    each other only if the corner metric of the far cells' bounding box
-    exceeds far_cap, and otherwise the largest corner metric among the far
-    cells is taken over each row's two extreme cells (see _row_extremes).
+    (_addition_is_feasible). The largest corner metric among the cells
+    far from the new one is read from their row spans, each row's least
+    and greatest column, over pairs of rows (_span_k), not over pairs of
+    cells.
     And the loop stops once nothing can change. With every frontier cell
     memo-rejected only an accepted removal can, in one of the R iterations
     before the falling removal probability p is 0.0 (_warm_iterations).

@@ -28,8 +28,9 @@ from isodiam.search import (
     _largest_k,
     _MoveStream,
     _refile,
-    _row_extremes,
+    _row_spans,
     _seed_frontiers,
+    _span_k,
     anneal,
     anneal_chains,
     evaluate_candidates,
@@ -141,18 +142,41 @@ def test_window_constant():
     assert DISK_REGIME_MAX == pytest.approx(4 / math.sqrt(3))
 
 
+cell_lists = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=60)
+
+
+def cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([c[0] for c in cells], dtype=np.int64), np.array([c[1] for c in cells], dtype=np.int64)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=60))
-def test_row_extremes_keep_the_diameter(cells):
-    ci = np.array([c[0] for c in cells], dtype=np.int64)
-    cj = np.array([c[1] for c in cells], dtype=np.int64)
-    ri, rj = _row_extremes(ci, cj)
-    rows = sorted(set(ci.tolist()))
-    lo = [min(j for i, j in cells if i == row) for row in rows]
-    hi = [max(j for i, j in cells if i == row) for row in rows]
-    assert ri.tolist() == rows + rows
-    assert rj.tolist() == lo + hi
-    assert _largest_k(ci, cj) == int(corner_k(set(cells)).max())
+@given(cell_lists)
+@example([(0, 2**61), (0, -(2**61)), (2, 0)])
+def test_row_spans_give_each_rows_least_and_greatest_column(cells):
+    rows, lo, hi = _row_spans(*cell_arrays(cells))
+    occupied = sorted({i for i, _ in cells})
+    assert rows.tolist() == occupied
+    assert lo.tolist() == [min(j for i, j in cells if i == row) for row in occupied]
+    assert hi.tolist() == [max(j for i, j in cells if i == row) for row in occupied]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists)
+def test_span_k_is_the_largest_corner_metric_between_two_rows(cells):
+    rows, lo, hi = _row_spans(*cell_arrays(cells))
+    k = _span_k(rows, lo, hi)
+    idx = sorted(set(cells))
+    brute = corner_k(idx)
+    row_of = np.array([i for i, _ in idx])
+    for a, ra in enumerate(rows.tolist()):
+        for b, rb in enumerate(rows.tolist()):
+            assert k[a, b] == brute[np.ix_(row_of == ra, row_of == rb)].max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists)
+def test_largest_k_equals_the_brute_force(cells):
+    assert _largest_k(*cell_arrays(cells)) == int(corner_k(set(cells)).max())
 
 
 region_cells = st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=30)
@@ -344,6 +368,18 @@ def test_anneal_trajectory_is_pinned(delta, t0):
     if t0 is not None:
         # with additions only, the best region would hold every accepted cell
         assert len(cells) < round(out.baseline_measure / h**2) + out.accepted_moves
+
+
+# A greedy run at delta 3, h 0.02, seed 3 and 5,000 iterations, pinned as
+# above: its region has 149 rows, so the far sets of its move checks
+# span many rows of the row-span kernel.
+PINNED_FINE_TRAJECTORY = (275, 5.0444, "fc47b41f18ef97945ad52252ea475db94b65f234f677db79b4e78dea75cafd8b")
+
+
+def test_anneal_trajectory_at_a_fine_pitch_is_pinned():
+    out = anneal(SearchConfig(delta=3.0, h=0.02, iterations=5000, seed=3))
+    assert (out.accepted_moves, out.best_measure, best_cells_digest(out.best_region)) == PINNED_FINE_TRAJECTORY
+    assert out.feasibility.diam_ok and out.feasibility.diam3_ok
 
 
 def test_anneal_survives_zero_temperature():
@@ -553,7 +589,27 @@ def witnessed_checks(h: float, delta: float, moves) -> tuple[int, int]:
         else:
             rejections += 1
             scans += len(witnesses) > before
+        if len(witnesses) > before:
+            assert_valid_witness(witnesses[-1], region, move, caps)
     return rejections, scans
+
+
+def pair_k(p, q) -> int:
+    """The corner metric of two distinct cells, by the brute force."""
+    return int(corner_k([p, q]).max())
+
+
+def assert_valid_witness(witness, region, move, caps) -> None:
+    """A new witness holds region cells, each beyond its cap from the
+    move: one cell beyond diam_cap, or a far pair whose cells are also far
+    from each other."""
+    cap, ai, aj, bi, bj = witness
+    a, b = (ai, aj), (bi, bj)
+    assert a in region and b in region
+    assert pair_k(a, move) > cap and pair_k(b, move) > cap
+    if cap == caps[0] and a == b:
+        return
+    assert cap == caps[1] and pair_k(a, b) > cap
 
 
 moves_strategy = st.lists(
@@ -563,6 +619,9 @@ moves_strategy = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(moves_strategy, st.floats(0.15, 0.6), st.floats(1.0, 6.0))
+# (-6, 3) is rejected by rows -1 and 0 of its far cells, whose farthest
+# ends are row -1's first cell and row 0's last: the other two ends are close
+@example([(0, 0), (0, -2), (-1, -4), (-6, 3)], 0.42, 5.4)
 def test_move_check_with_witnesses_equals_the_brute_force(moves, h, delta):
     witnessed_checks(h, delta, moves)
 
