@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Point, PointSet, hull_diameter
+from .geometry import _BAND, Point, PointSet, _farthest_d2, hull_diameter
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
@@ -149,9 +149,6 @@ _PREFILTER_MIN = 400
 _SUBSAMPLE = 200
 _HULL_SAMPLE = 64
 _BLOCK = 512
-# rows per band of the pair build: the band's distance arrays take
-# _BAND * n floats, whatever n is
-_BAND = 64
 
 # Cap on the pairs of diam3, diam_ab, tab_check and search's verifier, the
 # raster cap of regions: up to 7,071 points. It bounds the work; the bands
@@ -170,22 +167,6 @@ def _check_pairs(what: str, n: int) -> None:
     pairs = n * (n - 1) // 2
     if pairs > _MAX_PAIRS:
         raise MemoryError(f"{what} needs {pairs} pairs, more than the cap of {_MAX_PAIRS}")
-
-
-def _farthest_d2(coords: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Largest squared distance from each point of coords to the points
-    of ends, taken _BAND ends at a time."""
-    x, y = coords[:, :1], coords[:, 1:]
-    best = np.zeros(len(coords))
-    for lo in range(0, len(ends), _BAND):
-        e = ends[lo : lo + _BAND]
-        dx = x - e[:, 0]
-        dx *= dx
-        dy = y - e[:, 1]
-        dy *= dy
-        dx += dy
-        np.maximum(best, dx.max(axis=1), out=best)
-    return best
 
 
 def _room_for_two(coords: np.ndarray, hull: np.ndarray, center: Point, floor2: float) -> np.ndarray:

@@ -384,19 +384,37 @@ def convex_hull_indices(coords: np.ndarray) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
+# Band width of the pair scans, in ends of _farthest_d2 and rows of
+# diameters._first_clique_d2: a band's distance arrays take _BAND * n
+# floats, whatever n is.
+_BAND = 64
+
+
+def _farthest_d2(coords: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Largest squared distance from each point of coords to the points
+    of ends, taken _BAND ends at a time."""
+    x, y = coords[:, :1], coords[:, 1:]
+    best = np.zeros(len(coords))
+    for lo in range(0, len(ends), _BAND):
+        e = ends[lo : lo + _BAND]
+        dx = x - e[:, 0]
+        dx *= dx
+        dy = y - e[:, 1]
+        dy *= dy
+        dx += dy
+        np.maximum(best, dx.max(axis=1), out=best)
+    return best
+
+
 def hull_diameter(pts: np.ndarray) -> float:
     """Largest pairwise distance of a point set, given the (m, 2) float64
     array of its convex hull vertices; 0.0 for fewer than two.
 
     The largest distance is attained at hull vertices, so only their pairs
-    are compared, on squared distances, with one square root at the end.
+    are compared (_farthest_d2), on squared distances, with one square
+    root at the end.
     """
-    best = 0.0
-    for i in range(len(pts) - 1):
-        d2 = float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1).max())
-        if d2 > best:
-            best = d2
-    return math.sqrt(best)
+    return math.sqrt(float(_farthest_d2(pts, pts).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -213,20 +213,6 @@ def _disk_areas(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray, 
     return np.maximum(q[0] - q[1] - q[2] + q[3], 0.0)
 
 
-def _disk_runs(sq: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
-    """For each j, the int16 run [start, stop) of the i with sq[i] + sq[j] <= r2,
-    for sq that falls, then rises with i: a float sum does not fall as one term
-    grows, so those i hold the k smallest sq. k is read off r2 - sq[j], then
-    moved past rounding to the exact boundary. An empty run is [0, 0)."""
-    order = np.argsort(sq, kind="stable")
-    s = np.concatenate([[-np.inf], sq[order], [np.inf]])  # s[k]: the k-th smallest
-    k = np.searchsorted(s, r2 - sq, "right") - 1
-    while (step := (s[k + 1] + sq <= r2).astype(np.intp) - (s[k] + sq > r2)).any():
-        k += step
-    first, last = np.minimum.accumulate(order), np.maximum.accumulate(order)
-    return np.append(0, first)[k].astype(np.int16), np.append(0, last + 1)[k].astype(np.int16)
-
-
 class _PatchRows:
     """A density patch's cells grouped by row, for counting the cells
     inside unit bites.
@@ -452,9 +438,14 @@ class _VerdictTable:
 
     Strata. A cell is in when the farthest corner of its grown box passes
     the disk test, so that its whole box lies in the disk, and it meets the
-    disk when the nearest corner passes it. in_lethal and in_safe count the
-    in cells with a certain verdict; each holds 4 / (_TABLE^2 pi) of the
-    disk. Every other cell that meets the disk, a rim cell or an uncertain
+    disk when the nearest corner passes it. Each test is one _TABLE x
+    _TABLE mask: with far2[k] and near2[k] the largest and smallest
+    squares over [lo[k], hi[k]], cell (i, j) is in when far2[i] + far2[j]
+    <= r^2 and meets the disk when near2[i] + near2[j] <= r^2. Float
+    addition commutes, so each mask is symmetric and holds cell (i, j) at
+    [j, i] as verdict does. An in cell with a certain verdict holds
+    4 / (_TABLE^2 pi) of the disk, and in_lethal counts the lethal ones.
+    Every other cell that meets the disk, a rim cell or an uncertain
     one, holds its box's area in the disk over pi r^2, in closed form
     (_disk_areas). lethal_share adds up the lethal cells' shares and
     unsure_share the uncertain cells', so an empty stratum has share 0;
@@ -504,14 +495,11 @@ class _VerdictTable:
         j += ja
         verdict[i, j] = self._verdicts((lo, hi), (lo, hi), i, j)
 
-        # the cells [in_a, in_b) of row j lie in the disk, and [a, b) meet it
         far, near = _far_near(lo, hi, 0.0)
-        (in_a, in_b), (a, b) = _disk_runs(far * far, self.r2), _disk_runs(near * near, self.r2)
-        cols = np.arange(_TABLE, dtype=np.int16)
-        certain = (cols >= in_a[:, None]) & (cols < in_b[:, None]) & (self.verdict != _UNSURE)
+        far2, near2 = far * far, near * near
+        certain = (far2[:, None] + far2 <= self.r2) & (self.verdict != _UNSURE)
         self.in_lethal = int(np.count_nonzero(certain & (self.verdict == _LETHAL)))
-        self.in_safe = int(np.count_nonzero(certain)) - self.in_lethal
-        other = np.flatnonzero((cols >= a[:, None]) & (cols < b[:, None]) & ~certain)
+        other = np.flatnonzero((near2[:, None] + near2 <= self.r2) & ~certain)
         j, i = np.divmod(other, _TABLE)
         share = _disk_areas(edges[i], edges[i + 1], edges[j], edges[j + 1], radius) / (math.pi * self.r2)
         kind = self.verdict.ravel()[other]

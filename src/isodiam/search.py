@@ -295,12 +295,6 @@ def _span_k(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return k
 
 
-def _largest_k(ci: np.ndarray, cj: np.ndarray) -> int:
-    """Largest corner metric over pairs of a nonempty set of cells,
-    self-pairs (k = 2) included."""
-    return int(_span_k(*_row_spans(ci, cj)).max())
-
-
 def _feasibility(region: PixelRegion, delta: float) -> FeasibilityReport:
     """Verify a nonempty region against the exact caps of _caps.
 
@@ -378,26 +372,24 @@ def _refile(center: tuple[int, int], region, add_frontier: _IndexedSet, remove_f
 
 
 def _seed_frontiers(cells: np.ndarray) -> tuple[_IndexedSet, _IndexedSet]:
-    """The (add, remove) frontiers of the region of the distinct rows of a
-    nonempty (n, 2) cell array, filed in cell key order (_cell_keys).
+    """The (add, remove) frontiers of the region of a nonempty (n, 2) array
+    of distinct cells. The add frontier is filed in cell key order
+    (_cell_keys), the remove frontier, _boundary_cells, in the cells'
+    order: for cells sorted by (i, j), as a PixelRegion holds them, that
+    is key order too.
 
-    Every cell of a frontier is a region cell or one of its 4-neighbours,
-    whose keys are the region keys plus (0, w, -w, 1, -1). Only the
-    frontier cells become tuples.
+    Every cell of the add frontier is a 4-neighbour of a region cell,
+    whose keys are the region keys plus (w, -w, 1, -1). Only the frontier
+    cells become tuples.
     """
     keys, w, i0, j0 = _cell_keys(cells)
     # sorted and deduplicated here: np.unique (numpy >= 2.3) imports
     # numpy.ma, some 15 ms, to rule out a masked array
-    visits = np.sort(keys[:, None] + np.array([0, w, -w, 1, -1]), axis=None)
+    visits = np.sort(keys[:, None] + np.array([w, -w, 1, -1]), axis=None)
     visited = visits[np.diff(visits, prepend=-1) != 0]
-    held = np.isin(visited, keys)
-    kept = visited[held]
-    inner = np.isin(kept + w, keys) & np.isin(kept - w, keys) & np.isin(kept + 1, keys) & np.isin(kept - 1, keys)
-
-    def filed(q: np.ndarray) -> _IndexedSet:
-        return _IndexedSet(list(zip((q // w + i0).tolist(), (q % w + j0).tolist())))
-
-    return filed(visited[~held]), filed(kept[~inner])
+    out = visited[~np.isin(visited, keys)]
+    add = _IndexedSet(list(zip((out // w + i0).tolist(), (out % w + j0).tolist())))
+    return add, _IndexedSet(list(map(tuple, _boundary_cells(cells).tolist())))
 
 
 def _addition_is_feasible(

@@ -48,7 +48,7 @@ from isodiam.regions import (
     region_diam,
     u_delta_measure,
 )
-from isodiam.search import _caps, _largest_k
+from isodiam.search import _caps, _row_spans, _span_k
 
 SQRT2 = math.sqrt(2.0)
 
@@ -149,7 +149,7 @@ def test_05_extremal_rasters_have_expected_measure_and_pass_checks():
         i = chain.cells[:, 0]
         groups = np.split(chain.cells, np.flatnonzero(np.diff(i) > 1) + 1)
         assert len(groups) == a - 1
-        assert all(_largest_k(g[:, 0], g[:, 1]) <= far_cap for g in groups)
+        assert all(int(_span_k(*_row_spans(g[:, 0], g[:, 1])).max()) <= far_cap for g in groups)
 
 
 def test_06_two_disk_union_stays_below_area_bound_and_lens_mc():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isodiam.diameters as diameters_mod
+import isodiam.geometry as geometry_mod
 from isodiam.diameters import (
     BudgetExceededError,
     TabCheckResult,
@@ -235,6 +236,7 @@ def test_diam3_prefilter_and_blocks_on_small_sets(pairs, block, band):
         mock.patch.object(diameters_mod, "_SUBSAMPLE", 3),
         mock.patch.object(diameters_mod, "_BLOCK", block),
         mock.patch.object(diameters_mod, "_BAND", band),
+        mock.patch.object(geometry_mod, "_BAND", band),
     ):
         fast = diam3(s)
     assert fast == sorted_pair_diam3(s)

@@ -69,6 +69,28 @@ def test_every_export_is_used_by_the_package():
     assert set(UNUSED_ON_PURPOSE) - set(unused) == set()
 
 
+def unread_privates(package: Path) -> list[str]:
+    """Each private function and class defined at the top level of a module
+    under package that no module of the package reads, as module.name."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    used = set().union(*map(_loaded_names, trees.values()))
+    return [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+
+
+def test_every_private_function_and_class_is_read_by_the_package():
+    """A private helper that only tests call is an oracle shipped in the
+    library, and one that nothing calls is dead code: either belongs under
+    tests/ or nowhere."""
+    assert unread_privates(Path(isodiam.__file__).parent) == []
+
+
 def _defined_names(tree: ast.Module) -> set[str]:
     """Names a module binds at its top level by def, class or assignment;
     imported names are not among them."""

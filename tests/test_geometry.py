@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from geometry_oracles import points, save_points_csv
 from isodiam.geometry import (
+    _BAND,
     Disk,
     DiskUnion,
     Point,
@@ -17,9 +18,11 @@ from isodiam.geometry import (
     circumcircle,
     convex_hull_indices,
     distance,
+    hull_diameter,
     load_points_csv,
     min_enclosing_circle,
 )
+from isodiam.regions import PixelRegion, _corner_hull
 
 # a PointSet refuses nonzero coordinates of magnitude below 2^-250
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False).filter(
@@ -170,6 +173,39 @@ def test_hull_duplicates_collapse():
     coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     hull = convex_hull_indices(coords)
     assert len(hull) == 2
+
+
+@st.composite
+def diameter_inputs(draw) -> np.ndarray:
+    """An (n, 2) array for hull_diameter, with some rows repeating others:
+    up to 30 drawn points, seeded uniform ones at and next to the band
+    edges of the scan (up to 193), or the corner hull of a random region."""
+    kind = draw(st.sampled_from(["drawn", "uniform", "corner hull"]))
+    if kind == "corner hull":
+        cells = draw(st.sets(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=120))
+        return _corner_hull(PixelRegion(origin=Point(0.3, -0.7), h=draw(st.floats(0.001, 3.0)), cells=frozenset(cells)))
+    if kind == "drawn":
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), max_size=30)), dtype=np.float64).reshape(-1, 2)
+    else:
+        n = max(0, draw(st.integers(0, 3)) * _BAND + draw(st.integers(-1, 1)))
+        pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-100, 100, (n, 2))
+    if len(pts):
+        row = st.integers(0, len(pts) - 1)
+        for a, b in draw(st.lists(st.tuples(row, row), max_size=20)):
+            pts[b] = pts[a]
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(diameter_inputs(), st.sampled_from([1.0, 2.0**-200, 2.0**200]))
+def test_hull_diameter_equals_the_largest_pair_distance(pts, scale):
+    """The banded scan gives the largest pairwise distance bit for bit:
+    0.0 below two points, one band or several, duplicates, and scales far
+    from 1 (a power of 2 scales every coordinate exactly)."""
+    pts = pts * scale
+    pairs = itertools.combinations(pts.tolist(), 2)
+    want = max((math.sqrt((x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1)) for (x0, y0), (x1, y1) in pairs), default=0.0)
+    assert hull_diameter(pts) == want
 
 
 def test_csv_round_trip(tmp_path):

@@ -461,7 +461,7 @@ def split_hits(strategy, patch, config, strata=None):
     and in the safe ones, and then unsure_replay draws the unsure bites.
     strata is (unsure, (lethal share, unsure share)), flat_table's by
     default."""
-    unsure, (lethal_share, unsure_share) = strata or flat_table(strategy, config)[3:]
+    unsure, (lethal_share, unsure_share) = strata or flat_table(strategy, config)[2:]
     cells, offsets = streams(config.seed)
     pvals = [lethal_share, unsure_share, 1.0 - lethal_share - unsure_share]
     lethal, quota, safe = cells.multinomial(config.samples, pvals).tolist()
@@ -628,13 +628,22 @@ def sampling_probes() -> np.ndarray:
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
 
+def disk_masks(table: _VerdictTable) -> tuple[np.ndarray, np.ndarray]:
+    """Which cells have a grown box that lies in the disk, and which one
+    that meets it, as masks over table.verdict.ravel()."""
+    e = table.low + table.span * (np.arange(_TABLE + 1) / _TABLE)
+    far, near = poisoning._far_near(e[:-1] - table.eps, e[1:] + table.eps, 0.0)
+    far, near = far * far, near * near  # symmetric in (i, j), so either layout
+    return (far[:, None] + far[None, :] <= table.r2).ravel(), (near[:, None] + near[None, :] <= table.r2).ravel()
+
+
 def assert_table_is_sound(strategy: PoisonStrategy, config: PoisonConfig) -> None:
     """At every probe pair (u, v): a probe in the disk lies in a cell whose
     grown box meets the disk, and in an unsure cell where its verdict is
     uncertain; every unsure cell's verdict is uncertain; the cells whose
-    grown box lies in the disk have all their probes in it, and those of
-    them with a certain verdict are the in_lethal and in_safe ones; and a
-    certain verdict is that of the exact dose."""
+    grown box lies in the disk have all their probes in it, and the lethal
+    ones of them are the in_lethal ones; and a certain verdict is that of
+    the exact dose."""
     table = _VerdictTable(strategy, config)
     u = sampling_probes()
     uu, vv = np.meshgrid(u, u, indexing="ij")
@@ -644,17 +653,13 @@ def assert_table_is_sound(strategy: PoisonStrategy, config: PoisonConfig) -> Non
     x = table.low + table.span * uu
     y = table.low + table.span * vv
     inside = x * x + y * y <= table.r2
-    e = table.low + table.span * (np.arange(_TABLE + 1) / _TABLE)
-    far, near = poisoning._far_near(e[:-1] - table.eps, e[1:] + table.eps, 0.0)
-    far, near = far * far, near * near  # symmetric in (i, j), so either layout
-    assert np.all((near[:, None] + near[None, :] <= table.r2).ravel()[flat[inside]])
+    in_box, meets = disk_masks(table)
+    assert np.all(meets[flat[inside]])
     assert np.all(np.isin(flat[inside & (verdict == _UNSURE)], table.unsure))
     assert np.all(table.verdict.ravel()[table.unsure] == _UNSURE)
-    in_box = np.flatnonzero(far[:, None] + far[None, :] <= table.r2)
     probes = np.bincount(flat, minlength=_TABLE**2)
     assert np.array_equal(np.bincount(flat[inside], minlength=_TABLE**2)[in_box], probes[in_box])
-    in_verdict = table.verdict.ravel()[in_box]
-    assert (table.in_lethal, table.in_safe) == (np.count_nonzero(in_verdict == _LETHAL), np.count_nonzero(in_verdict == _SAFE))
+    assert table.in_lethal == np.count_nonzero(table.verdict.ravel()[in_box] == _LETHAL)
     certain = inside & (verdict != _UNSURE)
     exact = poisoning._is_lethal_dose(_dose_at(strategy, _patch_rows(strategy), x[certain], y[certain]), config)
     assert np.array_equal(verdict[certain] == _LETHAL, exact)
@@ -696,13 +701,13 @@ def test_table_decides_most_of_the_disk_at_radius_7_3():
     still decides most of the disk."""
     cfg = PoisonConfig(R=7.3, h_available=1.5)
     table = _VerdictTable(tour_hexagon(), cfg)
-    assert table.in_lethal + table.in_safe > 0.7 * _TABLE**2
+    assert np.count_nonzero(table.verdict.ravel()[disk_masks(table)[0]] != _UNSURE) > 0.7 * _TABLE**2
     assert table.in_lethal > 0
     assert_table_is_sound(tour_hexagon(), cfg)
 
 
 def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple:
-    """The verdict array, in_lethal, in_safe, unsure and (lethal_share,
+    """The verdict array, in_lethal, unsure and (lethal_share,
     unsure_share) of _VerdictTable, built flat: every cell of the
     near-poison block is bounded as one box of a _TABLE x _TABLE grid, the
     masses by axis and the patch rows by _PatchRows.ranks over the grid,
@@ -755,7 +760,6 @@ def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple:
     inside = (far * far)[:, None] + (far * far)[None, :] <= radius * radius
     meets = (near * near)[:, None] + (near * near)[None, :] <= radius * radius
     in_lethal = int(np.count_nonzero(inside & (verdict == _LETHAL)))
-    in_safe = int(np.count_nonzero(inside & (verdict == _SAFE)))
     other = np.flatnonzero((meets & ~(inside & (verdict != _UNSURE))).T)  # at i + _TABLE j
     j, i = np.divmod(other, _TABLE)
     area = poisoning._disk_areas(edges[i], edges[i + 1], edges[j], edges[j + 1], radius)
@@ -764,7 +768,7 @@ def flat_table(strategy: PoisonStrategy, config: PoisonConfig) -> tuple:
     lethal = in_lethal * (4.0 / (_TABLE * _TABLE * math.pi)) + float(share[other_verdict == _LETHAL].sum())
     lethal = min(lethal, 1.0)
     shares = (lethal, min(float(share[other_verdict == _UNSURE].sum()), 1.0 - lethal))
-    return verdict.T, in_lethal, in_safe, other[other_verdict == _UNSURE], shares
+    return verdict.T, in_lethal, other[other_verdict == _UNSURE], shares
 
 
 def _load_bench_workloads():
@@ -794,28 +798,11 @@ def bench_cases(draw):
 @given(st.one_of(stream_cases(), bench_cases()))
 def test_coarse_to_fine_table_equals_the_flat_build(case):
     table = _VerdictTable(*case)
-    verdict, in_lethal, in_safe, unsure, shares = flat_table(*case)
+    verdict, in_lethal, unsure, shares = flat_table(*case)
     assert np.array_equal(table.verdict, verdict)
-    assert (table.in_lethal, table.in_safe) == (in_lethal, in_safe)
+    assert table.in_lethal == in_lethal
     assert np.array_equal(table.unsure, unsure)
     assert (table.lethal_share, table.unsure_share) == shares
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_disk_runs_are_the_rows_of_the_full_mask(data):
-    """For sq that falls, then rises, each row of the full mask
-    sq[i] + sq[j] <= r2 is the run _disk_runs gives, with r2 on a pair sum
-    or one ulp to either side of it, tied values and empty runs included."""
-    value = st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.25, 1.0, 2.0])
-    left = sorted(data.draw(st.lists(value, max_size=12)), reverse=True)
-    sq = np.array(left + sorted(data.draw(st.lists(value, min_size=1, max_size=12))))
-    sums = sq[:, None] + sq[None, :]
-    r2 = data.draw(st.sampled_from(sums.ravel().tolist()))
-    cols = np.arange(sq.size)
-    for t in (np.nextafter(r2, -np.inf), r2, np.nextafter(r2, np.inf)):
-        start, stop = poisoning._disk_runs(sq, float(t))
-        assert np.array_equal((cols >= start[:, None]) & (cols < stop[:, None]), sums <= t)
 
 
 def test_unsure_cells_cover_under_1_percent_of_the_tour_table():
@@ -1169,7 +1156,7 @@ def test_all_slow_uncertain_batches_stay_block_sized(monkeypatch):
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=1 << 20, seed=2)
     table = _VerdictTable(strat, cfg)
     table.verdict[:] = _UNSURE
-    table.in_lethal = table.in_safe = 0
+    table.in_lethal = 0
     table.unsure = np.arange(_TABLE**2)
     table.lethal_share, table.unsure_share = 0.0, 1.0
     monkeypatch.setattr(poisoning, "_last_table", table)
@@ -1242,9 +1229,9 @@ def test_a_table_of_128_a_side_gives_the_same_results(monkeypatch):
     cfg = PoisonConfig(R=3.0, h_available=1.5, samples=20_000, seed=6)
     table = poisoning._verdict_table(strat, cfg)
     assert table.verdict.shape == (128, 128)
-    verdict, in_lethal, in_safe, unsure, shares = flat_table(strat, cfg)
+    verdict, in_lethal, unsure, shares = flat_table(strat, cfg)
     assert np.array_equal(table.verdict, verdict) and np.array_equal(table.unsure, unsure)
-    assert (table.in_lethal, table.in_safe, table.lethal_share, table.unsure_share) == (in_lethal, in_safe, *shares)
+    assert (table.in_lethal, table.lethal_share, table.unsure_share) == (in_lethal, *shares)
     got = lethal_region(strat, cfg, 0.03)
     assert not got.is_empty()
     assert got == dose_raster(strat, cfg, 0.03)

@@ -25,7 +25,6 @@ from isodiam.search import (
     _corner_k,
     _feasibility,
     _IndexedSet,
-    _largest_k,
     _MoveStream,
     _refile,
     _row_spans,
@@ -175,8 +174,8 @@ def test_span_k_is_the_largest_corner_metric_between_two_rows(cells):
 
 @settings(max_examples=200, deadline=None)
 @given(cell_lists)
-def test_largest_k_equals_the_brute_force(cells):
-    assert _largest_k(*cell_arrays(cells)) == int(corner_k(set(cells)).max())
+def test_span_k_max_equals_the_brute_force(cells):
+    assert int(_span_k(*_row_spans(*cell_arrays(cells))).max()) == int(corner_k(set(cells)).max())
 
 
 region_cells = st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=30)
